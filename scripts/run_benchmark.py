@@ -3,13 +3,17 @@
 
 Thin wrapper over ``momabs paper-example``: writes the four scenario CSVs,
 their SVG plots, and report.txt into the output directory, then exits with
-the CLI's status code (0 iff every check passed).
+the CLI's status code (0 iff every check passed).  Runs from a source
+checkout: the package is imported from ``src/`` next to this directory.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from momabs.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from momabs.cli import main  # noqa: E402
 
 
 def parse_args():

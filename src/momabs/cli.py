@@ -201,9 +201,7 @@ def cmd_simulate(args) -> RunReport:
     report = RunReport(command="simulate")
     spec = _spec_from_file(args.spec, args.step, args.horizon)
     traj = sim.integrate(spec)
-    columns = {}
-    for name, arr in traj.outputs.items():
-        columns[name] = arr
+    columns = dict(traj.outputs)
     err = _topology_error(spec, traj)
     if err is not None:
         columns["err"] = err

@@ -1,8 +1,8 @@
 """Dense real linear algebra for small state-space problems.
 
 Spectra, rank tests, Sylvester/Lyapunov solvers, PBH and excitability
-tests, and pole placement.  Everything works on plain numpy arrays and is
-sized for desk-scale problems (n up to a few hundred).
+tests, and pole placement, on plain numpy arrays.  The Kronecker-vectorised
+Lyapunov solver costs O(n^6) and is practical up to n of about 40.
 """
 
 from __future__ import annotations

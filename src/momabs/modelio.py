@@ -9,10 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import StateSpaceModel
-from .signals import SignalSpec
 
 ROLES = ("concrete", "abstract", "interpolant")
-CSV_SCHEMA_VERSION = 1  # column 1 is time; header names are a stable contract
 
 
 class ModelFileError(ValueError):
@@ -81,14 +79,10 @@ def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def signal_from_dict(data: dict) -> SignalSpec:
-    return SignalSpec.from_dict(data)
-
-
 def write_csv(path, times: np.ndarray, columns: dict) -> None:
-    """CSV with a time column then named data columns, 17 significant digits."""
-    names = ["time"]
-    series = []
+    """CSV with a time column then named data columns, 17 significant digits;
+    the header names are a stable contract."""
+    names, series = ["time"], []
     for name, arr in columns.items():
         arr = np.atleast_2d(np.asarray(arr, float))
         if arr.shape[0] == times.size:
@@ -98,11 +92,11 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
         for i in range(arr.shape[0]):
             names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
             series.append(arr[i])
-    lines = [",".join(names)]
-    for row in range(times.size):
-        vals = [f"{times[row]:.17g}"] + [f"{s[row]:.17g}" for s in series]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(
+            fh, np.column_stack([times, *series]), fmt="%.17g", delimiter=",",
+            header=",".join(names), comments="",
+        )
 
 
 _PALETTE = (
@@ -159,11 +153,11 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
             f'font-family="sans-serif" font-size="12">{val:.3g}</text>'
         )
     stride = max(1, times.size // 2000)
+    xs = sx(times[::stride])
     for idx, (name, values) in enumerate(flat.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(
-            f"{sx(t):.2f},{sy(v):.2f}"
-            for t, v in zip(times[::stride], values[::stride])
+            "%.2f,%.2f" % tuple(p) for p in np.column_stack([xs, sy(values[::stride])]).tolist()
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'

@@ -1,8 +1,11 @@
 """Fixed-step simulation of the interconnection topologies.
 
 All topologies reduce to a linear ODE z' = A z + B w(t) with an exogenous
-signal w; integration is classic 4th-order Runge-Kutta on a uniform grid,
-fully deterministic.
+signal w, integrated by classic 4th-order Runge-Kutta on a uniform grid, fully
+deterministically.  For such an ODE one RK4 step is exactly the propagator
+z+ = T z + C0 B w(t) + Ch B w(t + h/2) + C1 B w(t + h), with T the RK4 stability
+polynomial of hA (the degree-4 Taylor polynomial of exp(hA)).  T and the C's are
+built once per run; each step is then one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ class InterconnectionSpec:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.horizon < self.step:
-            raise ValueError("horizon must cover at least one step")
+        grid = f"horizon={self.horizon:g}, step={self.step:g}"
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive ({grid})")
+        count = self.horizon / self.step
+        if not (np.isfinite(count) and count >= 1 and abs(count - round(count)) <= 1e-9 * count):
+            raise ValueError(f"horizon must be a finite whole number of steps, at least one ({grid})")
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
@@ -92,31 +97,39 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 
 
 def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray) -> np.ndarray:
-    """RK4 on z' = a z + b w(t); returns states with shape (len(times), n)."""
+    """RK4 on z' = a z + b w(t) as the one-step propagator of the module
+    docstring; returns states (len(times), n), raising ValueError at the first
+    grid time whose state is not finite."""
     a = np.asarray(a, float)
-    z = np.asarray(z0, float).reshape(-1).copy()
-    n = z.size
+    z0 = np.asarray(z0, float).reshape(-1)
+    n = z0.size
     if b is None:
-        b = np.zeros((n, 1))
-        signal = SignalSpec.zero(1)
+        b, signal = np.zeros((n, 1)), SignalSpec.zero(1)
     b = np.asarray(b, float)
     h = times[1] - times[0]
-    w_full = signal.eval(times)  # at grid points
-    w_half = signal.eval(times[:-1] + 0.5 * h)
-    out = np.empty((times.size, n))
-    out[0] = z
-    for i in range(times.size - 1):
-        f0 = b @ w_full[i]
-        fh = b @ w_half[i]
-        f1 = b @ w_full[i + 1]
+
+    def step(z, f0, fh, f1):
+        """One classic RK4 step; linear in z and in the forcing samples."""
         k1 = a @ z + f0
         k2 = a @ (z + 0.5 * h * k1) + fh
         k3 = a @ (z + 0.5 * h * k2) + fh
         k4 = a @ (z + h * k3) + f1
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"state diverged at t={times[i + 1]:.6g}")
-        out[i + 1] = z
+        return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    t_map = step(np.eye(n), 0.0, 0.0, 0.0)
+    zb = np.zeros_like(b)
+    g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
+    w_grid = signal.eval(times)
+    w_half = signal.eval(times[:-1] + 0.5 * h)
+    out = np.empty((times.size, n))
+    out[0] = z0
+    np.matmul(np.hstack([w_grid[:-1], w_half, w_grid[1:]]), g_map.T, out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(times.size - 1):
+            out[i + 1] += t_map @ out[i]
+        finite = np.isfinite(out.max(axis=1)) & np.isfinite(out.min(axis=1))
+    if not finite.all():
+        raise ValueError(f"state diverged at t={times[finite.argmin()]:.6g}")
     return out
 
 
@@ -154,15 +167,9 @@ def _assemble(spec: InterconnectionSpec):
 
 def _pad(mat: np.ndarray, sizes, block: str) -> np.ndarray:
     """Place ``mat`` in the columns of one state block of the stacked state."""
-    total = sum(d for _, d in sizes)
-    out = np.zeros((mat.shape[0], total))
-    i = 0
-    for name, dim in sizes:
-        if name == block:
-            out[:, i : i + dim] = mat
-            return out
-        i += dim
-    raise KeyError(block)
+    out = np.zeros((mat.shape[0], sum(d for _, d in sizes)))
+    _blocks(out, sizes)[block][:] = mat
+    return out
 
 
 def _assemble_direct_generator(spec):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,23 @@ class TestSimulate:
         assert "horizon" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--horizon", "inf"], "(horizon=inf, step=0.001)"),
+            (["--step", "nan"], "(horizon=2, step=nan)"),
+            (["--horizon", "1.0", "--step", "0.3"], "(horizon=1, step=0.3)"),
+        ],
+    )
+    def test_bad_time_grid_exits_2(self, tmp_path, capsys, flags, shown):
+        spec = hierarchical_spec(tmp_path)
+        code = main(["simulate", spec, "--out", str(tmp_path / "r"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestVerify:
     def _artifact(self, tmp_path, perturb=0.0):
         plant = springmass.concrete()
@@ -212,3 +233,15 @@ class TestPaperExample:
             assert b1 == b2
         report = (dirs[0] / "report.txt").read_text()
         assert "[FAIL]" not in report and "result: OK" in report
+
+
+class TestRunBenchmarkScript:
+    def test_runs_from_source_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "result: OK" in proc.stdout

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,89 @@ class TestCsv:
         write_csv(p1, times, {"y": data})
         write_csv(p2, times, {"y": data.copy()})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 1e-17, np.pi, 1.0 / 3.0]
+)
+
+
+def strided_series():
+    """100 001 samples taken from every other entry of a longer grid."""
+    base = np.linspace(0.0, 20.0, 200_001)
+    return base[::2], np.column_stack([np.sin(3.0 * base), 1e3 * np.cos(base)])[::2]
+
+
+def per_value_csv(times, columns):
+    """Reference CSV text, formatted one value at a time with f-strings."""
+    names, series = ["time"], []
+    for name, arr in columns.items():
+        arr = np.atleast_2d(np.asarray(arr, float))
+        if arr.shape[0] == times.size:
+            arr = arr.T
+        for i in range(arr.shape[0]):
+            names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
+            series.append(arr[i])
+    lines = [",".join(names)]
+    for row in range(times.size):
+        lines.append(",".join([f"{times[row]:.17g}"] + [f"{s[row]:.17g}" for s in series]))
+    return "\n".join(lines) + "\n"
+
+
+def per_value_svg_points(times, channels):
+    """Reference polyline point lists of the 900x600 plot, one f-string per point."""
+    ymin = min(float(v.min()) for v in channels)
+    ymax = max(float(v.max()) for v in channels)
+    if ymax - ymin < 1e-30:
+        ymax = ymin + 1.0
+    tmin, tmax = float(times[0]), float(times[-1])
+    stride = max(1, times.size // 2000)
+    return [
+        " ".join(
+            f"{60 + 780 * (t - tmin) / (tmax - tmin):.2f},{600 - 60 - 480 * (v - ymin) / (ymax - ymin):.2f}"
+            for t, v in zip(times[::stride], values[::stride])
+        )
+        for values in channels
+    ]
+
+
+class TestWriterByteIdentity:
+    def test_csv_edge_values(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        times = np.arange(EDGE_VALUES.size) * 0.1
+        columns = {"y": np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]]), "e": -EDGE_VALUES}
+        write_csv(path, times, columns)
+        assert path.read_bytes() == per_value_csv(times, columns).encode("utf-8")
+
+    def test_csv_strided_long_series(self, tmp_path):
+        path = tmp_path / "long.csv"
+        times, y = strided_series()
+        columns = {"y": y, "s": y[:, 0]}
+        write_csv(path, times, columns)
+        assert path.read_bytes() == per_value_csv(times, columns).encode("utf-8")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.0, -0.0, 5e-324, -5e-324, 1e-17, np.pi, 1.0 / 3.0, -2.5]),
+            np.array([0.0, -0.0, 5e-324, 1e300, -1e300, np.inf, 1.0]),
+        ],
+    )
+    def test_svg_edge_values(self, tmp_path, values):
+        path = tmp_path / "edge.svg"
+        times = np.arange(values.size) * 0.1
+        write_svg(path, times, {"v": values, "w": -values})
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == per_value_svg_points(times, [values, -values])
+
+    def test_svg_strided_long_series(self, tmp_path):
+        path = tmp_path / "long.svg"
+        times, y = strided_series()
+        write_svg(path, times, {"y": y, "s": y[:, 0]})
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == per_value_svg_points(times, [y[:, 0], y[:, 1], y[:, 0]])
+        assert len(got[0].split()) == 2001
 
 
 class TestSvg:

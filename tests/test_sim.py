@@ -1,7 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_stable_system, rotation_block
 from momabs import springmass
@@ -57,6 +61,71 @@ class TestRk4Core:
         ):
             rk4_linear(np.array([[200.0]]), None, None, [1.0], time_grid(10.0, 0.1))
 
+    def test_divergence_reports_first_nonfinite_time(self):
+        # Only the third state grows.  Its factor per step is the RK4
+        # stability polynomial at x = 0.1 * 100 = 10, 1 + x + x^2/2 + x^3/6
+        # + x^4/24 = 644.33; 644.33^109 ~ 1e306 is finite and 644.33^110 ~
+        # 1e309 overflows, so the first non-finite sample is step 110.
+        a = np.diag([-1.0, -2.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^state diverged at t=11$"):
+                rk4_linear(a, None, None, [1.0, 1.0, 1.0], time_grid(20.0, 0.1))
+
+
+def stagewise_rk4(a, b, signal, z0, times):
+    """Classic RK4 evaluated stage by stage: the reference for the propagator."""
+    h = times[1] - times[0]
+    w_grid = signal.eval(times)
+    w_half = signal.eval(times[:-1] + 0.5 * h)
+    z = np.asarray(z0, float)
+    out = [z]
+    for i in range(times.size - 1):
+        f0, fh, f1 = b @ w_grid[i], b @ w_half[i], b @ w_grid[i + 1]
+        k1 = a @ z + f0
+        k2 = a @ (z + 0.5 * h * k1) + fh
+        k3 = a @ (z + 0.5 * h * k2) + fh
+        k4 = a @ (z + h * k3) + f1
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(z)
+    return np.array(out)
+
+
+FORCING_KINDS = ("sin", "square", "expdecay")
+
+
+class TestRk4Propagator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        kinds=st.lists(st.sampled_from(FORCING_KINDS), min_size=3, max_size=3),
+    )
+    def test_matches_stagewise_rk4(self, n, m, seed, kinds):
+        rng = np.random.default_rng(seed)
+        plant = random_stable_system(rng, n=n, m=m, p=1, margin=0.5)
+        signal = SignalSpec(
+            tuple(
+                (
+                    Term(
+                        kinds[j],
+                        amplitude=float(rng.uniform(0.5, 3.0)),
+                        frequency=float(rng.uniform(0.5, 10.0)),
+                        phase=float(rng.uniform(0.0, 2 * math.pi)),
+                        rate=float(rng.uniform(0.1, 2.0)),
+                    ),
+                )
+                for j in range(m)
+            )
+        )
+        z0 = rng.standard_normal(n)
+        times = time_grid(3.0, 0.01)
+        want = stagewise_rk4(plant.a, plant.b, signal, z0, times)
+        got = rk4_linear(plant.a, plant.b, signal, z0, times)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
 
 def _matrix_exp(a, t):
     vals, vecs = np.linalg.eig(a)
@@ -104,6 +173,29 @@ class TestSpecValidation:
                 signal=SignalSpec.zero(1),
                 horizon=1e-4,
                 step=1e-3,
+            )
+
+    @pytest.mark.parametrize(
+        "horizon, step, reason",
+        [
+            (math.inf, 1e-3, "horizon must be a finite whole number of steps"),
+            (math.nan, 1e-3, "horizon must be a finite whole number of steps"),
+            (1.0, math.nan, "step must be finite"),
+            (1.0, math.inf, "step must be finite"),
+            (1.0, 0.3, "horizon must be a finite whole number of steps"),
+        ],
+    )
+    def test_bad_time_grid_names_both_values(self, horizon, step, reason):
+        shown = f"(horizon={horizon:g}, step={step:g})"
+        with pytest.raises(ValueError, match=f"^{reason}.*{re.escape(shown)}$"):
+            InterconnectionSpec(
+                topology="hierarchical",
+                models={},
+                links={},
+                initial={},
+                signal=SignalSpec.zero(1),
+                horizon=horizon,
+                step=step,
             )
 
     def test_time_grid_covers_horizon(self):
