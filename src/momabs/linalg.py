@@ -1,8 +1,13 @@
-"""Dense real linear algebra for small state-space problems.
+"""Dense real linear algebra for state-space problems.
 
 Spectra, rank tests, Sylvester/Lyapunov solvers, PBH and excitability
-tests, and pole placement, on plain numpy arrays.  The Kronecker-vectorised
-Lyapunov solver costs O(n^6) and is practical up to n of about 40.
+tests, and pole placement, on plain numpy arrays.  The Sylvester solver
+works in the eigenbasis of the smaller side, at O(k n^3) for an order-n
+plant and an order-k interpolation side, and the Lyapunov solver runs the
+scaled matrix-sign iteration at O(n^3); both stay practical for n in the
+hundreds.  Neither forms the n^2 x n^2 Kronecker matrix: each bounds its
+condition number from above, refuses the system when the bound exceeds
+SYLVESTER_COND_MAX, and verifies its residual.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import numpy as np
 DISJOINT_TOL = 1e-8
 SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
+SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
+SIGN_TOL = 1e-8  # ||A + I||_F / sqrt(n) after which one more step is taken
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -160,10 +167,24 @@ def spectra_disjoint(m1, m2, tol: float = DISJOINT_TOL) -> bool:
 
 
 def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
-    """Solve a X - X b = c by Kronecker vectorization and dense LU.
+    """Solve a X - X b = c by shifted solves in the eigenbasis of the smaller side.
 
-    Requires disjoint spectra sigma(a) and sigma(b) for uniqueness.  The
-    residual is verified against 1e-10 * max(1, ||X||_F).
+    Requires disjoint spectra sigma(a) and sigma(b) for uniqueness.  With
+    b = v diag(mu) v^{-1} (b the smaller side; a tie diagonalises b, and a
+    smaller a is handled through the transposed equation
+    b^T X^T - X^T a^T = -c^T), column j of X v solves
+    (a - mu_j I) y_j = (c v)_j, so the cost is O(k n^3) for an n x n a
+    and a k x k b.
+
+    The Kronecker matrix K of the equation factors as
+    P blockdiag(a - mu_j I) P^{-1} with P = v^{-T} (x) I, so
+    cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)
+    bounds cond(K) from above, with equality for a normal smaller side.
+    The system is refused when this bound exceeds SYLVESTER_COND_MAX.  A
+    defective smaller side (a Jordan block, as for derivative moments) has
+    no eigenvector basis: cond(v) comes out infinite or of order 1/eps, so
+    such a system is refused although its solution is unique.  The residual
+    is verified against 1e-10 * max(1, ||X||_F).
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -173,21 +194,41 @@ def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
     if not spectra_disjoint(a, b, disjoint_tol):
         raise ValueError("sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution")
-    kron = np.kron(np.eye(k), a) - np.kron(b.T, np.eye(n))
-    cond = np.linalg.cond(kron)
-    if not np.isfinite(cond) or cond > SYLVESTER_COND_MAX:
-        raise ValueError(f"Kronecker system is ill conditioned (cond={cond:.3e})")
-    x = np.linalg.solve(kron, c.reshape(-1, order="F")).reshape((n, k), order="F")
+    x = _shifted_solve(a, b, c) if k <= n else _shifted_solve(b.T, a.T, -c.T).T
     resid = np.linalg.norm(a @ x - x @ b - c)
     if resid > 1e-10 * max(1.0, np.linalg.norm(x)):
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
     return x
 
 
+def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a X - X b = c through the eigendecomposition of b, behind the cond gate."""
+    mu, v = np.linalg.eig(b)
+    eye = np.eye(a.shape[0])
+    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu])
+    with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
+        bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
+    if not bound <= SYLVESTER_COND_MAX:
+        raise ValueError(
+            f"Sylvester system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
+        )
+    y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu, (c @ v).T)])
+    return np.linalg.solve(v.T, y.T).T.real
+
+
 def solve_lyapunov(a_cl, q) -> np.ndarray:
     """Solve a_cl^T W + W a_cl = -q for Hurwitz a_cl and symmetric PSD q.
 
-    The result is symmetrized; it is positive definite whenever q is.
+    Uses the scaled Newton iteration for the matrix sign function (Roberts
+    1980): A <- (mu A + A^{-1}/mu)/2 with mu = sqrt(||A^{-1}||_F/||A||_F)
+    converges to sign(a_cl) = -I, while Q <- (mu Q + A^{-T} Q A^{-1}/mu)/2
+    converges to 2W.  The identity is carried along as well, giving H with
+    a_cl^T H + H a_cl = -I, so 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
+    condition number of the Kronecker matrix of the equation from above
+    (Hewer & Kenney 1988); the system is refused when this bound exceeds
+    SYLVESTER_COND_MAX, or when the iteration does not converge within
+    SIGN_MAX_ITER steps.  The result is symmetrized, its residual verified
+    against 1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
     q = _square(q, "q")
@@ -197,9 +238,33 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
         raise ValueError("q must be symmetric")
     if eigenvalues(a_cl).max_real_part >= 0:
         raise ValueError("a_cl is not Hurwitz")
-    # a_cl^T W - W (-a_cl) = -q
-    w = solve_sylvester(a_cl.T, -a_cl, -q)
-    return 0.5 * (w + w.T)
+    if not spectra_disjoint(a_cl.T, -a_cl):
+        raise ValueError(
+            "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
+        )
+    n = a_cl.shape[0]
+    eye = np.eye(n)
+    a, qs = a_cl, np.stack([q, eye])
+    for _ in range(SIGN_MAX_ITER):
+        a_inv = np.linalg.inv(a)
+        mu = np.sqrt(np.linalg.norm(a_inv) / np.linalg.norm(a))
+        last = np.linalg.norm(a + eye) <= SIGN_TOL * np.sqrt(n)
+        a = 0.5 * (mu * a + a_inv / mu)
+        qs = 0.5 * (mu * qs + a_inv.T @ qs @ a_inv / mu)
+        if last:
+            break
+    else:
+        raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
+    w, h = 0.25 * (qs + qs.transpose(0, 2, 1))
+    bound = 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2)
+    if not bound <= SYLVESTER_COND_MAX:
+        raise ValueError(
+            f"Lyapunov system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
+        )
+    resid = np.linalg.norm(a_cl.T @ w + w @ a_cl + q)
+    if resid > 1e-10 * max(1.0, np.linalg.norm(w)):
+        raise ValueError(f"Lyapunov residual {resid:.3e} exceeds tolerance")
+    return w
 
 
 def pbh_observable(s, l, tol: float | None = None) -> bool:

@@ -172,8 +172,9 @@ def tangential_mismatch_direct(
     worst = 0.0
     for lam, v in zip(vals, vecs.T):
         d = interp.l.astype(complex) @ v
-        diff = (transfer_eval(full, complex(lam)) - transfer_eval(rom, complex(lam))) @ d
-        ref = transfer_eval(full, complex(lam)) @ d
+        tf_full = transfer_eval(full, complex(lam))
+        diff = (tf_full - transfer_eval(rom, complex(lam))) @ d
+        ref = tf_full @ d
         worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(ref)))
     return float(worst)
 
@@ -187,8 +188,9 @@ def tangential_mismatch_swapped(
     worst = 0.0
     for lam, w in zip(vals, vecs.T):
         d = w @ interp.r.astype(complex)
-        diff = d @ (transfer_eval(full, complex(lam)) - transfer_eval(rom, complex(lam)))
-        ref = d @ transfer_eval(full, complex(lam))
+        tf_full = transfer_eval(full, complex(lam))
+        diff = d @ (tf_full - transfer_eval(rom, complex(lam)))
+        ref = d @ tf_full
         worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(ref)))
     return float(worst)
 

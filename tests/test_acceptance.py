@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    non_normal_stable_system,
     random_direct_interpolant,
     random_stable_system,
     random_swapped_interpolant,
@@ -25,7 +26,7 @@ from momabs.abstraction import (
     synth_certificate,
 )
 from momabs.cli import main as cli_main
-from momabs.linalg import eigenvalues, place_poles, solve_sylvester
+from momabs.linalg import StateSpaceModel, eigenvalues, place_poles, solve_sylvester
 from momabs.moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -329,4 +330,28 @@ def test_12_reproducible_benchmark_outputs(tmp_path):
         "benchmark artifacts are byte-deterministic",
         identical,
         f"two seeded runs produced identical CSVs for {len(names)} scenarios",
+    )
+
+
+def test_13_certificate_and_design_at_order_200():
+    rng = np.random.default_rng(200)
+    start = time.perf_counter()
+    plant = non_normal_stable_system(rng, n=200, m=2, p=2, cond=50.0)
+    f = rotation_block(1.5)
+    l_hat = rng.standard_normal((2, 2))
+    p = solve_sylvester(plant.a, f, -(plant.b @ l_hat))
+    abstract = StateSpaceModel(a=f, b=rng.standard_normal((2, 2)), c=plant.c @ p)
+    cert = synth_certificate(plant, abstract, np.zeros((2, 200)), l_hat=l_hat)
+    design_abstraction(plant, cert.p)
+    elapsed = time.perf_counter() - start
+    w, a_cl = cert.w, plant.a + plant.b @ cert.k
+    w_norm = np.linalg.norm(w, 2)
+    decay = np.linalg.eigvalsh(a_cl.T @ w + w @ a_cl + 2 * cert.lam * w).max() / w_norm
+    domination = np.linalg.eigvalsh(w - plant.c.T @ plant.c).min() / w_norm
+    ok = cert.lam > 0 and decay <= 1e-9 and domination >= -1e-9 and elapsed < 30.0
+    verdict(
+        "certificate and design on an order-200 non-normal plant",
+        ok,
+        f"decay inequality {decay:.2e} <= 1e-9, domination gap {domination:.2e} >= -1e-9, "
+        f"lam {cert.lam:.3f} > 0 in {elapsed:.1f}s",
     )

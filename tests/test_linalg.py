@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momabs import springmass
+from conftest import non_normal_stable_system, random_stable_system, rotation_block
+from momabs import linalg, springmass
 from momabs.linalg import (
     StateSpaceModel,
     block_diag_spectrum,
@@ -21,6 +24,35 @@ from momabs.linalg import (
 
 def nearest_gap(got, expected):
     return max(np.abs(got - e).min() for e in expected)
+
+
+SIMILARITY_LOG_COND = np.log([10.0, 100.0])  # non-normal plants: cond of the eigenbasis
+
+
+def kron_sylvester(a, b):
+    """Reference Kronecker matrix of a X - X b acting on vec(X), column-major."""
+    return np.kron(np.eye(b.shape[0]), a) - np.kron(b.T, np.eye(a.shape[0]))
+
+
+def kron_lyapunov(a_cl):
+    """Reference Kronecker matrix of a_cl^T W + W a_cl acting on vec(W)."""
+    return kron_sylvester(a_cl.T, -a_cl)
+
+
+def reported_bound(excinfo) -> float:
+    return float(re.search(r"cond bound (\S+)", str(excinfo.value)).group(1))
+
+
+def rel_diff(x, ref) -> float:
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def small_side(rng, kind):
+    """A small interpolation-side matrix with spectrum off the left half-plane:
+    a normal oscillator, or a random non-normal 3 x 3 matrix."""
+    if kind == "oscillator":
+        return rotation_block(float(rng.uniform(0.5, 5.0)))
+    return rng.standard_normal((3, 3)) + 4.0 * np.eye(3)
 
 
 class TestEigenvalues:
@@ -127,6 +159,114 @@ class TestLyapunov:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError, match="symmetric"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
+@pytest.fixture
+def scipy_linalg():
+    return pytest.importorskip("scipy.linalg")
+
+
+class TestScipyCrossCheck:
+    """The O(n^3) solvers against scipy's Bartels-Stewart solvers."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 200])
+    @pytest.mark.parametrize("kind", ["oscillator", "random"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_sylvester(self, scipy_linalg, n, kind, side):
+        rng = np.random.default_rng(1000 * n + len(kind) + len(side))
+        cond = float(np.exp(rng.uniform(*SIMILARITY_LOG_COND)))
+        plant = non_normal_stable_system(rng, n=n, cond=cond)
+        s = small_side(rng, kind)
+        a, b = (plant.a, s) if side == "right" else (s, plant.a)
+        c = rng.standard_normal((a.shape[0], b.shape[0]))
+        x = solve_sylvester(a, b, c)
+        assert rel_diff(x, scipy_linalg.solve_sylvester(a, -b, c)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 200])
+    def test_lyapunov(self, scipy_linalg, n):
+        rng = np.random.default_rng(n)
+        cond = float(np.exp(rng.uniform(*SIMILARITY_LOG_COND)))
+        plant = non_normal_stable_system(rng, n=n, cond=cond)
+        q = plant.c.T @ plant.c + 1e-3 * np.eye(n)
+        w = solve_lyapunov(plant.a, q)
+        assert rel_diff(w, scipy_linalg.solve_continuous_lyapunov(plant.a.T, -q)) <= 1e-9
+
+
+class TestConditioningGate:
+    """The cond bounds never fall below the Kronecker cond they replace."""
+
+    def test_sylvester_refuses_what_kronecker_refuses(self):
+        a, b = np.diag([1e5, 1.0]), np.array([[1.0 + 2e-8]])
+        assert np.linalg.cond(kron_sylvester(a, b)) > 1e12
+        with pytest.raises(ValueError, match="ill conditioned"):
+            solve_sylvester(a, b, np.ones((2, 1)))
+
+    def test_lyapunov_refuses_what_kronecker_refuses(self):
+        a_cl = np.diag([-1e6, -1e-7])
+        assert np.linalg.cond(kron_lyapunov(a_cl)) > 1e12
+        with pytest.raises(ValueError, match="ill conditioned"):
+            solve_lyapunov(a_cl, np.eye(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 8),
+        k=st.integers(1, 4),
+        skew=st.sampled_from([0.0, 30.0]),
+        swap=st.booleans(),
+    )
+    def test_sylvester_bound_dominates_kronecker_cond(self, seed, n, k, skew, swap):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((k, k)) + skew * np.triu(rng.standard_normal((k, k)), 1)
+        if swap:
+            a, b = b, a
+        assume(spectra_disjoint(a, b))
+        exact = np.linalg.cond(kron_sylvester(a, b))
+        assume(exact < 1e6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
+            with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+                solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
+        assert reported_bound(excinfo) >= (1 - 1e-9) * exact
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_sylvester_bound_exact_for_normal_small_side(self, monkeypatch, rng, side):
+        monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
+        plant = non_normal_stable_system(rng, n=12, cond=30.0)
+        s = rotation_block(2.0)
+        a, b = (plant.a, s) if side == "right" else (s, plant.a)
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+            solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
+        exact = np.linalg.cond(kron_sylvester(a, b))
+        assert abs(reported_bound(excinfo) - exact) <= 1e-8 * exact
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_lyapunov_bound_dominates_kronecker_cond(self, monkeypatch, n):
+        monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
+        a_cl = non_normal_stable_system(np.random.default_rng(n), n=n, cond=50.0).a
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+            solve_lyapunov(a_cl, np.eye(n))
+        assert reported_bound(excinfo) >= (1 - 1e-9) * np.linalg.cond(kron_lyapunov(a_cl))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("similar", [False, True])
+    @pytest.mark.parametrize("eig", [0.0, 2.0])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_defective_small_side_refused(self, rng, side, eig, similar):
+        jordan = eig * np.eye(3) + np.eye(3, k=1)
+        if similar:
+            t = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+            jordan = t @ jordan @ np.linalg.inv(t)
+        plant = random_stable_system(rng, n=5)
+        a, b = (plant.a, jordan) if side == "right" else (jordan, plant.a)
+        with pytest.raises(ValueError, match="ill conditioned"):
+            solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
+
+    def test_sign_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(linalg, "SIGN_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            solve_lyapunov(np.array([[-1e3, 1.0], [0.0, -1e-3]]), np.eye(2))
 
 
 class TestPBH:
