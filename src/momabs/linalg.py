@@ -3,15 +3,26 @@
 Spectra, rank tests, Sylvester/Lyapunov solvers, PBH and excitability
 tests, and pole placement, on plain numpy arrays.  The Sylvester solver
 works in the eigenbasis of the smaller side, at O(k n^3) for an order-n
-plant and an order-k interpolation side, and the Lyapunov solver runs the
-scaled matrix-sign iteration at O(n^3); both stay practical for n in the
-hundreds.  Neither forms the n^2 x n^2 Kronecker matrix: each bounds its
-condition number from above, refuses the system when the bound exceeds
-SYLVESTER_COND_MAX, and verifies its residual.
+plant and an order-k interpolation side, and solves each conjugate pair of
+shifts once; the Lyapunov solver runs the scaled matrix-sign iteration at
+O(n^3).  Both stay practical for n in the hundreds.  Neither forms the
+n^2 x n^2 Kronecker matrix: each bounds its condition number from above,
+refuses the system when the bound exceeds SYLVESTER_COND_MAX, and verifies
+its residual.
+
+Spectra are memoized by content: :func:`eigenvalues` keeps the sorted
+spectra of the last SPECTRUM_MEMO_SIZE distinct matrices, keyed by shape
+and a hash of the bytes, so the one plant that a moment solve, its
+disjointness check and each transfer evaluation all need is eigensolved
+once.  A matrix changed in place, or a transposed view, hashes to a new
+key.  The memoized arrays are read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +32,10 @@ SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
 SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
 SIGN_TOL = 1e-8  # ||A + I||_F / sqrt(n) after which one more step is taken
+SPECTRUM_MEMO_SIZE = 4  # enough for a plant, its interpolant and two reduced models
+
+_spectra: OrderedDict = OrderedDict()  # (shape, blake2b digest) -> sorted eigenvalues
+_spectra_lock = threading.Lock()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -127,15 +142,12 @@ def eigenvalues(m, zero_tol: float = 1e-8, simple_tol: float = 1e-8) -> Spectrum
 
     ``all_simple`` is true iff the minimum pairwise eigenvalue distance
     exceeds ``simple_tol``; real parts within ``zero_tol`` of zero are
-    classified as "zero".
+    classified as "zero".  The eigenvalues, sorted by real then imaginary
+    part, come from a memo of the last SPECTRUM_MEMO_SIZE distinct matrices
+    keyed by shape and content hash, and are read-only; the report itself
+    is built per call.
     """
-    a = _square(m, "matrix")
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
+    vals = _sorted_spectrum(_square(m, "matrix"))
     n = vals.size
     all_simple = True
     if n > 1:
@@ -156,6 +168,27 @@ def eigenvalues(m, zero_tol: float = 1e-8, simple_tol: float = 1e-8) -> Spectrum
         max_real_part=float(vals.real.max()),
         classification=tuple(labels),
     )
+
+
+def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
+    """Read-only eigenvalues of a, sorted by real then imaginary part, memoized by content."""
+    key = (a.shape, hashlib.blake2b(np.ascontiguousarray(a)).digest())
+    with _spectra_lock:
+        vals = _spectra.get(key)
+        if vals is not None:
+            _spectra.move_to_end(key)
+            return vals
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    vals.flags.writeable = False
+    with _spectra_lock:
+        _spectra[key] = vals
+        while len(_spectra) > SPECTRUM_MEMO_SIZE:
+            _spectra.popitem(last=False)
+    return vals
 
 
 def spectra_disjoint(m1, m2, tol: float = DISJOINT_TOL) -> bool:
@@ -185,6 +218,12 @@ def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
     no eigenvector basis: cond(v) comes out infinite or of order 1/eps, so
     such a system is refused although its solution is unique.  The residual
     is verified against 1e-10 * max(1, ||X||_F).
+
+    The equation is real, so a complex pair (mu, conj(mu)) of the smaller
+    side has conjugate eigenvectors and conjugate shifted solutions: only
+    the member with imag(mu) >= 0 is factored and solved, and its partner
+    takes the conjugate.  sigma(a - conj(mu) I) = sigma(a - mu I), so the
+    bound is the same as over all shifts.
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -203,16 +242,23 @@ def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
 
 def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a X - X b = c through the eigendecomposition of b, behind the cond gate."""
+    # b is real: eig returns each complex pair as consecutive (mu, conj(mu)),
+    # positive imaginary part first, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
+    first = mu.imag >= 0
     eye = np.eye(a.shape[0])
-    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu])
+    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu[first]])
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
         bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
     if not bound <= SYLVESTER_COND_MAX:
         raise ValueError(
             f"Sylvester system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
         )
-    y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu, (c @ v).T)])
+    rhs = c @ v[:, first]
+    y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu[first], rhs.T)])
+    # column of y for each eigenvalue: its own, or for a second member its partner's
+    src = y[:, np.cumsum(first) - 1]
+    y = np.where(first, src, src.conj())
     return np.linalg.solve(v.T, y.T).T.real
 
 
@@ -236,9 +282,11 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
         raise ValueError("q must match a_cl in shape")
     if np.linalg.norm(q - q.T) > 1e-10 * max(1.0, np.linalg.norm(q)):
         raise ValueError("q must be symmetric")
-    if eigenvalues(a_cl).max_real_part >= 0:
+    e = eigenvalues(a_cl).eigenvalues
+    if e.real.max() >= 0:
         raise ValueError("a_cl is not Hurwitz")
-    if not spectra_disjoint(a_cl.T, -a_cl):
+    # sigma(a_cl^T) = sigma(a_cl) and sigma(-a_cl) = -sigma(a_cl)
+    if np.abs(e[:, None] + e).min() <= DISJOINT_TOL:
         raise ValueError(
             "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
         )

@@ -18,13 +18,17 @@ class ModelFileError(ValueError):
 
 
 def load_json(path) -> dict:
+    """Parse a model, spec or artifact file; its top level must be a JSON object."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ModelFileError(f"{path}: top level must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _matrix_from(data, name: str, path) -> np.ndarray:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 KINDS = ("zero", "constant", "sin", "cos", "square", "expdecay")
+PARAMETERS = ("amplitude", "frequency", "phase", "rate")
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,10 @@ class Term:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown term kind {self.kind!r}")
-        for v in (self.amplitude, self.frequency, self.phase, self.rate):
-            if not math.isfinite(v):
-                raise ValueError("term parameters must be finite")
+        for name in PARAMETERS:
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"term field {name!r} must be a finite number, got {v!r}")
         if self.kind == "expdecay" and self.rate <= 0:
             raise ValueError("expdecay rate must be positive")
 
@@ -108,9 +111,18 @@ class SignalSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "SignalSpec":
-        return SignalSpec(
-            tuple(
-                tuple(Term(**{k: v for k, v in t.items()}) for t in ch)
-                for ch in data["channels"]
-            )
-        )
+        """Inverse of :meth:`to_dict`; malformed input raises ValueError naming the field."""
+        if not isinstance(data, dict) or not isinstance(data.get("channels"), list):
+            raise ValueError("signal must be an object with a 'channels' list")
+        chans = []
+        for ch in data["channels"]:
+            if not isinstance(ch, list) or not all(isinstance(t, dict) for t in ch):
+                raise ValueError("each signal channel must be a list of term objects")
+            for t in ch:
+                unknown = sorted(set(t) - {"kind", *PARAMETERS})
+                if unknown:
+                    raise ValueError(f"unknown signal term field(s): {', '.join(map(repr, unknown))}")
+                if "kind" not in t:
+                    raise ValueError("signal term is missing field 'kind'")
+            chans.append(tuple(Term(**t) for t in ch))
+        return SignalSpec(tuple(chans))

@@ -74,6 +74,12 @@ class TestReduce:
         assert code == 2
         assert "invalid JSON at line" in capsys.readouterr().err
 
+    def test_top_level_list_exits_2(self, tmp_path, plant_file, capsys):
+        interp = write_json(tmp_path / "interp.json", [{"s": [[0.0, 1.0], [-1.0, 0.0]]}])
+        code = main(["reduce", plant_file, "--interp", interp, "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "top level must be a JSON object, got list" in capsys.readouterr().err
+
 
 class TestAbstract:
     def test_golden_design(self, tmp_path, plant_file, capsys):
@@ -162,6 +168,34 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and shown in err
         assert not (tmp_path / "r.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "signal, shown",
+        [
+            ({"channels": [[{"kind": "sin", "amp": 1.0}]]}, "field(s): 'amp'"),
+            ({"channels": [[{"kind": "sin", "amplitude": "abc"}]]}, "field 'amplitude'"),
+            ({"channels": [[{"amplitude": 1.0}]]}, "field 'kind'"),
+            ({"channels": {}}, "'channels' list"),
+        ],
+        ids=["unknown-term-key", "non-numeric-field", "missing-kind", "channels-not-list"],
+    )
+    def test_malformed_signal_exits_2(self, tmp_path, capsys, signal, shown):
+        path = Path(hierarchical_spec(tmp_path))
+        write_json(path, {**json.loads(path.read_text()), "signal": signal})
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        path = Path(hierarchical_spec(tmp_path))
+        write_json(path, [json.loads(path.read_text())])
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "top level must be a JSON object, got list" in capsys.readouterr().err
 
 
 class TestVerify:

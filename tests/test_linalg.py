@@ -1,4 +1,5 @@
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, random_stable_system, rotation_block
-from momabs import linalg, springmass
+from momabs import linalg, moments, springmass
 from momabs.linalg import (
     StateSpaceModel,
     block_diag_spectrum,
@@ -82,6 +83,96 @@ class TestEigenvalues:
             eigenvalues(np.zeros((0, 0)))
 
 
+@pytest.fixture
+def eigvals_spy(monkeypatch):
+    """Empty the spectrum memo and record the shape of every np.linalg.eigvals call."""
+    monkeypatch.setattr(linalg, "_spectra", OrderedDict())
+    shapes, real_eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return shapes
+
+
+class TestSpectrumMemo:
+    def test_in_place_change_gives_new_spectrum(self, eigvals_spy):
+        m = np.diag([1.0, 2.0, 3.0])
+        eigenvalues(m)
+        m[0, 0] = 5.0
+        assert np.array_equal(eigenvalues(m).eigenvalues, [2.0, 3.0, 5.0])
+        assert len(eigvals_spy) == 2
+
+    def test_transpose_is_a_separate_entry(self, eigvals_spy, rng):
+        m = rng.standard_normal((4, 4))
+        first = eigenvalues(m).eigenvalues
+        assert np.allclose(eigenvalues(m.T).eigenvalues, first)  # its own eigensolve
+        assert len(eigvals_spy) == 2 and len(linalg._spectra) == 2
+        eigenvalues(m.copy())
+        eigenvalues(np.ascontiguousarray(m.T))
+        assert len(eigvals_spy) == 2
+
+    def test_returned_array_is_read_only(self, eigvals_spy, rng):
+        vals = eigenvalues(rng.standard_normal((3, 3))).eigenvalues
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 0.0
+
+    def test_memo_never_exceeds_its_size(self, eigvals_spy):
+        for i in range(3 * linalg.SPECTRUM_MEMO_SIZE):
+            eigenvalues(np.diag([float(i), -1.0]))
+            assert len(linalg._spectra) == min(i + 1, linalg.SPECTRUM_MEMO_SIZE)
+        eigenvalues(np.diag([0.0, -1.0]))  # evicted long ago
+        assert len(eigvals_spy) == 3 * linalg.SPECTRUM_MEMO_SIZE + 1
+
+    def test_report_built_per_call(self, eigvals_spy):
+        m = np.diag([-1e-6, -1.0, -1.0 - 1e-6])
+        loose = eigenvalues(m, zero_tol=1e-3, simple_tol=1e-3)
+        tight = eigenvalues(m)
+        assert loose.classification == ("negative", "negative", "zero")
+        assert tight.classification == ("negative", "negative", "negative")
+        assert not loose.all_simple and tight.all_simple
+        assert len(eigvals_spy) == 1
+
+    def test_plant_eigensolved_once_per_moment_pass(self, eigvals_spy):
+        rng = np.random.default_rng(7)
+        plant = non_normal_stable_system(rng, n=50, cond=30.0)
+        osc = lambda f1, f2: np.kron(np.diag([1.0, 0.0]), rotation_block(f1)) + np.kron(
+            np.diag([0.0, 1.0]), rotation_block(f2)
+        )
+        di = moments.DirectInterpolant(s=osc(1.0, 3.0), l=rng.standard_normal((2, 4)))
+        si = moments.SwappedInterpolant(q=osc(5.0, 7.0), r=rng.standard_normal((4, 2)))
+        eigvals_spy.clear()
+        rom = moments.rom_direct(plant, di, rng.standard_normal((4, 2)))
+        moments.rom_two_sided(plant, di, si)
+        assert moments.tangential_mismatch_direct(plant, rom, di) <= 1e-8
+        assert eigvals_spy.count((50, 50)) == 1
+
+    def test_values_bit_identical_after_clearing(self, eigvals_spy):
+        rng = np.random.default_rng(3)
+        plant = non_normal_stable_system(rng, n=12, cond=30.0)
+        s = rotation_block(2.0)
+        c = rng.standard_normal((12, 2))
+
+        def values():
+            rep = eigenvalues(plant.a)
+            return [
+                rep.eigenvalues.copy(), rep.max_real_part, rep.classification,
+                solve_sylvester(plant.a, s, c),
+                solve_lyapunov(plant.a, np.eye(12)),
+                moments.transfer_eval(plant, 2j),
+            ]
+
+        warm = values()
+        for _ in range(2):
+            linalg._spectra.clear()
+            cold = values()
+            for x, y in zip(warm, cold):
+                assert np.array_equal(x, y)
+
+
 class TestSpectraDisjoint:
     def test_springmass_pair(self):
         assert spectra_disjoint(springmass.concrete().a, springmass.abstract().a)
@@ -155,6 +246,11 @@ class TestLyapunov:
     def test_rejects_non_hurwitz(self):
         with pytest.raises(ValueError, match="Hurwitz"):
             solve_lyapunov(np.eye(2), np.eye(2))
+
+    def test_rejects_spectrum_overlapping_its_mirror(self):
+        # Hurwitz, but -1e-9 and its mirror 1e-9 are within DISJOINT_TOL
+        with pytest.raises(ValueError, match="overlap"):
+            solve_lyapunov(np.diag([-1e-9, -1.0]), np.eye(2))
 
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -267,6 +363,89 @@ class TestConditioningGate:
         monkeypatch.setattr(linalg, "SIGN_MAX_ITER", 1)
         with pytest.raises(ValueError, match="did not converge"):
             solve_lyapunov(np.array([[-1e3, 1.0], [0.0, -1e-3]]), np.eye(2))
+
+
+def per_shift_sylvester(a, b, c):
+    """Reference: one complex solve and one SVD per eigenvalue of the
+    smaller side, conjugate pairs included; returns (x, cond bound)."""
+    if b.shape[0] > a.shape[0]:
+        x, bound = per_shift_sylvester(b.T, a.T, -c.T)
+        return x.T, bound
+    mu, v = np.linalg.eig(b)
+    eye = np.eye(a.shape[0])
+    y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu, (c @ v).T)])
+    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu])
+    bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
+    return np.linalg.solve(v.T, y.T).T.real, bound
+
+
+def mixed_small_side(kind):
+    """Small real sides whose spectra mix real eigenvalues and conjugate pairs."""
+    if kind == "real+pair":
+        t = np.array([[2.0, 1.0, 0.0], [0.5, 1.0, 1.0], [0.0, 1.0, 3.0]])
+        d = np.zeros((3, 3))
+        d[0, 0], d[1:, 1:] = 0.7, [[1.5, 2.0], [-2.0, 1.5]]
+        return t @ d @ np.linalg.inv(t)
+    if kind == "repeated-pair":
+        return np.kron(np.eye(2), rotation_block(2.0))
+    rng = np.random.default_rng(3)  # three real eigenvalues and one pair
+    return rng.standard_normal((5, 5)) + 4.0 * np.eye(5)
+
+
+class TestConjugatePairs:
+    """Each conjugate pair of shifts is factored and solved once."""
+
+    KINDS = ["real+pair", "repeated-pair", "random-5x5"]
+
+    @staticmethod
+    def system(kind, side):
+        rng = np.random.default_rng(len(kind) + len(side))
+        plant = non_normal_stable_system(rng, n=9, cond=30.0)
+        s = mixed_small_side(kind)
+        a, b = (plant.a, s) if side == "right" else (s, plant.a)
+        return a, b, rng.standard_normal((a.shape[0], b.shape[0]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matches_per_shift_reference(self, kind, side):
+        a, b, c = self.system(kind, side)
+        e = np.linalg.eigvals(mixed_small_side(kind))
+        assert np.any(e.imag > 0) and (kind == "repeated-pair" or np.any(e.imag == 0))
+        ref, _ = per_shift_sylvester(a, b, c)
+        assert rel_diff(solve_sylvester(a, b, c), ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matches_scipy(self, scipy_linalg, kind, side):
+        a, b, c = self.system(kind, side)
+        assert rel_diff(solve_sylvester(a, b, c), scipy_linalg.solve_sylvester(a, -b, c)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_bound_equals_per_shift_bound(self, monkeypatch, kind, side):
+        a, b, c = self.system(kind, side)
+        _, ref = per_shift_sylvester(a, b, c)
+        monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+            solve_sylvester(a, b, c)
+        # the message prints 12 significant digits: compare like with like
+        assert abs(reported_bound(excinfo) - float(f"{ref:.12g}")) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_one_svd_per_upper_half_plane_eigenvalue(self, monkeypatch, kind, side):
+        a, b, c = self.system(kind, side)
+        n = max(a.shape[0], b.shape[0])
+        shapes, real_svd = [], np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        solve_sylvester(a, b, c)
+        e = np.linalg.eigvals(mixed_small_side(kind))
+        assert shapes.count((n, n)) == np.sum(e.imag >= 0) < e.size
 
 
 class TestPBH:
