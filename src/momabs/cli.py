@@ -8,6 +8,7 @@ self-contained SVG.
 from __future__ import annotations
 
 import argparse
+import reprlib
 import sys
 from pathlib import Path
 
@@ -22,7 +23,17 @@ from .linalg import (
     pbh_reachable,
     place_poles,
 )
-from .modelio import RunReport, load_json, load_matrix, load_model, write_csv, write_svg
+from .modelio import (
+    ModelFileError,
+    RunReport,
+    load_json,
+    load_matrix,
+    load_model,
+    model_from_dict,
+    numeric_array,
+    write_csv,
+    write_svg,
+)
 from .signals import SignalSpec
 
 
@@ -173,27 +184,47 @@ def cmd_abstract(args) -> RunReport:
     return report
 
 
+def _typed(value, kind, name: str, path):
+    """``value`` if it is a JSON object (``kind`` dict) or a number that fits a
+    float (``kind`` float); otherwise a ModelFileError naming the spec field."""
+    if kind is dict and isinstance(value, dict):
+        return value
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    what = "a JSON object" if kind is dict else "a number"
+    raise ModelFileError(f"{path}: field {name!r} must be {what}, got {reprlib.repr(value)}")
+
+
 def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
     data = load_json(path)
-    models = {
-        name: StateSpaceModel(
-            a=np.array(m["a"], float), b=np.array(m["b"], float), c=np.array(m["c"], float)
-        )
-        for name, m in data["models"].items()
+    models = {}
+    for name, model in _typed(data.get("models"), dict, "models", path).items():
+        field = f"models.{name}"
+        models[name] = model_from_dict(_typed(model, dict, field, path), path, field + ".")
+    links = {
+        name: value if isinstance(value, str) else numeric_array(value, f"links.{name}", path)
+        for name, value in _typed(data.get("links", {}), dict, "links", path).items()
     }
-    links = {}
-    for name, value in data.get("links", {}).items():
-        links[name] = value if isinstance(value, str) else np.array(value, float)
-    initial = {k: np.array(v, float) for k, v in data.get("initial", {}).items()}
+    initial = {
+        name: numeric_array(value, f"initial.{name}", path)
+        for name, value in _typed(data.get("initial", {}), dict, "initial", path).items()
+    }
     signal = SignalSpec.from_dict(data["signal"]) if "signal" in data else SignalSpec.zero(1)
+    if horizon is None:
+        horizon = _typed(data.get("horizon", sim.DEFAULT_HORIZON), float, "horizon", path)
+    if step is None:
+        step = _typed(data.get("step", sim.DEFAULT_STEP), float, "step", path)
     return sim.InterconnectionSpec(
         topology=data["topology"],
         models=models,
         links=links,
         initial=initial,
         signal=signal,
-        horizon=horizon if horizon is not None else data.get("horizon", sim.DEFAULT_HORIZON),
-        step=step if step is not None else data.get("step", sim.DEFAULT_STEP),
+        horizon=horizon,
+        step=step,
     )
 
 

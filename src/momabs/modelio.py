@@ -11,6 +11,7 @@ import numpy as np
 from .linalg import StateSpaceModel
 
 ROLES = ("concrete", "abstract", "interpolant")
+CSV_BLOCK_ROWS = 1024
 
 
 class ModelFileError(ValueError):
@@ -31,32 +32,40 @@ def load_json(path) -> dict:
     return data
 
 
-def _matrix_from(data, name: str, path) -> np.ndarray:
+def numeric_array(data, name: str, path) -> np.ndarray:
+    """``data`` as a float array; a ModelFileError names the file and field."""
     try:
-        m = np.array(data, dtype=float)
+        return np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: field {name!r} is not a numeric array") from exc
+
+
+def _matrix_from(data, name: str, path) -> np.ndarray:
+    m = numeric_array(data, name, path)
     if m.ndim != 2:
         raise ModelFileError(f"{path}: field {name!r} must be a matrix (array of rows)")
     return m
 
 
-def load_model(path) -> StateSpaceModel:
-    data = load_json(path)
+def model_from_dict(data: dict, path, prefix: str = "") -> StateSpaceModel:
+    """State-space model from the matrices a, b, c of a JSON object; error
+    messages name the file and each field as ``prefix`` + key."""
     for key in ("a", "b", "c"):
         if key not in data:
-            raise ModelFileError(f"{path}: missing matrix {key!r}")
+            raise ModelFileError(f"{path}: missing matrix {prefix + key!r}")
+    a, b, c = (_matrix_from(data[key], prefix + key, path) for key in ("a", "b", "c"))
+    try:
+        return StateSpaceModel(a=a, b=b, c=c)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {prefix}{exc}") from exc
+
+
+def load_model(path) -> StateSpaceModel:
+    data = load_json(path)
     role = data.get("role")
     if role is not None and role not in ROLES:
         raise ModelFileError(f"{path}: unknown role {role!r}")
-    try:
-        return StateSpaceModel(
-            a=_matrix_from(data["a"], "a", path),
-            b=_matrix_from(data["b"], "b", path),
-            c=_matrix_from(data["c"], "c", path),
-        )
-    except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+    return model_from_dict(data, path)
 
 
 def save_model(path, model: StateSpaceModel, name: str = "", role: str | None = None) -> None:
@@ -84,9 +93,14 @@ def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:
 
 
 def write_csv(path, times: np.ndarray, columns: dict) -> None:
-    """CSV with a time column then named data columns, 17 significant digits;
-    the header names are a stable contract."""
-    names, series = ["time"], []
+    """CSV with a time column then named data columns, each value formatted
+    with ``%.17g``; the header names are a stable contract.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, one ``%`` operation per
+    block, and each block is written before the next is formatted, so memory
+    stays bounded by one block whatever the grid length.
+    """
+    names, series = ["time"], [times]
     for name, arr in columns.items():
         arr = np.atleast_2d(np.asarray(arr, float))
         if arr.shape[0] == times.size:
@@ -96,11 +110,15 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
         for i in range(arr.shape[0]):
             names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
             series.append(arr[i])
+    row = ",".join(["%.17g"] * len(series)) + "\n"
+    block = np.empty((CSV_BLOCK_ROWS, len(series)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(
-            fh, np.column_stack([times, *series]), fmt="%.17g", delimiter=",",
-            header=",".join(names), comments="",
-        )
+        fh.write(",".join(names) + "\n")
+        for start in range(0, times.size, CSV_BLOCK_ROWS):
+            rows = block[: min(CSV_BLOCK_ROWS, times.size - start)]
+            for j, values in enumerate(series):
+                rows[:, j] = values[start : start + len(rows)]
+            fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 _PALETTE = (
@@ -110,7 +128,11 @@ _PALETTE = (
 
 
 def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
-    """Self-contained 900x600 SVG: one polyline per named channel plus a legend."""
+    """Self-contained 900x600 SVG: one polyline per named channel plus a legend.
+
+    Each polyline holds at most about 2000 points (every ``stride``-th
+    sample), formatted ``%.2f,%.2f`` with one ``%`` operation per polyline.
+    """
     width, height = 900, 600
     margin = 60
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
@@ -160,9 +182,8 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
     xs = sx(times[::stride])
     for idx, (name, values) in enumerate(flat.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            "%.2f,%.2f" % tuple(p) for p in np.column_stack([xs, sy(values[::stride])]).tolist()
-        )
+        points = np.column_stack([xs, sy(values[::stride])]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(points)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

@@ -197,6 +197,48 @@ class TestSimulate:
         assert code == 2
         assert "top level must be a JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "patch, shown",
+        [
+            ({"models": [1]}, "field 'models' must be a JSON object, got [1]"),
+            ({"links": [1]}, "field 'links' must be a JSON object, got [1]"),
+            ({"initial": [1]}, "field 'initial' must be a JSON object, got [1]"),
+            ({"models": {"plant": 3}}, "field 'models.plant' must be a JSON object, got 3"),
+            ({"horizon": "abc"}, "field 'horizon' must be a number, got 'abc'"),
+            ({"step": True}, "field 'step' must be a number, got True"),
+            ({"horizon": 10**400}, "field 'horizon' must be a number"),
+            ({"links": {"p": {"x": 1}}}, "field 'links.p' is not a numeric array"),
+            ({"initial": {"x": "abc"}}, "field 'initial.x' is not a numeric array"),
+            (
+                {"models": {"plant": {"a": [[1.0]], "b": [[1.0]]}}},
+                "missing matrix 'models.plant.c'",
+            ),
+        ],
+        ids=[
+            "models-list", "links-list", "initial-list", "model-int", "horizon-str",
+            "step-bool", "horizon-huge-int", "link-object", "initial-str", "model-missing-c",
+        ],
+    )
+    def test_malformed_spec_field_exits_2(self, tmp_path, capsys, patch, shown):
+        path = Path(hierarchical_spec(tmp_path))
+        write_json(path, {**json.loads(path.read_text()), **patch})
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and shown in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        path = Path(hierarchical_spec(tmp_path))
+        write_json(path, {**json.loads(path.read_text()), "horizon": 1e9, "step": 1e-9})
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1000000000000000001 samples (horizon=1e+09, step=1e-09)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestVerify:
     def _artifact(self, tmp_path, perturb=0.0):

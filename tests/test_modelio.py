@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from momabs import springmass
+from momabs import modelio, springmass
 from momabs.modelio import (
+    CSV_BLOCK_ROWS,
     ModelFileError,
     RunReport,
     load_json,
@@ -179,6 +181,63 @@ class TestWriterByteIdentity:
         got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
         assert got == per_value_svg_points(times, [y[:, 0], y[:, 1], y[:, 0]])
         assert len(got[0].split()) == 2001
+
+    @pytest.mark.parametrize(
+        "rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+    )
+    def test_csv_block_edges(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        path = tmp_path / "block.csv"
+        times = 1e-3 * np.arange(rows)
+        y = rng.standard_normal((rows, 2)) * np.resize(EDGE_VALUES[:6], (rows, 1))
+        columns = {"y": y, "s": rng.standard_normal(rows)}
+        write_csv(path, times, columns)
+        assert path.read_bytes() == per_value_csv(times, columns).encode("utf-8")
+
+    # stride = samples // 2000 steps from 1 to 2 between 3999 and 4000 samples
+    @pytest.mark.parametrize("samples", [2, 3999, 4000, 4001])
+    def test_svg_stride_edges(self, tmp_path, samples):
+        path = tmp_path / "stride.svg"
+        times = np.linspace(0.0, 4.0, samples)
+        values = [np.sin(3.0 * times), np.cos(times)]
+        write_svg(path, times, {"a": values[0], "b": values[1]})
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == per_value_svg_points(times, values)
+
+    def test_csv_memory_bounded_by_block(self, monkeypatch):
+        # The whole 200 001 x 7 table as float64 is 11.2 MB, and its text
+        # about 30 MB.  A writer that holds either reaches that peak before
+        # its first 1 MB of text is out, so the write stops there: tracing
+        # the full write would take seconds.
+        class Stop(Exception):
+            pass
+
+        class Sink:
+            left = 1_000_000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                self.left -= len(text)
+                if self.left < 0:
+                    raise Stop
+                return len(text)
+
+        monkeypatch.setattr(modelio, "open", lambda *args, **kwargs: Sink(), raising=False)
+        times = np.linspace(0.0, 200.0, 200_001)
+        y = np.sin(np.outer(times, np.arange(1.0, 7.0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                write_csv("unused.csv", times, {"y": y})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
 
 class TestSvg:

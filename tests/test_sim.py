@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_stable_system, rotation_block
-from momabs import springmass
+from momabs import sim, springmass
 from momabs.abstraction import StabilizedLink, synth_certificate
 from momabs.linalg import StateSpaceModel, place_poles
 from momabs.moments import DirectInterpolant, SwappedInterpolant, moment_direct, moment_swapped
@@ -94,6 +94,38 @@ def stagewise_rk4(a, b, signal, z0, times):
 FORCING_KINDS = ("sin", "square", "expdecay")
 
 
+def random_forcing(rng, kinds):
+    """One channel per entry of ``kinds``, each a single term of that kind."""
+    return SignalSpec(
+        tuple(
+            (
+                Term(
+                    kind,
+                    amplitude=float(rng.uniform(0.5, 3.0)),
+                    frequency=float(rng.uniform(0.5, 10.0)),
+                    phase=float(rng.uniform(0.0, 2 * math.pi)),
+                    rate=float(rng.uniform(0.1, 2.0)),
+                ),
+            )
+            for kind in kinds
+        )
+    )
+
+
+def first_nonfinite_time(a, z0, times):
+    """Grid time of the first non-finite state of the step-by-step loop
+    z+ = T z, with T one stage-wise RK4 step applied to the identity."""
+    n = a.shape[0]
+    t_map = stagewise_rk4(a, np.zeros((n, 1)), SignalSpec.zero(1), np.eye(n), times[:2])[1]
+    z = np.asarray(z0, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times[1:]:
+            z = t_map @ z
+            if not np.isfinite(z).all():
+                return t
+    return None
+
+
 class TestRk4Propagator:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -105,26 +137,66 @@ class TestRk4Propagator:
     def test_matches_stagewise_rk4(self, n, m, seed, kinds):
         rng = np.random.default_rng(seed)
         plant = random_stable_system(rng, n=n, m=m, p=1, margin=0.5)
-        signal = SignalSpec(
-            tuple(
-                (
-                    Term(
-                        kinds[j],
-                        amplitude=float(rng.uniform(0.5, 3.0)),
-                        frequency=float(rng.uniform(0.5, 10.0)),
-                        phase=float(rng.uniform(0.0, 2 * math.pi)),
-                        rate=float(rng.uniform(0.1, 2.0)),
-                    ),
-                )
-                for j in range(m)
-            )
-        )
+        signal = random_forcing(rng, kinds[:m])
         z0 = rng.standard_normal(n)
         times = time_grid(3.0, 0.01)
         want = stagewise_rk4(plant.a, plant.b, signal, z0, times)
         got = rk4_linear(plant.a, plant.b, signal, z0, times)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    # The propagator runs chunks of L = isqrt(N) steps and a tail of
+    # N - L * (N // L) steps: 41 = 6 * 7 - 1 has a 5-step tail, 43 = 6 * 7 + 1
+    # a 1-step tail, 49 none, 97 (prime) a 7-step tail.
+    @pytest.mark.parametrize(
+        "n, steps",
+        [(5, 1), (5, 2), (5, 49), (5, 41), (5, 43), (5, 97), (200, 400)],
+        ids=["one", "two", "square", "lc-minus-1", "lc-plus-1", "prime", "order-200"],
+    )
+    def test_matches_stagewise_at_chunk_edges(self, n, steps):
+        rng = np.random.default_rng(steps)
+        plant = random_stable_system(rng, n=n, m=3, p=1, margin=0.5)
+        signal = random_forcing(rng, FORCING_KINDS)
+        z0 = rng.standard_normal(n)
+        times = 0.01 * np.arange(steps + 1)
+        want = stagewise_rk4(plant.a, plant.b, signal, z0, times)
+        got = rk4_linear(plant.a, plant.b, signal, z0, times)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    # The growing state multiplies by the RK4 stability polynomial at
+    # x = 0.1 * rate per step: 644.33 for rate 100, 2.7083 for rate 10.
+    @pytest.mark.parametrize(
+        "rates, z0, steps, rows",
+        [
+            ([-1.0, -2.0, 100.0], [1.0, 1.0, 1e260], 400, (1, 20)),
+            ([-1.0, -2.0, 100.0], [1.0, 1.0, 1.0], 400, (21, 400)),
+            ([-1.0, -2.0, 10.0], [1.0, 1.0, 1.0], 720, (703, 720)),
+            # L = 110 and 644.33^110 ~ 1e309: T^L itself is not finite, and
+            # the state overflows at step 110
+            ([-1.0, 100.0], [1.0, 1.0], 12_100, (110, 110)),
+        ],
+        ids=["first-chunk", "later-chunk", "tail", "chunk-power-overflows"],
+    )
+    def test_divergence_time_matches_step_by_step(self, rates, z0, steps, rows):
+        a = np.diag(rates)
+        times = 0.1 * np.arange(steps + 1)
+        want = first_nonfinite_time(a, np.array(z0), times)
+        assert rows[0] <= round(want / 0.1) <= rows[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^state diverged at t={want:.6g}$"):
+                rk4_linear(a, None, None, z0, times)
+
+    def test_unexcited_unstable_mode_stays_finite(self):
+        # T^110 overflows in its unstable entry, but the state never enters
+        # that mode, so the step-by-step loop stays finite and so must this.
+        a = np.diag([-1.0, 100.0])
+        times = 0.1 * np.arange(12_101)
+        got = rk4_linear(a, None, None, [1.0, 0.0], times)
+        want = stagewise_rk4(a, np.zeros((2, 1)), SignalSpec.zero(1), np.array([1.0, 0.0]), times)
+        assert np.abs(got - want).max() <= 1e-10
+        assert not got[:, 1].any()
 
 
 def _matrix_exp(a, t):
@@ -197,6 +269,25 @@ class TestSpecValidation:
                 horizon=horizon,
                 step=step,
             )
+
+    def test_trajectory_cap_is_exact(self, monkeypatch):
+        # direct-generator with a 1-state generator and plant: 11 samples x 2
+        # states x 8 bytes = 176 bytes
+        spec = InterconnectionSpec(
+            topology="direct-generator",
+            models={"plant": StateSpaceModel(a=[[-1.0]], b=[[1.0]], c=[[1.0]])},
+            links={"s": [[0.0]], "l": [[1.0]]},
+            initial={"w": [1.0], "x": [0.0]},
+            signal=SignalSpec.zero(1),
+            horizon=1.0,
+            step=0.1,
+        )
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 176)
+        assert integrate(spec).times.size == 11
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 175)
+        shown = "grid of 11 samples (horizon=1, step=0.1) times 2 states"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}"):
+            integrate(spec)
 
     def test_time_grid_covers_horizon(self):
         times = time_grid(2.0, 1e-3)
