@@ -71,10 +71,6 @@ class AbstractionDesign:
     def order(self) -> int:
         return self.f.shape[0]
 
-    @property
-    def abstract_input_dim(self) -> int:
-        return self.g.shape[1]
-
     def abstract_model(self) -> StateSpaceModel:
         return StateSpaceModel(a=self.f, b=self.g, c=self.h)
 
@@ -174,23 +170,34 @@ def synth_certificate(
     else:
         r_hat = as_matrix(r_hat, "r_hat")
     cert = SimulationCertificate(p=p, l_hat=l_hat, w=w, lam=lam, k=k, r_hat=r_hat)
-    _verify_certificate(cert, sys, abstract)
+    residuals = certificate_residuals(cert, sys, abstract.a)
+    bad = {name: value for name, value in residuals.items() if value > RESIDUAL_TOL}
+    if bad:
+        raise ValueError(f"certificate residuals above {RESIDUAL_TOL:g}: {bad}")
     return cert
 
 
-def _verify_certificate(
-    cert: SimulationCertificate, sys: StateSpaceModel, abstract: StateSpaceModel
-) -> None:
+def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=None) -> dict:
+    """Relative residuals of the certificate's defining relations, 0 where one holds.
+
+    The c^T c domination gap max(0, -min eig(w - c^T c)) and the decay
+    inequality max(0, max eig(a_cl^T w + w a_cl + 2 lam w)), a_cl = a + b k,
+    are divided by max(1, ||w||_2), since eigvalsh rounding grows as
+    eps ||w||.  Given the abstraction's state matrix f, the embedding residual
+    ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).
+    """
     a_cl = sys.a + sys.b @ cert.k
-    resid = np.linalg.norm(cert.p @ abstract.a - sys.a @ cert.p - sys.b @ cert.l_hat)
-    if resid > RESIDUAL_TOL * max(1.0, np.linalg.norm(cert.p)):
-        raise ValueError(f"embedding residual {resid:.3e} exceeds tolerance")
-    gap = np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()
-    if gap < -RESIDUAL_TOL:
-        raise ValueError("w does not dominate c^T c")
+    w_scale = max(1.0, np.linalg.norm(cert.w, 2))
     lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
-    if np.linalg.eigvalsh(lmi).max() > RESIDUAL_TOL * max(1.0, np.linalg.norm(cert.w)):
-        raise ValueError("decay inequality for w fails")
+    gap = np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()
+    res = {
+        "c^T c domination gap": max(0.0, -gap) / w_scale,
+        "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
+    }
+    if f is not None:
+        resid = np.linalg.norm(cert.p @ f - sys.a @ cert.p - sys.b @ cert.l_hat)
+        res["embedding residual"] = resid / max(1.0, np.linalg.norm(cert.p))
+    return {name: float(value) for name, value in res.items()}
 
 
 def simulation_fn_value(cert: SimulationCertificate, xi, x) -> float:

@@ -31,6 +31,7 @@ from .modelio import (
     load_model,
     model_from_dict,
     numeric_array,
+    numeric_field,
     write_csv,
     write_svg,
 )
@@ -95,21 +96,16 @@ def cmd_reduce(args) -> RunReport:
     report = RunReport(command="reduce")
     sys_model = load_model(args.model)
     data = load_json(args.interp)
+    get = lambda key: numeric_field(data, key, args.interp)
     rom = None
     if args.mode in ("direct", "two-sided"):
-        di = moments.DirectInterpolant(
-            s=np.array(data["s"], float), l=np.array(data["l"], float)
-        )
+        di = moments.DirectInterpolant(s=get("s"), l=get("l"))
     if args.mode in ("swapped", "two-sided"):
-        si = moments.SwappedInterpolant(
-            q=np.array(data["q"], float), r=np.array(data["r"], float)
-        )
+        si = moments.SwappedInterpolant(q=get("q"), r=get("r"))
     if args.mode == "direct":
-        g = np.array(data["g"], float)
-        rom = moments.rom_direct(sys_model, di, g)
+        rom = moments.rom_direct(sys_model, di, get("g"))
     elif args.mode == "swapped":
-        h = np.array(data["h"], float)
-        rom = moments.rom_swapped(sys_model, si, h)
+        rom = moments.rom_swapped(sys_model, si, get("h"))
     else:
         rom = moments.rom_two_sided(sys_model, di, si)
 
@@ -186,7 +182,7 @@ def cmd_abstract(args) -> RunReport:
 
 def _typed(value, kind, name: str, path):
     """``value`` if it is a JSON object (``kind`` dict) or a number that fits a
-    float (``kind`` float); otherwise a ModelFileError naming the spec field."""
+    float (``kind`` float); otherwise a ModelFileError naming the field."""
     if kind is dict and isinstance(value, dict):
         return value
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -205,7 +201,7 @@ def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
         field = f"models.{name}"
         models[name] = model_from_dict(_typed(model, dict, field, path), path, field + ".")
     links = {
-        name: value if isinstance(value, str) else numeric_array(value, f"links.{name}", path)
+        name: numeric_array(value, f"links.{name}", path)
         for name, value in _typed(data.get("links", {}), dict, "links", path).items()
     }
     initial = {
@@ -217,6 +213,8 @@ def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
         horizon = _typed(data.get("horizon", sim.DEFAULT_HORIZON), float, "horizon", path)
     if step is None:
         step = _typed(data.get("step", sim.DEFAULT_STEP), float, "step", path)
+    if "topology" not in data:
+        raise ModelFileError(f"{path}: missing field 'topology'")
     return sim.InterconnectionSpec(
         topology=data["topology"],
         models=models,
@@ -233,39 +231,19 @@ def cmd_simulate(args) -> RunReport:
     spec = _spec_from_file(args.spec, args.step, args.horizon)
     traj = sim.integrate(spec)
     columns = dict(traj.outputs)
-    err = _topology_error(spec, traj)
-    if err is not None:
-        columns["err"] = err
+    error = sim.TOPOLOGIES[spec.topology].error
+    if error is not None:
+        columns["err"] = error(spec, traj)
     csv_path = f"{args.out}.csv"
     svg_path = f"{args.out}.svg"
     write_csv(csv_path, traj.times, columns)
     plot_series = dict(columns)
-    if err is not None:
-        plot_series["err_norm"] = np.linalg.norm(err, axis=1)
+    if error is not None:
+        plot_series["err_norm"] = np.linalg.norm(columns["err"], axis=1)
     write_svg(svg_path, traj.times, plot_series, title=spec.topology)
     report.outputs += [csv_path, svg_path]
     report.add_flag("simulation finite", True)
     return report
-
-
-def _topology_error(spec, traj):
-    """Topology-appropriate output-error columns, when they are well defined."""
-    t = spec.topology
-    if t == "hierarchical":
-        return traj.outputs["y"] - traj.outputs["psi"]
-    if t in ("m-direct", "m-direct-stabilized"):
-        return traj.outputs["psi"] - traj.outputs["y"]
-    if t == "direct-generator":
-        plant = spec.models["plant"]
-        di = moments.DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
-        sol = moments.moment_direct(plant, di)
-        return traj.outputs["y"] - traj.states["w"] @ sol.moment.T
-    if t == "swapped-filter":
-        plant = spec.models["plant"]
-        si = moments.SwappedInterpolant(q=spec.links["q"], r=spec.links["r"])
-        sol = moments.moment_swapped(plant, si)
-        return traj.states["w"] - traj.states["zeta"] + traj.states["x"] @ sol.upsilon.T
-    return None
 
 
 CHECK_NAMES = ("spectra", "pbh", "excitability", "embedding", "mrelation", "certificate")
@@ -279,7 +257,7 @@ def cmd_verify(args) -> RunReport:
     for check in checks:
         if check not in CHECK_NAMES:
             raise ValueError(f"unknown check {check!r}; known: {', '.join(CHECK_NAMES)}")
-    get = lambda key: np.array(artifact[key], float)
+    get = lambda key: numeric_field(artifact, key, args.artifact)
     for check in checks:
         if check == "spectra":
             spec = eigenvalues(sys_model.a)
@@ -306,17 +284,16 @@ def cmd_verify(args) -> RunReport:
             for name, value in rep.residuals.items():
                 report.add(f"mrelation {name} residual", value, args.tol)
         elif check == "certificate":
+            lam = _typed(artifact.get("lam"), float, "lam", args.artifact)
             cert = abstraction.SimulationCertificate(
                 p=get("p"), l_hat=get("l_hat"), w=get("w"),
-                lam=float(artifact["lam"]), k=get("k"), r_hat=get("r_hat"),
+                lam=lam, k=get("k"), r_hat=get("r_hat"),
             )
             a_cl = sys_model.a + sys_model.b @ cert.k
             report.add_flag("certificate: a + b k Hurwitz", eigenvalues(a_cl).is_hurwitz())
-            gap = float(np.linalg.eigvalsh(cert.w - sys_model.c.T @ sys_model.c).min())
-            report.add("certificate: c^T c domination gap", max(0.0, -gap), args.tol)
-            lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
-            top = float(np.linalg.eigvalsh(lmi).max())
-            report.add("certificate: decay inequality", max(0.0, top), args.tol)
+            f = get("f") if "f" in artifact else None
+            for name, value in abstraction.certificate_residuals(cert, sys_model, f).items():
+                report.add(f"certificate: {name}", value, args.tol)
     return report
 
 

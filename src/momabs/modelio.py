@@ -36,8 +36,16 @@ def numeric_array(data, name: str, path) -> np.ndarray:
     """``data`` as a float array; a ModelFileError names the file and field."""
     try:
         return np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: field {name!r} is not a numeric array") from exc
+
+
+def numeric_field(data: dict, key: str, path) -> np.ndarray:
+    """``data[key]`` as a float array; a ModelFileError names the file and a
+    missing or non-numeric field."""
+    if key not in data:
+        raise ModelFileError(f"{path}: missing field {key!r}")
+    return numeric_array(data[key], key, path)
 
 
 def _matrix_from(data, name: str, path) -> np.ndarray:
@@ -81,10 +89,7 @@ def save_model(path, model: StateSpaceModel, name: str = "", role: str | None = 
 
 
 def load_matrix(path, key: str = "matrix") -> np.ndarray:
-    data = load_json(path)
-    if key not in data:
-        raise ModelFileError(f"{path}: missing field {key!r}")
-    return _matrix_from(data[key], key, path)
+    return _matrix_from(numeric_field(load_json(path), key, path), key, path)
 
 
 def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,8 @@ class Term:
             raise ValueError(f"unknown term kind {self.kind!r}")
         for name in PARAMETERS:
             v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or not math.isfinite(v):
+            # a bound, not math.isfinite, so an int past the float range is refused too
+            if not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
                 raise ValueError(f"term field {name!r} must be a finite number, got {v!r}")
         if self.kind == "expdecay" and self.rate <= 0:
             raise ValueError("expdecay rate must be positive")

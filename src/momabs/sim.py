@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .abstraction import (
     gamma_gain,
     simulation_fn_value,
 )
-from .linalg import StateSpaceModel, as_matrix, as_vector, eigenvalues
+from .linalg import StateSpaceModel, as_matrix, as_vector, eigenvalues, excitable
 from .moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -41,23 +42,11 @@ DEFAULT_HORIZON = 10.0
 DEFAULT_SETTLE_FRACTION = 0.7
 MAX_TRAJECTORY_BYTES = 2**30  # float64 samples x stacked state dimension
 
-TOPOLOGIES = (
-    "direct-generator",
-    "swapped-filter",
-    "hierarchical",
-    "m-direct",
-    "m-direct-stabilized",
-    "m-swapped",
-)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     states: dict
     outputs: dict
-    topology: str
-    step: float
 
 
 @dataclass(frozen=True)
@@ -72,10 +61,25 @@ class ErrorTrace:
 
 
 @dataclass(frozen=True)
+class Topology:
+    """What one interconnection needs and does: the ``models``, ``links`` and
+    ``initial`` names its spec must hold; ``assemble(spec)`` giving (a_aug,
+    b_aug, z0, state block sizes, output maps on the stacked state); and
+    ``error(spec, traj)``, its output error per sample, or None when the spec
+    does not define one."""
+
+    models: tuple
+    links: tuple
+    initial: tuple
+    assemble: Callable
+    error: Callable | None
+
+
+@dataclass(frozen=True)
 class InterconnectionSpec:
     """Declarative description of one simulation run.
 
-    models maps role names to state-space models, links holds the wiring
+    models maps role names to state-space models, links holds the coupling
     matrices the topology needs, initial maps state-block names to vectors.
     """
 
@@ -88,14 +92,24 @@ class InterconnectionSpec:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}")
         grid = f"horizon={self.horizon:g}, step={self.step:g}"
         if not (np.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive ({grid})")
         count = self.horizon / self.step
         if not (np.isfinite(count) and count >= 1 and abs(count - round(count)) <= 1e-9 * count):
             raise ValueError(f"horizon must be a finite whole number of steps, at least one ({grid})")
+        topo = TOPOLOGIES.get(self.topology) if isinstance(self.topology, str) else None
+        if topo is None:
+            raise ValueError(f"unknown topology {self.topology!r}; known: {', '.join(TOPOLOGIES)}")
+        for group in ("models", "links", "initial"):
+            given = getattr(self, group)
+            missing = [f"{group}.{name}" for name in getattr(topo, group) if name not in given]
+            if missing:
+                raise ValueError(f"topology {self.topology!r} needs {', '.join(missing)}")
+        links = {name: as_matrix(self.links[name], f"links.{name}") for name in topo.links}
+        initial = {name: as_vector(self.initial[name], f"initial.{name}") for name in topo.initial}
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "initial", initial)
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
@@ -169,7 +183,12 @@ def _blocks(states: np.ndarray, sizes: list[tuple[str, int]]) -> dict:
 
 def integrate(spec: InterconnectionSpec) -> Trajectory:
     """Assemble the coupled ODE for a topology and integrate it."""
-    a_aug, b_aug, z0, sizes, output_maps = _assemble(spec)
+    a_aug, b_aug, z0, sizes, output_maps = TOPOLOGIES[spec.topology].assemble(spec)
+    if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
+        raise ValueError(
+            f"signal dimension {spec.signal.dim} does not match the "
+            f"{b_aug.shape[1]} inputs of the {spec.topology} interconnection"
+        )
     samples = int(round(spec.horizon / spec.step)) + 1
     if samples * a_aug.shape[0] * 8 > MAX_TRAJECTORY_BYTES:
         raise ValueError(
@@ -180,21 +199,7 @@ def integrate(spec: InterconnectionSpec) -> Trajectory:
     z = rk4_linear(a_aug, b_aug, spec.signal, z0, times)
     states = _blocks(z, sizes)
     outputs = {name: z @ cmat.T for name, cmat in output_maps.items()}
-    return Trajectory(times=times, states=states, outputs=outputs, topology=spec.topology, step=spec.step)
-
-
-def _assemble(spec: InterconnectionSpec):
-    """Return (a_aug, b_aug, z0, block sizes, output maps on the stacked state)."""
-    t = spec.topology
-    if t == "direct-generator":
-        return _assemble_direct_generator(spec)
-    if t == "swapped-filter":
-        return _assemble_swapped_filter(spec)
-    if t == "hierarchical":
-        return _assemble_hierarchical(spec)
-    if t in ("m-direct", "m-direct-stabilized"):
-        return _assemble_m_direct(spec)
-    return _assemble_m_swapped(spec)
+    return Trajectory(times=times, states=states, outputs=outputs)
 
 
 def _pad(mat: np.ndarray, sizes, block: str) -> np.ndarray:
@@ -206,11 +211,10 @@ def _pad(mat: np.ndarray, sizes, block: str) -> np.ndarray:
 
 def _assemble_direct_generator(spec):
     plant = spec.models["plant"]
-    s = as_matrix(spec.links["s"], "s")
-    l = as_matrix(spec.links["l"], "l")
+    s, l = spec.links["s"], spec.links["l"]
     n_hat, n = s.shape[0], plant.n
     a_aug = np.block([[s, np.zeros((n_hat, n))], [plant.b @ l, plant.a]])
-    z0 = np.concatenate([as_vector(spec.initial["w"]), as_vector(spec.initial["x"])])
+    z0 = np.concatenate([spec.initial["w"], spec.initial["x"]])
     sizes = [("w", n_hat), ("x", n)]
     outputs = {
         "theta": _pad(l, sizes, "w"),
@@ -221,9 +225,7 @@ def _assemble_direct_generator(spec):
 
 def _assemble_swapped_filter(spec):
     plant = spec.models["plant"]
-    q = as_matrix(spec.links["q"], "q")
-    r = as_matrix(spec.links["r"], "r")
-    ub = as_matrix(spec.links["upsilon_b"], "upsilon_b")
+    q, r, ub = spec.links["q"], spec.links["r"], spec.links["upsilon_b"]
     n, n_hat = plant.n, q.shape[0]
     zero = np.zeros((n_hat, n_hat))
     a_aug = np.block(
@@ -243,23 +245,15 @@ def _assemble_swapped_filter(spec):
 def _assemble_hierarchical(spec):
     plant = spec.models["plant"]
     abstract = spec.models["abstract"]
-    p = as_matrix(spec.links["p"], "p")
-    l_hat = as_matrix(spec.links["l_hat"], "l_hat")
-    k = as_matrix(spec.links["k"], "k")
-    r_hat = as_matrix(spec.links["r_hat"], "r_hat")
-    wiring = spec.links.get("wiring", "interface")
+    p, l_hat, k, r_hat = (spec.links[key] for key in ("p", "l_hat", "k", "r_hat"))
     n, n_hat = plant.n, abstract.n
-    if wiring == "cascade":
-        # u = k x + (r_hat v + (l_hat - k p) xi)
-        couple = plant.b @ (l_hat - k @ p)
-    else:
-        # u = r_hat v + l_hat xi + k (x - p xi)
-        couple = plant.b @ l_hat - (plant.b @ k) @ p
+    # u = r_hat v + l_hat xi + k (x - p xi)
+    couple = plant.b @ l_hat - (plant.b @ k) @ p
     a_aug = np.block(
         [[abstract.a, np.zeros((n_hat, n))], [couple, plant.a + plant.b @ k]]
     )
     b_aug = np.vstack([abstract.b, plant.b @ r_hat])
-    z0 = np.concatenate([as_vector(spec.initial["xi"]), as_vector(spec.initial["x"])])
+    z0 = np.concatenate([spec.initial["xi"], spec.initial["x"]])
     sizes = [("xi", n_hat), ("x", n)]
     outputs = {
         "psi": _pad(abstract.c, sizes, "xi"),
@@ -271,10 +265,7 @@ def _assemble_hierarchical(spec):
 def _assemble_m_direct(spec):
     plant = spec.models["plant"]
     abstract = spec.models["abstract"]
-    n_map = as_matrix(spec.links["n_map"], "n_map")
-    gamma = as_matrix(spec.links["gamma"], "gamma")
-    k_hat = as_matrix(spec.links["k_hat"], "k_hat")
-    m_map = as_matrix(spec.links["m_map"], "m_map")
+    n_map, gamma, k_hat, m_map = (spec.links[key] for key in ("n_map", "gamma", "k_hat", "m_map"))
     n, n_hat = plant.n, abstract.n
     g = abstract.b
     # v = n_map x + gamma u + k_hat (xi - m_map x)
@@ -286,8 +277,7 @@ def _assemble_m_direct(spec):
         ]
     )
     b_aug = np.vstack([plant.b, g @ gamma, np.zeros((n_hat, plant.m))])
-    x0 = as_vector(spec.initial["x"])
-    xi0 = as_vector(spec.initial["xi"])
+    x0, xi0 = spec.initial["x"], spec.initial["xi"]
     z0 = np.concatenate([x0, xi0, xi0 - m_map @ x0])
     sizes = [("x", n), ("xi", n_hat), ("eps", n_hat)]
     outputs = {
@@ -300,7 +290,7 @@ def _assemble_m_direct(spec):
 def _assemble_m_swapped(spec):
     plant = spec.models["plant"]  # aux output: c = -n_map
     abstract = spec.models["abstract"]
-    mb = as_matrix(spec.links["m_b"], "m_b")
+    mb = spec.links["m_b"]
     n, n_hat = plant.n, abstract.n
     a_aug = np.block(
         [
@@ -314,6 +304,40 @@ def _assemble_m_swapped(spec):
     sizes = [("x", n), ("xi", n_hat), ("zeta", n_hat)]
     outputs = {"ystar": _pad(plant.c, sizes, "x")}
     return a_aug, b_aug, z0, sizes, outputs
+
+
+def _direct_generator_error(spec, traj):
+    """y - C Pi w: the plant output against its steady-state prediction."""
+    interp = DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
+    moment = moment_direct(spec.models["plant"], interp).moment
+    return traj.outputs["y"] - traj.states["w"] @ moment.T
+
+
+def _swapped_filter_error(spec, traj):
+    """w - (zeta - Ups x): the filter state against the limiting error model."""
+    interp = SwappedInterpolant(q=spec.links["q"], r=spec.links["r"])
+    upsilon = moment_swapped(spec.models["plant"], interp).upsilon
+    return traj.states["w"] - traj.states["zeta"] + traj.states["x"] @ upsilon.T
+
+
+TOPOLOGIES = {
+    "direct-generator": Topology(
+        ("plant",), ("s", "l"), ("w", "x"), _assemble_direct_generator, _direct_generator_error
+    ),
+    "swapped-filter": Topology(
+        ("plant",), ("q", "r", "upsilon_b"), (), _assemble_swapped_filter, _swapped_filter_error
+    ),
+    "hierarchical": Topology(
+        ("plant", "abstract"), ("p", "l_hat", "k", "r_hat"), ("x", "xi"),
+        _assemble_hierarchical, lambda spec, traj: traj.outputs["y"] - traj.outputs["psi"],
+    ),
+    "m-direct": Topology(
+        ("plant", "abstract"), ("n_map", "gamma", "k_hat", "m_map"), ("x", "xi"),
+        _assemble_m_direct, lambda spec, traj: traj.outputs["psi"] - traj.outputs["y"],
+    ),
+    # the error needs m_map, which enters the spec only through the m_b link
+    "m-swapped": Topology(("plant", "abstract"), ("m_b",), (), _assemble_m_swapped, None),
+}
 
 
 def fit_decay_rate(times: np.ndarray, norms: np.ndarray, floor: float = 1e-12) -> float | None:
@@ -380,8 +404,6 @@ def run_direct_generator(
 ) -> tuple[Trajectory, ErrorTrace]:
     """Drive the plant by the signal generator w' = s w, u = l w and compare
     the plant output against the steady-state prediction C Pi w."""
-    from .linalg import excitable
-
     sol = moment_direct(plant, interp)
     spec = InterconnectionSpec(
         topology="direct-generator",
@@ -393,8 +415,7 @@ def run_direct_generator(
         step=step,
     )
     traj = integrate(spec)
-    err = traj.outputs["y"] - traj.states["w"] @ sol.moment.T
-    norms = np.linalg.norm(err, axis=1)
+    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
     state_err = np.linalg.norm(traj.states["x"] - traj.states["w"] @ sol.pi.T, axis=1)
     gen_spec = eigenvalues(interp.s)
     extras = {
@@ -416,8 +437,6 @@ def run_swapped_filter(
     limiting error model zeta' = q zeta + Ups b u in parallel."""
     if not u.is_decaying():
         raise ValueError("input signal must decay exponentially")
-    if u.dim != plant.m:
-        raise ValueError("input signal dimension does not match plant")
     sol = moment_swapped(plant, interp)
     spec = InterconnectionSpec(
         topology="swapped-filter",
@@ -429,9 +448,7 @@ def run_swapped_filter(
         step=step,
     )
     traj = integrate(spec)
-    # w should track zeta - Ups x
-    err = traj.states["w"] - traj.states["zeta"] + traj.states["x"] @ sol.upsilon.T
-    norms = np.linalg.norm(err, axis=1)
+    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
     return traj, error_stats(traj.times, norms, norms)
 
 
@@ -444,15 +461,12 @@ def run_hierarchical(
     xi0,
     horizon: float = DEFAULT_HORIZON,
     step: float = DEFAULT_STEP,
-    wiring: str = "interface",
 ) -> tuple[Trajectory, ErrorTrace]:
     """Abstract system driving the plant through the certificate interface.
 
     The error trace carries e_s = x - p xi and e_y = y - psi, plus the
     guaranteed bound max(V(xi0, x0), gamma(||v||_inf)).
     """
-    if v.dim != abstract.m:
-        raise ValueError("v dimension does not match the abstract input")
     spec = InterconnectionSpec(
         topology="hierarchical",
         models={"plant": plant, "abstract": abstract},
@@ -461,7 +475,6 @@ def run_hierarchical(
             "l_hat": cert.l_hat,
             "k": cert.k,
             "r_hat": cert.r_hat,
-            "wiring": wiring,
         },
         initial={"x": x0, "xi": xi0},
         signal=v,
@@ -470,8 +483,7 @@ def run_hierarchical(
     )
     traj = integrate(spec)
     e_s = traj.states["x"] - traj.states["xi"] @ cert.p.T
-    e_y = traj.outputs["y"] - traj.outputs["psi"]
-    norms = np.linalg.norm(e_y, axis=1)
+    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
     gain = gamma_gain(cert, plant.b, abstract.b)
     bound = max(
         simulation_fn_value(cert, xi0, x0), gain * v.sup_norm(traj.times)
@@ -503,20 +515,8 @@ def run_m_direct(
     The observed eps_s = xi - m x is compared against a parallel integration
     of eps' = (f + g k_hat) eps; the mismatch sup-norm lands in extras.
     """
-    m_map = as_matrix(m_map, "m_map")
-    if u.dim != plant.m:
-        raise ValueError("u dimension does not match plant input")
-    x0 = as_vector(x0)
-    xi0 = as_vector(xi0)
-    if np.allclose(link.k_hat, 0.0):
-        mismatch_start = np.linalg.norm(xi0 - m_map @ x0)
-        if mismatch_start > 1e-9 and not eigenvalues(abstract.a).is_hurwitz():
-            warnings.warn(
-                "xi(0) != m x(0) and the abstraction is not Hurwitz: "
-                "steady-state matching is not guaranteed"
-            )
     spec = InterconnectionSpec(
-        topology="m-direct" if np.allclose(link.k_hat, 0.0) else "m-direct-stabilized",
+        topology="m-direct",
         models={"plant": plant, "abstract": abstract},
         links={
             "n_map": link.n_map,
@@ -529,15 +529,22 @@ def run_m_direct(
         horizon=horizon,
         step=step,
     )
+    m_map, x0, xi0 = spec.links["m_map"], spec.initial["x"], spec.initial["xi"]
+    if np.allclose(link.k_hat, 0.0):
+        mismatch_start = np.linalg.norm(xi0 - m_map @ x0)
+        if mismatch_start > 1e-9 and not eigenvalues(abstract.a).is_hurwitz():
+            warnings.warn(
+                "xi(0) != m x(0) and the abstraction is not Hurwitz: "
+                "steady-state matching is not guaranteed"
+            )
     traj = integrate(spec)
     eps_s = traj.states["xi"] - traj.states["x"] @ m_map.T
-    eps_y = traj.outputs["psi"] - traj.outputs["y"]
     parallel_gap = np.linalg.norm(eps_s - traj.states["eps"], axis=1)
     extras = {"parallel_gap_sup": float(parallel_gap.max())}
     return traj, error_stats(
         traj.times,
         np.linalg.norm(eps_s, axis=1),
-        np.linalg.norm(eps_y, axis=1),
+        np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1),
         extras=extras,
     )
 
@@ -564,7 +571,7 @@ def run_m_swapped(
     spec = InterconnectionSpec(
         topology="m-swapped",
         models={"plant": plant_aux, "abstract": abstract},
-        links={"m_b": as_matrix(m_b, "m_b")},
+        links={"m_b": m_b},
         initial={},
         signal=u,
         horizon=horizon,

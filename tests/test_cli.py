@@ -1,16 +1,32 @@
+import contextlib
+import copy
+import dataclasses
+import functools
+import io
 import json
-import os
-import subprocess
-import sys
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momabs import springmass
+from conftest import non_normal_stable_system, rotation_block
+from momabs import cli, sim, springmass
+from momabs.abstraction import (
+    RESIDUAL_TOL,
+    StabilizedLink,
+    certificate_residuals,
+    design_abstraction,
+    synth_certificate,
+)
 from momabs.cli import main
-from momabs.linalg import place_poles
+from momabs.linalg import StateSpaceModel, place_poles, solve_sylvester
 from momabs.modelio import load_model, save_matrix, save_model
+from momabs.moments import DirectInterpolant, SwappedInterpolant, moment_swapped
+from momabs.signals import SignalSpec, Term
 
 
 @pytest.fixture
@@ -23,6 +39,129 @@ def plant_file(tmp_path):
 def write_json(path, data):
     path.write_text(json.dumps(data) + "\n")
     return str(path)
+
+
+def model_dict(model):
+    return {"a": model.a.tolist(), "b": model.b.tolist(), "c": model.c.tolist()}
+
+
+def decaying(dim):
+    return SignalSpec(tuple((Term("expdecay", amplitude=i + 1.0, rate=1.0),) for i in range(dim)))
+
+
+@functools.lru_cache(maxsize=None)
+def springmass_certificate():
+    plant = springmass.concrete()
+    k = place_poles(plant.a, plant.b, springmass.closed_loop_target())
+    return synth_certificate(plant, springmass.abstract(), k, l_hat=springmass.l_hat())
+
+
+def certificate_fields(cert, f):
+    """Artifact fields read by ``verify --checks certificate``."""
+    fields = {name: getattr(cert, name).tolist() for name in ("p", "l_hat", "w", "k", "r_hat")}
+    return {**fields, "lam": cert.lam, "f": np.asarray(f).tolist()}
+
+
+@functools.lru_cache(maxsize=None)
+def topology_runs():
+    """Per topology: a simulate spec (JSON data) on the spring-mass example and
+    the result of the matching sim.run_* call, both on the same grid."""
+    plant, abstract = springmass.concrete(), springmass.abstract()
+    cert = springmass_certificate()
+    k = cert.k
+    design = design_abstraction(plant, springmass.embedding_p())
+    reduced = design.abstract_model()
+    k_hat = place_poles(design.f, design.g, springmass.abstract_target())
+    link = StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=k_hat)
+    aux = StateSpaceModel(a=plant.a + plant.b @ k, b=plant.b, c=-(design.n_map + design.gamma @ k))
+    m_b = design.m_map @ plant.b
+    di = DirectInterpolant(s=abstract.a, l=springmass.l_hat())
+    si = SwappedInterpolant(q=rotation_block(5.0), r=np.eye(2))
+    x0, xi0, v, u = springmass.X0, springmass.XI0, springmass.v_signal(), springmass.u_signal()
+    grid = (1.0, 0.01)
+    cases = {  # models, links, initial, signal, run_* result
+        "direct-generator": (
+            {"plant": plant}, {"s": di.s, "l": di.l}, {"w": xi0, "x": x0}, None,
+            sim.run_direct_generator(plant, di, xi0, x0, *grid),
+        ),
+        "swapped-filter": (
+            {"plant": plant}, {"q": si.q, "r": si.r, "upsilon_b": moment_swapped(plant, si).moment},
+            {}, decaying(2), sim.run_swapped_filter(plant, si, decaying(2), *grid),
+        ),
+        "hierarchical": (
+            {"plant": plant, "abstract": abstract},
+            {"p": cert.p, "l_hat": cert.l_hat, "k": cert.k, "r_hat": cert.r_hat},
+            {"x": x0, "xi": xi0}, v, sim.run_hierarchical(plant, abstract, cert, v, x0, xi0, *grid),
+        ),
+        "m-direct": (
+            {"plant": plant, "abstract": reduced},
+            {"n_map": design.n_map, "gamma": design.gamma, "k_hat": k_hat, "m_map": design.m_map},
+            {"x": x0, "xi": xi0}, u,
+            sim.run_m_direct(plant, reduced, link, design.m_map, u, x0, xi0, *grid),
+        ),
+        "m-swapped": (
+            {"plant": aux, "abstract": reduced}, {"m_b": m_b}, {}, decaying(2),
+            sim.run_m_swapped(aux, reduced, m_b, design.m_map, decaying(2), *grid),
+        ),
+    }
+    runs = {}
+    for topology, (models, links, initial, signal, run) in cases.items():
+        spec = {
+            "topology": topology,
+            "models": {name: model_dict(model) for name, model in models.items()},
+            "links": {name: np.asarray(value).tolist() for name, value in links.items()},
+            "initial": {name: np.asarray(value).tolist() for name, value in initial.items()},
+            "horizon": grid[0],
+            "step": grid[1],
+        }
+        if signal is not None:
+            spec["signal"] = signal.to_dict()
+        runs[topology] = (spec, run)
+    return runs
+
+
+def read_csv(path):
+    """Header names and the data rows of a simulate CSV."""
+    names = Path(path).read_text().split("\n", 1)[0].split(",")
+    return names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+DROP = object()
+JUNK = ("abc", [], [1, "a"], {}, {"x": 1}, True, 10**400)
+
+
+def json_paths(node, prefix=()):
+    """Key paths to every value nested in the objects and arrays of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    """Copy of ``doc`` with the value at ``path`` replaced, or removed for DROP."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def write_docs(directory, docs) -> dict:
+    """Write each JSON document to ``directory``/<name>.json; return the paths by name."""
+    return {name: write_json(Path(directory) / f"{name}.json", doc) for name, doc in docs.items()}
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 class TestReduce:
@@ -74,6 +213,28 @@ class TestReduce:
         assert code == 2
         assert "invalid JSON at line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, patch, shown",
+        [
+            ("direct", {"l": DROP}, "missing field 'l'"),
+            ("direct", {"s": "abc"}, "field 's' is not a numeric array"),
+            ("direct", {"g": [[1.0, "a"]]}, "field 'g' is not a numeric array"),
+            ("swapped", {}, "missing field 'q'"),
+        ],
+        ids=["missing-l", "s-string", "g-entry-string", "missing-q"],
+    )
+    def test_missing_or_non_numeric_field_exits_2(
+        self, tmp_path, plant_file, capsys, mode, patch, shown
+    ):
+        data = {"s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist()}
+        data = {**data, "g": np.eye(2).tolist(), **patch}
+        data = {key: value for key, value in data.items() if value is not DROP}
+        interp = write_json(tmp_path / "interp.json", data)
+        out = str(tmp_path / "o.json")
+        code = main(["reduce", plant_file, "--interp", interp, "--mode", mode, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {interp}: {shown}\n"
+
     def test_top_level_list_exits_2(self, tmp_path, plant_file, capsys):
         interp = write_json(tmp_path / "interp.json", [{"s": [[0.0, 1.0], [-1.0, 0.0]]}])
         code = main(["reduce", plant_file, "--interp", interp, "--out", str(tmp_path / "o.json")])
@@ -98,6 +259,29 @@ class TestAbstract:
         code = main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")])
         assert code == 2
         assert "injective" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_inputs_exit_code_with_reduce(self, data):
+        docs = {
+            "model": model_dict(springmass.concrete()),
+            "interp": {
+                "s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist(),
+                "g": np.eye(2).tolist(), "q": rotation_block(5.0).tolist(), "r": np.eye(2).tolist(),
+                "h": np.eye(2).tolist(),
+            },
+            "p": {"p": springmass.embedding_p().tolist()},
+        }
+        which = data.draw(st.sampled_from(sorted(docs)))
+        path = data.draw(st.sampled_from(list(json_paths(docs[which]))))
+        docs[which] = mutated(docs[which], path, data.draw(st.sampled_from((DROP, *JUNK))))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_docs(tmp, docs)
+            for mode in ("direct", "swapped", "two-sided"):
+                argv = ["reduce", paths["model"], "--interp", paths["interp"], "--mode", mode]
+                assert run_quietly([*argv, "--out", f"{tmp}/rom.json"]) in (0, 1, 2)
+            argv = ["abstract", paths["model"], "--p", paths["p"], "--out", f"{tmp}/d"]
+            assert run_quietly(argv) in (0, 1, 2)
 
 
 def hierarchical_spec(tmp_path, horizon=2.0):
@@ -175,10 +359,14 @@ class TestSimulate:
         [
             ({"channels": [[{"kind": "sin", "amp": 1.0}]]}, "field(s): 'amp'"),
             ({"channels": [[{"kind": "sin", "amplitude": "abc"}]]}, "field 'amplitude'"),
+            ({"channels": [[{"kind": "sin", "amplitude": 10**400}]]}, "field 'amplitude'"),
             ({"channels": [[{"amplitude": 1.0}]]}, "field 'kind'"),
             ({"channels": {}}, "'channels' list"),
         ],
-        ids=["unknown-term-key", "non-numeric-field", "missing-kind", "channels-not-list"],
+        ids=[
+            "unknown-term-key", "non-numeric-field", "huge-int-field", "missing-kind",
+            "channels-not-list",
+        ],
     )
     def test_malformed_signal_exits_2(self, tmp_path, capsys, signal, shown):
         path = Path(hierarchical_spec(tmp_path))
@@ -209,6 +397,8 @@ class TestSimulate:
             ({"horizon": 10**400}, "field 'horizon' must be a number"),
             ({"links": {"p": {"x": 1}}}, "field 'links.p' is not a numeric array"),
             ({"initial": {"x": "abc"}}, "field 'initial.x' is not a numeric array"),
+            ({"links": {"p": "abc"}}, "field 'links.p' is not a numeric array"),
+            ({"links": {"p": [10**400]}}, "field 'links.p' is not a numeric array"),
             (
                 {"models": {"plant": {"a": [[1.0]], "b": [[1.0]]}}},
                 "missing matrix 'models.plant.c'",
@@ -216,7 +406,8 @@ class TestSimulate:
         ],
         ids=[
             "models-list", "links-list", "initial-list", "model-int", "horizon-str",
-            "step-bool", "horizon-huge-int", "link-object", "initial-str", "model-missing-c",
+            "step-bool", "horizon-huge-int", "link-object", "initial-str", "link-str",
+            "link-huge-int", "model-missing-c",
         ],
     )
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, patch, shown):
@@ -228,6 +419,65 @@ class TestSimulate:
         assert err.startswith(f"error: {path}: ") and shown in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "path, shown",
+        [
+            (("topology",), "{path}: missing field 'topology'"),
+            (("models", "abstract"), "topology 'hierarchical' needs models.abstract"),
+            (("links", "l_hat"), "topology 'hierarchical' needs links.l_hat"),
+            (("initial", "xi"), "topology 'hierarchical' needs initial.xi"),
+        ],
+        ids=["topology", "model", "link", "initial"],
+    )
+    def test_missing_spec_field_exits_2(self, tmp_path, capsys, path, shown):
+        spec = Path(hierarchical_spec(tmp_path))
+        write_json(spec, mutated(json.loads(spec.read_text()), path, DROP))
+        code = main(["simulate", str(spec), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: " + shown.format(path=spec) + "\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_signal_dimension_mismatch_exits_2(self, tmp_path, capsys):
+        path = Path(hierarchical_spec(tmp_path))
+        write_json(path, {**json.loads(path.read_text()), "signal": SignalSpec.zero(1).to_dict()})
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: signal dimension 1 does not match the 4 inputs"
+            " of the hierarchical interconnection\n"
+        )
+
+    @pytest.mark.parametrize("topology", list(sim.TOPOLOGIES))
+    def test_err_columns_match_run_error_trace(self, tmp_path, capsys, topology):
+        spec, (traj, err) = topology_runs()[topology]
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
+        names, rows = read_csv(tmp_path / "run.csv")
+        np.testing.assert_array_equal(rows[:, 0], traj.times)
+        err_cols = [j for j, name in enumerate(names) if name.startswith("err_")]
+        if sim.TOPOLOGIES[topology].error is None:
+            # m-swapped: its error needs m_map, which the spec does not hold
+            assert not err_cols
+            ystar = [j for j, name in enumerate(names) if name.startswith("ystar_")]
+            np.testing.assert_allclose(
+                rows[:, ystar], traj.outputs["ystar"], rtol=1e-12, atol=1e-15
+            )
+        else:
+            assert len(err_cols) > 0
+            norms = np.linalg.norm(rows[:, err_cols], axis=1)
+            np.testing.assert_allclose(norms, err.out_err, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_spec_exit_code(self, data):
+        topology = data.draw(st.sampled_from(list(sim.TOPOLOGIES)))
+        spec = {**topology_runs()[topology][0], "horizon": 0.05}
+        path = data.draw(st.sampled_from(list(json_paths(spec))))
+        spec = mutated(spec, path, data.draw(st.sampled_from((DROP, *JUNK))))
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = write_json(Path(tmp) / "spec.json", spec)
+            assert run_quietly(["simulate", spec_path, "--out", str(Path(tmp) / "r")]) in (0, 1, 2)
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         path = Path(hierarchical_spec(tmp_path))
@@ -292,6 +542,117 @@ class TestVerify:
         assert "unknown check" in capsys.readouterr().err
 
 
+class TestVerifyCertificate:
+    """``verify --checks certificate`` and synth_certificate's own check
+    apply one rule, abstraction.certificate_residuals."""
+
+    CHECK = re.compile(r"^\[(PASS|FAIL)\] certificate: (.*): value=(\S+) threshold=\S+$", re.M)
+
+    def _verify(self, tmp_path, capsys, model, artifact):
+        """Exit code of verify --checks certificate, its table's values by check
+        name, and its stderr."""
+        save_model(tmp_path / "model.json", model)
+        path = write_json(tmp_path / "cert.json", artifact)
+        code = main([
+            "verify", str(tmp_path / "model.json"), "--artifact", path, "--checks", "certificate",
+        ])
+        out = capsys.readouterr()
+        return code, {m.group(2): float(m.group(3)) for m in self.CHECK.finditer(out.out)}, out.err
+
+    @staticmethod
+    def _shown(residuals):
+        """The table's residuals, equal to within print precision and the rounding
+        that the artifact's JSON round trip may change (1e-13)."""
+        shown = {"a + b k Hurwitz": 1.0}
+        for name, value in residuals.items():
+            shown[name] = pytest.approx(value, rel=1e-5, abs=1e-13)
+        return shown
+
+    def test_synthesized_certificates_pass(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        plant = non_normal_stable_system(rng, n=16, m=2, p=2, cond=50.0)
+        f, l_hat = rotation_block(1.5), rng.standard_normal((2, 2))
+        p = solve_sylvester(plant.a, f, -(plant.b @ l_hat))
+        abstract = StateSpaceModel(a=f, b=rng.standard_normal((2, 2)), c=plant.c @ p)
+        cases = [
+            (springmass.concrete(), springmass.abstract(), springmass_certificate()),
+            (plant, abstract, synth_certificate(plant, abstract, np.zeros((2, 16)), l_hat=l_hat)),
+        ]
+        assert np.linalg.norm(cases[1][2].w, 2) > 1e3
+        for model, abstract, cert in cases:
+            artifact = certificate_fields(cert, abstract.a)
+            code, shown, _ = self._verify(tmp_path, capsys, model, artifact)
+            assert code == 0
+            residuals = certificate_residuals(cert, model, abstract.a)
+            assert max(residuals.values()) <= RESIDUAL_TOL
+            assert shown == self._shown(residuals)
+
+    def test_shifted_certificate_gets_one_verdict(self, tmp_path, capsys):
+        # w + t I with the decay inequality's top eigenvalue at 1e-7: below
+        # RESIDUAL_TOL and --tol relative to ||w||_2 ~ 257, above --tol absolutely
+        plant, cert = springmass.concrete(), springmass_certificate()
+        a_cl = plant.a + plant.b @ cert.k
+
+        def top(t):
+            w = cert.w + t * np.eye(plant.n)
+            return np.linalg.eigvalsh(a_cl.T @ w + w @ a_cl + 2 * cert.lam * w).max()
+
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            lo, hi = ((lo + hi) / 2, hi) if top((lo + hi) / 2) < 1e-7 else (lo, (lo + hi) / 2)
+        shifted = dataclasses.replace(cert, w=cert.w + hi * np.eye(plant.n))
+        assert top(hi) == pytest.approx(1e-7, rel=1e-6)
+        residuals = certificate_residuals(shifted, plant, springmass.abstract().a)
+        w_norm = np.linalg.norm(shifted.w, 2)
+        assert 250 < w_norm < 265
+        assert residuals["decay inequality"] == pytest.approx(1e-7 / w_norm, rel=1e-6)
+        assert max(residuals.values()) <= RESIDUAL_TOL
+        code, shown, _ = self._verify(
+            tmp_path, capsys, plant, certificate_fields(shifted, springmass.abstract().a)
+        )
+        assert code == 0
+        assert shown == self._shown(residuals)
+
+    @pytest.mark.parametrize(
+        "patch, shown",
+        [
+            ({"w": DROP}, "missing field 'w'"),
+            ({"w": "abc"}, "field 'w' is not a numeric array"),
+            ({"k": [[1.0, {}]]}, "field 'k' is not a numeric array"),
+            ({"lam": DROP}, "field 'lam' must be a number, got None"),
+            ({"lam": [2.0]}, "field 'lam' must be a number, got [2.0]"),
+        ],
+        ids=["missing-w", "w-string", "k-entry-object", "missing-lam", "lam-list"],
+    )
+    def test_missing_or_non_numeric_field_exits_2(self, tmp_path, capsys, patch, shown):
+        artifact = certificate_fields(springmass_certificate(), springmass.abstract().a)
+        artifact = {key: value for key, value in {**artifact, **patch}.items() if value is not DROP}
+        code, _, err = self._verify(tmp_path, capsys, springmass.concrete(), artifact)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'cert.json'}: {shown}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_inputs_exit_code(self, data):
+        plant, abstract = springmass.concrete(), springmass.abstract()
+        cert = springmass_certificate()
+        artifact = {
+            **certificate_fields(cert, abstract.a),
+            "g": abstract.b.tolist(), "h": abstract.c.tolist(), "m": springmass.m_map().tolist(),
+            "s": abstract.a.tolist(), "l": springmass.l_hat().tolist(), "w0": [1.0, 0.0],
+            "q": rotation_block(5.0).tolist(), "r": np.eye(2).tolist(),
+        }
+        docs = {"model": model_dict(plant), "artifact": artifact}
+        which = data.draw(st.sampled_from(sorted(docs)))
+        path = data.draw(st.sampled_from(list(json_paths(docs[which]))))
+        docs[which] = mutated(docs[which], path, data.draw(st.sampled_from((DROP, *JUNK))))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_docs(tmp, docs)
+            argv = ["verify", paths["model"], "--artifact", paths["artifact"]]
+            argv += ["--checks", ",".join(cli.CHECK_NAMES)]
+            assert run_quietly(argv) in (0, 1, 2)
+
+
 class TestPaperExample:
     def test_deterministic_outputs(self, tmp_path, capsys):
         dirs = [tmp_path / "run1", tmp_path / "run2"]
@@ -309,15 +670,3 @@ class TestPaperExample:
             assert b1 == b2
         report = (dirs[0] / "report.txt").read_text()
         assert "[FAIL]" not in report and "result: OK" in report
-
-
-class TestRunBenchmarkScript:
-    def test_runs_from_source_checkout(self, tmp_path):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        proc = subprocess.run(
-            [sys.executable, str(script), "--out", str(tmp_path / "out")],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "result: OK" in proc.stdout

@@ -357,20 +357,6 @@ def springmass_certificate():
 
 
 class TestHierarchical:
-    def test_wiring_forms_agree(self):
-        plant = springmass.concrete()
-        abstract = springmass.abstract()
-        cert = springmass_certificate()
-        runs = {}
-        for wiring in ("interface", "cascade"):
-            traj, _ = run_hierarchical(
-                plant, abstract, cert, springmass.v_signal(),
-                springmass.X0, springmass.XI0, horizon=4.0, step=1e-3, wiring=wiring,
-            )
-            runs[wiring] = traj
-        gap = np.abs(runs["interface"].outputs["y"] - runs["cascade"].outputs["y"]).max()
-        assert gap < 1e-10
-
     def test_error_matches_parallel_error_system(self):
         plant = springmass.concrete()
         abstract = springmass.abstract()
