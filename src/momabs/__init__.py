@@ -9,7 +9,6 @@ from .linalg import (
     pbh_observable,
     pbh_reachable,
     place_poles,
-    pseudo_inverse,
     solve_lyapunov,
     solve_sylvester,
     spectra_disjoint,

@@ -17,13 +17,12 @@ from .linalg import (
     _square,
     eigenvalues,
     numerical_rank,
-    pseudo_inverse,
     solve_lyapunov,
     solve_sylvester,
 )
 
 RESIDUAL_TOL = 1e-9
-DEFAULT_LAMBDA_FRACTION = 0.9
+DEFAULT_LAMBDA_FRACTION = 0.9  # certified decay rate as a share of a + b k's margin
 
 
 @dataclass(frozen=True)
@@ -133,25 +132,22 @@ def synth_certificate(
     sys: StateSpaceModel,
     abstract: StateSpaceModel,
     k,
-    lambda_frac: float = DEFAULT_LAMBDA_FRACTION,
-    r_hat="ones",
     l_hat=None,
 ) -> SimulationCertificate:
     """Construct a simulation-function certificate for ``abstract`` by ``sys``.
 
-    lam is lambda_frac times the spectral abscissa margin of a + b k; w is a
-    scaled shifted-Lyapunov solution, scaled so that w >= c^T c.
-    r_hat may be a matrix, "ones", or "optimize".
+    lam is DEFAULT_LAMBDA_FRACTION times the spectral abscissa margin of
+    a + b k; w is a scaled shifted-Lyapunov solution, scaled so that
+    w >= c^T c; r_hat is all ones (see :func:`optimize_r_hat` for a
+    gain-minimizing one).
     """
-    if not 0 < lambda_frac < 1:
-        raise ValueError("lambda_frac must lie in (0, 1)")
     k = as_matrix(k, "k")
     a_cl = sys.a + sys.b @ k
     spec = eigenvalues(a_cl)
     if spec.max_real_part >= 0:
         raise ValueError("k is not stabilizing")
     p, l_hat = solve_embedding(sys, abstract, l_hat)
-    lam = lambda_frac * abs(spec.max_real_part)
+    lam = DEFAULT_LAMBDA_FRACTION * abs(spec.max_real_part)
     ctc = sys.c.T @ sys.c
     eps = 1e-6 * np.linalg.norm(ctc + np.eye(sys.n), 2)
     w0 = solve_lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n))
@@ -160,15 +156,7 @@ def synth_certificate(
     inv_chol = np.linalg.inv(chol)
     gen_max = float(np.linalg.eigvalsh(inv_chol @ ctc @ inv_chol.T).max())
     w = max(1.0, gen_max) * w0
-    if isinstance(r_hat, str):
-        if r_hat == "ones":
-            r_hat = np.ones((sys.m, abstract.m))
-        elif r_hat == "optimize":
-            r_hat = optimize_r_hat(p, sys.b, abstract.b)
-        else:
-            raise ValueError(f"unknown r_hat mode {r_hat!r}")
-    else:
-        r_hat = as_matrix(r_hat, "r_hat")
+    r_hat = np.ones((sys.m, abstract.m))
     cert = SimulationCertificate(p=p, l_hat=l_hat, w=w, lam=lam, k=k, r_hat=r_hat)
     residuals = certificate_residuals(cert, sys, abstract.a)
     bad = {name: value for name, value in residuals.items() if value > RESIDUAL_TOL}
@@ -256,7 +244,7 @@ def optimize_r_hat(p, b, g) -> np.ndarray:
         import warnings
 
         warnings.warn("b is rank deficient; using a truncated pseudo-inverse")
-    return pseudo_inverse(b) @ p @ g
+    return np.linalg.pinv(b) @ p @ g
 
 
 def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
@@ -341,8 +329,9 @@ def _greedy_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarr
     return basis[:, selected]
 
 
-def check_design(design: AbstractionDesign, sys: StateSpaceModel, tol: float = RESIDUAL_TOL) -> dict:
-    """Verify every defining identity of a design; returns the residual table."""
+def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
+    """Verify every defining identity of a design to RESIDUAL_TOL relative to
+    max(1, ||a||_F, ||l_hat||_F); returns the residual table."""
     a, b, c = sys.a, sys.b, sys.c
     n, n_hat = sys.n, design.order
     res = {
@@ -362,7 +351,7 @@ def check_design(design: AbstractionDesign, sys: StateSpaceModel, tol: float = R
         "c - h m_map": np.linalg.norm(c - design.h @ design.m_map),
     }
     scale = max(1.0, np.linalg.norm(a), np.linalg.norm(design.l_hat))
-    bad = {k: v for k, v in res.items() if v > tol * scale}
+    bad = {k: v for k, v in res.items() if v > RESIDUAL_TOL * scale}
     if bad:
         raise ValueError(f"design invariants violated: {bad}")
     return res

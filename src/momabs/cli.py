@@ -22,6 +22,7 @@ from .linalg import (
     pbh_observable,
     pbh_reachable,
     place_poles,
+    solve_sylvester,
 )
 from .modelio import (
     ModelFileError,
@@ -229,21 +230,19 @@ def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
 def cmd_simulate(args) -> RunReport:
     report = RunReport(command="simulate")
     spec = _spec_from_file(args.spec, args.step, args.horizon)
-    traj = sim.integrate(spec)
-    columns = dict(traj.outputs)
-    error = sim.TOPOLOGIES[spec.topology].error
-    if error is not None:
-        columns["err"] = error(spec, traj)
-    csv_path = f"{args.out}.csv"
-    svg_path = f"{args.out}.svg"
-    write_csv(csv_path, traj.times, columns)
-    plot_series = dict(columns)
-    if error is not None:
-        plot_series["err_norm"] = np.linalg.norm(columns["err"], axis=1)
-    write_svg(svg_path, traj.times, plot_series, title=spec.topology)
-    report.outputs += [csv_path, svg_path]
+    report.outputs += _write_run(args.out, sim.integrate(spec), spec.topology)
     report.add_flag("simulation finite", True)
     return report
+
+
+def _write_run(prefix, traj: sim.Trajectory, title: str) -> list:
+    """Write a run's outputs, its topology's ``err`` among them, to prefix.csv,
+    and those plus the error norm to prefix.svg; returns both paths."""
+    csv_path, svg_path = f"{prefix}.csv", f"{prefix}.svg"
+    write_csv(csv_path, traj.times, traj.outputs)
+    err_norm = np.linalg.norm(traj.outputs["err"], axis=1)
+    write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": err_norm}, title=title)
+    return [csv_path, svg_path]
 
 
 CHECK_NAMES = ("spectra", "pbh", "excitability", "embedding", "mrelation", "certificate")
@@ -313,8 +312,6 @@ def cmd_paper_example(args) -> RunReport:
 
     p_ref = springmass.embedding_p()
     l_hat = springmass.l_hat()
-    from .linalg import solve_sylvester
-
     p_solved = solve_sylvester(plant.a, abstract.a, -(plant.b @ l_hat))
     report.add("embedding matrix vs reference", float(np.abs(p_solved - p_ref).max()), 1e-9)
     report.add_flag("output map c p = I exactly", bool(np.array_equal(plant.c @ p_ref, np.eye(2))))
@@ -344,7 +341,6 @@ def cmd_paper_example(args) -> RunReport:
     link = abstraction.StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=k_hat)
 
     x0, xi0 = springmass.X0, springmass.XI0
-    scenarios = []
 
     traj, err = sim.run_hierarchical(
         plant, abstract, cert, SignalSpec.zero(4), x0, xi0, horizon, step
@@ -356,7 +352,7 @@ def cmd_paper_example(args) -> RunReport:
         0.8 * cert.lam,
         lower_is_pass=False,
     )
-    scenarios.append(("hierarchical_free", traj, err))
+    report.outputs += _write_run(out_dir / "hierarchical_free", traj, "hierarchical free")
 
     traj, err = sim.run_hierarchical(
         plant, abstract, cert, springmass.v_signal(), x0, xi0, horizon, step
@@ -366,38 +362,21 @@ def cmd_paper_example(args) -> RunReport:
         err.extras["sup_e_y"],
         err.extras["bound"],
     )
-    scenarios.append(("hierarchical_forced", traj, err))
+    report.outputs += _write_run(out_dir / "hierarchical_forced", traj, "hierarchical forced")
 
     traj, err = sim.run_m_direct(
         plant, abstract, link, design.m_map, SignalSpec.zero(2), x0, xi0, horizon, step
     )
     report.add("link free: trailing output error", err.sup_norm, 1e-3)
     report.add("link free: parallel error-dynamics gap", err.extras["parallel_gap_sup"], 1e-6)
-    scenarios.append(("link_free", traj, err))
+    report.outputs += _write_run(out_dir / "link_free", traj, "link free")
 
     traj, err = sim.run_m_direct(
         plant, abstract, link, design.m_map, springmass.u_signal(), x0, xi0, horizon, step
     )
     report.add("link forced: trailing output error", err.sup_norm, 1e-3)
     report.add("link forced: parallel error-dynamics gap", err.extras["parallel_gap_sup"], 1e-6)
-    scenarios.append(("link_forced", traj, err))
-
-    for name, traj, err in scenarios:
-        columns = {
-            "y": traj.outputs["y"],
-            "psi": traj.outputs["psi"],
-            "err": traj.outputs["y"] - traj.outputs["psi"],
-        }
-        csv_path = out_dir / f"{name}.csv"
-        svg_path = out_dir / f"{name}.svg"
-        write_csv(csv_path, traj.times, columns)
-        write_svg(
-            svg_path,
-            traj.times,
-            {**columns, "err_norm": err.out_err},
-            title=name.replace("_", " "),
-        )
-        report.outputs += [str(csv_path), str(svg_path)]
+    report.outputs += _write_run(out_dir / "link_forced", traj, "link forced")
 
     (out_dir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
     return report

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DISJOINT_TOL = 1e-8
+DISJOINT_TOL = 1e-8  # eigenvalues this close count as shared between two spectra
+SPECTRUM_TOL = 1e-8  # real parts within it are "zero"; eigenvalues closer are not simple
 SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
 SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
@@ -72,11 +73,9 @@ def rank_tol(m: np.ndarray, svals: np.ndarray) -> float:
     return smax * max(m.shape) * 1e-12
 
 
-def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
-    if tol is None:
-        tol = rank_tol(m, s)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > rank_tol(m, s)))
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,11 @@ class SpectrumReport:
         return all(c == "zero" for c in self.classification)
 
 
-def eigenvalues(m, zero_tol: float = 1e-8, simple_tol: float = 1e-8) -> SpectrumReport:
+def eigenvalues(m) -> SpectrumReport:
     """Spectrum of a square matrix with simplicity and sign classification.
 
     ``all_simple`` is true iff the minimum pairwise eigenvalue distance
-    exceeds ``simple_tol``; real parts within ``zero_tol`` of zero are
+    exceeds SPECTRUM_TOL; real parts within SPECTRUM_TOL of zero are
     classified as "zero".  The eigenvalues, sorted by real then imaginary
     part, come from a memo of the last SPECTRUM_MEMO_SIZE distinct matrices
     keyed by shape and content hash, and are read-only; the report itself
@@ -153,12 +152,12 @@ def eigenvalues(m, zero_tol: float = 1e-8, simple_tol: float = 1e-8) -> Spectrum
     if n > 1:
         diff = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(diff, np.inf)
-        all_simple = bool(diff.min() > simple_tol)
+        all_simple = bool(diff.min() > SPECTRUM_TOL)
     labels = []
     for v in vals:
-        if v.real < -zero_tol:
+        if v.real < -SPECTRUM_TOL:
             labels.append("negative")
-        elif v.real > zero_tol:
+        elif v.real > SPECTRUM_TOL:
             labels.append("positive")
         else:
             labels.append("zero")
@@ -191,15 +190,15 @@ def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
     return vals
 
 
-def spectra_disjoint(m1, m2, tol: float = DISJOINT_TOL) -> bool:
-    """True iff every eigenvalue pair across the two spectra is > tol apart."""
+def spectra_disjoint(m1, m2) -> bool:
+    """True iff every eigenvalue pair across the two spectra is > DISJOINT_TOL apart."""
     e1 = eigenvalues(m1).eigenvalues
     e2 = eigenvalues(m2).eigenvalues
     dist = np.abs(e1[:, None] - e2[None, :])
-    return bool(dist.min() > tol)
+    return bool(dist.min() > DISJOINT_TOL)
 
 
-def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
+def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve a X - X b = c by shifted solves in the eigenbasis of the smaller side.
 
     Requires disjoint spectra sigma(a) and sigma(b) for uniqueness.  With
@@ -231,7 +230,7 @@ def solve_sylvester(a, b, c, disjoint_tol: float = DISJOINT_TOL) -> np.ndarray:
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
-    if not spectra_disjoint(a, b, disjoint_tol):
+    if not spectra_disjoint(a, b):
         raise ValueError("sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution")
     x = _shifted_solve(a, b, c) if k <= n else _shifted_solve(b.T, a.T, -c.T).T
     resid = np.linalg.norm(a @ x - x @ b - c)
@@ -315,7 +314,7 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     return w
 
 
-def pbh_observable(s, l, tol: float | None = None) -> bool:
+def pbh_observable(s, l) -> bool:
     """PBH observability of (s, l): rank [lam I - s; l] = n at each eigenvalue."""
     s = _square(s, "s")
     l = as_matrix(l, "l")
@@ -323,45 +322,37 @@ def pbh_observable(s, l, tol: float | None = None) -> bool:
     if l.shape[1] != n:
         raise ValueError(f"l has {l.shape[1]} cols, expected {n}")
     for lam in eigenvalues(s).eigenvalues:
-        stacked = np.vstack([lam * np.eye(n) - s, l.astype(complex)])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        t = rank_tol(stacked, sv) if tol is None else tol
-        if np.sum(sv > t) < n:
+        if numerical_rank(np.vstack([lam * np.eye(n) - s, l.astype(complex)])) < n:
             return False
     return True
 
 
-def pbh_reachable(q, r, tol: float | None = None) -> bool:
+def pbh_reachable(q, r) -> bool:
     """PBH reachability of (q, r), dual of :func:`pbh_observable`."""
     q = _square(q, "q")
     r = as_matrix(r, "r")
     if r.shape[0] != q.shape[0]:
         raise ValueError(f"r has {r.shape[0]} rows, expected {q.shape[0]}")
-    return pbh_observable(q.T, r.T, tol)
+    return pbh_observable(q.T, r.T)
 
 
-def excitable(s, w0, tol: float | None = None) -> bool:
+def excitable(s, w0) -> bool:
     """True iff the Krylov matrix [w0, s w0, ..., s^(n-1) w0] has full rank."""
     s = _square(s, "s")
     w = as_vector(w0, "w0")
-    n = s.shape[0]
-    if w.size != n:
-        raise ValueError(f"w0 has size {w.size}, expected {n}")
-    cols = [w]
-    for _ in range(n - 1):
-        cols.append(s @ cols[-1])
-    krylov = np.column_stack(cols)
-    return numerical_rank(krylov, tol) == n
+    if w.size != s.shape[0]:
+        raise ValueError(f"w0 has size {w.size}, expected {s.shape[0]}")
+    return controllable(s, w[:, None])
 
 
-def controllable(a, b, tol: float | None = None) -> bool:
+def controllable(a, b) -> bool:
     a = _square(a, "a")
     b = as_matrix(b, "b")
     n = a.shape[0]
     blocks = [b]
     for _ in range(n - 1):
         blocks.append(a @ blocks[-1])
-    return numerical_rank(np.hstack(blocks), tol) == n
+    return numerical_rank(np.hstack(blocks)) == n
 
 
 def block_diag_spectrum(poles) -> np.ndarray:
@@ -395,11 +386,12 @@ def block_diag_spectrum(poles) -> np.ndarray:
     return out
 
 
-def place_poles(a, b, target, seed: int = 0, retries: int = PLACE_RETRIES) -> np.ndarray:
+def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     """State-feedback gain K with sigma(a + b K) = sigma(target).
 
     Draws a random gain Kbar, solves a X - X target = -b Kbar, and sets
-    K = Kbar X^{-1}; retries with a fresh Kbar if X is near singular.
+    K = Kbar X^{-1}; retries with a fresh Kbar, up to PLACE_RETRIES draws, if
+    X is near singular.
     """
     a = _square(a, "a")
     b = as_matrix(b, "b")
@@ -413,7 +405,7 @@ def place_poles(a, b, target, seed: int = 0, retries: int = PLACE_RETRIES) -> np
         raise ValueError("target spectrum intersects sigma(a)")
     rng = np.random.default_rng(seed)
     want = np.sort_complex(eigenvalues(target).eigenvalues)
-    for _ in range(retries):
+    for _ in range(PLACE_RETRIES):
         kbar = rng.standard_normal((m, n))
         x = solve_sylvester(a, target, -b @ kbar)
         if np.linalg.cond(x) > 1e10:
@@ -438,10 +430,3 @@ def _spectra_match(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
         pool.pop(i)
     return True
 
-
-def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, truncating singular values below tol*sigma_max."""
-    m = as_matrix(m, "matrix")
-    if tol is None:
-        return np.linalg.pinv(m)
-    return np.linalg.pinv(m, rcond=tol)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DISJOINT_TOL,
     StateSpaceModel,
     as_matrix,
     _square,
@@ -148,10 +149,11 @@ def rom_two_sided(
     return StateSpaceModel(a=f, b=g, c=dsol.moment)
 
 
-def transfer_eval(sys: StateSpaceModel, s: complex, near_tol: float = 1e-8) -> np.ndarray:
-    """Transfer-function value c (s I - a)^{-1} b, solved per column."""
+def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
+    """Transfer-function value c (s I - a)^{-1} b, solved per column; refused
+    within DISJOINT_TOL of an eigenvalue of a."""
     spec = eigenvalues(sys.a).eigenvalues
-    if np.abs(spec - s).min() <= near_tol:
+    if np.abs(spec - s).min() <= DISJOINT_TOL:
         raise ValueError(f"evaluation point {s} is numerically an eigenvalue of a")
     resolvent_rhs = np.linalg.solve(
         s * np.eye(sys.n) - sys.a.astype(complex), sys.b.astype(complex)

@@ -11,6 +11,9 @@ at once (L - 1 matrix-matrix products), a pass carrying the state from chunk to
 chunk with T^L, a sweep adding T^j times each chunk's start state (L products),
 and plain steps for the N mod L left over.  That is about 2 sqrt(N) Python
 iterations instead of N, computing the same trajectory up to rounding.
+
+TOPOLOGIES holds each interconnection's whole contract: field shapes, assembly
+and output error, which every run writes as ``outputs["err"]``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .signals import SignalSpec
 
 DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 10.0
-DEFAULT_SETTLE_FRACTION = 0.7
+SETTLE_FRACTION = 0.7  # error sups are taken over the grid's trailing 30 %
+DECAY_FLOOR = 1e-12  # decay-rate fits ignore error norms at or below this
 MAX_TRAJECTORY_BYTES = 2**30  # float64 samples x stacked state dimension
 
 @dataclass(frozen=True)
@@ -62,17 +66,32 @@ class ErrorTrace:
 
 @dataclass(frozen=True)
 class Topology:
-    """What one interconnection needs and does: the ``models``, ``links`` and
-    ``initial`` names its spec must hold; ``assemble(spec)`` giving (a_aug,
-    b_aug, z0, state block sizes, output maps on the stacked state); and
-    ``error(spec, traj)``, its output error per sample, or None when the spec
-    does not define one."""
+    """The whole contract of one interconnection.
 
-    models: tuple
-    links: tuple
-    initial: tuple
+    ``models``, ``links`` and ``initial`` map each field its spec must hold to
+    its shape in named dimensions: a model's (n, m, p) sizes its a, b, c as
+    (n, n), (n, m), (p, n); a link or initial state names its shape directly.
+    The plant gives n, m, p and the abstraction n_hat, m_hat (and must share
+    p); a free interpolant order k is bound by the first field that uses it.
+    ``assemble(spec)`` gives (a_aug, b_aug, z0, state block sizes, output maps
+    on the stacked state), and ``error(spec, traj)`` the output error per
+    sample, the plant side minus its counterpart.
+    """
+
+    models: dict
+    links: dict
+    initial: dict
     assemble: Callable
-    error: Callable | None
+    error: Callable
+
+
+def _fit(dims: dict, name: str, got: tuple, want: tuple) -> None:
+    """Bind each unbound dimension of ``want`` from ``got``, then refuse a mismatch."""
+    for dim, size in zip(want, got):
+        dims.setdefault(dim, size)
+    expected = tuple(dims[dim] for dim in want)
+    if got != expected:
+        raise ValueError(f"{name} must have shape {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +99,8 @@ class InterconnectionSpec:
     """Declarative description of one simulation run.
 
     models maps role names to state-space models, links holds the coupling
-    matrices the topology needs, initial maps state-block names to vectors.
+    matrices the topology needs, initial maps state-block names to vectors;
+    each must have the shape its entry in TOPOLOGIES gives.
     """
 
     topology: str
@@ -106,8 +126,16 @@ class InterconnectionSpec:
             missing = [f"{group}.{name}" for name in getattr(topo, group) if name not in given]
             if missing:
                 raise ValueError(f"topology {self.topology!r} needs {', '.join(missing)}")
+        dims = {}
+        for name, (n, m, p) in topo.models.items():
+            model = self.models[name]
+            for part, want in (("a", (n, n)), ("b", (n, m)), ("c", (p, n))):
+                _fit(dims, f"models.{name}.{part}", getattr(model, part).shape, want)
         links = {name: as_matrix(self.links[name], f"links.{name}") for name in topo.links}
         initial = {name: as_vector(self.initial[name], f"initial.{name}") for name in topo.initial}
+        for group, values in (("links", links), ("initial", initial)):
+            for name, value in values.items():
+                _fit(dims, f"{group}.{name}", value.shape, getattr(topo, group)[name])
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "initial", initial)
 
@@ -182,8 +210,10 @@ def _blocks(states: np.ndarray, sizes: list[tuple[str, int]]) -> dict:
 
 
 def integrate(spec: InterconnectionSpec) -> Trajectory:
-    """Assemble the coupled ODE for a topology and integrate it."""
-    a_aug, b_aug, z0, sizes, output_maps = TOPOLOGIES[spec.topology].assemble(spec)
+    """Assemble the coupled ODE for a topology and integrate it; the
+    topology's output error lands in ``outputs["err"]``, after its outputs."""
+    topo = TOPOLOGIES[spec.topology]
+    a_aug, b_aug, z0, sizes, output_maps = topo.assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
         raise ValueError(
             f"signal dimension {spec.signal.dim} does not match the "
@@ -197,9 +227,10 @@ def integrate(spec: InterconnectionSpec) -> Trajectory:
         )
     times = time_grid(spec.horizon, spec.step)
     z = rk4_linear(a_aug, b_aug, spec.signal, z0, times)
-    states = _blocks(z, sizes)
     outputs = {name: z @ cmat.T for name, cmat in output_maps.items()}
-    return Trajectory(times=times, states=states, outputs=outputs)
+    traj = Trajectory(times=times, states=_blocks(z, sizes), outputs=outputs)
+    outputs["err"] = topo.error(spec, traj)
+    return traj
 
 
 def _pad(mat: np.ndarray, sizes, block: str) -> np.ndarray:
@@ -256,8 +287,8 @@ def _assemble_hierarchical(spec):
     z0 = np.concatenate([spec.initial["xi"], spec.initial["x"]])
     sizes = [("xi", n_hat), ("x", n)]
     outputs = {
-        "psi": _pad(abstract.c, sizes, "xi"),
         "y": _pad(plant.c, sizes, "x"),
+        "psi": _pad(abstract.c, sizes, "xi"),
     }
     return a_aug, b_aug, z0, sizes, outputs
 
@@ -287,25 +318,6 @@ def _assemble_m_direct(spec):
     return a_aug, b_aug, z0, sizes, outputs
 
 
-def _assemble_m_swapped(spec):
-    plant = spec.models["plant"]  # aux output: c = -n_map
-    abstract = spec.models["abstract"]
-    mb = spec.links["m_b"]
-    n, n_hat = plant.n, abstract.n
-    a_aug = np.block(
-        [
-            [plant.a, np.zeros((n, 2 * n_hat))],
-            [abstract.b @ plant.c, abstract.a, np.zeros((n_hat, n_hat))],
-            [np.zeros((n_hat, n + n_hat)), abstract.a],
-        ]
-    )
-    b_aug = np.vstack([plant.b, np.zeros((n_hat, plant.m)), mb])
-    z0 = np.zeros(n + 2 * n_hat)
-    sizes = [("x", n), ("xi", n_hat), ("zeta", n_hat)]
-    outputs = {"ystar": _pad(plant.c, sizes, "x")}
-    return a_aug, b_aug, z0, sizes, outputs
-
-
 def _direct_generator_error(spec, traj):
     """y - C Pi w: the plant output against its steady-state prediction."""
     interp = DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
@@ -320,30 +332,41 @@ def _swapped_filter_error(spec, traj):
     return traj.states["w"] - traj.states["zeta"] + traj.states["x"] @ upsilon.T
 
 
+def _output_error(spec, traj):
+    """y - psi: the plant output against the abstraction's."""
+    return traj.outputs["y"] - traj.outputs["psi"]
+
+
+PLANT = ("n", "m", "p")
+ABSTRACT = ("n_hat", "m_hat", "p")
+
 TOPOLOGIES = {
     "direct-generator": Topology(
-        ("plant",), ("s", "l"), ("w", "x"), _assemble_direct_generator, _direct_generator_error
+        {"plant": PLANT}, {"s": ("k", "k"), "l": ("m", "k")}, {"w": ("k",), "x": ("n",)},
+        _assemble_direct_generator, _direct_generator_error,
     ),
     "swapped-filter": Topology(
-        ("plant",), ("q", "r", "upsilon_b"), (), _assemble_swapped_filter, _swapped_filter_error
+        {"plant": PLANT}, {"q": ("k", "k"), "r": ("k", "p"), "upsilon_b": ("k", "m")}, {},
+        _assemble_swapped_filter, _swapped_filter_error,
     ),
     "hierarchical": Topology(
-        ("plant", "abstract"), ("p", "l_hat", "k", "r_hat"), ("x", "xi"),
-        _assemble_hierarchical, lambda spec, traj: traj.outputs["y"] - traj.outputs["psi"],
+        {"plant": PLANT, "abstract": ABSTRACT},
+        {"p": ("n", "n_hat"), "l_hat": ("m", "n_hat"), "k": ("m", "n"), "r_hat": ("m", "m_hat")},
+        {"x": ("n",), "xi": ("n_hat",)}, _assemble_hierarchical, _output_error,
     ),
     "m-direct": Topology(
-        ("plant", "abstract"), ("n_map", "gamma", "k_hat", "m_map"), ("x", "xi"),
-        _assemble_m_direct, lambda spec, traj: traj.outputs["psi"] - traj.outputs["y"],
+        {"plant": PLANT, "abstract": ABSTRACT},
+        {"n_map": ("m_hat", "n"), "gamma": ("m_hat", "m"), "k_hat": ("m_hat", "n_hat"),
+         "m_map": ("n_hat", "n")},
+        {"x": ("n",), "xi": ("n_hat",)}, _assemble_m_direct, _output_error,
     ),
-    # the error needs m_map, which enters the spec only through the m_b link
-    "m-swapped": Topology(("plant", "abstract"), ("m_b",), (), _assemble_m_swapped, None),
 }
 
 
-def fit_decay_rate(times: np.ndarray, norms: np.ndarray, floor: float = 1e-12) -> float | None:
+def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float | None:
     """Least-squares exponential decay rate of a norm trace, ignoring samples
-    at or below the floor."""
-    mask = norms > floor
+    at or below DECAY_FLOOR."""
+    mask = norms > DECAY_FLOOR
     if mask.sum() < 2:
         return None
     coeffs = np.polyfit(times[mask], np.log(norms[mask]), 1)
@@ -354,12 +377,10 @@ def error_stats(
     times: np.ndarray,
     state_err: np.ndarray,
     out_err: np.ndarray,
-    settle_fraction: float = DEFAULT_SETTLE_FRACTION,
     extras: dict | None = None,
 ) -> ErrorTrace:
-    if not 0 < settle_fraction < 1:
-        raise ValueError("settle_fraction must lie in (0, 1)")
-    start = int(settle_fraction * times.size)
+    """Error norms with their sup over the trailing 1 - SETTLE_FRACTION of the grid."""
+    start = int(SETTLE_FRACTION * times.size)
     if times.size - start < 10:
         raise ValueError("trailing window has fewer than 10 samples")
     window = out_err[start:]
@@ -374,24 +395,19 @@ def error_stats(
     )
 
 
-def steady_state_error(
-    traj: Trajectory,
-    predictor,
-    settle_fraction: float = DEFAULT_SETTLE_FRACTION,
-    output: str = "y",
-) -> ErrorTrace:
-    """Error of one trajectory output against a closed-form predictor.
+def steady_state_error(traj: Trajectory, predictor) -> ErrorTrace:
+    """Error of the trajectory output y against a closed-form predictor.
 
     ``predictor`` maps the time grid to an array of the same shape as the
     output; norms are reported over the trailing window only, the decay
     rate is fitted over the full horizon.
     """
-    got = traj.outputs[output]
+    got = traj.outputs["y"]
     want = np.asarray(predictor(traj.times), float)
     if want.shape != got.shape:
         raise ValueError(f"predictor shape {want.shape} does not match output {got.shape}")
     errs = np.linalg.norm(got - want, axis=1)
-    return error_stats(traj.times, errs, errs, settle_fraction)
+    return error_stats(traj.times, errs, errs)
 
 
 def run_direct_generator(
@@ -415,7 +431,6 @@ def run_direct_generator(
         step=step,
     )
     traj = integrate(spec)
-    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
     state_err = np.linalg.norm(traj.states["x"] - traj.states["w"] @ sol.pi.T, axis=1)
     gen_spec = eigenvalues(interp.s)
     extras = {
@@ -423,6 +438,7 @@ def run_direct_generator(
         "generator_neutral_simple": gen_spec.on_imaginary_axis() and gen_spec.all_simple,
         "excitable": excitable(interp.s, w0),
     }
+    norms = np.linalg.norm(traj.outputs["err"], axis=1)
     return traj, error_stats(traj.times, state_err, norms, extras=extras)
 
 
@@ -448,7 +464,7 @@ def run_swapped_filter(
         step=step,
     )
     traj = integrate(spec)
-    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
+    norms = np.linalg.norm(traj.outputs["err"], axis=1)
     return traj, error_stats(traj.times, norms, norms)
 
 
@@ -483,7 +499,7 @@ def run_hierarchical(
     )
     traj = integrate(spec)
     e_s = traj.states["x"] - traj.states["xi"] @ cert.p.T
-    norms = np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1)
+    norms = np.linalg.norm(traj.outputs["err"], axis=1)
     gain = gamma_gain(cert, plant.b, abstract.b)
     bound = max(
         simulation_fn_value(cert, xi0, x0), gain * v.sup_norm(traj.times)
@@ -541,43 +557,25 @@ def run_m_direct(
     eps_s = traj.states["xi"] - traj.states["x"] @ m_map.T
     parallel_gap = np.linalg.norm(eps_s - traj.states["eps"], axis=1)
     extras = {"parallel_gap_sup": float(parallel_gap.max())}
-    return traj, error_stats(
-        traj.times,
-        np.linalg.norm(eps_s, axis=1),
-        np.linalg.norm(TOPOLOGIES[spec.topology].error(spec, traj), axis=1),
-        extras=extras,
-    )
+    norms = np.linalg.norm(traj.outputs["err"], axis=1)
+    return traj, error_stats(traj.times, np.linalg.norm(eps_s, axis=1), norms, extras=extras)
 
 
 def run_m_swapped(
     plant_aux: StateSpaceModel,
     abstract: StateSpaceModel,
-    m_b,
-    m_map,
     u: SignalSpec,
     horizon: float = DEFAULT_HORIZON,
     step: float = DEFAULT_STEP,
 ) -> tuple[Trajectory, ErrorTrace]:
-    """Abstraction as a filter on the auxiliary plant output (c = -n there).
+    """The abstraction (f, g) as a swapped filter on the auxiliary plant
+    output (c = -n there): :func:`run_swapped_filter` with (q, r) = (f, g).
 
-    From rest and a decaying u, xi tracks zeta - m x with zeta the limiting
-    model zeta' = f zeta + m b u.
+    The Ups solving f Ups = Ups a + g c is the M-relation map m, so from rest
+    and a decaying u the filter state tracks zeta - m x, with zeta the
+    limiting model zeta' = f zeta + m b u.
     """
-    if not u.is_decaying():
-        raise ValueError("input signal must decay exponentially")
     if eigenvalues(plant_aux.a).max_real_part >= 0:
         raise ValueError("plant must be Hurwitz (pre-stabilize it if needed)")
-    m_map = as_matrix(m_map, "m_map")
-    spec = InterconnectionSpec(
-        topology="m-swapped",
-        models={"plant": plant_aux, "abstract": abstract},
-        links={"m_b": m_b},
-        initial={},
-        signal=u,
-        horizon=horizon,
-        step=step,
-    )
-    traj = integrate(spec)
-    err = traj.states["xi"] - traj.states["zeta"] + traj.states["x"] @ m_map.T
-    norms = np.linalg.norm(err, axis=1)
-    return traj, error_stats(traj.times, norms, norms)
+    interp = SwappedInterpolant(q=abstract.a, r=abstract.b)
+    return run_swapped_filter(plant_aux, interp, u, horizon, step)

@@ -24,13 +24,12 @@ def springmass_gain():
     return place_poles(plant.a, plant.b, springmass.closed_loop_target())
 
 
-def springmass_certificate(r_hat="ones"):
+def springmass_certificate():
     plant = springmass.concrete()
     return synth_certificate(
         plant,
         springmass.abstract(),
         springmass_gain(),
-        r_hat=r_hat,
         l_hat=springmass.l_hat(),
     )
 
@@ -108,13 +107,6 @@ class TestSynthCertificate:
         plant = springmass.concrete()
         with pytest.raises(ValueError, match="not stabilizing"):
             synth_certificate(plant, springmass.abstract(), np.zeros((2, 4)))
-
-    def test_bad_lambda_fraction_rejected(self):
-        plant = springmass.concrete()
-        with pytest.raises(ValueError, match="lambda_frac"):
-            synth_certificate(
-                plant, springmass.abstract(), springmass_gain(), lambda_frac=1.5
-            )
 
 
 class TestSimulationFunction:

@@ -4,13 +4,14 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, rotation_block
@@ -73,8 +74,6 @@ def topology_runs():
     reduced = design.abstract_model()
     k_hat = place_poles(design.f, design.g, springmass.abstract_target())
     link = StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=k_hat)
-    aux = StateSpaceModel(a=plant.a + plant.b @ k, b=plant.b, c=-(design.n_map + design.gamma @ k))
-    m_b = design.m_map @ plant.b
     di = DirectInterpolant(s=abstract.a, l=springmass.l_hat())
     si = SwappedInterpolant(q=rotation_block(5.0), r=np.eye(2))
     x0, xi0, v, u = springmass.X0, springmass.XI0, springmass.v_signal(), springmass.u_signal()
@@ -98,10 +97,6 @@ def topology_runs():
             {"n_map": design.n_map, "gamma": design.gamma, "k_hat": k_hat, "m_map": design.m_map},
             {"x": x0, "xi": xi0}, u,
             sim.run_m_direct(plant, reduced, link, design.m_map, u, x0, xi0, *grid),
-        ),
-        "m-swapped": (
-            {"plant": aux, "abstract": reduced}, {"m_b": m_b}, {}, decaying(2),
-            sim.run_m_swapped(aux, reduced, m_b, design.m_map, decaying(2), *grid),
         ),
     }
     runs = {}
@@ -456,17 +451,73 @@ class TestSimulate:
         names, rows = read_csv(tmp_path / "run.csv")
         np.testing.assert_array_equal(rows[:, 0], traj.times)
         err_cols = [j for j, name in enumerate(names) if name.startswith("err_")]
-        if sim.TOPOLOGIES[topology].error is None:
-            # m-swapped: its error needs m_map, which the spec does not hold
-            assert not err_cols
-            ystar = [j for j, name in enumerate(names) if name.startswith("ystar_")]
-            np.testing.assert_allclose(
-                rows[:, ystar], traj.outputs["ystar"], rtol=1e-12, atol=1e-15
-            )
-        else:
-            assert len(err_cols) > 0
-            norms = np.linalg.norm(rows[:, err_cols], axis=1)
-            np.testing.assert_allclose(norms, err.out_err, rtol=1e-12, atol=1e-15)
+        assert len(err_cols) > 0
+        norms = np.linalg.norm(rows[:, err_cols], axis=1)
+        np.testing.assert_allclose(norms, err.out_err, rtol=1e-12, atol=1e-15)
+
+    def test_m_swapped_run_as_swapped_filter_spec(self, tmp_path, capsys):
+        # run_m_swapped is the swapped filter with (q, r) = (f, g), whose
+        # upsilon_b is the M-relation map times b
+        plant, cert = springmass.concrete(), springmass_certificate()
+        design = design_abstraction(plant, springmass.embedding_p())
+        n_s = design.n_map + design.gamma @ cert.k
+        aux = StateSpaceModel(a=plant.a + plant.b @ cert.k, b=plant.b, c=-n_s)
+        _, err = sim.run_m_swapped(aux, design.abstract_model(), decaying(2), 1.0, 0.01)
+        spec = {
+            "topology": "swapped-filter",
+            "models": {"plant": model_dict(aux)},
+            "links": {
+                "q": design.f.tolist(), "r": design.g.tolist(),
+                "upsilon_b": (design.m_map @ plant.b).tolist(),
+            },
+            "signal": decaying(2).to_dict(), "horizon": 1.0, "step": 0.01,
+        }
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
+        names, rows = read_csv(tmp_path / "run.csv")
+        err_cols = [j for j, name in enumerate(names) if name.startswith("err_")]
+        norms = np.linalg.norm(rows[:, err_cols], axis=1)
+        np.testing.assert_allclose(norms, err.out_err, rtol=1e-9, atol=1e-14)
+
+    def test_m_swapped_is_an_unknown_topology(self, tmp_path, capsys):
+        spec = {**topology_runs()["swapped-filter"][0], "topology": "m-swapped"}
+        code = main(["simulate", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "r")])
+        assert code == 2
+        known = ", ".join(sim.TOPOLOGIES)
+        assert capsys.readouterr().err == f"error: unknown topology 'm-swapped'; known: {known}\n"
+
+    @pytest.mark.parametrize(
+        "topology, group, name",
+        [
+            (topology, group, name)
+            for topology, topo in sim.TOPOLOGIES.items()
+            for group in ("links", "initial")
+            for name in getattr(topo, group)
+        ],
+    )
+    def test_short_field_exits_2(self, tmp_path, capsys, topology, group, name):
+        spec = copy.deepcopy(topology_runs()[topology][0])
+        value = spec[group][name]
+        spec[group][name] = value[:-1]  # one row (link) or one entry (initial) short
+        code = main(["simulate", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "r")])
+        assert code == 2
+        want = np.shape(value)
+        want = (want[0] - 1, *want[1:])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {group}.{name} must have shape (")
+        assert err.endswith(f"), got {want}\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_abstraction_output_must_match_plant_exits_2(self, tmp_path, capsys):
+        spec = copy.deepcopy(topology_runs()["hierarchical"][0])
+        c = spec["models"]["abstract"]["c"]
+        spec["models"]["abstract"]["c"] = c + [c[0]]
+        code = main(["simulate", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: models.abstract.c must have shape (2, 2), got (3, 2)\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -653,7 +704,36 @@ class TestVerifyCertificate:
             assert run_quietly(argv) in (0, 1, 2)
 
 
+# grids for paper-example: non-finite, non-positive, not a whole number of
+# steps, too few trailing samples (0.005 / 1e-3), over the trajectory cap
+# (1e9 / 1e-3), and short valid ones
+PAPER_STEPS = (math.nan, math.inf, -math.inf, -1e-3, 0.0, 1e-3, 2e-3, 0.03, 0.3)
+PAPER_HORIZONS = (math.nan, math.inf, -1.0, 0.0, 0.005, 0.02, 0.1, 0.3, 1e9)
+
+
 class TestPaperExample:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        step=st.sampled_from(PAPER_STEPS) | st.floats(1e-3, 0.5),
+        horizon=st.sampled_from(PAPER_HORIZONS),
+        seed=st.integers(-3, 2**64),
+    )
+    @example(step=math.nan, horizon=0.1, seed=0)
+    @example(step=1e-3, horizon=math.inf, seed=0)
+    @example(step=-1e-3, horizon=0.1, seed=0)
+    @example(step=0.03, horizon=0.1, seed=0)  # 3.33 steps
+    @example(step=1e-3, horizon=0.005, seed=0)  # 6 samples, 2 of them trailing
+    @example(step=1e-3, horizon=1e9, seed=0)  # 1e12 samples of 6 states
+    @example(step=0.1, horizon=0.3, seed=-1)
+    def test_exit_contract(self, step, horizon, seed):
+        argv = [f"--step={step!r}", f"--horizon={horizon!r}", f"--seed={seed}"]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["paper-example", "--out", tmp, *argv])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
     def test_deterministic_outputs(self, tmp_path, capsys):
         dirs = [tmp_path / "run1", tmp_path / "run2"]
         for d in dirs:

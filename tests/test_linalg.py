@@ -16,7 +16,6 @@ from momabs.linalg import (
     pbh_observable,
     pbh_reachable,
     place_poles,
-    pseudo_inverse,
     solve_lyapunov,
     solve_sylvester,
     spectra_disjoint,
@@ -126,15 +125,6 @@ class TestSpectrumMemo:
             assert len(linalg._spectra) == min(i + 1, linalg.SPECTRUM_MEMO_SIZE)
         eigenvalues(np.diag([0.0, -1.0]))  # evicted long ago
         assert len(eigvals_spy) == 3 * linalg.SPECTRUM_MEMO_SIZE + 1
-
-    def test_report_built_per_call(self, eigvals_spy):
-        m = np.diag([-1e-6, -1.0, -1.0 - 1e-6])
-        loose = eigenvalues(m, zero_tol=1e-3, simple_tol=1e-3)
-        tight = eigenvalues(m)
-        assert loose.classification == ("negative", "negative", "zero")
-        assert tight.classification == ("negative", "negative", "negative")
-        assert not loose.all_simple and tight.all_simple
-        assert len(eigvals_spy) == 1
 
     def test_plant_eigensolved_once_per_moment_pass(self, eigvals_spy):
         rng = np.random.default_rng(7)
@@ -532,18 +522,6 @@ class TestPlacePoles:
     def test_target_overlapping_plant_rejected(self):
         with pytest.raises(ValueError, match="intersects"):
             place_poles(np.diag([-1.0, -2.0]), np.eye(2), np.diag([-1.0, -5.0]))
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.abs(pseudo_inverse(np.eye(3)) - np.eye(3)).max() < 1e-12
-
-    def test_column_vector(self):
-        assert np.abs(pseudo_inverse(np.array([[1.0], [0.0]])) - np.array([[1.0, 0.0]])).max() < 1e-12
-
-    def test_penrose_identity(self, rng):
-        m = rng.standard_normal((4, 2))
-        assert np.abs(pseudo_inverse(m) @ m - np.eye(2)).max() < 1e-10
 
 
 class TestBlockDiagSpectrum:

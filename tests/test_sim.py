@@ -446,27 +446,37 @@ class TestMDirect:
 
 
 class TestMSwapped:
-    def test_prestabilized_springmass(self):
+    @staticmethod
+    def _prestabilized():
+        """Spring-mass design and its auxiliary plant (a + b k, b, -(n + gamma k))."""
         from momabs.abstraction import design_abstraction
 
         plant = springmass.concrete()
         design = design_abstraction(plant, springmass.embedding_p())
         k = place_poles(plant.a, plant.b, springmass.closed_loop_target())
         n_s = design.n_map + design.gamma @ k
-        plant_aux = StateSpaceModel(a=plant.a + plant.b @ k, b=plant.b, c=-n_s)
+        return design, StateSpaceModel(a=plant.a + plant.b @ k, b=plant.b, c=-n_s)
+
+    def test_prestabilized_springmass(self):
+        design, plant_aux = self._prestabilized()
         traj, err = run_m_swapped(
-            plant_aux, design.abstract_model(), design.m_map @ plant.b, design.m_map,
+            plant_aux, design.abstract_model(),
             expdecay_signal(2, amplitude=3.0, rate=0.8), horizon=8.0, step=2e-3,
         )
         assert err.sup_norm < 1e-5
+
+    def test_swapped_moment_map_is_m_map(self):
+        # f Ups = Ups (a + b k) - g (n + gamma k) is solved by the M-relation map m
+        design, plant_aux = self._prestabilized()
+        interp = SwappedInterpolant(q=design.f, r=design.g)
+        upsilon = moment_swapped(plant_aux, interp).upsilon
+        assert np.abs(upsilon - design.m_map).max() < 1e-12
 
     def test_unstable_plant_rejected(self, rng):
         plant = springmass.concrete()  # oscillatory, not Hurwitz
         abstract = springmass.abstract()
         with pytest.raises(ValueError, match="Hurwitz"):
-            run_m_swapped(
-                plant, abstract, np.zeros((2, 2)), springmass.m_map(), expdecay_signal(2)
-            )
+            run_m_swapped(plant, abstract, expdecay_signal(2))
 
 
 class TestErrorStats:
@@ -489,14 +499,9 @@ class TestErrorStats:
     def test_short_trailing_window_rejected(self):
         times = time_grid(0.02, 1e-3)
         errs = np.zeros_like(times)
+        # 21 samples leave 7 after the settling share of the grid
         with pytest.raises(ValueError, match="trailing window"):
-            error_stats(times, errs, errs, settle_fraction=0.99)
-
-    def test_bad_settle_fraction_rejected(self):
-        times = time_grid(1.0, 1e-2)
-        errs = np.zeros_like(times)
-        with pytest.raises(ValueError, match="settle_fraction"):
-            error_stats(times, errs, errs, settle_fraction=1.2)
+            error_stats(times, errs, errs)
 
 
 class TestSteadyStateError:
