@@ -22,7 +22,6 @@ from .linalg import (
     pbh_observable,
     pbh_reachable,
     place_poles,
-    solve_sylvester,
 )
 from .modelio import (
     ModelFileError,
@@ -98,7 +97,6 @@ def cmd_reduce(args) -> RunReport:
     sys_model = load_model(args.model)
     data = load_json(args.interp)
     get = lambda key: numeric_field(data, key, args.interp)
-    rom = None
     if args.mode in ("direct", "two-sided"):
         di = moments.DirectInterpolant(s=get("s"), l=get("l"))
     if args.mode in ("swapped", "two-sided"):
@@ -312,7 +310,7 @@ def cmd_paper_example(args) -> RunReport:
 
     p_ref = springmass.embedding_p()
     l_hat = springmass.l_hat()
-    p_solved = solve_sylvester(plant.a, abstract.a, -(plant.b @ l_hat))
+    p_solved, _ = abstraction.solve_embedding(plant, abstract, l_hat)
     report.add("embedding matrix vs reference", float(np.abs(p_solved - p_ref).max()), 1e-9)
     report.add_flag("output map c p = I exactly", bool(np.array_equal(plant.c @ p_ref, np.eye(2))))
 

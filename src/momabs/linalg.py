@@ -12,7 +12,8 @@ its residual.
 
 Spectra are memoized by content: :func:`eigenvalues` keeps the sorted
 spectra of the last SPECTRUM_MEMO_SIZE distinct matrices, keyed by shape
-and a hash of the bytes, so the one plant that a moment solve, its
+and a hash of the bytes (:func:`_memoized`, as moments keep Sylvester
+solutions), so the one plant that a moment solve, its
 disjointness check and each transfer evaluation all need is eigensolved
 once.  A matrix changed in place, or a transposed view, hashes to a new
 key.  The memoized arrays are read-only.
@@ -36,7 +37,7 @@ SIGN_TOL = 1e-8  # ||A + I||_F / sqrt(n) after which one more step is taken
 SPECTRUM_MEMO_SIZE = 4  # enough for a plant, its interpolant and two reduced models
 
 _spectra: OrderedDict = OrderedDict()  # (shape, blake2b digest) -> sorted eigenvalues
-_spectra_lock = threading.Lock()
+_memo_lock = threading.Lock()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -146,7 +147,7 @@ def eigenvalues(m) -> SpectrumReport:
     keyed by shape and content hash, and are read-only; the report itself
     is built per call.
     """
-    vals = _sorted_spectrum(_square(m, "matrix"))
+    vals = _memoized(_spectra, SPECTRUM_MEMO_SIZE, _sorted_spectrum, _square(m, "matrix"))
     n = vals.size
     all_simple = True
     if n > 1:
@@ -169,25 +170,30 @@ def eigenvalues(m) -> SpectrumReport:
     )
 
 
+def _memoized(memo: OrderedDict, size: int, fn, *args) -> np.ndarray:
+    """fn(*args) made read-only, or the value it gave for arrays of the same
+    shapes and bytes if that is among the last ``size`` kept in ``memo``."""
+    key = tuple((x.shape, hashlib.blake2b(np.ascontiguousarray(x)).digest()) for x in args)
+    with _memo_lock:
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+    value = fn(*args)
+    value.flags.writeable = False
+    with _memo_lock:
+        memo[key] = value
+        while len(memo) > size:
+            memo.popitem(last=False)
+    return value
+
+
 def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
-    """Read-only eigenvalues of a, sorted by real then imaginary part, memoized by content."""
-    key = (a.shape, hashlib.blake2b(np.ascontiguousarray(a)).digest())
-    with _spectra_lock:
-        vals = _spectra.get(key)
-        if vals is not None:
-            _spectra.move_to_end(key)
-            return vals
+    """Eigenvalues of a, sorted by real then imaginary part."""
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    vals.flags.writeable = False
-    with _spectra_lock:
-        _spectra[key] = vals
-        while len(_spectra) > SPECTRUM_MEMO_SIZE:
-            _spectra.popitem(last=False)
-    return vals
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def spectra_disjoint(m1, m2) -> bool:
@@ -418,9 +424,7 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
 
 
 def _spectra_match(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
-    """Nearest-match pairing of two spectra within tol per eigenvalue."""
-    if got.size != want.size:
-        return False
+    """Nearest-match pairing of two equally long spectra within tol per eigenvalue."""
     pool = list(got)
     for w in want:
         dists = [abs(g - w) for g in pool]

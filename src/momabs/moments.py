@@ -8,6 +8,7 @@ interpolation points.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .linalg import (
     DISJOINT_TOL,
     StateSpaceModel,
     as_matrix,
+    _memoized,
     _square,
     eigenvalues,
     pbh_observable,
@@ -25,6 +27,8 @@ from .linalg import (
 )
 
 TWO_SIDED_COND_MAX = 1e10
+MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
+_moments: OrderedDict = OrderedDict()  # Sylvester data (a, b, c) -> read-only solution
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def moment_direct(sys: StateSpaceModel, interp: DirectInterpolant) -> DirectMome
     if interp.l.shape[0] != sys.m:
         raise ValueError("interpolant output dimension does not match plant input")
     # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
-    pi = solve_sylvester(sys.a, interp.s, -(sys.b @ interp.l))
+    pi = _memoized(_moments, MOMENT_MEMO_SIZE, solve_sylvester, sys.a, interp.s, -(sys.b @ interp.l))
     return DirectMomentSolution(pi=pi, moment=sys.c @ pi)
 
 
@@ -96,7 +100,7 @@ def moment_swapped(sys: StateSpaceModel, interp: SwappedInterpolant) -> SwappedM
     """Moment Ups b of ``sys`` at (q, r), with Ups solving q Ups = Ups a + r c."""
     if interp.r.shape[1] != sys.p:
         raise ValueError("interpolant input dimension does not match plant output")
-    ups = solve_sylvester(interp.q, sys.a, interp.r @ sys.c)
+    ups = _memoized(_moments, MOMENT_MEMO_SIZE, solve_sylvester, interp.q, sys.a, interp.r @ sys.c)
     return SwappedMomentSolution(upsilon=ups, moment=ups @ sys.b)
 
 

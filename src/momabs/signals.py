@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,13 +51,7 @@ class Term:
         return self.amplitude * np.exp(-self.rate * t)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-            "rate": self.rate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

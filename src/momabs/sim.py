@@ -211,7 +211,10 @@ def _blocks(states: np.ndarray, sizes: list[tuple[str, int]]) -> dict:
 
 def integrate(spec: InterconnectionSpec) -> Trajectory:
     """Assemble the coupled ODE for a topology and integrate it; the
-    topology's output error lands in ``outputs["err"]``, after its outputs."""
+    topology's output error lands in ``outputs["err"]``, after its outputs.
+    A moment-based error (direct-generator, swapped-filter) raises ValueError
+    where its Sylvester equation is ill-posed, and takes a moment the run_*
+    helper already solved from the moments memo."""
     topo = TOPOLOGIES[spec.topology]
     a_aug, b_aug, z0, sizes, output_maps = topo.assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:

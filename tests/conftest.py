@@ -1,7 +1,24 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from momabs import moments
 from momabs.linalg import StateSpaceModel, eigenvalues, spectra_disjoint
+
+
+@pytest.fixture
+def sylvester_calls(monkeypatch):
+    """Empty the moment memo and record every Sylvester solve that moments makes."""
+    monkeypatch.setattr(moments, "_moments", OrderedDict())
+    calls, real_solve = [], moments.solve_sylvester
+
+    def spy(a, b, c):
+        calls.append((a.shape, b.shape))
+        return real_solve(a, b, c)
+
+    monkeypatch.setattr(moments, "solve_sylvester", spy)
+    return calls
 
 
 def random_stable_system(rng, n=4, m=2, p=2, margin=1.0):

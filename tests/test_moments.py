@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_direct_interpolant, random_stable_system, random_swapped_interpolant, rotation_block
-from momabs import springmass
+from momabs import moments, springmass
 from momabs.linalg import StateSpaceModel
 from momabs.moments import (
     DirectInterpolant,
@@ -56,6 +56,47 @@ class TestMomentDirect:
         interp = DirectInterpolant(s=np.array([[real[0].real]]), l=np.array([[1.0]]))
         with pytest.raises(ValueError, match="overlap"):
             moment_direct(sys, interp)
+
+
+class TestMomentMemo:
+    def test_same_content_solved_once(self, sylvester_calls, rng):
+        sys = random_stable_system(rng, n=5, m=1, p=1)
+        di = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
+        first = moment_direct(sys, di)
+        again = moment_direct(
+            StateSpaceModel(a=sys.a.copy(), b=sys.b.copy(), c=sys.c.copy()),
+            DirectInterpolant(s=di.s.copy(), l=di.l.copy()),
+        )
+        assert len(sylvester_calls) == 1
+        assert np.array_equal(first.pi, again.pi) and np.array_equal(first.moment, again.moment)
+
+    def test_solution_is_read_only(self, sylvester_calls, rng):
+        sys = random_stable_system(rng, n=4, m=1, p=1)
+        si = SwappedInterpolant(q=rotation_block(3.0), r=rng.standard_normal((2, 1)))
+        ups = moment_swapped(sys, si).upsilon
+        with pytest.raises(ValueError, match="read-only"):
+            ups[0, 0] = 0.0
+
+    def test_changed_plant_is_solved_again(self, sylvester_calls, rng):
+        sys = random_stable_system(rng, n=4, m=1, p=1)
+        di = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
+        moment_direct(sys, di)
+        a = sys.a.copy()
+        a[0, 0] -= 1.0
+        shifted = StateSpaceModel(a=a, b=sys.b, c=sys.c)
+        want = np.linalg.solve(
+            np.kron(np.eye(2), a) - np.kron(di.s.T, np.eye(4)), -(sys.b @ di.l).reshape(-1, order="F")
+        )
+        assert np.allclose(moment_direct(shifted, di).pi.reshape(-1, order="F"), want)
+        assert len(sylvester_calls) == 2
+
+    def test_memo_never_exceeds_its_size(self, sylvester_calls, rng):
+        sys = random_stable_system(rng, n=3, m=1, p=1)
+        for i in range(3 * moments.MOMENT_MEMO_SIZE):
+            moment_direct(sys, DirectInterpolant(s=rotation_block(1.0 + i), l=np.ones((1, 2))))
+            assert len(moments._moments) == min(i + 1, moments.MOMENT_MEMO_SIZE)
+        moment_direct(sys, DirectInterpolant(s=rotation_block(1.0), l=np.ones((1, 2))))  # evicted
+        assert len(sylvester_calls) == 3 * moments.MOMENT_MEMO_SIZE + 1
 
 
 class TestMomentSwapped:

@@ -479,6 +479,51 @@ class TestMSwapped:
             run_m_swapped(plant, abstract, expdecay_signal(2))
 
 
+class TestMomentSolvedOnce:
+    """A run's err reuses the moment its run_* helper solved, via the moments memo."""
+
+    def test_direct_generator(self, sylvester_calls, rng):
+        plant = random_stable_system(rng, n=4, m=1, p=1)
+        interp = DirectInterpolant(s=rotation_block(1.5), l=rng.standard_normal((1, 2)))
+        run_direct_generator(plant, interp, [1.0, 0.0], np.zeros(4), horizon=0.5, step=1e-2)
+        assert len(sylvester_calls) == 1
+
+    def test_swapped_filter(self, sylvester_calls, rng):
+        plant = random_stable_system(rng, n=4, m=1, p=1)
+        interp = SwappedInterpolant(q=rotation_block(2.5), r=rng.standard_normal((2, 1)))
+        run_swapped_filter(plant, interp, expdecay_signal(1), horizon=0.5, step=1e-2)
+        assert len(sylvester_calls) == 1
+
+    def test_m_swapped(self, sylvester_calls):
+        design, plant_aux = TestMSwapped._prestabilized()
+        run_m_swapped(plant_aux, design.abstract_model(), expdecay_signal(2), 0.5, 1e-2)
+        assert len(sylvester_calls) == 1
+
+    def test_bare_integrate_after_moment(self, sylvester_calls, rng):
+        plant = random_stable_system(rng, n=3, m=1, p=1)
+        interp = DirectInterpolant(s=rotation_block(1.0), l=np.ones((1, 2)))
+        moment_direct(plant, interp)
+        spec = InterconnectionSpec(
+            topology="direct-generator", models={"plant": plant},
+            links={"s": interp.s.tolist(), "l": interp.l.tolist()},
+            initial={"w": [1.0, 0.0], "x": np.zeros(3)}, signal=SignalSpec.zero(1),
+            horizon=0.1, step=0.01,
+        )
+        integrate(spec)
+        assert len(sylvester_calls) == 1
+
+    def test_ill_posed_moment_refused(self):
+        plant = StateSpaceModel(a=rotation_block(2.0), b=[[0.0], [1.0]], c=[[1.0, 0.0]])
+        spec = InterconnectionSpec(
+            topology="direct-generator", models={"plant": plant},
+            links={"s": rotation_block(2.0), "l": [[1.0, 0.0]]},
+            initial={"w": [1.0, 0.0], "x": [0.0, 0.0]}, signal=SignalSpec.zero(1),
+            horizon=0.1, step=0.01,
+        )
+        with pytest.raises(ValueError, match="overlap"):
+            integrate(spec)
+
+
 class TestErrorStats:
     def test_decay_rate_of_exact_exponential(self):
         times = time_grid(5.0, 1e-2)
