@@ -53,7 +53,6 @@ from .sim import (
     run_direct_generator,
     run_hierarchical,
     run_m_direct,
-    run_m_swapped,
     run_swapped_filter,
     steady_state_error,
 )

@@ -295,6 +295,8 @@ def cmd_verify(args) -> RunReport:
 
 
 def cmd_paper_example(args) -> RunReport:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     report = RunReport(command="paper-example")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,14 +3,30 @@
 All topologies reduce to a linear ODE z' = A z + B w(t) with an exogenous
 signal w, integrated by classic 4th-order Runge-Kutta on a uniform grid, fully
 deterministically.  For such an ODE one RK4 step is exactly the propagator
-z+ = T z + C0 B w(t) + Ch B w(t + h/2) + C1 B w(t + h), with T the RK4 stability
-polynomial of hA (the degree-4 Taylor polynomial of exp(hA)).  T and the C's are
-built once per run, and the affine recurrence z+ = T z + f is evaluated in
-chunks of L = isqrt(N) of the N steps: a zero-state sweep through all chunks
-at once (L - 1 matrix-matrix products), a pass carrying the state from chunk to
-chunk with T^L, a sweep adding T^j times each chunk's start state (L products),
-and plain steps for the N mod L left over.  That is about 2 sqrt(N) Python
-iterations instead of N, computing the same trajectory up to rounding.
+z+ = T z + G F, with T the RK4 stability polynomial of hA (the degree-4 Taylor
+polynomial of exp(hA)) and F = (w(t), w(t + h/2), w(t + h)) the step's r
+forcing samples.  A run reads out only y = c z, q rows on the order-n stacked
+state, so the recurrence is evaluated at readout level in chunks of L =
+isqrt(N) of the N steps:
+
+* the free response of each chunk is (c T^j) z_start, j = 1..L, for all
+  chunks in one matrix product, when building the c T^j costs fewer flops
+  than carrying the start states through T (q below the chunk count N / L);
+  with more readouts than that the start states are carried through T;
+* the zero-state response within a chunk is either one product of the
+  chunks' stacked forcing with the block-Toeplitz matrix of the Markov
+  parameters c T^d G (when that costs fewer flops than the state sweep,
+  L r q < 2 n^2, and no more memory, L^2 r q <= N n), or the state sweep
+  (L - 1 matrix-matrix products over all chunks at once) read out by c;
+  a zero signal skips it;
+* the chunk-boundary states come from T^L and the reach matrix
+  [T^(L-1) G ... G], and the N mod L steps left over are plain steps.
+
+That is O(sqrt(N)) Python iterations instead of N, computing the same
+readouts up to rounding, and no N x n state trajectory unless the sweep is
+chosen.  A non-finite boundary state or readout is replayed with plain state
+steps from the last finite boundary, so divergence is reported at the grid
+time of the first non-finite state, whether or not c sees it.
 
 TOPOLOGIES holds each interconnection's whole contract: field shapes, assembly
 and output error, which every run writes as ``outputs["err"]``.
@@ -48,9 +64,12 @@ MAX_TRAJECTORY_BYTES = 2**30  # float64 samples x stacked state dimension
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Readouts on the time grid: ``outputs`` (the topology's, then ``err``)
+    are what a run writes; ``readouts`` are the extra ones its caller asked for."""
+
     times: np.ndarray
-    states: dict
     outputs: dict
+    readouts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -73,9 +92,10 @@ class Topology:
     (n, n), (n, m), (p, n); a link or initial state names its shape directly.
     The plant gives n, m, p and the abstraction n_hat, m_hat (and must share
     p); a free interpolant order k is bound by the first field that uses it.
-    ``assemble(spec)`` gives (a_aug, b_aug, z0, state block sizes, output maps
-    on the stacked state), and ``error(spec, traj)`` the output error per
-    sample, the plant side minus its counterpart.
+    ``assemble(spec)`` gives (a_aug, b_aug, z0, state block sizes {name: dim}
+    in stacking order, outputs {name: {block: matrix}}), and ``error(spec)``
+    the output error as a {block: matrix} map on the stacked state, the plant
+    side minus its counterpart.
     """
 
     models: dict
@@ -145,17 +165,19 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     return step * np.arange(count + 1)
 
 
-def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray) -> np.ndarray:
+def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.ndarray:
     """RK4 on z' = a z + b w(t) as the chunked one-step propagator of the
-    module docstring; returns states (len(times), n), raising ValueError at the
-    first grid time whose state is not finite."""
+    module docstring; returns the readouts c z, shape (len(times), q), with
+    c = None the identity, raising ValueError at the first grid time whose
+    state is not finite."""
     a = np.asarray(a, float)
     z0 = np.asarray(z0, float).reshape(-1)
     n = z0.size
-    if b is None:
-        b, signal = np.zeros((n, 1)), SignalSpec.zero(1)
-    b = np.asarray(b, float)
+    c = np.eye(n) if c is None else np.asarray(c, float)
+    q = c.shape[0]
+    forced = b is not None and not signal.is_zero()
     h = times[1] - times[0]
+    steps = times.size - 1
 
     def step(z, f0, fh, f1):
         """One classic RK4 step; linear in z and in the forcing samples."""
@@ -166,14 +188,16 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray) -> np.ndarray:
         return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     t_map = step(np.eye(n), 0.0, 0.0, 0.0)
-    zb = np.zeros_like(b)
-    g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
-    w_grid = signal.eval(times)
-    w_half = signal.eval(times[:-1] + 0.5 * h)
-    out = np.empty((times.size, n))
-    out[0] = z0
-    np.matmul(np.hstack([w_grid[:-1], w_half, w_grid[1:]]), g_map.T, out=out[1:])
-    steps = times.size - 1
+    if forced:
+        b = np.asarray(b, float)
+        zb = np.zeros_like(b)
+        g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
+        w_grid = signal.eval(times)
+        forcing = np.hstack([w_grid[:-1], signal.eval(times[:-1] + 0.5 * h), w_grid[1:]])
+        r = forcing.shape[1]
+        del w_grid
+    out = np.empty((times.size, q))
+    out[0] = c @ z0
     with np.errstate(over="ignore", invalid="ignore"):
         # Halving L until T^L is finite keeps 0 * inf out of the boundary
         # pass, so a state that stays finite step by step stays finite here.
@@ -183,40 +207,94 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray) -> np.ndarray:
             chunk //= 2
             t_chunk = np.linalg.matrix_power(t_map, chunk)
         count = steps // chunk
-        v = out[1 : 1 + count * chunk].reshape(count, chunk, n)
-        for j in range(1, chunk):
-            v[:, j] += v[:, j - 1] @ t_map.T
-        starts = np.empty((count, n))
+        rows = out[1 : 1 + count * chunk].reshape(count, chunk * q)
+        ends = np.zeros((count, n))  # zero-state response at each chunk's end
+        v = None  # the part of the response carried as states, read out at the end
+        # per step, the Toeplitz product costs L r q flops against the sweep's
+        # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
+        if forced and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n:
+            per_chunk = forcing[: count * chunk].reshape(count, chunk * r)
+            toeplitz, reach = _toeplitz_and_reach(t_map, g_map, c, chunk)
+            np.matmul(per_chunk, toeplitz, out=rows)
+            ends = per_chunk @ reach
+        else:
+            rows[:] = 0.0
+            if forced:
+                v = (forcing[: count * chunk] @ g_map.T).reshape(count, chunk, n)
+                for j in range(1, chunk):
+                    v[:, j] += v[:, j - 1] @ t_map.T
+                ends = v[:, -1]
+        starts = np.empty((count + 1, n))
         starts[0] = z0
-        for c in range(1, count):
-            starts[c] = v[c - 1, -1] + t_chunk @ starts[c - 1]
-        for j in range(chunk):
-            starts = starts @ t_map.T
-            v[:, j] += starts
-        for i in range(count * chunk, steps):
-            out[i + 1] += t_map @ out[i]
-        finite = np.isfinite(out.max(axis=1)) & np.isfinite(out.min(axis=1))
-    if not finite.all():
-        raise ValueError(f"state diverged at t={times[finite.argmin()]:.6g}")
+        for i in range(count):
+            starts[i + 1] = t_chunk @ starts[i] + ends[i]
+        # the free response: building c T^j, j <= L, costs L q n^2 flops
+        # against the N n^2 of carrying the start states through T
+        if q < count:
+            obs = np.empty((chunk, q, n))  # obs[j] = c T^(j+1)
+            np.matmul(c, t_map, out=obs[0])
+            for j in range(1, chunk):
+                np.matmul(obs[j - 1], t_map, out=obs[j])
+            rows += starts[:count] @ obs.transpose(2, 0, 1).reshape(n, chunk * q)
+        else:
+            v = np.zeros((count, chunk, n)) if v is None else v
+            z = starts[:count]
+            for j in range(chunk):
+                z = z @ t_map.T
+                v[:, j] += z
+        if v is not None:
+            rows.reshape(count, chunk, q)[:] += v @ c.T
+        # Replay plain steps from the last boundary before the first chunk
+        # whose end state or readouts are not finite; normally only the tail.
+        bad = ~(_finite_rows(starts[1:]) & _finite_rows(rows))
+        first = int(bad.argmax()) if bad.any() else count
+        z = starts[first]
+        for i in range(first * chunk, steps):
+            z = t_map @ z + (g_map @ forcing[i] if forced else 0.0)
+            if not np.isfinite(z).all():
+                raise ValueError(f"state diverged at t={times[i + 1]:.6g}")
+            out[i + 1] = c @ z
     return out
 
 
-def _blocks(states: np.ndarray, sizes: list[tuple[str, int]]) -> dict:
-    out, i = {}, 0
-    for name, dim in sizes:
-        out[name] = states[:, i : i + dim]
-        i += dim
-    return out
+def _finite_rows(x: np.ndarray) -> np.ndarray:
+    """Per row, whether every entry is finite (max and min propagate nan and inf)."""
+    return np.isfinite(x.max(axis=1)) & np.isfinite(x.min(axis=1))
 
 
-def integrate(spec: InterconnectionSpec) -> Trajectory:
-    """Assemble the coupled ODE for a topology and integrate it; the
-    topology's output error lands in ``outputs["err"]``, after its outputs.
-    A moment-based error (direct-generator, swapped-filter) raises ValueError
-    where its Sylvester equation is ill-posed, and takes a moment the run_*
-    helper already solved from the moments memo."""
+def _toeplitz_and_reach(t_map, g_map, c, chunk):
+    """The maps from a chunk's stacked forcing (L r) to its zero-state
+    readouts (L q), the block-Toeplitz matrix of the Markov parameters
+    c T^d G, d < L, and to its end state (n), the reach matrix
+    [T^(L-1) G ... G], both transposed for right-multiplication."""
+    (n, r), q = g_map.shape, c.shape[0]
+    reach = np.empty((chunk, n, r))  # reach[i] = T^(L-1-i) G
+    reach[-1] = g_map
+    for i in range(chunk - 1, 0, -1):
+        np.matmul(t_map, reach[i], out=reach[i - 1])
+    markov = (c @ reach[::-1]).transpose(2, 0, 1)  # (r, L, q): c T^d G
+    toeplitz = np.zeros((chunk, r, chunk, q))  # input step i, output step j >= i
+    for i in range(chunk):
+        toeplitz[i, :, i:] = markov[:, : chunk - i]
+    return toeplitz.reshape(chunk * r, chunk * q), reach.transpose(0, 2, 1).reshape(chunk * r, n)
+
+
+def _on_state(blocks: dict, sizes: dict) -> np.ndarray:
+    """The map z -> sum of blocks[name] z_name on the stacked state z."""
+    rows = next(iter(blocks.values())).shape[0]
+    return np.hstack([blocks.get(name, np.zeros((rows, dim))) for name, dim in sizes.items()])
+
+
+def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajectory:
+    """Assemble the coupled ODE for a topology and integrate it at readout
+    level: the topology's outputs, then its output error as ``outputs["err"]``,
+    and each of ``readouts`` (name -> {state block: matrix}, summed over the
+    blocks) in ``Trajectory.readouts``.  A moment-based error
+    (direct-generator, swapped-filter) raises ValueError where its Sylvester
+    equation is ill-posed, and takes a moment the run_* helper already solved
+    from the moments memo."""
     topo = TOPOLOGIES[spec.topology]
-    a_aug, b_aug, z0, sizes, output_maps = topo.assemble(spec)
+    a_aug, b_aug, z0, sizes, outputs = topo.assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
         raise ValueError(
             f"signal dimension {spec.signal.dim} does not match the "
@@ -228,19 +306,17 @@ def integrate(spec: InterconnectionSpec) -> Trajectory:
             f"grid of {samples} samples (horizon={spec.horizon:g}, step={spec.step:g}) times "
             f"{a_aug.shape[0]} states exceeds the {MAX_TRAJECTORY_BYTES}-byte trajectory cap"
         )
+    maps = {**outputs, "err": topo.error(spec), **(readouts or {})}
+    maps = {name: _on_state(blocks, sizes) for name, blocks in maps.items()}
     times = time_grid(spec.horizon, spec.step)
-    z = rk4_linear(a_aug, b_aug, spec.signal, z0, times)
-    outputs = {name: z @ cmat.T for name, cmat in output_maps.items()}
-    traj = Trajectory(times=times, states=_blocks(z, sizes), outputs=outputs)
-    outputs["err"] = topo.error(spec, traj)
-    return traj
-
-
-def _pad(mat: np.ndarray, sizes, block: str) -> np.ndarray:
-    """Place ``mat`` in the columns of one state block of the stacked state."""
-    out = np.zeros((mat.shape[0], sum(d for _, d in sizes)))
-    _blocks(out, sizes)[block][:] = mat
-    return out
+    y = rk4_linear(a_aug, b_aug, spec.signal, z0, times, np.vstack(list(maps.values())))
+    split = np.cumsum([m.shape[0] for m in maps.values()])[:-1]
+    values = dict(zip(maps, np.split(y, split, axis=1)))
+    return Trajectory(
+        times=times,
+        outputs={name: values.pop(name) for name in [*outputs, "err"]},
+        readouts=values,
+    )
 
 
 def _assemble_direct_generator(spec):
@@ -249,12 +325,7 @@ def _assemble_direct_generator(spec):
     n_hat, n = s.shape[0], plant.n
     a_aug = np.block([[s, np.zeros((n_hat, n))], [plant.b @ l, plant.a]])
     z0 = np.concatenate([spec.initial["w"], spec.initial["x"]])
-    sizes = [("w", n_hat), ("x", n)]
-    outputs = {
-        "theta": _pad(l, sizes, "w"),
-        "y": _pad(plant.c, sizes, "x"),
-    }
-    return a_aug, None, z0, sizes, outputs
+    return a_aug, None, z0, {"w": n_hat, "x": n}, {"theta": {"w": l}, "y": {"x": plant.c}}
 
 
 def _assemble_swapped_filter(spec):
@@ -271,9 +342,7 @@ def _assemble_swapped_filter(spec):
     )
     b_aug = np.vstack([plant.b, np.zeros((n_hat, plant.m)), ub])
     z0 = np.zeros(n + 2 * n_hat)
-    sizes = [("x", n), ("w", n_hat), ("zeta", n_hat)]
-    outputs = {"y": _pad(plant.c, sizes, "x")}
-    return a_aug, b_aug, z0, sizes, outputs
+    return a_aug, b_aug, z0, {"x": n, "w": n_hat, "zeta": n_hat}, {"y": {"x": plant.c}}
 
 
 def _assemble_hierarchical(spec):
@@ -288,12 +357,8 @@ def _assemble_hierarchical(spec):
     )
     b_aug = np.vstack([abstract.b, plant.b @ r_hat])
     z0 = np.concatenate([spec.initial["xi"], spec.initial["x"]])
-    sizes = [("xi", n_hat), ("x", n)]
-    outputs = {
-        "y": _pad(plant.c, sizes, "x"),
-        "psi": _pad(abstract.c, sizes, "xi"),
-    }
-    return a_aug, b_aug, z0, sizes, outputs
+    outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}}
+    return a_aug, b_aug, z0, {"xi": n_hat, "x": n}, outputs
 
 
 def _assemble_m_direct(spec):
@@ -313,31 +378,28 @@ def _assemble_m_direct(spec):
     b_aug = np.vstack([plant.b, g @ gamma, np.zeros((n_hat, plant.m))])
     x0, xi0 = spec.initial["x"], spec.initial["xi"]
     z0 = np.concatenate([x0, xi0, xi0 - m_map @ x0])
-    sizes = [("x", n), ("xi", n_hat), ("eps", n_hat)]
-    outputs = {
-        "y": _pad(plant.c, sizes, "x"),
-        "psi": _pad(abstract.c, sizes, "xi"),
-    }
-    return a_aug, b_aug, z0, sizes, outputs
+    outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}}
+    return a_aug, b_aug, z0, {"x": n, "xi": n_hat, "eps": n_hat}, outputs
 
 
-def _direct_generator_error(spec, traj):
+def _direct_generator_error(spec):
     """y - C Pi w: the plant output against its steady-state prediction."""
     interp = DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
     moment = moment_direct(spec.models["plant"], interp).moment
-    return traj.outputs["y"] - traj.states["w"] @ moment.T
+    return {"w": -moment, "x": spec.models["plant"].c}
 
 
-def _swapped_filter_error(spec, traj):
+def _swapped_filter_error(spec):
     """w - (zeta - Ups x): the filter state against the limiting error model."""
     interp = SwappedInterpolant(q=spec.links["q"], r=spec.links["r"])
     upsilon = moment_swapped(spec.models["plant"], interp).upsilon
-    return traj.states["w"] - traj.states["zeta"] + traj.states["x"] @ upsilon.T
+    eye = np.eye(upsilon.shape[0])
+    return {"x": upsilon, "w": eye, "zeta": -eye}
 
 
-def _output_error(spec, traj):
+def _output_error(spec):
     """y - psi: the plant output against the abstraction's."""
-    return traj.outputs["y"] - traj.outputs["psi"]
+    return {"x": spec.models["plant"].c, "xi": -spec.models["abstract"].c}
 
 
 PLANT = ("n", "m", "p")
@@ -422,7 +484,8 @@ def run_direct_generator(
     step: float = DEFAULT_STEP,
 ) -> tuple[Trajectory, ErrorTrace]:
     """Drive the plant by the signal generator w' = s w, u = l w and compare
-    the plant output against the steady-state prediction C Pi w."""
+    the plant output against the steady-state prediction C Pi w; the state
+    error x - Pi w is ``traj.readouts["x - pi w"]``."""
     sol = moment_direct(plant, interp)
     spec = InterconnectionSpec(
         topology="direct-generator",
@@ -433,8 +496,8 @@ def run_direct_generator(
         horizon=horizon,
         step=step,
     )
-    traj = integrate(spec)
-    state_err = np.linalg.norm(traj.states["x"] - traj.states["w"] @ sol.pi.T, axis=1)
+    traj = integrate(spec, {"x - pi w": {"x": np.eye(plant.n), "w": -sol.pi}})
+    state_err = np.linalg.norm(traj.readouts["x - pi w"], axis=1)
     gen_spec = eigenvalues(interp.s)
     extras = {
         "plant_hurwitz": eigenvalues(plant.a).is_hurwitz(),
@@ -483,8 +546,8 @@ def run_hierarchical(
 ) -> tuple[Trajectory, ErrorTrace]:
     """Abstract system driving the plant through the certificate interface.
 
-    The error trace carries e_s = x - p xi and e_y = y - psi, plus the
-    guaranteed bound max(V(xi0, x0), gamma(||v||_inf)).
+    The error trace carries e_s = x - p xi (``traj.readouts["e_s"]``) and
+    e_y = y - psi, plus the guaranteed bound max(V(xi0, x0), gamma(||v||_inf)).
     """
     spec = InterconnectionSpec(
         topology="hierarchical",
@@ -500,8 +563,7 @@ def run_hierarchical(
         horizon=horizon,
         step=step,
     )
-    traj = integrate(spec)
-    e_s = traj.states["x"] - traj.states["xi"] @ cert.p.T
+    traj = integrate(spec, {"e_s": {"x": np.eye(plant.n), "xi": -cert.p}})
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
     gain = gamma_gain(cert, plant.b, abstract.b)
     bound = max(
@@ -514,7 +576,7 @@ def run_hierarchical(
         "lambda": cert.lam,
     }
     return traj, error_stats(
-        traj.times, np.linalg.norm(e_s, axis=1), norms, extras=extras
+        traj.times, np.linalg.norm(traj.readouts["e_s"], axis=1), norms, extras=extras
     )
 
 
@@ -532,7 +594,8 @@ def run_m_direct(
     """Plant driving the abstraction through v = n x + gamma u + k_hat (xi - m x).
 
     The observed eps_s = xi - m x is compared against a parallel integration
-    of eps' = (f + g k_hat) eps; the mismatch sup-norm lands in extras.
+    of eps' = (f + g k_hat) eps; the mismatch sup-norm lands in extras.  Both
+    are ``traj.readouts`` ("eps_s", "eps_s - eps").
     """
     spec = InterconnectionSpec(
         topology="m-direct",
@@ -556,29 +619,12 @@ def run_m_direct(
                 "xi(0) != m x(0) and the abstraction is not Hurwitz: "
                 "steady-state matching is not guaranteed"
             )
-    traj = integrate(spec)
-    eps_s = traj.states["xi"] - traj.states["x"] @ m_map.T
-    parallel_gap = np.linalg.norm(eps_s - traj.states["eps"], axis=1)
+    eye = np.eye(abstract.n)
+    eps_s = {"xi": eye, "x": -m_map}
+    traj = integrate(spec, {"eps_s": eps_s, "eps_s - eps": {**eps_s, "eps": -eye}})
+    parallel_gap = np.linalg.norm(traj.readouts["eps_s - eps"], axis=1)
     extras = {"parallel_gap_sup": float(parallel_gap.max())}
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    return traj, error_stats(traj.times, np.linalg.norm(eps_s, axis=1), norms, extras=extras)
+    state_err = np.linalg.norm(traj.readouts["eps_s"], axis=1)
+    return traj, error_stats(traj.times, state_err, norms, extras=extras)
 
-
-def run_m_swapped(
-    plant_aux: StateSpaceModel,
-    abstract: StateSpaceModel,
-    u: SignalSpec,
-    horizon: float = DEFAULT_HORIZON,
-    step: float = DEFAULT_STEP,
-) -> tuple[Trajectory, ErrorTrace]:
-    """The abstraction (f, g) as a swapped filter on the auxiliary plant
-    output (c = -n there): :func:`run_swapped_filter` with (q, r) = (f, g).
-
-    The Ups solving f Ups = Ups a + g c is the M-relation map m, so from rest
-    and a decaying u the filter state tracks zeta - m x, with zeta the
-    limiting model zeta' = f zeta + m b u.
-    """
-    if eigenvalues(plant_aux.a).max_real_part >= 0:
-        raise ValueError("plant must be Hurwitz (pre-stabilize it if needed)")
-    interp = SwappedInterpolant(q=abstract.a, r=abstract.b)
-    return run_swapped_filter(plant_aux, interp, u, horizon, step)

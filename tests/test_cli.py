@@ -456,13 +456,14 @@ class TestSimulate:
         np.testing.assert_allclose(norms, err.out_err, rtol=1e-12, atol=1e-15)
 
     def test_m_swapped_run_as_swapped_filter_spec(self, tmp_path, capsys):
-        # run_m_swapped is the swapped filter with (q, r) = (f, g), whose
-        # upsilon_b is the M-relation map times b
+        # the M-relation's swapped form is the swapped filter with (q, r) =
+        # (f, g), whose upsilon_b is the M-relation map times b
         plant, cert = springmass.concrete(), springmass_certificate()
         design = design_abstraction(plant, springmass.embedding_p())
         n_s = design.n_map + design.gamma @ cert.k
         aux = StateSpaceModel(a=plant.a + plant.b @ cert.k, b=plant.b, c=-n_s)
-        _, err = sim.run_m_swapped(aux, design.abstract_model(), decaying(2), 1.0, 0.01)
+        interp = SwappedInterpolant(q=design.f, r=design.g)
+        _, err = sim.run_swapped_filter(aux, interp, decaying(2), 1.0, 0.01)
         spec = {
             "topology": "swapped-filter",
             "models": {"plant": model_dict(aux)},
@@ -733,6 +734,9 @@ class TestPaperExample:
                 code = main(["paper-example", "--out", tmp, *argv])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if seed < 0:
+            want = f"error: --seed must be a non-negative integer, got {seed}\n"
+            assert (code, err.getvalue()) == (2, want)
 
     def test_deterministic_outputs(self, tmp_path, capsys):
         dirs = [tmp_path / "run1", tmp_path / "run2"]

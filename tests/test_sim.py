@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ from momabs.sim import (
     run_direct_generator,
     run_hierarchical,
     run_m_direct,
-    run_m_swapped,
     run_swapped_filter,
     steady_state_error,
     time_grid,
@@ -140,10 +140,12 @@ class TestRk4Propagator:
         signal = random_forcing(rng, kinds[:m])
         z0 = rng.standard_normal(n)
         times = time_grid(3.0, 0.01)
-        want = stagewise_rk4(plant.a, plant.b, signal, z0, times)
-        got = rk4_linear(plant.a, plant.b, signal, z0, times)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        states = stagewise_rk4(plant.a, plant.b, signal, z0, times)
+        for c in (None, rng.standard_normal((int(rng.integers(1, n)) if n > 1 else 1, n))):
+            want = states if c is None else states @ c.T
+            got = rk4_linear(plant.a, plant.b, signal, z0, times, c)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
     # The propagator runs chunks of L = isqrt(N) steps and a tail of
     # N - L * (N // L) steps: 41 = 6 * 7 - 1 has a 5-step tail, 43 = 6 * 7 + 1
@@ -156,12 +158,34 @@ class TestRk4Propagator:
     def test_matches_stagewise_at_chunk_edges(self, n, steps):
         rng = np.random.default_rng(steps)
         plant = random_stable_system(rng, n=n, m=3, p=1, margin=0.5)
-        signal = random_forcing(rng, FORCING_KINDS)
         z0 = rng.standard_normal(n)
         times = 0.01 * np.arange(steps + 1)
-        want = stagewise_rk4(plant.a, plant.b, signal, z0, times)
-        got = rk4_linear(plant.a, plant.b, signal, z0, times)
-        assert got.shape == want.shape
+        readouts = (None, rng.standard_normal((2, n)))
+        for signal in (random_forcing(rng, FORCING_KINDS), SignalSpec.zero(3)):
+            states = stagewise_rk4(plant.a, plant.b, signal, z0, times)
+            for c in readouts:
+                want = states if c is None else states @ c.T
+                got = rk4_linear(plant.a, plant.b, signal, z0, times, c)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+    # 400 steps run in chunks of L = 20 with r = 9 forcing samples per step
+    # and q = 2 readouts: at n = 200 the Toeplitz product costs L r q = 360 <
+    # 2 n^2 flops per step and L^2 r q = 7 200 <= N n = 80 000 floats; at
+    # n = 5, L r q = 360 >= 2 n^2 = 50, so the state sweep runs.
+    @pytest.mark.parametrize("n, toeplitz", [(200, True), (5, False)])
+    def test_branch_rule(self, monkeypatch, n, toeplitz):
+        calls = []
+        real = sim._toeplitz_and_reach
+        monkeypatch.setattr(sim, "_toeplitz_and_reach", lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(n)
+        plant = random_stable_system(rng, n=n, m=3, p=1, margin=0.5)
+        signal = random_forcing(rng, FORCING_KINDS)
+        z0, c = rng.standard_normal(n), rng.standard_normal((2, n))
+        times = 0.01 * np.arange(401)
+        want = stagewise_rk4(plant.a, plant.b, signal, z0, times) @ c.T
+        got = rk4_linear(plant.a, plant.b, signal, z0, times, c)
+        assert len(calls) == int(toeplitz)
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
     # The growing state multiplies by the RK4 stability polynomial at
@@ -183,10 +207,12 @@ class TestRk4Propagator:
         times = 0.1 * np.arange(steps + 1)
         want = first_nonfinite_time(a, np.array(z0), times)
         assert rows[0] <= round(want / 0.1) <= rows[1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"^state diverged at t={want:.6g}$"):
-                rk4_linear(a, None, None, z0, times)
+        # the second readout sees only the decaying states, never the growing one
+        for c in (None, np.eye(len(rates))[:-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"^state diverged at t={want:.6g}$"):
+                    rk4_linear(a, None, None, z0, times, c)
 
     def test_unexcited_unstable_mode_stays_finite(self):
         # T^110 overflows in its unstable entry, but the state never enters
@@ -197,6 +223,38 @@ class TestRk4Propagator:
         want = stagewise_rk4(a, np.zeros((2, 1)), SignalSpec.zero(1), np.array([1.0, 0.0]), times)
         assert np.abs(got - want).max() <= 1e-10
         assert not got[:, 1].any()
+
+
+class TestReadoutMemory:
+    def test_no_state_trajectory_is_built(self):
+        # One N x n float64 state trajectory would take 20 001 x 202 x 8 bytes
+        # = 32.3 MB; integrate reads out 6 columns and must stay below that.
+        rng = np.random.default_rng(7)
+        n, n_hat = 200, 2
+        plant = random_stable_system(rng, n=n, m=2, p=2, margin=0.5)
+        abstract = StateSpaceModel(
+            a=rotation_block(1.5), b=rng.standard_normal((2, 2)), c=rng.standard_normal((2, 2))
+        )
+        spec = InterconnectionSpec(
+            topology="hierarchical",
+            models={"plant": plant, "abstract": abstract},
+            links={
+                "p": rng.standard_normal((n, n_hat)), "l_hat": rng.standard_normal((2, n_hat)),
+                "k": np.zeros((2, n)), "r_hat": rng.standard_normal((2, 2)),
+            },
+            initial={"x": rng.standard_normal(n), "xi": rng.standard_normal(n_hat)},
+            signal=random_forcing(rng, ("sin", "square")),
+            horizon=20.0,
+            step=1e-3,
+        )
+        tracemalloc.start()
+        try:
+            traj = integrate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.outputs["err"].shape == (20_001, 2)
+        assert peak < 20_001 * (n + n_hat) * 8
 
 
 def _matrix_exp(a, t):
@@ -365,7 +423,7 @@ class TestHierarchical:
         traj, err = run_hierarchical(
             plant, abstract, cert, v, springmass.X0, springmass.XI0, horizon=4.0, step=1e-3
         )
-        e_s = traj.states["x"] - traj.states["xi"] @ cert.p.T
+        e_s = traj.readouts["e_s"]
         a_cl = plant.a + plant.b @ cert.k
         b_err = plant.b @ cert.r_hat - cert.p @ abstract.b
         e0 = np.asarray(springmass.X0) - cert.p @ np.asarray(springmass.XI0)
@@ -459,8 +517,8 @@ class TestMSwapped:
 
     def test_prestabilized_springmass(self):
         design, plant_aux = self._prestabilized()
-        traj, err = run_m_swapped(
-            plant_aux, design.abstract_model(),
+        traj, err = run_swapped_filter(
+            plant_aux, SwappedInterpolant(q=design.f, r=design.g),
             expdecay_signal(2, amplitude=3.0, rate=0.8), horizon=8.0, step=2e-3,
         )
         assert err.sup_norm < 1e-5
@@ -471,12 +529,6 @@ class TestMSwapped:
         interp = SwappedInterpolant(q=design.f, r=design.g)
         upsilon = moment_swapped(plant_aux, interp).upsilon
         assert np.abs(upsilon - design.m_map).max() < 1e-12
-
-    def test_unstable_plant_rejected(self, rng):
-        plant = springmass.concrete()  # oscillatory, not Hurwitz
-        abstract = springmass.abstract()
-        with pytest.raises(ValueError, match="Hurwitz"):
-            run_m_swapped(plant, abstract, expdecay_signal(2))
 
 
 class TestMomentSolvedOnce:
@@ -496,7 +548,8 @@ class TestMomentSolvedOnce:
 
     def test_m_swapped(self, sylvester_calls):
         design, plant_aux = TestMSwapped._prestabilized()
-        run_m_swapped(plant_aux, design.abstract_model(), expdecay_signal(2), 0.5, 1e-2)
+        interp = SwappedInterpolant(q=design.f, r=design.g)
+        run_swapped_filter(plant_aux, interp, expdecay_signal(2), 0.5, 1e-2)
         assert len(sylvester_calls) == 1
 
     def test_bare_integrate_after_moment(self, sylvester_calls, rng):
