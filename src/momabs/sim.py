@@ -10,9 +10,7 @@ state, so the recurrence is evaluated at readout level in chunks of L =
 isqrt(N) of the N steps:
 
 * the free response of each chunk is (c T^j) z_start, j = 1..L, for all
-  chunks in one matrix product, when building the c T^j costs fewer flops
-  than carrying the start states through T (q below the chunk count N / L);
-  with more readouts than that the start states are carried through T;
+  chunks in one matrix product;
 * the zero-state response within a chunk is either one product of the
   chunks' stacked forcing with the block-Toeplitz matrix of the Markov
   parameters c T^d G (when that costs fewer flops than the state sweep,
@@ -172,6 +170,8 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
     state is not finite."""
     a = np.asarray(a, float)
     z0 = np.asarray(z0, float).reshape(-1)
+    if not np.isfinite(z0).all():
+        raise ValueError(f"state diverged at t={times[0]:.6g}")
     n = z0.size
     c = np.eye(n) if c is None else np.asarray(c, float)
     q = c.shape[0]
@@ -209,40 +209,33 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         count = steps // chunk
         rows = out[1 : 1 + count * chunk].reshape(count, chunk * q)
         ends = np.zeros((count, n))  # zero-state response at each chunk's end
-        v = None  # the part of the response carried as states, read out at the end
         # per step, the Toeplitz product costs L r q flops against the sweep's
         # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
-        if forced and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n:
+        by_toeplitz = forced and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n
+        if by_toeplitz:
             per_chunk = forcing[: count * chunk].reshape(count, chunk * r)
             toeplitz, reach = _toeplitz_and_reach(t_map, g_map, c, chunk)
-            np.matmul(per_chunk, toeplitz, out=rows)
             ends = per_chunk @ reach
-        else:
-            rows[:] = 0.0
-            if forced:
-                v = (forcing[: count * chunk] @ g_map.T).reshape(count, chunk, n)
-                for j in range(1, chunk):
-                    v[:, j] += v[:, j - 1] @ t_map.T
-                ends = v[:, -1]
+        elif forced:
+            v = (forcing[: count * chunk] @ g_map.T).reshape(count, chunk, n)
+            for j in range(1, chunk):
+                v[:, j] += v[:, j - 1] @ t_map.T
+            ends = v[:, -1]
         starts = np.empty((count + 1, n))
         starts[0] = z0
         for i in range(count):
             starts[i + 1] = t_chunk @ starts[i] + ends[i]
-        # the free response: building c T^j, j <= L, costs L q n^2 flops
-        # against the N n^2 of carrying the start states through T
-        if q < count:
-            obs = np.empty((chunk, q, n))  # obs[j] = c T^(j+1)
-            np.matmul(c, t_map, out=obs[0])
-            for j in range(1, chunk):
-                np.matmul(obs[j - 1], t_map, out=obs[j])
-            rows += starts[:count] @ obs.transpose(2, 0, 1).reshape(n, chunk * q)
-        else:
-            v = np.zeros((count, chunk, n)) if v is None else v
-            z = starts[:count]
-            for j in range(chunk):
-                z = z @ t_map.T
-                v[:, j] += z
-        if v is not None:
+        # the free response, the start states times [c T ... c T^L], then the
+        # zero-state response on top of it
+        obs = np.empty((n, chunk, q))  # obs[:, j] = (c T^(j+1))^T
+        np.matmul(t_map.T, c.T, out=obs[:, 0])
+        for j in range(1, chunk):
+            np.matmul(t_map.T, obs[:, j - 1], out=obs[:, j])
+        np.matmul(starts[:count], obs.reshape(n, chunk * q), out=rows)
+        del obs
+        if by_toeplitz:
+            rows += per_chunk @ toeplitz
+        elif forced:
             rows.reshape(count, chunk, q)[:] += v @ c.T
         # Replay plain steps from the last boundary before the first chunk
         # whose end state or readouts are not finite; normally only the tail.
@@ -279,9 +272,19 @@ def _toeplitz_and_reach(t_map, g_map, c, chunk):
     return toeplitz.reshape(chunk * r, chunk * q), reach.transpose(0, 2, 1).reshape(chunk * r, n)
 
 
-def _on_state(blocks: dict, sizes: dict) -> np.ndarray:
+def _on_state(label: str, blocks: dict, sizes: dict) -> np.ndarray:
     """The map z -> sum of blocks[name] z_name on the stacked state z."""
-    rows = next(iter(blocks.values())).shape[0]
+    unknown = [name for name in blocks if name not in sizes]
+    if unknown:
+        raise ValueError(
+            f"readout {label!r} names unknown state blocks {unknown}; known: {', '.join(sizes)}"
+        )
+    first = np.shape(next(iter(blocks.values()), ()))
+    rows = first[0] if first else 0
+    for name, block in blocks.items():
+        want, got = (rows, sizes[name]), np.shape(block)
+        if got != want:
+            raise ValueError(f"readout {label!r} block {name!r} must have shape {want}, got {got}")
     return np.hstack([blocks.get(name, np.zeros((rows, dim))) for name, dim in sizes.items()])
 
 
@@ -306,8 +309,12 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
             f"grid of {samples} samples (horizon={spec.horizon:g}, step={spec.step:g}) times "
             f"{a_aug.shape[0]} states exceeds the {MAX_TRAJECTORY_BYTES}-byte trajectory cap"
         )
-    maps = {**outputs, "err": topo.error(spec), **(readouts or {})}
-    maps = {name: _on_state(blocks, sizes) for name, blocks in maps.items()}
+    readouts = readouts or {}
+    taken = [name for name in readouts if name in outputs or name == "err"]
+    if taken:
+        raise ValueError(f"readout names {taken} are outputs of the {spec.topology} topology")
+    maps = {**outputs, "err": topo.error(spec), **readouts}
+    maps = {name: _on_state(name, blocks, sizes) for name, blocks in maps.items()}
     times = time_grid(spec.horizon, spec.step)
     y = rk4_linear(a_aug, b_aug, spec.signal, z0, times, np.vstack(list(maps.values())))
     split = np.cumsum([m.shape[0] for m in maps.values()])[:-1]

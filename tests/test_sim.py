@@ -214,6 +214,13 @@ class TestRk4Propagator:
                 with pytest.raises(ValueError, match=rf"^state diverged at t={want:.6g}$"):
                     rk4_linear(a, None, None, z0, times, c)
 
+    def test_nonfinite_start_raises_at_first_time(self):
+        # the second readout does not see the non-finite start component
+        times = 0.1 * np.arange(401)
+        for c in (None, np.eye(3)[:-1]):
+            with pytest.raises(ValueError, match=r"^state diverged at t=0$"):
+                rk4_linear(-np.eye(3), None, None, [1.0, 1.0, np.nan], times, c)
+
     def test_unexcited_unstable_mode_stays_finite(self):
         # T^110 overflows in its unstable entry, but the state never enters
         # that mode, so the step-by-step loop stays finite and so must this.
@@ -346,6 +353,29 @@ class TestSpecValidation:
         shown = "grid of 11 samples (horizon=1, step=0.1) times 2 states"
         with pytest.raises(ValueError, match=f"^{re.escape(shown)}"):
             integrate(spec)
+
+    @pytest.mark.parametrize(
+        "readouts, message",
+        [
+            ({"y": {"x": [[1.0]]}}, "readout names ['y'] are outputs of the direct-generator"),
+            ({"err": {"x": [[1.0]]}}, "readout names ['err'] are outputs of the direct-generator"),
+            ({"xx": {"xi": [[1.0]]}}, "readout 'xx' names unknown state blocks ['xi']"),
+            ({"xx": {"x": [[1.0]], "w": [[1.0, 0.0]]}}, "readout 'xx' block 'w' must have shape (1, 1)"),
+        ],
+        ids=["output-name", "err-name", "unknown-block", "block-shape"],
+    )
+    def test_bad_readout_refused(self, readouts, message):
+        spec = InterconnectionSpec(
+            topology="direct-generator",
+            models={"plant": StateSpaceModel(a=[[-1.0]], b=[[1.0]], c=[[1.0]])},
+            links={"s": [[0.0]], "l": [[1.0]]},
+            initial={"w": [1.0], "x": [0.0]},
+            signal=SignalSpec.zero(1),
+            horizon=1.0,
+            step=0.1,
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            integrate(spec, readouts)
 
     def test_time_grid_covers_horizon(self):
         times = time_grid(2.0, 1e-3)
