@@ -54,7 +54,6 @@ from .sim import (
     run_hierarchical,
     run_m_direct,
     run_swapped_filter,
-    steady_state_error,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,6 +42,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", 0.0)
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
         report = args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,6 +285,10 @@ def cmd_verify(args) -> RunReport:
                 report.add(f"mrelation {name} residual", value, args.tol)
         elif check == "certificate":
             lam = _typed(artifact.get("lam"), float, "lam", args.artifact)
+            if not (np.isfinite(lam) and lam > 0):  # lam <= 0 certifies no decay
+                raise ModelFileError(
+                    f"{args.artifact}: field 'lam' must be a finite positive number, got {lam}"
+                )
             cert = abstraction.SimulationCertificate(
                 p=get("p"), l_hat=get("l_hat"), w=get("w"),
                 lam=lam, k=get("k"), r_hat=get("r_hat"),

@@ -27,7 +27,9 @@ steps from the last finite boundary, so divergence is reported at the grid
 time of the first non-finite state, whether or not c sees it.
 
 TOPOLOGIES holds each interconnection's whole contract: field shapes, assembly
-and output error, which every run writes as ``outputs["err"]``.
+and output error, which every run writes as ``outputs["err"]``.  A run reads
+out the topology's outputs and that err, and only the extra readouts its caller
+names: the run_* helpers name none, except run_m_direct's eps_s = xi - m x.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ErrorTrace:
-    times: np.ndarray
-    state_err: np.ndarray
+    """A run's ``err`` norms on its grid and what its checks read; ``extras``
+    is per run_* helper."""
+
     out_err: np.ndarray
     sup_norm: float
     terminal_norm: float
@@ -199,13 +202,8 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
     out = np.empty((times.size, q))
     out[0] = c @ z0
     with np.errstate(over="ignore", invalid="ignore"):
-        # Halving L until T^L is finite keeps 0 * inf out of the boundary
-        # pass, so a state that stays finite step by step stays finite here.
         chunk = math.isqrt(steps)
         t_chunk = np.linalg.matrix_power(t_map, chunk)
-        while chunk > 1 and not np.isfinite(t_chunk).all():
-            chunk //= 2
-            t_chunk = np.linalg.matrix_power(t_map, chunk)
         count = steps // chunk
         rows = out[1 : 1 + count * chunk].reshape(count, chunk * q)
         ends = np.zeros((count, n))  # zero-state response at each chunk's end
@@ -238,7 +236,8 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         elif forced:
             rows.reshape(count, chunk, q)[:] += v @ c.T
         # Replay plain steps from the last boundary before the first chunk
-        # whose end state or readouts are not finite; normally only the tail.
+        # whose end state or readouts are not finite; normally only the tail,
+        # but all of the run when T^L itself overflows.
         bad = ~(_finite_rows(starts[1:]) & _finite_rows(rows))
         first = int(bad.argmax()) if bad.any() else count
         z = starts[first]
@@ -294,8 +293,8 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
     and each of ``readouts`` (name -> {state block: matrix}, summed over the
     blocks) in ``Trajectory.readouts``.  A moment-based error
     (direct-generator, swapped-filter) raises ValueError where its Sylvester
-    equation is ill-posed, and takes a moment the run_* helper already solved
-    from the moments memo."""
+    equation is ill-posed, and takes a moment already solved (as
+    run_swapped_filter does for its link) from the moments memo."""
     topo = TOPOLOGIES[spec.topology]
     a_aug, b_aug, z0, sizes, outputs = topo.assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
@@ -377,16 +376,14 @@ def _assemble_m_direct(spec):
     # v = n_map x + gamma u + k_hat (xi - m_map x)
     a_aug = np.block(
         [
-            [plant.a, np.zeros((n, n_hat)), np.zeros((n, n_hat))],
-            [g @ n_map - (g @ k_hat) @ m_map, abstract.a + g @ k_hat, np.zeros((n_hat, n_hat))],
-            [np.zeros((n_hat, n + n_hat)), abstract.a + g @ k_hat],
+            [plant.a, np.zeros((n, n_hat))],
+            [g @ n_map - (g @ k_hat) @ m_map, abstract.a + g @ k_hat],
         ]
     )
-    b_aug = np.vstack([plant.b, g @ gamma, np.zeros((n_hat, plant.m))])
-    x0, xi0 = spec.initial["x"], spec.initial["xi"]
-    z0 = np.concatenate([x0, xi0, xi0 - m_map @ x0])
+    b_aug = np.vstack([plant.b, g @ gamma])
+    z0 = np.concatenate([spec.initial["x"], spec.initial["xi"]])
     outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}}
-    return a_aug, b_aug, z0, {"x": n, "xi": n_hat, "eps": n_hat}, outputs
+    return a_aug, b_aug, z0, {"x": n, "xi": n_hat}, outputs
 
 
 def _direct_generator_error(spec):
@@ -445,41 +442,19 @@ def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float | None:
     return float(-coeffs[0])
 
 
-def error_stats(
-    times: np.ndarray,
-    state_err: np.ndarray,
-    out_err: np.ndarray,
-    extras: dict | None = None,
-) -> ErrorTrace:
-    """Error norms with their sup over the trailing 1 - SETTLE_FRACTION of the grid."""
+def error_stats(times: np.ndarray, out_err: np.ndarray, extras: dict | None = None) -> ErrorTrace:
+    """Norms of a run's ``err`` with their sup over the trailing
+    1 - SETTLE_FRACTION of the grid; the decay rate is fitted over all of it."""
     start = int(SETTLE_FRACTION * times.size)
     if times.size - start < 10:
         raise ValueError("trailing window has fewer than 10 samples")
-    window = out_err[start:]
     return ErrorTrace(
-        times=times,
-        state_err=state_err,
         out_err=out_err,
-        sup_norm=float(window.max()),
+        sup_norm=float(out_err[start:].max()),
         terminal_norm=float(out_err[-1]),
         decay_rate=fit_decay_rate(times, out_err),
         extras=extras or {},
     )
-
-
-def steady_state_error(traj: Trajectory, predictor) -> ErrorTrace:
-    """Error of the trajectory output y against a closed-form predictor.
-
-    ``predictor`` maps the time grid to an array of the same shape as the
-    output; norms are reported over the trailing window only, the decay
-    rate is fitted over the full horizon.
-    """
-    got = traj.outputs["y"]
-    want = np.asarray(predictor(traj.times), float)
-    if want.shape != got.shape:
-        raise ValueError(f"predictor shape {want.shape} does not match output {got.shape}")
-    errs = np.linalg.norm(got - want, axis=1)
-    return error_stats(traj.times, errs, errs)
 
 
 def run_direct_generator(
@@ -491,9 +466,7 @@ def run_direct_generator(
     step: float = DEFAULT_STEP,
 ) -> tuple[Trajectory, ErrorTrace]:
     """Drive the plant by the signal generator w' = s w, u = l w and compare
-    the plant output against the steady-state prediction C Pi w; the state
-    error x - Pi w is ``traj.readouts["x - pi w"]``."""
-    sol = moment_direct(plant, interp)
+    the plant output against the steady-state prediction C Pi w."""
     spec = InterconnectionSpec(
         topology="direct-generator",
         models={"plant": plant},
@@ -503,8 +476,7 @@ def run_direct_generator(
         horizon=horizon,
         step=step,
     )
-    traj = integrate(spec, {"x - pi w": {"x": np.eye(plant.n), "w": -sol.pi}})
-    state_err = np.linalg.norm(traj.readouts["x - pi w"], axis=1)
+    traj = integrate(spec)
     gen_spec = eigenvalues(interp.s)
     extras = {
         "plant_hurwitz": eigenvalues(plant.a).is_hurwitz(),
@@ -512,7 +484,7 @@ def run_direct_generator(
         "excitable": excitable(interp.s, w0),
     }
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    return traj, error_stats(traj.times, state_err, norms, extras=extras)
+    return traj, error_stats(traj.times, norms, extras=extras)
 
 
 def run_swapped_filter(
@@ -538,7 +510,7 @@ def run_swapped_filter(
     )
     traj = integrate(spec)
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    return traj, error_stats(traj.times, norms, norms)
+    return traj, error_stats(traj.times, norms)
 
 
 def run_hierarchical(
@@ -553,8 +525,8 @@ def run_hierarchical(
 ) -> tuple[Trajectory, ErrorTrace]:
     """Abstract system driving the plant through the certificate interface.
 
-    The error trace carries e_s = x - p xi (``traj.readouts["e_s"]``) and
-    e_y = y - psi, plus the guaranteed bound max(V(xi0, x0), gamma(||v||_inf)).
+    The error trace is e_y = y - psi, with the guaranteed bound
+    max(V(xi0, x0), gamma(||v||_inf)) in its extras.
     """
     spec = InterconnectionSpec(
         topology="hierarchical",
@@ -570,7 +542,7 @@ def run_hierarchical(
         horizon=horizon,
         step=step,
     )
-    traj = integrate(spec, {"e_s": {"x": np.eye(plant.n), "xi": -cert.p}})
+    traj = integrate(spec)
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
     gain = gamma_gain(cert, plant.b, abstract.b)
     bound = max(
@@ -582,9 +554,7 @@ def run_hierarchical(
         "gamma_gain": gain,
         "lambda": cert.lam,
     }
-    return traj, error_stats(
-        traj.times, np.linalg.norm(traj.readouts["e_s"], axis=1), norms, extras=extras
-    )
+    return traj, error_stats(traj.times, norms, extras=extras)
 
 
 def run_m_direct(
@@ -600,9 +570,9 @@ def run_m_direct(
 ) -> tuple[Trajectory, ErrorTrace]:
     """Plant driving the abstraction through v = n x + gamma u + k_hat (xi - m x).
 
-    The observed eps_s = xi - m x is compared against a parallel integration
-    of eps' = (f + g k_hat) eps; the mismatch sup-norm lands in extras.  Both
-    are ``traj.readouts`` ("eps_s", "eps_s - eps").
+    The observed eps_s = xi - m x (``traj.readouts["eps_s"]``) is compared
+    against an autonomous run of eps' = (f + g k_hat) eps from eps_s(0); the
+    sup of their gap is ``extras["parallel_gap_sup"]``.
     """
     spec = InterconnectionSpec(
         topology="m-direct",
@@ -618,20 +588,17 @@ def run_m_direct(
         horizon=horizon,
         step=step,
     )
-    m_map, x0, xi0 = spec.links["m_map"], spec.initial["x"], spec.initial["xi"]
+    m_map = spec.links["m_map"]
+    eps0 = spec.initial["xi"] - m_map @ spec.initial["x"]
     if np.allclose(link.k_hat, 0.0):
-        mismatch_start = np.linalg.norm(xi0 - m_map @ x0)
-        if mismatch_start > 1e-9 and not eigenvalues(abstract.a).is_hurwitz():
+        if np.linalg.norm(eps0) > 1e-9 and not eigenvalues(abstract.a).is_hurwitz():
             warnings.warn(
                 "xi(0) != m x(0) and the abstraction is not Hurwitz: "
                 "steady-state matching is not guaranteed"
             )
-    eye = np.eye(abstract.n)
-    eps_s = {"xi": eye, "x": -m_map}
-    traj = integrate(spec, {"eps_s": eps_s, "eps_s - eps": {**eps_s, "eps": -eye}})
-    parallel_gap = np.linalg.norm(traj.readouts["eps_s - eps"], axis=1)
-    extras = {"parallel_gap_sup": float(parallel_gap.max())}
+    traj = integrate(spec, {"eps_s": {"xi": np.eye(abstract.n), "x": -m_map}})
+    f_cl = abstract.a + abstract.b @ spec.links["k_hat"]
+    eps = rk4_linear(f_cl, None, None, eps0, traj.times)
+    gap = np.linalg.norm(traj.readouts["eps_s"] - eps, axis=1)
     norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    state_err = np.linalg.norm(traj.readouts["eps_s"], axis=1)
-    return traj, error_stats(traj.times, state_err, norms, extras=extras)
-
+    return traj, error_stats(traj.times, norms, extras={"parallel_gap_sup": float(gap.max())})

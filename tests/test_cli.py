@@ -594,6 +594,27 @@ class TestVerify:
         assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["reduce", "abstract", "verify"])
+def test_bad_tol_exits_2_before_any_work(tmp_path, plant_file, capsys, command, tol):
+    s, l_hat, out = springmass.abstract().a, springmass.l_hat(), tmp_path / "out"
+    given = {  # inputs on which each command passes every check with the default --tol
+        "reduce": ("--interp", {"s": s, "l": l_hat, "g": np.eye(2)}, "--out", out),
+        "abstract": ("--p", {"p": springmass.embedding_p()}, "--out", out),
+        "verify": ("--artifact", {"s": s, "l": l_hat}, "--checks", "pbh"),
+    }[command]
+    argv = [command, plant_file]
+    for arg in given:
+        if isinstance(arg, dict):
+            arg = write_json(tmp_path / "in.json", {key: v.tolist() for key, v in arg.items()})
+        argv.append(str(arg))
+    assert main([*argv, f"--tol={tol}"]) == 2
+    want = f"error: --tol must be a finite non-negative number, got {float(tol)}\n"
+    assert capsys.readouterr().err == want
+    assert not list(tmp_path.glob("out*"))
+    assert run_quietly(argv) == 0
+
+
 class TestVerifyCertificate:
     """``verify --checks certificate`` and synth_certificate's own check
     apply one rule, abstraction.certificate_residuals."""
@@ -673,8 +694,14 @@ class TestVerifyCertificate:
             ({"k": [[1.0, {}]]}, "field 'k' is not a numeric array"),
             ({"lam": DROP}, "field 'lam' must be a number, got None"),
             ({"lam": [2.0]}, "field 'lam' must be a number, got [2.0]"),
+            ({"lam": 0}, "field 'lam' must be a finite positive number, got 0.0"),
+            ({"lam": -5}, "field 'lam' must be a finite positive number, got -5.0"),
+            ({"lam": math.nan}, "field 'lam' must be a finite positive number, got nan"),
         ],
-        ids=["missing-w", "w-string", "k-entry-object", "missing-lam", "lam-list"],
+        ids=[
+            "missing-w", "w-string", "k-entry-object", "missing-lam", "lam-list",
+            "lam-zero", "lam-negative", "lam-nan",
+        ],
     )
     def test_missing_or_non_numeric_field_exits_2(self, tmp_path, capsys, patch, shown):
         artifact = certificate_fields(springmass_certificate(), springmass.abstract().a)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_stable_system, rotation_block
 from momabs import sim, springmass
-from momabs.abstraction import StabilizedLink, synth_certificate
+from momabs.abstraction import SimulationCertificate, StabilizedLink, synth_certificate
 from momabs.linalg import StateSpaceModel, place_poles
 from momabs.moments import DirectInterpolant, SwappedInterpolant, moment_direct, moment_swapped
 from momabs.signals import SignalSpec, Term
@@ -24,7 +24,6 @@ from momabs.sim import (
     run_hierarchical,
     run_m_direct,
     run_swapped_filter,
-    steady_state_error,
     time_grid,
 )
 
@@ -233,35 +232,43 @@ class TestRk4Propagator:
 
 
 class TestReadoutMemory:
-    def test_no_state_trajectory_is_built(self):
+    @pytest.mark.parametrize("run", ["integrate", "run_hierarchical"])
+    def test_no_state_trajectory_is_built(self, run):
         # One N x n float64 state trajectory would take 20 001 x 202 x 8 bytes
-        # = 32.3 MB; integrate reads out 6 columns and must stay below that.
+        # = 32.3 MB; a run reads out 6 columns and must stay below that.
         rng = np.random.default_rng(7)
         n, n_hat = 200, 2
         plant = random_stable_system(rng, n=n, m=2, p=2, margin=0.5)
         abstract = StateSpaceModel(
             a=rotation_block(1.5), b=rng.standard_normal((2, 2)), c=rng.standard_normal((2, 2))
         )
+        cert = SimulationCertificate(
+            p=rng.standard_normal((n, n_hat)), l_hat=rng.standard_normal((2, n_hat)),
+            w=np.eye(n), lam=1.0, k=np.zeros((2, n)), r_hat=rng.standard_normal((2, 2)),
+        )
+        x0, xi0 = rng.standard_normal(n), rng.standard_normal(n_hat)
+        v = random_forcing(rng, ("sin", "square"))
         spec = InterconnectionSpec(
             topology="hierarchical",
             models={"plant": plant, "abstract": abstract},
-            links={
-                "p": rng.standard_normal((n, n_hat)), "l_hat": rng.standard_normal((2, n_hat)),
-                "k": np.zeros((2, n)), "r_hat": rng.standard_normal((2, 2)),
-            },
-            initial={"x": rng.standard_normal(n), "xi": rng.standard_normal(n_hat)},
-            signal=random_forcing(rng, ("sin", "square")),
+            links={"p": cert.p, "l_hat": cert.l_hat, "k": cert.k, "r_hat": cert.r_hat},
+            initial={"x": x0, "xi": xi0},
+            signal=v,
             horizon=20.0,
             step=1e-3,
         )
         tracemalloc.start()
         try:
-            traj = integrate(spec)
+            if run == "integrate":
+                traj = integrate(spec)
+            else:
+                traj, _ = run_hierarchical(plant, abstract, cert, v, x0, xi0, 20.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert traj.outputs["err"].shape == (20_001, 2)
         assert peak < 20_001 * (n + n_hat) * 8
+        assert traj.readouts == {}
 
 
 def _matrix_exp(a, t):
@@ -392,6 +399,7 @@ class TestDirectGenerator:
         traj, err = run_direct_generator(plant, interp, w0, sol.pi @ w0, horizon=5.0, step=1e-3)
         # starting on x = Pi w the output equals C Pi w for all time
         assert np.abs(err.out_err).max() < 1e-6
+        assert traj.readouts == {}
 
     def test_transient_decays_to_manifold(self, rng):
         plant = random_stable_system(rng, n=4, m=1, p=1, margin=2.0)
@@ -421,6 +429,7 @@ class TestSwappedFilter:
         u = expdecay_signal(1, amplitude=2.0, rate=1.0)
         traj, err = run_swapped_filter(plant, interp, u, horizon=8.0, step=2e-3)
         assert err.sup_norm < 1e-5
+        assert traj.readouts == {}
 
     def test_persistent_input_rejected(self, rng):
         plant = random_stable_system(rng, n=3, m=1, p=1)
@@ -450,9 +459,16 @@ class TestHierarchical:
         abstract = springmass.abstract()
         cert = springmass_certificate()
         v = springmass.v_signal()
-        traj, err = run_hierarchical(
-            plant, abstract, cert, v, springmass.X0, springmass.XI0, horizon=4.0, step=1e-3
+        spec = InterconnectionSpec(
+            topology="hierarchical",
+            models={"plant": plant, "abstract": abstract},
+            links={"p": cert.p, "l_hat": cert.l_hat, "k": cert.k, "r_hat": cert.r_hat},
+            initial={"x": springmass.X0, "xi": springmass.XI0},
+            signal=v,
+            horizon=4.0,
+            step=1e-3,
         )
+        traj = integrate(spec, {"e_s": {"x": np.eye(plant.n), "xi": -cert.p}})
         e_s = traj.readouts["e_s"]
         a_cl = plant.a + plant.b @ cert.k
         b_err = plant.b @ cert.r_hat - cert.p @ abstract.b
@@ -508,7 +524,8 @@ class TestMDirect:
             x0, design.m_map @ x0, horizon=4.0, step=1e-3,
         )
         assert err.sup_norm < 1e-6
-        assert np.abs(err.state_err).max() < 1e-6
+        assert list(traj.readouts) == ["eps_s"]
+        assert np.abs(traj.readouts["eps_s"]).max() < 1e-6
 
     def test_stabilized_link_decays_and_matches_parallel(self):
         plant, design = self._design()
@@ -521,6 +538,7 @@ class TestMDirect:
         )
         assert err.sup_norm < 1e-3
         assert err.extras["parallel_gap_sup"] < 1e-6
+        assert list(traj.readouts) == ["eps_s"]
 
     def test_inconsistent_start_without_stabilization_warns(self):
         plant, design = self._design()
@@ -629,7 +647,7 @@ class TestErrorStats:
         errs = np.zeros_like(times)
         # 21 samples leave 7 after the settling share of the grid
         with pytest.raises(ValueError, match="trailing window"):
-            error_stats(times, errs, errs)
+            error_stats(times, errs)
 
 
 class TestSteadyStateError:
@@ -639,17 +657,5 @@ class TestSteadyStateError:
         sol = moment_direct(plant, interp)
         w0 = np.array([1.0, 0.0])
         traj, _ = run_direct_generator(plant, interp, w0, sol.pi @ w0, horizon=2.0, step=1e-3)
-        exp_rot = lambda t: np.stack(
-            [_matrix_exp(interp.s, ti) @ w0 for ti in np.atleast_1d(t)]
-        )
-        err = steady_state_error(traj, lambda t: exp_rot(t) @ sol.moment.T)
-        assert err.sup_norm < 1e-6
-
-    def test_shape_mismatch_rejected(self, rng):
-        plant = random_stable_system(rng, n=3, m=1, p=1)
-        interp = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
-        traj, _ = run_direct_generator(
-            plant, interp, [1.0, 0.0], np.zeros(3), horizon=1.0, step=1e-2
-        )
-        with pytest.raises(ValueError, match="shape"):
-            steady_state_error(traj, lambda t: np.zeros((len(t), 5)))
+        predicted = np.stack([_matrix_exp(interp.s, t) @ w0 for t in traj.times]) @ sol.moment.T
+        assert np.abs(traj.outputs["y"] - predicted).max() < 1e-6
