@@ -1,12 +1,14 @@
 """Hierarchical abstraction synthesis for LTI systems.
 
-Builds simulation-function certificates with their interfaces, the
-geometric abstraction (projection / injection maps plus the link matrices
-that witness the M-relation), and the final reduced abstract model.
+Solves the embedding p f = a p + b l_hat, h = c p (h is the moment of the
+plant at (f, l_hat)) and builds simulation-function certificates with their
+interfaces, the geometric abstraction (projection / injection maps plus the
+link matrices that witness the M-relation), and the final reduced model.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .linalg import (
     solve_lyapunov,
     solve_sylvester,
 )
+from .moments import transfer_eval
 
 RESIDUAL_TOL = 1e-9
 DEFAULT_LAMBDA_FRACTION = 0.9  # certified decay rate as a share of a + b k's margin
@@ -94,36 +97,28 @@ class MRelationReport:
 def solve_embedding(
     sys: StateSpaceModel, abstract: StateSpaceModel, l_hat=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve p f = a p + b l_hat together with h = c p.
+    """Solve p f = a p + b l_hat with h = c p: h is the moment of ``sys`` at (f, l_hat).
 
-    When l_hat is given, p is the unique Sylvester solution and the output
-    constraint is verified.  Otherwise (p, l_hat) are solved jointly as a
-    stacked linear system (minimum norm if underdetermined).
+    At each eigenpair (mu, v) of f this says h v = G(mu) l_hat v, with
+    G(s) = c (s I - a)^{-1} b.  Without l_hat, each l_hat v is the minimum-norm
+    solution of G(mu) y = h v, refused unless h v is in the range of G(mu);
+    that is the joint minimum-norm (p, l_hat) when every G(mu) has full column
+    rank.  p is then the Sylvester solution, so f must be diagonalizable with
+    sigma(f) disjoint from sigma(a), and h = c p is verified.
     """
-    a, b, c = sys.a, sys.b, sys.c
     f, h = abstract.a, abstract.c
-    n, m, n_hat = sys.n, sys.m, abstract.n
-    if l_hat is not None:
-        l_hat = as_matrix(l_hat, "l_hat")
-        p = solve_sylvester(a, f, -(b @ l_hat))
-    else:
-        # unknowns: vec(p) then vec(l_hat), column-major
-        eye_n = np.eye(n)
-        eye_nh = np.eye(n_hat)
-        top = np.hstack(
-            [np.kron(f.T, eye_n) - np.kron(eye_nh, a), -np.kron(eye_nh, b)]
-        )
-        bottom = np.hstack([np.kron(eye_nh, c), np.zeros((h.size, m * n_hat))])
-        lhs = np.vstack([top, bottom])
-        rhs = np.concatenate([np.zeros(n * n_hat), h.reshape(-1, order="F")])
-        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        p = sol[: n * n_hat].reshape((n, n_hat), order="F")
-        l_hat = sol[n * n_hat :].reshape((m, n_hat), order="F")
-        if np.linalg.norm(p @ f - a @ p - b @ l_hat) > RESIDUAL_TOL * max(
-            1.0, np.linalg.norm(p)
-        ):
-            raise ValueError("embedding equations have no solution for this abstraction")
-    if np.linalg.norm(c @ p - h) > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
+    if l_hat is None:
+        mu, v = np.linalg.eig(f)
+        y = []
+        for point, hv in zip(mu, (h @ v).T):
+            g = transfer_eval(sys, complex(point))
+            y.append(np.linalg.lstsq(g, hv, rcond=None)[0])
+            if np.linalg.norm(g @ y[-1] - hv) > RESIDUAL_TOL * max(1.0, np.linalg.norm(hv)):
+                raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {point:g}")
+        l_hat = np.linalg.solve(v.T, np.array(y)).T.real
+    l_hat = as_matrix(l_hat, "l_hat")
+    p = solve_sylvester(sys.a, f, -(sys.b @ l_hat))
+    if np.linalg.norm(sys.c @ p - h) > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
         raise ValueError("output constraint h = c p is violated; no certificate exists")
     return p, l_hat
 
@@ -136,9 +131,10 @@ def synth_certificate(
 ) -> SimulationCertificate:
     """Construct a simulation-function certificate for ``abstract`` by ``sys``.
 
-    lam is DEFAULT_LAMBDA_FRACTION times the spectral abscissa margin of
-    a + b k; w is a scaled shifted-Lyapunov solution, scaled so that
-    w >= c^T c; r_hat is all ones (see :func:`optimize_r_hat` for a
+    (p, l_hat) come from :func:`solve_embedding` (l_hat interpolated from h
+    when not given); lam is DEFAULT_LAMBDA_FRACTION times the spectral
+    abscissa margin of a + b k; w, a shifted-Lyapunov solution, is scaled so
+    that w >= c^T c; r_hat is all ones (:func:`optimize_r_hat` finds a
     gain-minimizing one).
     """
     k = as_matrix(k, "k")
@@ -152,8 +148,7 @@ def synth_certificate(
     eps = 1e-6 * np.linalg.norm(ctc + np.eye(sys.n), 2)
     w0 = solve_lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n))
     # smallest alpha with alpha w0 >= c^T c: top generalized eigenvalue of (ctc, w0)
-    chol = np.linalg.cholesky(w0)
-    inv_chol = np.linalg.inv(chol)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(w0))
     gen_max = float(np.linalg.eigvalsh(inv_chol @ ctc @ inv_chol.T).max())
     w = max(1.0, gen_max) * w0
     r_hat = np.ones((sys.m, abstract.m))
@@ -176,7 +171,10 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
     """
     a_cl = sys.a + sys.b @ cert.k
     w_scale = max(1.0, np.linalg.norm(cert.w, 2))
-    lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows 2 lam w
+        lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
+    if not np.all(np.isfinite(lmi)):
+        raise ValueError(f"decay-inequality matrix is not finite at lam = {cert.lam:g}")
     gap = np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()
     res = {
         "c^T c domination gap": max(0.0, -gap) / w_scale,
@@ -196,9 +194,7 @@ def simulation_fn_value(cert: SimulationCertificate, xi, x) -> float:
 
 def interface_eval(cert: SimulationCertificate, v, xi, x) -> np.ndarray:
     """Concrete input u = r_hat v + l_hat xi + k (x - p xi)."""
-    v = np.asarray(v, float).reshape(-1)
-    xi = np.asarray(xi, float).reshape(-1)
-    x = np.asarray(x, float).reshape(-1)
+    v, xi, x = (np.asarray(z, float).reshape(-1) for z in (v, xi, x))
     return cert.r_hat @ v + cert.l_hat @ xi + cert.k @ (x - cert.p @ xi)
 
 
@@ -223,9 +219,7 @@ def simulation_fn_derivative(
     x,
 ) -> float:
     """Directional derivative of V along the interconnected vector field."""
-    v = np.asarray(v, float).reshape(-1)
-    xi = np.asarray(xi, float).reshape(-1)
-    x = np.asarray(x, float).reshape(-1)
+    v, xi, x = (np.asarray(z, float).reshape(-1) for z in (v, xi, x))
     e = cert.p @ xi - x
     val = simulation_fn_value(cert, xi, x)
     if val == 0.0:
@@ -241,8 +235,6 @@ def optimize_r_hat(p, b, g) -> np.ndarray:
     b = as_matrix(b, "b")
     g = as_matrix(g, "g")
     if numerical_rank(b) < b.shape[1]:
-        import warnings
-
         warnings.warn("b is rank deficient; using a truncated pseudo-inverse")
     return np.linalg.pinv(b) @ p @ g
 

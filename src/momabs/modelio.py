@@ -33,11 +33,14 @@ def load_json(path) -> dict:
 
 
 def numeric_array(data, name: str, path) -> np.ndarray:
-    """``data`` as a float array; a ModelFileError names the file and field."""
+    """``data`` as a finite float array; a ModelFileError names the file and field."""
     try:
-        return np.array(data, dtype=float)
+        arr = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: field {name!r} is not a numeric array") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ModelFileError(f"{path}: field {name!r} has non-finite entries")
+    return arr
 
 
 def numeric_field(data: dict, key: str, path) -> np.ndarray:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,16 @@ from momabs.abstraction import (
     solve_embedding,
     synth_certificate,
 )
-from momabs.linalg import StateSpaceModel, pbh_observable, place_poles, solve_sylvester
+from momabs.linalg import (
+    StateSpaceModel,
+    eigenvalues,
+    pbh_observable,
+    place_poles,
+    solve_sylvester,
+)
+from momabs.moments import transfer_eval
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "momabs"
 
 
 def springmass_gain():
@@ -47,6 +58,42 @@ def random_certificate(rng, n=5, m=2, p=2, n_hat=2):
     return sys, abstract, synth_certificate(sys, abstract, k)
 
 
+def kron_embedding(sys, abstract):
+    """Reference (p, l_hat): the joint minimum-norm solution of p f = a p + b l_hat
+    and h = c p as one stacked least-squares system of size about (n n_hat)^2."""
+    a, b, c = sys.a, sys.b, sys.c
+    f, h = abstract.a, abstract.c
+    n, m, n_hat = sys.n, sys.m, abstract.n
+    # unknowns: vec(p) then vec(l_hat), column-major
+    eye_n = np.eye(n)
+    eye_nh = np.eye(n_hat)
+    top = np.hstack(
+        [np.kron(f.T, eye_n) - np.kron(eye_nh, a), -np.kron(eye_nh, b)]
+    )
+    bottom = np.hstack([np.kron(eye_nh, c), np.zeros((h.size, m * n_hat))])
+    lhs = np.vstack([top, bottom])
+    rhs = np.concatenate([np.zeros(n * n_hat), h.reshape(-1, order="F")])
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    p = sol[: n * n_hat].reshape((n, n_hat), order="F")
+    l_hat = sol[n * n_hat :].reshape((m, n_hat), order="F")
+    return p, l_hat
+
+
+def embeddable_abstraction(rng, sys, blocks=1):
+    """Rotation-block f with h = c p for a random l_hat, so an embedding exists."""
+    f = np.zeros((2 * blocks, 2 * blocks))
+    for i in range(blocks):
+        f[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation_block(0.5 + 3 * rng.random())
+    l_hat = rng.standard_normal((sys.m, 2 * blocks))
+    h = sys.c @ solve_sylvester(sys.a, f, -(sys.b @ l_hat))
+    return StateSpaceModel(a=f, b=rng.standard_normal((2 * blocks, 1)), c=h)
+
+
+def test_no_kronecker_system_in_src():
+    # an n^2 x n^2 Kronecker matrix is a test-only reference; src solves in O(n^3)
+    assert [path.name for path in SRC.glob("*.py") if "kron" in path.read_text()] == []
+
+
 class TestSolveEmbedding:
     def test_golden_springmass_given_l_hat(self):
         p, l_hat = solve_embedding(
@@ -68,6 +115,61 @@ class TestSolveEmbedding:
         # an l_hat chosen at random almost surely breaks h = c p
         with pytest.raises(ValueError, match="h = c p"):
             solve_embedding(sys, abstract, rng.standard_normal((1, 2)))
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_kronecker_reference(self, seed):
+        # m <= p: every G(mu) has full column rank, so l_hat is unique
+        rng = np.random.default_rng(seed)
+        p_out = int(rng.integers(1, 4))
+        sys = random_stable_system(
+            rng, n=int(rng.integers(3, 9)), m=int(rng.integers(1, p_out + 1)), p=p_out
+        )
+        abstract = embeddable_abstraction(rng, sys, blocks=int(rng.integers(1, 3)))
+        p, l_hat = solve_embedding(sys, abstract)
+        p_ref, l_ref = kron_embedding(sys, abstract)
+        assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+        assert np.linalg.norm(l_hat - l_ref) <= 1e-10 * np.linalg.norm(l_ref)
+
+    def test_wide_plant_takes_minimum_norm_direction(self, rng):
+        # m > p: G(mu) has a kernel, and each l_hat v is orthogonal to it
+        sys = random_stable_system(rng, n=6, m=4, p=2)
+        abstract = embeddable_abstraction(rng, sys, blocks=2)
+        p, l_hat = solve_embedding(sys, abstract)
+        f = abstract.a
+        assert np.linalg.norm(p @ f - sys.a @ p - sys.b @ l_hat) < 1e-10 * np.linalg.norm(p)
+        assert np.linalg.norm(sys.c @ p - abstract.c) < 1e-10 * np.linalg.norm(abstract.c)
+        mu, v = np.linalg.eig(f)
+        for point, direction in zip(mu, (l_hat @ v).T):
+            _, _, vh = np.linalg.svd(transfer_eval(sys, complex(point)))
+            # the rows of vh past rank p span the conjugate of ker G(mu)
+            assert np.linalg.norm(vh[sys.p :] @ direction) < 1e-10 * np.linalg.norm(direction)
+
+    def test_h_outside_range_of_g_names_mu(self, rng):
+        sys = random_stable_system(rng, n=4, m=1, p=2)
+        abstract = StateSpaceModel(
+            a=rotation_block(2.0), b=np.ones((2, 1)), c=rng.standard_normal((2, 2))
+        )
+        with pytest.raises(ValueError, match=r"not in the range of G\(mu\) at mu = 0[+-]2j"):
+            solve_embedding(sys, abstract)
+
+    def test_jordan_block_f_raises(self, rng):
+        sys = random_stable_system(rng, n=4, m=2, p=2)
+        abstract = StateSpaceModel(
+            a=np.array([[0.5, 1.0], [0.0, 0.5]]), b=np.ones((2, 1)), c=rng.standard_normal((2, 2))
+        )
+        with pytest.raises(ValueError, match="ill conditioned"):
+            solve_embedding(sys, abstract)
+
+    def test_f_sharing_an_eigenvalue_with_a_raises(self, rng):
+        sys = random_stable_system(rng, n=4, m=2, p=2)
+        point = eigenvalues(sys.a).eigenvalues[0]
+        if point.imag:
+            f = np.array([[point.real, point.imag], [-point.imag, point.real]])
+        else:
+            f = np.diag([point.real, point.real - 1.0])
+        abstract = StateSpaceModel(a=f, b=np.ones((2, 1)), c=rng.standard_normal((2, 2)))
+        with pytest.raises(ValueError, match="eigenvalue of a"):
+            solve_embedding(sys, abstract)
 
 
 class TestSynthCertificate:

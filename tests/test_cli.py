@@ -697,10 +697,14 @@ class TestVerifyCertificate:
             ({"lam": 0}, "field 'lam' must be a finite positive number, got 0.0"),
             ({"lam": -5}, "field 'lam' must be a finite positive number, got -5.0"),
             ({"lam": math.nan}, "field 'lam' must be a finite positive number, got nan"),
+            ({"lam": 1e308}, "decay-inequality matrix is not finite at lam = 1e+308"),
+            ({"w": [[math.inf, 0.0, 0.0, 0.0], *np.eye(4)[1:].tolist()]},
+             "field 'w' has non-finite entries"),
+            ({"k": [[math.nan, 0.0, 0.0, 0.0], [0.0] * 4]}, "field 'k' has non-finite entries"),
         ],
         ids=[
             "missing-w", "w-string", "k-entry-object", "missing-lam", "lam-list",
-            "lam-zero", "lam-negative", "lam-nan",
+            "lam-zero", "lam-negative", "lam-nan", "lam-huge", "w-infinity", "k-nan",
         ],
     )
     def test_missing_or_non_numeric_field_exits_2(self, tmp_path, capsys, patch, shown):
