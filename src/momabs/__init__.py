@@ -18,8 +18,6 @@ from .moments import (
     DirectMomentSolution,
     SwappedInterpolant,
     SwappedMomentSolution,
-    limiting_direct,
-    limiting_swapped,
     moment_direct,
     moment_swapped,
     rom_direct,
@@ -27,6 +25,7 @@ from .moments import (
     rom_two_sided,
     tangential_mismatch_direct,
     tangential_mismatch_swapped,
+    transfer_at,
     transfer_eval,
 )
 from .abstraction import (
@@ -39,7 +38,6 @@ from .abstraction import (
     final_abstraction,
     gamma_gain,
     interface_eval,
-    optimize_r_hat,
     simulation_fn_derivative,
     simulation_fn_value,
     synth_certificate,

@@ -8,7 +8,6 @@ link matrices that witness the M-relation), and the final reduced model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +15,12 @@ import numpy as np
 from .linalg import (
     StateSpaceModel,
     as_matrix,
-    _square,
     eigenvalues,
     numerical_rank,
     solve_lyapunov,
     solve_sylvester,
 )
-from .moments import transfer_eval
+from .moments import transfer_at
 
 RESIDUAL_TOL = 1e-9
 DEFAULT_LAMBDA_FRACTION = 0.9  # certified decay rate as a share of a + b k's margin
@@ -110,8 +108,7 @@ def solve_embedding(
     if l_hat is None:
         mu, v = np.linalg.eig(f)
         y = []
-        for point, hv in zip(mu, (h @ v).T):
-            g = transfer_eval(sys, complex(point))
+        for point, g, hv in zip(mu, transfer_at(sys, mu), (h @ v).T):
             y.append(np.linalg.lstsq(g, hv, rcond=None)[0])
             if np.linalg.norm(g @ y[-1] - hv) > RESIDUAL_TOL * max(1.0, np.linalg.norm(hv)):
                 raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {point:g}")
@@ -134,8 +131,7 @@ def synth_certificate(
     (p, l_hat) come from :func:`solve_embedding` (l_hat interpolated from h
     when not given); lam is DEFAULT_LAMBDA_FRACTION times the spectral
     abscissa margin of a + b k; w, a shifted-Lyapunov solution, is scaled so
-    that w >= c^T c; r_hat is all ones (:func:`optimize_r_hat` finds a
-    gain-minimizing one).
+    that w >= c^T c; r_hat is all ones.
     """
     k = as_matrix(k, "k")
     a_cl = sys.a + sys.b @ k
@@ -227,16 +223,6 @@ def simulation_fn_derivative(
     u = interface_eval(cert, v, xi, x)
     e_dot = cert.p @ (abstract.a @ xi + abstract.b @ v) - (sys.a @ x + sys.b @ u)
     return float(e @ cert.w @ e_dot / val)
-
-
-def optimize_r_hat(p, b, g) -> np.ndarray:
-    """Frobenius-norm minimizer r_hat = pinv(b) p g of ||b r_hat - p g||."""
-    p = as_matrix(p, "p")
-    b = as_matrix(b, "b")
-    g = as_matrix(g, "g")
-    if numerical_rank(b) < b.shape[1]:
-        warnings.warn("b is rank deficient; using a truncated pseudo-inverse")
-    return np.linalg.pinv(b) @ p @ g
 
 
 def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:

@@ -143,11 +143,11 @@ def cmd_reduce(args) -> RunReport:
 
 
 def _interpolation_checks(report, full, rom, s_mat, tol, tag="s"):
-    for lam in eigenvalues(s_mat).eigenvalues:
-        if lam.imag < 0:
-            continue  # conjugate value is redundant for real systems
-        tf_full = moments.transfer_eval(full, complex(lam))
-        tf_rom = moments.transfer_eval(rom, complex(lam))
+    points = eigenvalues(s_mat).eigenvalues
+    points = points[points.imag >= 0]  # conjugate value is redundant for real systems
+    for lam, tf_full, tf_rom in zip(
+        points, moments.transfer_at(full, points), moments.transfer_at(rom, points)
+    ):
         rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)
 

@@ -4,8 +4,9 @@ Spectra, rank tests, Sylvester/Lyapunov solvers, PBH and excitability
 tests, and pole placement, on plain numpy arrays.  The Sylvester solver
 works in the eigenbasis of the smaller side, at O(k n^3) for an order-n
 plant and an order-k interpolation side, and solves each conjugate pair of
-shifts once; the Lyapunov solver runs the scaled matrix-sign iteration at
-O(n^3).  Both stay practical for n in the hundreds.  Neither forms the
+shifts once (:func:`_conjugate_fill` is that pair rule, shared with
+:func:`momabs.moments.transfer_at`); the Lyapunov solver runs the scaled
+matrix-sign iteration at O(n^3).  Both stay practical for n in the hundreds.  Neither forms the
 n^2 x n^2 Kronecker matrix: each bounds its condition number from above,
 refuses the system when the bound exceeds SYLVESTER_COND_MAX, and verifies
 its residual.
@@ -115,13 +116,6 @@ class StateSpaceModel:
     def p(self) -> int:
         return self.c.shape[0]
 
-    def check_full_rank_maps(self) -> None:
-        """Enforce rank(b) = m and rank(c) = p."""
-        if numerical_rank(self.b) != self.m:
-            raise ValueError("input map b is not full column rank")
-        if numerical_rank(self.c) != self.p:
-            raise ValueError("output map c is not full row rank")
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -227,8 +221,8 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     The equation is real, so a complex pair (mu, conj(mu)) of the smaller
     side has conjugate eigenvectors and conjugate shifted solutions: only
     the member with imag(mu) >= 0 is factored and solved, and its partner
-    takes the conjugate.  sigma(a - conj(mu) I) = sigma(a - mu I), so the
-    bound is the same as over all shifts.
+    takes the conjugate (:func:`_conjugate_fill`).  As sigma(a - conj(mu) I)
+    = sigma(a - mu I), the bound is the same as over all shifts.
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -247,8 +241,7 @@ def solve_sylvester(a, b, c) -> np.ndarray:
 
 def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a X - X b = c through the eigendecomposition of b, behind the cond gate."""
-    # b is real: eig returns each complex pair as consecutive (mu, conj(mu)),
-    # positive imaginary part first, with exactly conjugate eigenvectors
+    # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
     eye = np.eye(a.shape[0])
@@ -260,11 +253,23 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
             f"Sylvester system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
         )
     rhs = c @ v[:, first]
-    y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu[first], rhs.T)])
-    # column of y for each eigenvalue: its own, or for a second member its partner's
-    src = y[:, np.cumsum(first) - 1]
-    y = np.where(first, src, src.conj())
-    return np.linalg.solve(v.T, y.T).T.real
+    y = np.array([np.linalg.solve(a - m * eye, r) for m, r in zip(mu[first], rhs.T)])
+    return np.linalg.solve(v.T, _conjugate_fill(mu, y)).T.real
+
+
+def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Values at all points of mu from ``values``, one per point with imag >= 0.
+
+    mu must be in the pair order np.linalg.eig gives a real matrix: each point
+    with imag < 0 directly follows its exact conjugate and takes the conjugate
+    value.  Any other order, such as a sorted spectrum's, is refused."""
+    first = mu.imag >= 0
+    second = np.flatnonzero(~first)
+    if second.size and (second[0] == 0 or np.any(mu[second] != mu[second - 1].conj())):
+        raise ValueError("points are not in conjugate-pair order")
+    out = values[np.cumsum(first) - 1]
+    out[~first] = out[~first].conj()
+    return out
 
 
 def solve_lyapunov(a_cl, q) -> np.ndarray:

@@ -17,6 +17,7 @@ from .linalg import (
     DISJOINT_TOL,
     StateSpaceModel,
     as_matrix,
+    _conjugate_fill,
     _memoized,
     _square,
     eigenvalues,
@@ -165,6 +166,14 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
     return sys.c @ resolvent_rhs
 
 
+def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:
+    """Transfer values G(mu_j) stacked as (k, p, m), for points mu in the pair
+    order of np.linalg.eig: each conjugate pair is solved once, at imag >= 0."""
+    mu = np.asarray(mu, dtype=complex).reshape(-1)
+    upper = [transfer_eval(sys, complex(point)) for point in mu[mu.imag >= 0]]
+    return _conjugate_fill(mu, np.array(upper))
+
+
 def tangential_mismatch_direct(
     full: StateSpaceModel, rom: StateSpaceModel, interp: DirectInterpolant
 ) -> float:
@@ -175,44 +184,19 @@ def tangential_mismatch_direct(
     special case.
     """
     vals, vecs = np.linalg.eig(interp.s)
-    worst = 0.0
-    for lam, v in zip(vals, vecs.T):
-        d = interp.l.astype(complex) @ v
-        tf_full = transfer_eval(full, complex(lam))
-        diff = (tf_full - transfer_eval(rom, complex(lam))) @ d
-        ref = tf_full @ d
-        worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(ref)))
-    return float(worst)
+    d = (interp.l @ vecs).T[:, :, None]  # direction l v per eigenpair
+    tf_full = transfer_at(full, vals)
+    diff = np.linalg.norm((tf_full - transfer_at(rom, vals)) @ d, axis=(1, 2))
+    ref = np.linalg.norm(tf_full @ d, axis=(1, 2))
+    return float((diff / np.maximum(1.0, ref)).max())
 
 
 def tangential_mismatch_swapped(
     full: StateSpaceModel, rom: StateSpaceModel, interp: SwappedInterpolant
 ) -> float:
-    """Dual of :func:`tangential_mismatch_direct`: left directions w^T r from
-    the left eigenpairs of q."""
-    vals, vecs = np.linalg.eig(interp.q.T)
-    worst = 0.0
-    for lam, w in zip(vals, vecs.T):
-        d = w @ interp.r.astype(complex)
-        tf_full = transfer_eval(full, complex(lam))
-        diff = d @ (tf_full - transfer_eval(rom, complex(lam)))
-        ref = d @ tf_full
-        worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(ref)))
-    return float(worst)
-
-
-def limiting_direct(
-    moment: DirectMomentSolution, interp: DirectInterpolant
-) -> StateSpaceModel:
-    """Autonomous limiting model (s, 0, C Pi) on the attractive subspace x = Pi w."""
-    n_hat = interp.order
-    return StateSpaceModel(
-        a=interp.s, b=np.zeros((n_hat, interp.l.shape[0])), c=moment.moment
-    )
-
-
-def limiting_swapped(
-    moment: SwappedMomentSolution, interp: SwappedInterpolant
-) -> StateSpaceModel:
-    """Limiting model (q, Ups b, I) for the error variable zeta = w + Ups x."""
-    return StateSpaceModel(a=interp.q, b=moment.moment, c=np.eye(interp.order))
+    """Dual of :func:`tangential_mismatch_direct`: the direct mismatch of the
+    dual systems (a^T, c^T, b^T), whose transfer is G^T, at (q^T, r^T), so
+    along the left directions w^T r from the left eigenpairs of q."""
+    dual = lambda sys: StateSpaceModel(a=sys.a.T, b=sys.c.T, c=sys.b.T)
+    di = DirectInterpolant(s=interp.q.T, l=interp.r.T)
+    return tangential_mismatch_direct(dual(full), dual(rom), di)

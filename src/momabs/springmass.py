@@ -60,10 +60,6 @@ def m_map() -> np.ndarray:
     return np.hstack([np.eye(2), np.zeros((2, 2))])
 
 
-def d_map() -> np.ndarray:
-    return np.vstack([np.zeros((2, 2)), np.eye(2)])
-
-
 def n_map_published() -> np.ndarray:
     """Link matrix N as published for this benchmark.
 

@@ -21,6 +21,19 @@ def sylvester_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def transfer_calls(monkeypatch):
+    """Record the system and point of every transfer_eval that moments makes."""
+    calls, real_eval = [], moments.transfer_eval
+
+    def spy(sys, s):
+        calls.append((sys, s))
+        return real_eval(sys, s)
+
+    monkeypatch.setattr(moments, "transfer_eval", spy)
+    return calls
+
+
 def random_stable_system(rng, n=4, m=2, p=2, margin=1.0):
     """Random Hurwitz system with a spectral abscissa at most -margin."""
     a0 = rng.standard_normal((n, n))

@@ -201,6 +201,38 @@ class TestReduce:
         assert "swapped moment residual" in text
         assert "result: OK" in text
 
+    @pytest.mark.parametrize(
+        "mode, rows",
+        [
+            ("direct", ["direct moment residual", "transfer match at sigma(s) point 0+1.5j",
+                        "transfer match at sigma(s) point 0.5+0j"]),
+            ("swapped", ["swapped moment residual", "transfer match at sigma(q) point 0+1.5j",
+                         "transfer match at sigma(q) point 0.5+0j"]),
+        ],
+    )
+    def test_siso_check_rows(self, tmp_path, capsys, mode, rows):
+        # one row per point of the sorted spectrum with imag >= 0, in that order
+        rng = np.random.default_rng(7)
+        plant = non_normal_stable_system(rng, n=4, m=1, p=1)
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        gen = [[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [0.0, 0.0, 0.5]]
+        interp = write_json(
+            tmp_path / "interp.json",
+            {"s": gen, "l": [[1.0, 0.5, 1.0]], "g": [[1.0], [2.0], [3.0]],
+             "q": gen, "r": [[1.0], [0.5], [1.0]], "h": [[1.0, 2.0, 3.0]]},
+        )
+        out = str(tmp_path / "rom.json")
+        assert main(["reduce", model, "--interp", interp, "--mode", mode, "--out", out]) == 0
+        assert re.findall(r"^\[PASS\] (.*): value=", capsys.readouterr().out, re.M) == rows
+
+    def test_mimo_check_rows(self, tmp_path, plant_file, capsys):
+        data = {"s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist()}
+        interp = write_json(tmp_path / "interp.json", {**data, "g": np.eye(2).tolist()})
+        out = str(tmp_path / "rom.json")
+        assert main(["reduce", plant_file, "--interp", interp, "--out", out]) == 0
+        rows = re.findall(r"^\[PASS\] (.*): value=", capsys.readouterr().out, re.M)
+        assert rows == ["direct moment residual", "tangential transfer match at sigma(s)"]
+
     def test_malformed_json_exits_2(self, tmp_path, plant_file, capsys):
         bad = tmp_path / "interp.json"
         bad.write_text('{"s": [[0, 1],\n')

@@ -438,6 +438,33 @@ class TestConjugatePairs:
         assert shapes.count((n, n)) == np.sum(e.imag >= 0) < e.size
 
 
+class TestConjugateFill:
+    """The one pair rule: a second member takes its partner's conjugate value."""
+
+    def test_fills_eig_order(self):
+        mu = np.linalg.eigvals(mixed_small_side("random-5x5"))
+        upper = mu[mu.imag >= 0]
+        filled = linalg._conjugate_fill(mu, (upper + 1.0)[:, None])
+        assert np.array_equal(filled[:, 0], mu + 1.0)
+
+    def test_refuses_sorted_order(self):
+        # a sorted spectrum lists the member with imag < 0 first
+        mu = eigenvalues(rotation_block(2.0)).eigenvalues
+        assert mu[0].imag < 0 < mu[1].imag
+        with pytest.raises(ValueError, match="conjugate-pair order"):
+            linalg._conjugate_fill(mu, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="conjugate-pair order"):
+            moments.transfer_at(springmass.concrete(), mu)
+
+    @pytest.mark.parametrize(
+        "mu", [[1 + 2j, 1 - 2j, 1 - 2j], [1 + 2j, 3.0, 1 - 2j], [1 + 2j, 1 - 2.5j]]
+    )
+    def test_refuses_unpaired_second_member(self, mu):
+        mu = np.array(mu)
+        with pytest.raises(ValueError, match="conjugate-pair order"):
+            linalg._conjugate_fill(mu, np.ones((np.sum(mu.imag >= 0), 1)))
+
+
 class TestPBH:
     def test_golden_observable(self):
         assert pbh_observable(springmass.abstract().a, springmass.l_hat())
@@ -539,8 +566,3 @@ class TestStateSpaceModel:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             StateSpaceModel(a=np.eye(2), b=np.zeros((3, 1)), c=np.eye(2))
-
-    def test_rank_convention(self):
-        sys = StateSpaceModel(a=np.eye(2), b=np.zeros((2, 1)), c=np.eye(2))
-        with pytest.raises(ValueError, match="full column rank"):
-            sys.check_full_rank_maps()

@@ -3,12 +3,10 @@ import pytest
 
 from conftest import random_direct_interpolant, random_stable_system, random_swapped_interpolant, rotation_block
 from momabs import moments, springmass
-from momabs.linalg import StateSpaceModel
+from momabs.linalg import StateSpaceModel, block_diag_spectrum
 from momabs.moments import (
     DirectInterpolant,
     SwappedInterpolant,
-    limiting_direct,
-    limiting_swapped,
     moment_direct,
     moment_swapped,
     rom_direct,
@@ -241,29 +239,67 @@ class TestTransferEval:
             transfer_eval(sys, -1.0)
 
 
-class TestLimitingModels:
-    def test_direct_golden(self):
-        plant = springmass.concrete()
-        interp = DirectInterpolant(s=springmass.abstract().a, l=springmass.l_hat())
-        sol = moment_direct(plant, interp)
-        lim = limiting_direct(sol, interp)
-        assert np.array_equal(lim.a, interp.s)
-        assert np.abs(lim.b).max() == 0.0
-        assert np.abs(lim.c - np.eye(2)).max() < 1e-9
+def reference_mismatch_direct(full, rom, interp):
+    """Per-eigenpair loop over the right eigenvectors v of s, direction l v."""
+    vals, vecs = np.linalg.eig(interp.s)
+    worst = 0.0
+    for lam, v in zip(vals, vecs.T):
+        d = interp.l @ v
+        tf_full = transfer_eval(full, complex(lam))
+        diff = (tf_full - transfer_eval(rom, complex(lam))) @ d
+        worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(tf_full @ d)))
+    return worst
 
-    def test_direct_integrator(self):
-        interp = DirectInterpolant(s=np.array([[0.0]]), l=np.array([[1.0]]))
-        sys = StateSpaceModel(a=np.array([[-1.0]]), b=np.array([[1.0]]), c=np.array([[2.0]]))
-        sol = moment_direct(sys, interp)
-        lim = limiting_direct(sol, interp)
-        # zero drift: constant output c_pi * w0
-        assert np.abs(lim.a).max() == 0.0
 
-    def test_swapped_shape(self, rng):
-        sys = random_stable_system(rng, n=4, m=2, p=2)
-        interp = random_swapped_interpolant(rng, sys)
-        sol = moment_swapped(sys, interp)
-        lim = limiting_swapped(sol, interp)
-        assert np.array_equal(lim.a, interp.q)
-        assert np.array_equal(lim.b, sol.moment)
-        assert np.array_equal(lim.c, np.eye(2))
+def reference_mismatch_swapped(full, rom, interp):
+    """Per-eigenpair loop over the left eigenvectors w of q, direction w^T r."""
+    vals, vecs = np.linalg.eig(interp.q.T)
+    worst = 0.0
+    for lam, w in zip(vals, vecs.T):
+        d = w @ interp.r
+        tf_full = transfer_eval(full, complex(lam))
+        diff = d @ (tf_full - transfer_eval(rom, complex(lam)))
+        worst = max(worst, np.linalg.norm(diff) / max(1.0, np.linalg.norm(d @ tf_full)))
+    return worst
+
+
+def real_and_pair_generator(rng):
+    """Random non-normal 3x3 generator with one real eigenvalue and one pair."""
+    re, im = rng.uniform(0.0, 0.5), rng.uniform(0.5, 5.0)
+    d = block_diag_spectrum([rng.uniform(0.1, 1.0), complex(re, im), complex(re, -im)])
+    t = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    return t @ d @ np.linalg.inv(t)
+
+
+class TestTangentialMismatch:
+    """The vectorised mismatches against the per-eigenpair reference loops."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_reference_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_stable_system(
+            rng, n=int(rng.integers(4, 9)), m=int(rng.integers(2, 4)), p=int(rng.integers(2, 4))
+        )
+        di = DirectInterpolant(s=real_and_pair_generator(rng), l=rng.standard_normal((sys.m, 3)))
+        si = SwappedInterpolant(q=real_and_pair_generator(rng), r=rng.standard_normal((3, sys.p)))
+        rom = rom_direct(sys, di, rng.standard_normal((3, sys.m)))
+        rom = StateSpaceModel(a=rom.a, b=rom.b, c=rom.c + 0.1 * rng.standard_normal(rom.c.shape))
+        roms = rom_swapped(sys, si, rng.standard_normal((sys.p, 3)))
+        roms = StateSpaceModel(a=roms.a, b=roms.b + 0.1 * rng.standard_normal(roms.b.shape), c=roms.c)
+        for got, ref in [
+            (tangential_mismatch_direct(sys, rom, di), reference_mismatch_direct(sys, rom, di)),
+            (tangential_mismatch_swapped(sys, roms, si), reference_mismatch_swapped(sys, roms, si)),
+        ]:
+            assert ref > 1e-6
+            assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_one_transfer_solve_per_conjugate_pair(self, transfer_calls, rng):
+        sys = random_stable_system(rng, n=6, m=2, p=2)
+        osc = block_diag_spectrum([1j, -1j, 3j, -3j])  # two-pair oscillator
+        di = DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
+        rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
+        assert tangential_mismatch_direct(sys, rom, di) < 1e-8
+        for model in (sys, rom):
+            points = [point for called, point in transfer_calls if called is model]
+            assert len(points) == 2 and all(point.imag > 0 for point in points)
+        assert len(transfer_calls) == 4
