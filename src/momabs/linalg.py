@@ -9,7 +9,12 @@ shifts once (:func:`_conjugate_fill` is that pair rule, shared with
 matrix-sign iteration at O(n^3).  Both stay practical for n in the hundreds.  Neither forms the
 n^2 x n^2 Kronecker matrix: each bounds its condition number from above,
 refuses the system when the bound exceeds SYLVESTER_COND_MAX, and verifies
-its residual.
+its residual.  The gate is cheap first (:func:`_cond_gate`): it bounds
+each 2-norm by sqrt(||M||_1 ||M||_inf) of a matrix the solver forms anyway
+(a shifted inverse, or the Lyapunov H), and computes the exact bound from
+SVD 2-norms only when that cheap bound exceeds SYLVESTER_COND_MAX.  The
+exact bound then decides, and a refusal quotes it, so every decision is the
+exact bound's.
 
 Spectra are memoized by content: :func:`eigenvalues` keeps the sorted
 spectra of the last SPECTRUM_MEMO_SIZE distinct matrices, keyed by shape
@@ -212,7 +217,12 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     P blockdiag(a - mu_j I) P^{-1} with P = v^{-T} (x) I, so
     cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)
     bounds cond(K) from above, with equality for a normal smaller side.
-    The system is refused when this bound exceeds SYLVESTER_COND_MAX.  A
+    The system is refused when this bound exceeds SYLVESTER_COND_MAX.  Each
+    shift is solved through the explicit inverse of a - mu_j I, which also
+    gives the cheap bound cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1})
+    with n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2; only when it exceeds
+    SYLVESTER_COND_MAX are the SVDs of the shifted matrices taken, and the
+    exact bound above decides and is quoted in the refusal.  A
     defective smaller side (a Jordan block, as for derivative moments) has
     no eigenvector basis: cond(v) comes out infinite or of order 1/eps, so
     such a system is refused although its solution is unique.  The residual
@@ -244,17 +254,63 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
-    eye = np.eye(a.shape[0])
-    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu[first]])
+    shifts = mu[first]
+    exact = lambda: _svd_bound(a, shifts, v)
+    try:
+        solved = [_inverse_solve(a, m, r) for m, r in zip(shifts, (c @ v[:, first]).T)]
+    except np.linalg.LinAlgError:  # singular in working precision: the SVD bound decides
+        _cond_gate("Sylvester", np.inf, exact)
+        raise
+    y, norms, inv_norms = zip(*solved)
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
-        bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
+        cheap = np.linalg.cond(v) ** 2 * np.max(norms) * np.max(inv_norms)
+    _cond_gate("Sylvester", cheap, exact)
+    return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
+
+
+def _inverse_solve(a: np.ndarray, m, r: np.ndarray) -> tuple:
+    """(a - m I)^{-1} r, with the norm bounds of a - m I and of its inverse.
+
+    One call per shift, so only one shift's n x n matrices are alive at a time."""
+    shifted = _shift(a, m)
+    norm = _norm_bound(shifted)
+    inv = np.linalg.inv(shifted)
+    return inv @ r, norm, _norm_bound(inv)
+
+
+def _shift(a: np.ndarray, m) -> np.ndarray:
+    """a - m I, built in place on a copy in the dtype of the shift."""
+    shifted = a.astype(np.result_type(a, m))
+    shifted.flat[:: a.shape[0] + 1] -= m
+    return shifted
+
+
+def _norm_bound(m: np.ndarray) -> float:
+    """sqrt(||m||_1 ||m||_inf), an upper bound on ||m||_2 (Golub & Van Loan, 2.3)."""
+    mag = np.abs(m)
+    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+
+
+def _svd_bound(a: np.ndarray, shifts: np.ndarray, v: np.ndarray) -> float:
+    """cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)."""
+    svals = np.array([np.linalg.svd(_shift(a, m), compute_uv=False)[[0, -1]] for m in shifts])
+    with np.errstate(all="ignore"):
+        return np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
+
+
+def _cond_gate(system: str, cheap: float, exact) -> None:
+    """Refuse unless the condition bound is at most SYLVESTER_COND_MAX.
+
+    ``cheap`` is an upper bound on ``exact()``: when it passes, the system is
+    accepted without calling ``exact``; otherwise ``exact()`` decides, and a
+    refusal quotes it."""
+    if cheap <= SYLVESTER_COND_MAX:
+        return
+    bound = exact()
     if not bound <= SYLVESTER_COND_MAX:
         raise ValueError(
-            f"Sylvester system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
+            f"{system} system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
         )
-    rhs = c @ v[:, first]
-    y = np.array([np.linalg.solve(a - m * eye, r) for m, r in zip(mu[first], rhs.T)])
-    return np.linalg.solve(v.T, _conjugate_fill(mu, y)).T.real
 
 
 def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -283,8 +339,12 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     condition number of the Kronecker matrix of the equation from above
     (Hewer & Kenney 1988); the system is refused when this bound exceeds
     SYLVESTER_COND_MAX, or when the iteration does not converge within
-    SIGN_MAX_ITER steps.  The result is symmetrized, its residual verified
-    against 1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
+    SIGN_MAX_ITER steps.  The gate first tries the cheap bound
+    2 sqrt(n) sqrt(||a_cl||_1 ||a_cl||_inf) ||H||_1 (||H||_2 <= ||H||_1 for
+    the symmetric H) and takes the two SVD 2-norms only when that exceeds
+    SYLVESTER_COND_MAX; the 2-norm bound then decides and a refusal quotes
+    it.  The result is symmetrized, its residual verified against
+    1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
     q = _square(q, "q")
@@ -314,11 +374,11 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     else:
         raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
     w, h = 0.25 * (qs + qs.transpose(0, 2, 1))
-    bound = 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2)
-    if not bound <= SYLVESTER_COND_MAX:
-        raise ValueError(
-            f"Lyapunov system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
-        )
+    _cond_gate(
+        "Lyapunov",
+        2 * np.sqrt(n) * _norm_bound(a_cl) * _norm_bound(h),
+        lambda: 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2),
+    )
     resid = np.linalg.norm(a_cl.T @ w + w @ a_cl + q)
     if resid > 1e-10 * max(1.0, np.linalg.norm(w)):
         raise ValueError(f"Lyapunov residual {resid:.3e} exceeds tolerance")

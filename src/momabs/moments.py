@@ -185,18 +185,23 @@ def tangential_mismatch_direct(
     """
     vals, vecs = np.linalg.eig(interp.s)
     d = (interp.l @ vecs).T[:, :, None]  # direction l v per eigenpair
-    tf_full = transfer_at(full, vals)
-    diff = np.linalg.norm((tf_full - transfer_at(rom, vals)) @ d, axis=(1, 2))
-    ref = np.linalg.norm(tf_full @ d, axis=(1, 2))
-    return float((diff / np.maximum(1.0, ref)).max())
+    return _relative_mismatch(full, rom, vals, lambda g: g @ d)
 
 
 def tangential_mismatch_swapped(
     full: StateSpaceModel, rom: StateSpaceModel, interp: SwappedInterpolant
 ) -> float:
-    """Dual of :func:`tangential_mismatch_direct`: the direct mismatch of the
-    dual systems (a^T, c^T, b^T), whose transfer is G^T, at (q^T, r^T), so
-    along the left directions w^T r from the left eigenpairs of q."""
-    dual = lambda sys: StateSpaceModel(a=sys.a.T, b=sys.c.T, c=sys.b.T)
-    di = DirectInterpolant(s=interp.q.T, l=interp.r.T)
-    return tangential_mismatch_direct(dual(full), dual(rom), di)
+    """Dual of :func:`tangential_mismatch_direct`: at each left eigenpair
+    (lam, w) of q the moment pins the transfer value along w^T r."""
+    vals, vecs = np.linalg.eig(interp.q.T)
+    d = (vecs.T @ interp.r)[:, None, :]  # direction w^T r per eigenpair
+    return _relative_mismatch(full, rom, vals, lambda g: d @ g)
+
+
+def _relative_mismatch(full: StateSpaceModel, rom: StateSpaceModel, vals, along) -> float:
+    """max_j ||along(G(mu_j) - Gr(mu_j))|| / max(1, ||along(G(mu_j))||), for
+    points mu in eig pair order and ``along`` projecting (k, p, m) stacks."""
+    tf_full = transfer_at(full, vals)
+    diff = np.linalg.norm(along(tf_full - transfer_at(rom, vals)), axis=(1, 2))
+    ref = np.linalg.norm(along(tf_full), axis=(1, 2))
+    return float((diff / np.maximum(1.0, ref)).max())

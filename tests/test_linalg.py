@@ -82,18 +82,23 @@ class TestEigenvalues:
             eigenvalues(np.zeros((0, 0)))
 
 
+def record_shapes(monkeypatch, name):
+    """Record the shape of the matrix passed to every np.linalg.<name> call."""
+    shapes, real = [], getattr(np.linalg, name)
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
 @pytest.fixture
 def eigvals_spy(monkeypatch):
     """Empty the spectrum memo and record the shape of every np.linalg.eigvals call."""
     monkeypatch.setattr(linalg, "_spectra", OrderedDict())
-    shapes, real_eigvals = [], np.linalg.eigvals
-
-    def spy(a):
-        shapes.append(np.shape(a))
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", spy)
-    return shapes
+    return record_shapes(monkeypatch, "eigvals")
 
 
 class TestSpectrumMemo:
@@ -139,6 +144,16 @@ class TestSpectrumMemo:
         moments.rom_two_sided(plant, di, si)
         assert moments.tangential_mismatch_direct(plant, rom, di) <= 1e-8
         assert eigvals_spy.count((50, 50)) == 1
+
+    def test_swapped_mismatch_reuses_plant_spectrum(self, eigvals_spy):
+        rng = np.random.default_rng(11)
+        plant = non_normal_stable_system(rng, n=50, m=4, p=4, cond=30.0)
+        si = moments.SwappedInterpolant(q=rotation_block(3.0), r=rng.standard_normal((2, 4)))
+        rom = moments.rom_swapped(plant, si, rng.standard_normal((4, 2)))
+        assert eigvals_spy.count((50, 50)) == 1  # the moment's disjointness check
+        eigvals_spy.clear()
+        assert moments.tangential_mismatch_swapped(plant, rom, si) <= 1e-8
+        assert (50, 50) not in eigvals_spy
 
     def test_values_bit_identical_after_clearing(self, eigvals_spy):
         rng = np.random.default_rng(3)
@@ -349,6 +364,78 @@ class TestConditioningGate:
         with pytest.raises(ValueError, match="ill conditioned"):
             solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
 
+    def test_singular_shift_decided_by_svd_bound(self, monkeypatch, rng):
+        def singular(m):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        plant = random_stable_system(rng, n=5)
+        args = (plant.a, rotation_block(2.0), np.ones((5, 2)))
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(np.linalg.LinAlgError):  # the SVD bound accepts: the failure stands
+            solve_sylvester(*args)
+        monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
+        with pytest.raises(ValueError, match="ill conditioned"):
+            solve_sylvester(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 8),
+        k=st.integers(1, 4),
+        skew=st.sampled_from([0.0, 30.0]),
+        swap=st.booleans(),
+    )
+    def test_sylvester_decisions_follow_the_svd_bound(self, seed, n, k, skew, swap):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((k, k)) + skew * np.triu(rng.standard_normal((k, k)), 1)
+        if swap:
+            a, b = b, a
+        assume(spectra_disjoint(a, b))
+        c = np.ones((a.shape[0], b.shape[0]))
+        _, exact = per_shift_sylvester(a, b, c)
+        assume(exact < 1e6)
+        cheap = cheap_sylvester_bound(a, b)
+        assert cheap >= (1 - 1e-9) * exact
+        # (threshold, whether the exact SVD bound must be computed)
+        cases = [
+            (exact * (1 - 1e-6), True),
+            (exact * (1 + 1e-6), cheap > exact * (1 + 1e-6)),
+            (cheap * (1 + 1e-6), False),
+        ]
+        if cheap > 1.01 * exact:  # a threshold between the bounds: the SVD fallback accepts
+            cases.append((np.sqrt(exact * cheap), True))
+        for threshold, fallback in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "SYLVESTER_COND_MAX", threshold)
+                decomposed = record_shapes(mp, "svd")
+                if exact > threshold:
+                    with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+                        solve_sylvester(a, b, c)
+                    assert abs(reported_bound(excinfo) - exact) <= 1e-9 * exact
+                else:
+                    solve_sylvester(a, b, c)
+            assert ((max(n, k),) * 2 in decomposed) == fallback
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), log_cond=st.floats(0.0, 5.0))
+    def test_lyapunov_decisions_follow_the_svd_bound(self, seed, n, log_cond):
+        rng = np.random.default_rng(seed)
+        a_cl = non_normal_stable_system(rng, n=n, cond=float(np.exp(log_cond))).a
+        h = solve_lyapunov(a_cl, np.eye(n))  # the H that the gate bounds
+        exact = 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2)
+        cheap = 2 * np.sqrt(n) * norm_bound(a_cl) * np.linalg.norm(h, 1)
+        assert cheap >= (1 - 1e-12) * exact
+        for threshold in (exact * (1 - 1e-6), exact * (1 + 1e-6), np.sqrt(exact * cheap)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "SYLVESTER_COND_MAX", threshold)
+                if exact > threshold:
+                    with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+                        solve_lyapunov(a_cl, np.eye(n))
+                    assert reported_bound(excinfo) == float(f"{exact:.12g}")
+                else:
+                    solve_lyapunov(a_cl, np.eye(n))
+
     def test_sign_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "SIGN_MAX_ITER", 1)
         with pytest.raises(ValueError, match="did not converge"):
@@ -367,6 +454,22 @@ def per_shift_sylvester(a, b, c):
     svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu])
     bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
     return np.linalg.solve(v.T, y.T).T.real, bound
+
+
+def norm_bound(m):
+    """sqrt(||m||_1 ||m||_inf), an upper bound on ||m||_2."""
+    return np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+
+
+def cheap_sylvester_bound(a, b):
+    """Reference cheap bound over every shift mu_j of the smaller side:
+    cond(v)^2 max_j norm_bound(a - mu_j I) max_j norm_bound((a - mu_j I)^-1)."""
+    if b.shape[0] > a.shape[0]:
+        return cheap_sylvester_bound(b.T, a.T)
+    mu, v = np.linalg.eig(b)
+    shifted = [a - m * np.eye(a.shape[0]) for m in mu]
+    norms = max(map(norm_bound, shifted)) * max(norm_bound(np.linalg.inv(m)) for m in shifted)
+    return np.linalg.cond(v) ** 2 * norms
 
 
 def mixed_small_side(kind):
@@ -423,19 +526,15 @@ class TestConjugatePairs:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("side", ["right", "left"])
-    def test_one_svd_per_upper_half_plane_eigenvalue(self, monkeypatch, kind, side):
+    def test_one_inverse_per_upper_half_plane_mu(self, monkeypatch, kind, side):
         a, b, c = self.system(kind, side)
         n = max(a.shape[0], b.shape[0])
-        shapes, real_svd = [], np.linalg.svd
-
-        def spy(m, *args, **kwargs):
-            shapes.append(np.shape(m))
-            return real_svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        inverted = record_shapes(monkeypatch, "inv")
+        decomposed = record_shapes(monkeypatch, "svd")
         solve_sylvester(a, b, c)
         e = np.linalg.eigvals(mixed_small_side(kind))
-        assert shapes.count((n, n)) == np.sum(e.imag >= 0) < e.size
+        assert inverted.count((n, n)) == np.sum(e.imag >= 0) < e.size
+        assert (n, n) not in decomposed  # accepted on the cheap bound alone
 
 
 class TestConjugateFill:
