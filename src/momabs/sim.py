@@ -7,7 +7,8 @@ z+ = T z + G F, with T the RK4 stability polynomial of hA (the degree-4 Taylor
 polynomial of exp(hA)) and F = (w(t), w(t + h/2), w(t + h)) the step's r
 forcing samples.  A run reads out only y = c z, q rows on the order-n stacked
 state, so the recurrence is evaluated at readout level in chunks of L =
-isqrt(N) of the N steps:
+isqrt(N) of the N steps, shortened where ||T||_1^L would pass
+MAX_CHUNK_GROWTH so that T^L stays finite:
 
 * the free response of each chunk is (c T^j) z_start, j = 1..L, for all
   chunks in one matrix product;
@@ -22,9 +23,10 @@ isqrt(N) of the N steps:
 
 That is O(sqrt(N)) Python iterations instead of N, computing the same
 readouts up to rounding, and no N x n state trajectory unless the sweep is
-chosen.  A non-finite boundary state or readout is replayed with plain state
-steps from the last finite boundary, so divergence is reported at the grid
-time of the first non-finite state, whether or not c sees it.
+chosen; integrate caps what the chosen branch allocates at
+MAX_TRAJECTORY_BYTES.  A non-finite boundary state or readout is replayed with
+plain state steps from the last finite boundary, so divergence is reported at
+the grid time of the first non-finite state, whether or not c sees it.
 
 TOPOLOGIES holds each interconnection's whole contract: field shapes, assembly
 and output error, which every run writes as ``outputs["err"]``.  A run reads
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -60,7 +62,8 @@ DEFAULT_STEP = 1e-3
 DEFAULT_HORIZON = 10.0
 SETTLE_FRACTION = 0.7  # error sups are taken over the grid's trailing 30 %
 DECAY_FLOOR = 1e-12  # decay-rate fits ignore error norms at or below this
-MAX_TRAJECTORY_BYTES = 2**30  # float64 samples x stacked state dimension
+MAX_TRAJECTORY_BYTES = 2**30  # the float64 arrays a run allocates on its grid
+MAX_CHUNK_GROWTH = 1e300  # bound on ||T^L||_1 that fixes the chunk length L
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -179,6 +182,7 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
     c = np.eye(n) if c is None else np.asarray(c, float)
     q = c.shape[0]
     forced = b is not None and not signal.is_zero()
+    r = 3 * signal.dim if forced else 0
     h = times[1] - times[0]
     steps = times.size - 1
 
@@ -197,19 +201,19 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
         w_grid = signal.eval(times)
         forcing = np.hstack([w_grid[:-1], signal.eval(times[:-1] + 0.5 * h), w_grid[1:]])
-        r = forcing.shape[1]
         del w_grid
     out = np.empty((times.size, q))
     out[0] = c @ z0
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = math.isqrt(steps)
+        growth = np.linalg.norm(t_map, 1)
+        if growth > 1.0:  # ||T^L||_1 <= ||T||_1^L <= MAX_CHUNK_GROWTH keeps T^L finite
+            chunk = max(1, min(chunk, int(math.log(MAX_CHUNK_GROWTH) / math.log(growth))))
         t_chunk = np.linalg.matrix_power(t_map, chunk)
         count = steps // chunk
         rows = out[1 : 1 + count * chunk].reshape(count, chunk * q)
         ends = np.zeros((count, n))  # zero-state response at each chunk's end
-        # per step, the Toeplitz product costs L r q flops against the sweep's
-        # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
-        by_toeplitz = forced and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n
+        by_toeplitz, _ = _zero_state_plan(n, q, r, steps, chunk)
         if by_toeplitz:
             per_chunk = forcing[: count * chunk].reshape(count, chunk * r)
             toeplitz, reach = _toeplitz_and_reach(t_map, g_map, c, chunk)
@@ -236,8 +240,8 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         elif forced:
             rows.reshape(count, chunk, q)[:] += v @ c.T
         # Replay plain steps from the last boundary before the first chunk
-        # whose end state or readouts are not finite; normally only the tail,
-        # but all of the run when T^L itself overflows.
+        # whose end state or readouts are not finite; T^L is finite by the
+        # chunk length's bound, so only a diverging state or readout gets here.
         bad = ~(_finite_rows(starts[1:]) & _finite_rows(rows))
         first = int(bad.argmax()) if bad.any() else count
         z = starts[first]
@@ -247,6 +251,17 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
                 raise ValueError(f"state diverged at t={times[i + 1]:.6g}")
             out[i + 1] = c @ z
     return out
+
+
+def _zero_state_plan(n: int, q: int, r: int, steps: int, chunk: int) -> tuple[bool, int]:
+    """Whether rk4_linear takes the zero-state response by the Toeplitz product
+    (r forcing samples per step, 0 unforced), and the float64s it allocates on
+    the grid: readouts, forcing, and the sweep's states or the Toeplitz matrix."""
+    # per step, the Toeplitz product costs L r q flops against the sweep's
+    # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
+    by_toeplitz = r > 0 and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n
+    zero_state = chunk * chunk * r * q if by_toeplitz else steps * n if r else 0
+    return by_toeplitz, (steps + 1) * q + steps * r + zero_state
 
 
 def _finite_rows(x: np.ndarray) -> np.ndarray:
@@ -302,20 +317,24 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
             f"signal dimension {spec.signal.dim} does not match the "
             f"{b_aug.shape[1]} inputs of the {spec.topology} interconnection"
         )
-    samples = int(round(spec.horizon / spec.step)) + 1
-    if samples * a_aug.shape[0] * 8 > MAX_TRAJECTORY_BYTES:
-        raise ValueError(
-            f"grid of {samples} samples (horizon={spec.horizon:g}, step={spec.step:g}) times "
-            f"{a_aug.shape[0]} states exceeds the {MAX_TRAJECTORY_BYTES}-byte trajectory cap"
-        )
     readouts = readouts or {}
     taken = [name for name in readouts if name in outputs or name == "err"]
     if taken:
         raise ValueError(f"readout names {taken} are outputs of the {spec.topology} topology")
     maps = {**outputs, "err": topo.error(spec), **readouts}
     maps = {name: _on_state(name, blocks, sizes) for name, blocks in maps.items()}
+    c = np.vstack(list(maps.values()))
+    steps = int(round(spec.horizon / spec.step))
+    r = 0 if b_aug is None or spec.signal.is_zero() else 3 * spec.signal.dim
+    # at rk4_linear's longest chunk; a shorter one allocates no more
+    _, floats = _zero_state_plan(a_aug.shape[0], c.shape[0], r, steps, math.isqrt(steps))
+    if 8 * floats > MAX_TRAJECTORY_BYTES:
+        raise ValueError(
+            f"grid of {steps + 1} samples (horizon={spec.horizon:g}, step={spec.step:g}) needs "
+            f"{8 * floats} bytes, over the {MAX_TRAJECTORY_BYTES}-byte trajectory cap"
+        )
     times = time_grid(spec.horizon, spec.step)
-    y = rk4_linear(a_aug, b_aug, spec.signal, z0, times, np.vstack(list(maps.values())))
+    y = rk4_linear(a_aug, b_aug, spec.signal, z0, times, c)
     split = np.cumsum([m.shape[0] for m in maps.values()])[:-1]
     values = dict(zip(maps, np.split(y, split, axis=1)))
     return Trajectory(
@@ -367,25 +386,6 @@ def _assemble_hierarchical(spec):
     return a_aug, b_aug, z0, {"xi": n_hat, "x": n}, outputs
 
 
-def _assemble_m_direct(spec):
-    plant = spec.models["plant"]
-    abstract = spec.models["abstract"]
-    n_map, gamma, k_hat, m_map = (spec.links[key] for key in ("n_map", "gamma", "k_hat", "m_map"))
-    n, n_hat = plant.n, abstract.n
-    g = abstract.b
-    # v = n_map x + gamma u + k_hat (xi - m_map x)
-    a_aug = np.block(
-        [
-            [plant.a, np.zeros((n, n_hat))],
-            [g @ n_map - (g @ k_hat) @ m_map, abstract.a + g @ k_hat],
-        ]
-    )
-    b_aug = np.vstack([plant.b, g @ gamma])
-    z0 = np.concatenate([spec.initial["x"], spec.initial["xi"]])
-    outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}}
-    return a_aug, b_aug, z0, {"x": n, "xi": n_hat}, outputs
-
-
 def _direct_generator_error(spec):
     """y - C Pi w: the plant output against its steady-state prediction."""
     interp = DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
@@ -422,12 +422,6 @@ TOPOLOGIES = {
         {"plant": PLANT, "abstract": ABSTRACT},
         {"p": ("n", "n_hat"), "l_hat": ("m", "n_hat"), "k": ("m", "n"), "r_hat": ("m", "m_hat")},
         {"x": ("n",), "xi": ("n_hat",)}, _assemble_hierarchical, _output_error,
-    ),
-    "m-direct": Topology(
-        {"plant": PLANT, "abstract": ABSTRACT},
-        {"n_map": ("m_hat", "n"), "gamma": ("m_hat", "m"), "k_hat": ("m_hat", "n_hat"),
-         "m_map": ("n_hat", "n")},
-        {"x": ("n",), "xi": ("n_hat",)}, _assemble_m_direct, _output_error,
     ),
 }
 
@@ -568,36 +562,36 @@ def run_m_direct(
     horizon: float = DEFAULT_HORIZON,
     step: float = DEFAULT_STEP,
 ) -> tuple[Trajectory, ErrorTrace]:
-    """Plant driving the abstraction through v = n x + gamma u + k_hat (xi - m x).
+    """Plant driving the abstraction through v = n x + gamma u + k_hat (xi - m x):
+    the hierarchical run with the roles exchanged, (p, l_hat, k, r_hat) = (m,
+    n, k_hat, gamma), whose psi, y and -err are y = c x, psi = h xi and err.
 
     The observed eps_s = xi - m x (``traj.readouts["eps_s"]``) is compared
     against an autonomous run of eps' = (f + g k_hat) eps from eps_s(0); the
     sup of their gap is ``extras["parallel_gap_sup"]``.
     """
     spec = InterconnectionSpec(
-        topology="m-direct",
-        models={"plant": plant, "abstract": abstract},
-        links={
-            "n_map": link.n_map,
-            "gamma": link.gamma,
-            "k_hat": link.k_hat,
-            "m_map": m_map,
-        },
-        initial={"x": x0, "xi": xi0},
+        topology="hierarchical",
+        models={"plant": abstract, "abstract": plant},
+        links={"p": m_map, "l_hat": link.n_map, "k": link.k_hat, "r_hat": link.gamma},
+        initial={"x": xi0, "xi": x0},
         signal=u,
         horizon=horizon,
         step=step,
     )
-    m_map = spec.links["m_map"]
-    eps0 = spec.initial["xi"] - m_map @ spec.initial["x"]
+    m_map = spec.links["p"]
+    eps0 = spec.initial["x"] - m_map @ spec.initial["xi"]
     if np.allclose(link.k_hat, 0.0):
         if np.linalg.norm(eps0) > 1e-9 and not eigenvalues(abstract.a).is_hurwitz():
             warnings.warn(
                 "xi(0) != m x(0) and the abstraction is not Hurwitz: "
                 "steady-state matching is not guaranteed"
             )
-    traj = integrate(spec, {"eps_s": {"xi": np.eye(abstract.n), "x": -m_map}})
-    f_cl = abstract.a + abstract.b @ spec.links["k_hat"]
+    traj = integrate(spec, {"eps_s": {"x": np.eye(abstract.n), "xi": -m_map}})
+    out = traj.outputs
+    err = np.negative(out["err"], out=out["err"])  # in place: no second copy of the run
+    traj = replace(traj, outputs={"y": out["psi"], "psi": out["y"], "err": err})
+    f_cl = abstract.a + abstract.b @ spec.links["k"]
     eps = rk4_linear(f_cl, None, None, eps0, traj.times)
     gap = np.linalg.norm(traj.readouts["eps_s"] - eps, axis=1)
     norms = np.linalg.norm(traj.outputs["err"], axis=1)

@@ -65,8 +65,9 @@ def certificate_fields(cert, f):
 
 @functools.lru_cache(maxsize=None)
 def topology_runs():
-    """Per topology: a simulate spec (JSON data) on the spring-mass example and
-    the result of the matching sim.run_* call, both on the same grid."""
+    """Per topology, and for run_m_direct as "m-direct": a simulate spec (JSON
+    data) on the spring-mass example and the result of the matching sim.run_*
+    call, both on the same grid."""
     plant, abstract = springmass.concrete(), springmass.abstract()
     cert = springmass_certificate()
     k = cert.k
@@ -78,29 +79,31 @@ def topology_runs():
     si = SwappedInterpolant(q=rotation_block(5.0), r=np.eye(2))
     x0, xi0, v, u = springmass.X0, springmass.XI0, springmass.v_signal(), springmass.u_signal()
     grid = (1.0, 0.01)
-    cases = {  # models, links, initial, signal, run_* result
+    cases = {  # topology, models, links, initial, signal, run_* result
         "direct-generator": (
-            {"plant": plant}, {"s": di.s, "l": di.l}, {"w": xi0, "x": x0}, None,
+            "direct-generator", {"plant": plant}, {"s": di.s, "l": di.l}, {"w": xi0, "x": x0},
+            None,
             sim.run_direct_generator(plant, di, xi0, x0, *grid),
         ),
         "swapped-filter": (
-            {"plant": plant}, {"q": si.q, "r": si.r, "upsilon_b": moment_swapped(plant, si).moment},
+            "swapped-filter", {"plant": plant},
+            {"q": si.q, "r": si.r, "upsilon_b": moment_swapped(plant, si).moment},
             {}, decaying(2), sim.run_swapped_filter(plant, si, decaying(2), *grid),
         ),
         "hierarchical": (
-            {"plant": plant, "abstract": abstract},
+            "hierarchical", {"plant": plant, "abstract": abstract},
             {"p": cert.p, "l_hat": cert.l_hat, "k": cert.k, "r_hat": cert.r_hat},
             {"x": x0, "xi": xi0}, v, sim.run_hierarchical(plant, abstract, cert, v, x0, xi0, *grid),
         ),
-        "m-direct": (
-            {"plant": plant, "abstract": reduced},
-            {"n_map": design.n_map, "gamma": design.gamma, "k_hat": k_hat, "m_map": design.m_map},
-            {"x": x0, "xi": xi0}, u,
+        "m-direct": (  # the hierarchical run with plant and abstraction exchanged
+            "hierarchical", {"plant": reduced, "abstract": plant},
+            {"p": design.m_map, "l_hat": design.n_map, "k": k_hat, "r_hat": design.gamma},
+            {"x": xi0, "xi": x0}, u,
             sim.run_m_direct(plant, reduced, link, design.m_map, u, x0, xi0, *grid),
         ),
     }
     runs = {}
-    for topology, (models, links, initial, signal, run) in cases.items():
+    for run_name, (topology, models, links, initial, signal, run) in cases.items():
         spec = {
             "topology": topology,
             "models": {name: model_dict(model) for name, model in models.items()},
@@ -111,7 +114,7 @@ def topology_runs():
         }
         if signal is not None:
             spec["signal"] = signal.to_dict()
-        runs[topology] = (spec, run)
+        runs[run_name] = (spec, run)
     return runs
 
 
@@ -475,9 +478,9 @@ class TestSimulate:
             " of the hierarchical interconnection\n"
         )
 
-    @pytest.mark.parametrize("topology", list(sim.TOPOLOGIES))
-    def test_err_columns_match_run_error_trace(self, tmp_path, capsys, topology):
-        spec, (traj, err) = topology_runs()[topology]
+    @pytest.mark.parametrize("run", [*sim.TOPOLOGIES, "m-direct"])
+    def test_err_columns_match_run_error_trace(self, tmp_path, capsys, run):
+        spec, (traj, err) = topology_runs()[run]
         path = write_json(tmp_path / "spec.json", spec)
         assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
         names, rows = read_csv(tmp_path / "run.csv")
@@ -486,6 +489,16 @@ class TestSimulate:
         assert len(err_cols) > 0
         norms = np.linalg.norm(rows[:, err_cols], axis=1)
         np.testing.assert_allclose(norms, err.out_err, rtol=1e-12, atol=1e-15)
+
+    def test_m_direct_run_as_exchanged_hierarchical_spec(self, tmp_path, capsys):
+        # run_m_direct's y, psi and err are the exchanged run's psi, y and -err
+        spec, (traj, _) = topology_runs()["m-direct"]
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 0
+        names, rows = read_csv(tmp_path / "run.csv")
+        cols = lambda prefix: rows[:, [j for j, col in enumerate(names) if col.startswith(prefix)]]
+        for name, got in (("y", cols("psi_")), ("psi", cols("y_")), ("err", -cols("err_"))):
+            np.testing.assert_allclose(got, traj.outputs[name], rtol=1e-12, atol=1e-15)
 
     def test_m_swapped_run_as_swapped_filter_spec(self, tmp_path, capsys):
         # the M-relation's swapped form is the swapped filter with (q, r) =
@@ -518,6 +531,14 @@ class TestSimulate:
         assert code == 2
         known = ", ".join(sim.TOPOLOGIES)
         assert capsys.readouterr().err == f"error: unknown topology 'm-swapped'; known: {known}\n"
+
+    def test_m_direct_is_an_unknown_topology(self, tmp_path, capsys):
+        spec = {**topology_runs()["m-direct"][0], "topology": "m-direct"}
+        code = main(["simulate", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "r")])
+        assert code == 2
+        known = ", ".join(sim.TOPOLOGIES)
+        assert capsys.readouterr().err == f"error: unknown topology 'm-direct'; known: {known}\n"
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
         "topology, group, name",

@@ -195,8 +195,8 @@ class TestRk4Propagator:
             ([-1.0, -2.0, 100.0], [1.0, 1.0, 1e260], 400, (1, 20)),
             ([-1.0, -2.0, 100.0], [1.0, 1.0, 1.0], 400, (21, 400)),
             ([-1.0, -2.0, 10.0], [1.0, 1.0, 1.0], 720, (703, 720)),
-            # L = 110 and 644.33^110 ~ 1e309: T^L itself is not finite, and
-            # the state overflows at step 110
+            # isqrt gives L = 110, but 644.33^110 ~ 1e309 would overflow T^L;
+            # the norm bound takes L = 106, and the state overflows at step 110
             ([-1.0, 100.0], [1.0, 1.0], 12_100, (110, 110)),
         ],
         ids=["first-chunk", "later-chunk", "tail", "chunk-power-overflows"],
@@ -221,14 +221,38 @@ class TestRk4Propagator:
                 rk4_linear(-np.eye(3), None, None, [1.0, 1.0, np.nan], times, c)
 
     def test_unexcited_unstable_mode_stays_finite(self):
-        # T^110 overflows in its unstable entry, but the state never enters
-        # that mode, so the step-by-step loop stays finite and so must this.
+        # T^110 would overflow in its unstable entry, but the state never
+        # enters that mode, so the step-by-step loop stays finite and so must this.
         a = np.diag([-1.0, 100.0])
         times = 0.1 * np.arange(12_101)
         got = rk4_linear(a, None, None, [1.0, 0.0], times)
         want = stagewise_rk4(a, np.zeros((2, 1)), SignalSpec.zero(1), np.array([1.0, 0.0]), times)
         assert np.abs(got - want).max() <= 1e-10
         assert not got[:, 1].any()
+
+    # As above, 12 100 steps of diag(-1, 100) at h = 0.1, with ||T||_1 =
+    # 644.33: L = floor(log(1e300) / log(644.33)) = 106 keeps T^L finite
+    # where isqrt(12 100) = 110 would not.
+    @pytest.mark.parametrize(
+        "z0, diverges", [([1.0, 1.0], True), ([1.0, 0.0], False)],
+        ids=["chunk-power-overflows", "unexcited"],
+    )
+    def test_chunk_power_stays_finite(self, monkeypatch, z0, diverges):
+        powers = []
+        real = np.linalg.matrix_power
+        monkeypatch.setattr(
+            np.linalg, "matrix_power", lambda m, k: powers.append((k, real(m, k))) or powers[-1][1]
+        )
+        times = 0.1 * np.arange(12_101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if diverges:
+                with pytest.raises(ValueError, match=r"^state diverged at t=11$"):
+                    rk4_linear(np.diag([-1.0, 100.0]), None, None, z0, times)
+            else:
+                rk4_linear(np.diag([-1.0, 100.0]), None, None, z0, times)
+        assert [k for k, _ in powers] == [106]
+        assert np.isfinite(powers[0][1]).all()
 
 
 class TestReadoutMemory:
@@ -343,8 +367,8 @@ class TestSpecValidation:
             )
 
     def test_trajectory_cap_is_exact(self, monkeypatch):
-        # direct-generator with a 1-state generator and plant: 11 samples x 2
-        # states x 8 bytes = 176 bytes
+        # direct-generator with a 1-state generator and plant, unforced: 11
+        # samples x 3 readouts (theta, y, err) x 8 bytes = 264 bytes
         spec = InterconnectionSpec(
             topology="direct-generator",
             models={"plant": StateSpaceModel(a=[[-1.0]], b=[[1.0]], c=[[1.0]])},
@@ -354,12 +378,57 @@ class TestSpecValidation:
             horizon=1.0,
             step=0.1,
         )
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 176)
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 264)
         assert integrate(spec).times.size == 11
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 175)
-        shown = "grid of 11 samples (horizon=1, step=0.1) times 2 states"
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 263)
+        shown = "grid of 11 samples (horizon=1, step=0.1) needs 264 bytes"
         with pytest.raises(ValueError, match=f"^{re.escape(shown)}"):
             integrate(spec)
+
+    @staticmethod
+    def _order_22_spec(rng, width):
+        """hierarchical on 400 steps: a 20-state plant under a 2-state
+        abstraction, both with ``width`` outputs, and ``width`` abstract inputs."""
+        plant = random_stable_system(rng, n=20, m=1, p=width, margin=0.5)
+        abstract = StateSpaceModel(
+            a=rotation_block(1.0), b=rng.standard_normal((2, width)),
+            c=rng.standard_normal((width, 2)),
+        )
+        return InterconnectionSpec(
+            topology="hierarchical",
+            models={"plant": plant, "abstract": abstract},
+            links={"p": rng.standard_normal((20, 2)), "l_hat": np.zeros((1, 2)),
+                   "k": np.zeros((1, 20)), "r_hat": rng.standard_normal((1, width))},
+            initial={"x": np.zeros(20), "xi": [1.0, 0.0]},
+            signal=random_forcing(rng, ("sin",) * width),
+            horizon=4.0,
+            step=0.01,
+        )
+
+    # Both runs take N = 400 steps in chunks of L = 20 on n = 22 states.  One
+    # input and one output give q = 3 readouts (y, psi, err) and r = 3 forcing
+    # samples per step: the Toeplitz product runs (L r q = 180 < 2 n^2 = 968,
+    # L^2 r q = 3 600 <= N n = 8 800), so the run takes 401 q + 400 r + L^2 r q
+    # = 6 003 floats, 48 024 bytes, below the 70 576 of one N x n array.  Two
+    # of each give q = r = 6 and L^2 r q = 14 400 > N n: the state sweep runs
+    # and takes 401 q + 400 r + N n = 13 606 floats, 108 848 bytes, of which
+    # the sweep's N n alone puts it over 48 024.
+    def test_trajectory_cap_counts_the_chosen_branch(self, monkeypatch, rng):
+        toeplitz, sweep = self._order_22_spec(rng, 1), self._order_22_spec(rng, 2)
+        calls = []
+        real = sim._toeplitz_and_reach
+        monkeypatch.setattr(sim, "_toeplitz_and_reach", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 48_024)
+        assert integrate(toeplitz).times.size == 401
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 108848 bytes"):
+            integrate(sweep)
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 108_848)
+        assert integrate(sweep).times.size == 401
+        assert len(calls) == 1
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 48_023)
+        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 48024 bytes"):
+            integrate(toeplitz)
 
     @pytest.mark.parametrize(
         "readouts, message",
