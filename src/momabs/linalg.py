@@ -16,13 +16,11 @@ SVD 2-norms only when that cheap bound exceeds SYLVESTER_COND_MAX.  The
 exact bound then decides, and a refusal quotes it, so every decision is the
 exact bound's.
 
-Spectra are memoized by content: :func:`eigenvalues` keeps the sorted
-spectra of the last SPECTRUM_MEMO_SIZE distinct matrices, keyed by shape
-and a hash of the bytes (:func:`_memoized`, as moments keep Sylvester
-solutions), so the one plant that a moment solve, its
-disjointness check and each transfer evaluation all need is eigensolved
-once.  A matrix changed in place, or a transposed view, hashes to a new
-key.  The memoized arrays are read-only.
+Disjointness of sigma(a) from the shifts is read off the same inverses
+(:func:`_disjoint_gate`, also used by :func:`momabs.moments.transfer_eval`):
+dist(mu, sigma(a)) >= 1/||(a - mu I)^{-1}||_2 (Trefethen & Embree 2005, section 2),
+so the order-n side is eigensolved only when that bound cannot show a gap
+above DISJOINT_TOL.  :func:`eigenvalues` keeps no memo.
 """
 
 from __future__ import annotations
@@ -40,9 +38,7 @@ SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
 SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
 SIGN_TOL = 1e-8  # ||A + I||_F / sqrt(n) after which one more step is taken
-SPECTRUM_MEMO_SIZE = 4  # enough for a plant, its interpolant and two reduced models
 
-_spectra: OrderedDict = OrderedDict()  # (shape, blake2b digest) -> sorted eigenvalues
 _memo_lock = threading.Lock()
 
 
@@ -141,12 +137,10 @@ def eigenvalues(m) -> SpectrumReport:
 
     ``all_simple`` is true iff the minimum pairwise eigenvalue distance
     exceeds SPECTRUM_TOL; real parts within SPECTRUM_TOL of zero are
-    classified as "zero".  The eigenvalues, sorted by real then imaginary
-    part, come from a memo of the last SPECTRUM_MEMO_SIZE distinct matrices
-    keyed by shape and content hash, and are read-only; the report itself
-    is built per call.
+    classified as "zero".  The eigenvalues are sorted by real then imaginary
+    part.
     """
-    vals = _memoized(_spectra, SPECTRUM_MEMO_SIZE, _sorted_spectrum, _square(m, "matrix"))
+    vals = _sorted_spectrum(_square(m, "matrix"))
     n = vals.size
     all_simple = True
     if n > 1:
@@ -197,10 +191,27 @@ def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
 
 def spectra_disjoint(m1, m2) -> bool:
     """True iff every eigenvalue pair across the two spectra is > DISJOINT_TOL apart."""
-    e1 = eigenvalues(m1).eigenvalues
-    e2 = eigenvalues(m2).eigenvalues
-    dist = np.abs(e1[:, None] - e2[None, :])
-    return bool(dist.min() > DISJOINT_TOL)
+    return _apart(eigenvalues(m1).eigenvalues, eigenvalues(m2).eigenvalues)
+
+
+def _apart(e1: np.ndarray, e2: np.ndarray) -> bool:
+    """True iff every pair across the two eigenvalue lists is > DISJOINT_TOL apart."""
+    return bool(np.abs(e1[:, None] - e2[None, :]).min() > DISJOINT_TOL)
+
+
+def _disjoint_gate(inv_norm: float, a: np.ndarray, b, refusal: str) -> None:
+    """Refuse with ``refusal`` unless sigma(a) is more than DISJOINT_TOL from
+    sigma(b), for a square b, or from the point b.
+
+    ``inv_norm`` bounds ||(a - mu I)^{-1}||_2 over those mu from above (inf
+    when an inverse could not be formed).  inv_norm DISJOINT_TOL < 1 proves
+    the gap without an eigensolve; otherwise the computed spectra decide, as
+    in :func:`spectra_disjoint`."""
+    if inv_norm * DISJOINT_TOL < 1:
+        return
+    points = eigenvalues(b).eigenvalues if np.ndim(b) == 2 else np.array([b])
+    if not _apart(eigenvalues(a).eigenvalues, points):
+        raise ValueError(refusal)
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
@@ -213,14 +224,20 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     (a - mu_j I) y_j = (c v)_j, so the cost is O(k n^3) for an n x n a
     and a k x k b.
 
+    Each shift is solved through the explicit inverse of a - mu_j I.  As
+    dist(mu, sigma(a)) >= 1/||(a - mu I)^{-1}||_2 >= 1/n((a - mu I)^{-1}) with
+    n(M) = sqrt(||M||_1 ||M||_inf), max_j n((a - mu_j I)^{-1}) DISJOINT_TOL < 1
+    proves the spectra disjoint; otherwise, or when an inverse cannot be
+    formed, both spectra are computed and the system is refused as
+    overlapping iff :func:`spectra_disjoint` is false.
+
     The Kronecker matrix K of the equation factors as
     P blockdiag(a - mu_j I) P^{-1} with P = v^{-T} (x) I, so
     cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)
     bounds cond(K) from above, with equality for a normal smaller side.
-    The system is refused when this bound exceeds SYLVESTER_COND_MAX.  Each
-    shift is solved through the explicit inverse of a - mu_j I, which also
-    gives the cheap bound cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1})
-    with n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2; only when it exceeds
+    After the disjointness test, the system is refused when this bound
+    exceeds SYLVESTER_COND_MAX.  The inverses also give the cheap bound
+    cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1}); only when it exceeds
     SYLVESTER_COND_MAX are the SVDs of the shifted matrices taken, and the
     exact bound above decides and is quoted in the refusal.  A
     defective smaller side (a Jordan block, as for derivative moments) has
@@ -240,17 +257,20 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
-    if not spectra_disjoint(a, b):
-        raise ValueError("sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution")
-    x = _shifted_solve(a, b, c) if k <= n else _shifted_solve(b.T, a.T, -c.T).T
+    # the exact fallback always tests (a, b) as given, also for the transposed equation
+    overlap = lambda inv_norm: _disjoint_gate(
+        inv_norm, a, b, "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
+    )
+    x = _shifted_solve(a, b, c, overlap) if k <= n else _shifted_solve(b.T, a.T, -c.T, overlap).T
     resid = np.linalg.norm(a @ x - x @ b - c)
     if resid > 1e-10 * max(1.0, np.linalg.norm(x)):
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
     return x
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a X - X b = c through the eigendecomposition of b, behind the cond gate."""
+def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray, overlap) -> np.ndarray:
+    """a X - X b = c through the eigendecomposition of b, behind the
+    disjointness gate ``overlap(inv_norm)`` and then the cond gate."""
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
@@ -258,10 +278,12 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     exact = lambda: _svd_bound(a, shifts, v)
     try:
         solved = [_inverse_solve(a, m, r) for m, r in zip(shifts, (c @ v[:, first]).T)]
-    except np.linalg.LinAlgError:  # singular in working precision: the SVD bound decides
+    except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
+        overlap(np.inf)
         _cond_gate("Sylvester", np.inf, exact)
         raise
     y, norms, inv_norms = zip(*solved)
+    overlap(max(inv_norms))
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
         cheap = np.linalg.cond(v) ** 2 * np.max(norms) * np.max(inv_norms)
     _cond_gate("Sylvester", cheap, exact)
@@ -472,10 +494,11 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
         raise ValueError("a, b, target dimensions are inconsistent")
     if not controllable(a, b):
         raise ValueError("(a, b) is not controllable")
-    if not spectra_disjoint(a, target):
+    want = eigenvalues(target).eigenvalues
+    if not _apart(eigenvalues(a).eigenvalues, want):  # spectra_disjoint(a, target)
         raise ValueError("target spectrum intersects sigma(a)")
     rng = np.random.default_rng(seed)
-    want = np.sort_complex(eigenvalues(target).eigenvalues)
+    want = np.sort_complex(want)
     for _ in range(PLACE_RETRIES):
         kbar = rng.standard_normal((m, n))
         x = solve_sylvester(a, target, -b @ kbar)

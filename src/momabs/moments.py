@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DISJOINT_TOL,
     StateSpaceModel,
     as_matrix,
     _conjugate_fill,
+    _disjoint_gate,
+    _inverse_solve,
     _memoized,
     _square,
-    eigenvalues,
     pbh_observable,
     pbh_reachable,
     solve_sylvester,
@@ -155,15 +155,21 @@ def rom_two_sided(
 
 
 def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
-    """Transfer-function value c (s I - a)^{-1} b, solved per column; refused
-    within DISJOINT_TOL of an eigenvalue of a."""
-    spec = eigenvalues(sys.a).eigenvalues
-    if np.abs(spec - s).min() <= DISJOINT_TOL:
-        raise ValueError(f"evaluation point {s} is numerically an eigenvalue of a")
-    resolvent_rhs = np.linalg.solve(
-        s * np.eye(sys.n) - sys.a.astype(complex), sys.b.astype(complex)
-    )
-    return sys.c @ resolvent_rhs
+    """Complex transfer-function value G(s) = -c (a - s I)^{-1} b, refused
+    within DISJOINT_TOL of an eigenvalue of a.
+
+    As dist(s, sigma(a)) >= 1/||(a - s I)^{-1}||_2, an inverse with
+    sqrt(||.||_1 ||.||_inf) DISJOINT_TOL < 1 proves s clear of sigma(a); only
+    otherwise, or when the inverse cannot be formed, is a eigensolved to decide
+    (:func:`momabs.linalg._disjoint_gate`)."""
+    refusal = f"evaluation point {s} is numerically an eigenvalue of a"
+    try:
+        y, _, inv_norm = _inverse_solve(sys.a, complex(s), sys.b)
+    except np.linalg.LinAlgError:  # singular in working precision: the spectrum decides
+        _disjoint_gate(np.inf, sys.a, s, refusal)
+        raise
+    _disjoint_gate(inv_norm, sys.a, s, refusal)
+    return -(sys.c @ y)
 
 
 def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:

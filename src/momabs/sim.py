@@ -570,6 +570,10 @@ def run_m_direct(
     against an autonomous run of eps' = (f + g k_hat) eps from eps_s(0); the
     sup of their gap is ``extras["parallel_gap_sup"]``.
     """
+    m_map = as_matrix(m_map, "m_map")
+    _fit({"n_hat": abstract.n, "n": plant.n}, "m_map", m_map.shape, ("n_hat", "n"))
+    if u.dim != plant.m:
+        raise ValueError(f"u has dimension {u.dim}, expected the plant's {plant.m} inputs")
     spec = InterconnectionSpec(
         topology="hierarchical",
         models={"plant": abstract, "abstract": plant},

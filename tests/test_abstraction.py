@@ -110,16 +110,49 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
-def test_transfer_eval_called_only_in_transfer_at():
-    callers = []
+def calls_by_function() -> dict:
+    """"module.function" -> the names it calls, lambdas and nested functions
+    included, for every function in src."""
+    calls = {}
     for path in SRC.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef):
-                names = {getattr(node.func, "id", getattr(node.func, "attr", None))
-                         for node in ast.walk(func) if isinstance(node, ast.Call)}
-                if "transfer_eval" in names:
-                    callers.append(f"{path.stem}.{func.name}")
+                calls[f"{path.stem}.{func.name}"] = {
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(func) if isinstance(node, ast.Call)
+                }
+    return calls
+
+
+def reachable(graph: dict, start: str, stop: str) -> set:
+    """Names called from ``start``, transitively, without looking inside ``stop``."""
+    seen, todo = set(), [start]
+    while todo:
+        for callee in graph.get(todo.pop(), ()):
+            if callee not in seen:
+                seen.add(callee)
+                if callee != stop:
+                    todo.append(callee)
+    return seen
+
+
+def test_transfer_eval_called_only_in_transfer_at():
+    callers = [name for name, called in calls_by_function().items() if "transfer_eval" in called]
     assert callers == ["moments.transfer_at"]
+
+
+def test_spectra_reached_only_through_the_disjoint_gate():
+    # moment solves and transfer evaluations eigensolve the order-n plant only
+    # in linalg._disjoint_gate, the exact fallback of the inverse-norm bound
+    graph = {}
+    for name, called in calls_by_function().items():
+        graph.setdefault(name.split(".")[1], set()).update(called)
+    gate, eager = "_disjoint_gate", {"spectra_disjoint", "eigenvalues", "_sorted_spectrum", "eigvals"}
+    assert eager & reachable(graph, gate, stop="")
+    for start in ("solve_sylvester", "_shifted_solve", "transfer_eval"):
+        assert reachable(graph, start, stop=gate) & eager == set(), start
+    for start in ("solve_sylvester", "transfer_eval"):
+        assert gate in reachable(graph, start, stop=gate), start
 
 
 class TestSolveEmbedding:

@@ -1,5 +1,4 @@
 import re
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, random_stable_system, rotation_block
-from momabs import linalg, moments, springmass
+from momabs import abstraction, linalg, moments, springmass
 from momabs.linalg import (
     StateSpaceModel,
     block_diag_spectrum,
@@ -96,42 +95,15 @@ def record_shapes(monkeypatch, name):
 
 @pytest.fixture
 def eigvals_spy(monkeypatch):
-    """Empty the spectrum memo and record the shape of every np.linalg.eigvals call."""
-    monkeypatch.setattr(linalg, "_spectra", OrderedDict())
+    """Record the shape of every np.linalg.eigvals call."""
     return record_shapes(monkeypatch, "eigvals")
 
 
-class TestSpectrumMemo:
-    def test_in_place_change_gives_new_spectrum(self, eigvals_spy):
-        m = np.diag([1.0, 2.0, 3.0])
-        eigenvalues(m)
-        m[0, 0] = 5.0
-        assert np.array_equal(eigenvalues(m).eigenvalues, [2.0, 3.0, 5.0])
-        assert len(eigvals_spy) == 2
+class TestNoPlantEigensolve:
+    """Moment solves and transfer evaluations certify disjointness from their
+    shifted inverses, so a well-separated order-n plant is never eigensolved."""
 
-    def test_transpose_is_a_separate_entry(self, eigvals_spy, rng):
-        m = rng.standard_normal((4, 4))
-        first = eigenvalues(m).eigenvalues
-        assert np.allclose(eigenvalues(m.T).eigenvalues, first)  # its own eigensolve
-        assert len(eigvals_spy) == 2 and len(linalg._spectra) == 2
-        eigenvalues(m.copy())
-        eigenvalues(np.ascontiguousarray(m.T))
-        assert len(eigvals_spy) == 2
-
-    def test_returned_array_is_read_only(self, eigvals_spy, rng):
-        vals = eigenvalues(rng.standard_normal((3, 3))).eigenvalues
-        assert not vals.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            vals[0] = 0.0
-
-    def test_memo_never_exceeds_its_size(self, eigvals_spy):
-        for i in range(3 * linalg.SPECTRUM_MEMO_SIZE):
-            eigenvalues(np.diag([float(i), -1.0]))
-            assert len(linalg._spectra) == min(i + 1, linalg.SPECTRUM_MEMO_SIZE)
-        eigenvalues(np.diag([0.0, -1.0]))  # evicted long ago
-        assert len(eigvals_spy) == 3 * linalg.SPECTRUM_MEMO_SIZE + 1
-
-    def test_plant_eigensolved_once_per_moment_pass(self, eigvals_spy):
+    def test_moment_pass_never_eigensolves_plant(self, eigvals_spy):
         rng = np.random.default_rng(7)
         plant = non_normal_stable_system(rng, n=50, cond=30.0)
         osc = lambda f1, f2: np.kron(np.diag([1.0, 0.0]), rotation_block(f1)) + np.kron(
@@ -143,39 +115,134 @@ class TestSpectrumMemo:
         rom = moments.rom_direct(plant, di, rng.standard_normal((4, 2)))
         moments.rom_two_sided(plant, di, si)
         assert moments.tangential_mismatch_direct(plant, rom, di) <= 1e-8
-        assert eigvals_spy.count((50, 50)) == 1
+        assert eigvals_spy.count((50, 50)) == 0
 
-    def test_swapped_mismatch_reuses_plant_spectrum(self, eigvals_spy):
+    def test_swapped_mismatch_never_eigensolves_plant(self, eigvals_spy):
         rng = np.random.default_rng(11)
         plant = non_normal_stable_system(rng, n=50, m=4, p=4, cond=30.0)
         si = moments.SwappedInterpolant(q=rotation_block(3.0), r=rng.standard_normal((2, 4)))
         rom = moments.rom_swapped(plant, si, rng.standard_normal((4, 2)))
-        assert eigvals_spy.count((50, 50)) == 1  # the moment's disjointness check
-        eigvals_spy.clear()
         assert moments.tangential_mismatch_swapped(plant, rom, si) <= 1e-8
-        assert (50, 50) not in eigvals_spy
+        assert eigvals_spy.count((50, 50)) == 0
 
-    def test_values_bit_identical_after_clearing(self, eigvals_spy):
-        rng = np.random.default_rng(3)
-        plant = non_normal_stable_system(rng, n=12, cond=30.0)
-        s = rotation_block(2.0)
-        c = rng.standard_normal((12, 2))
+    def test_l_hat_free_certificate_never_eigensolves_plant(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        plant = non_normal_stable_system(rng, n=50, cond=30.0)
+        abstract = StateSpaceModel(
+            a=rotation_block(1.5), b=rng.standard_normal((2, 2)), c=rng.standard_normal((2, 2))
+        )
+        k = -1e-6 * plant.b.T  # a + b k differs from a, so its spectra are told apart
+        solved, real = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: solved.append(m.copy()) or real(m))
+        abstraction.synth_certificate(plant, abstract, k)
+        assert not any(np.array_equal(m, plant.a) for m in solved)
+        # the stability margin of a + b k and the Hurwitz check of the shifted Lyapunov matrix
+        assert [m.shape for m in solved].count((50, 50)) == 2
 
-        def values():
-            rep = eigenvalues(plant.a)
-            return [
-                rep.eigenvalues.copy(), rep.max_real_part, rep.classification,
-                solve_sylvester(plant.a, s, c),
-                solve_lyapunov(plant.a, np.eye(12)),
-                moments.transfer_eval(plant, 2j),
-            ]
 
-        warm = values()
-        for _ in range(2):
-            linalg._spectra.clear()
-            cold = values()
-            for x, y in zip(warm, cold):
-                assert np.array_equal(x, y)
+def triangular_plant(n, cond, seed=0):
+    """Upper triangular a with eigenvalues exactly -1, ..., -n on its diagonal,
+    non-normal through the strict upper part of v diag(d) v^-1 for a unit
+    upper triangular v with cond(v) = ``cond``."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((n, n)), 1)
+    lo, hi = 0.0, 1.0
+    while np.linalg.cond(np.eye(n) + hi * upper) < cond:
+        hi *= 2
+    for _ in range(60):  # bisect the scale of the strict upper part
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.linalg.cond(np.eye(n) + mid * upper) < cond else (lo, mid)
+    v = np.eye(n) + hi * upper
+    d = -np.arange(1.0, n + 1)
+    return np.triu(v @ np.diag(d) @ np.linalg.inv(v), 1) + np.diag(d)
+
+
+def outcome(fn, *args) -> str:
+    """"ok", or the kind of refusal fn(*args) raised."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        for kind in ("overlap", "ill conditioned", "eigenvalue of a"):
+            if kind in str(exc):
+                return kind
+        raise
+    return "ok"
+
+
+class TestDisjointnessDecisions:
+    """The inverse-norm certificate decides as the eager eigenvalue test does."""
+
+    LAM = -3.0  # an eigenvalue of triangular_plant
+    DELTAS = [0.0, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-5, 1e-3]  # distance of b's eigenvalue
+    CONDS = [1.0, 1e2, 1e4]
+
+    @pytest.mark.parametrize("cond", CONDS)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_sylvester_near_an_eigenvalue(self, eigvals_spy, delta, cond):
+        a = triangular_plant(8, cond)
+        b = np.diag([self.LAM + delta, 5.0])
+        c = np.ones((8, 2))
+        if delta == 0.0:  # a - mu I is exactly singular: inv raises and the spectra decide
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(a - self.LAM * np.eye(8))
+        if not spectra_disjoint(a, b):
+            want = "overlap"
+        else:
+            ill = per_shift_sylvester(a, b, c)[1] > linalg.SYLVESTER_COND_MAX
+            want = "ill conditioned" if ill else "ok"
+        eigvals_spy.clear()
+        assert outcome(solve_sylvester, a, b, c) == want
+        if delta <= linalg.DISJOINT_TOL:  # ||(a - mu I)^-1|| >= 1/delta: the bound cannot certify
+            assert (8, 8) in eigvals_spy
+        if delta >= 1e-5 and cond <= 1e2:
+            assert (8, 8) not in eigvals_spy
+
+    @pytest.mark.parametrize("cond", CONDS)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_transfer_near_an_eigenvalue(self, eigvals_spy, delta, cond):
+        sys = StateSpaceModel(a=triangular_plant(8, cond), b=np.ones((8, 2)), c=np.ones((1, 8)))
+        point = complex(self.LAM + delta)
+        near = np.abs(eigenvalues(sys.a).eigenvalues - point).min() <= linalg.DISJOINT_TOL
+        eigvals_spy.clear()
+        if near:
+            with pytest.raises(ValueError) as excinfo:
+                moments.transfer_eval(sys, point)
+            assert str(excinfo.value) == f"evaluation point {point} is numerically an eigenvalue of a"
+        else:
+            got = moments.transfer_eval(sys, point)
+            assert got.dtype == complex
+            ref = sys.c @ np.linalg.solve(point * np.eye(8) - sys.a, sys.b)
+            assert np.allclose(got, ref, rtol=1e-6, atol=0.0)
+        if delta <= linalg.DISJOINT_TOL:
+            assert (8, 8) in eigvals_spy
+        if delta >= 1e-5 and cond <= 1e2:
+            assert (8, 8) not in eigvals_spy
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 6),
+        k=st.integers(1, 6),
+        delta=st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-7, 1e-3]),
+    )
+    def test_overlap_refused_iff_spectra_not_disjoint(self, seed, n, k, delta):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((k, k))
+        if delta is not None:  # give b an eigenvalue delta from a real one of a
+            t = np.triu(rng.standard_normal((n, n)))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = q @ t @ q.T
+            u = np.triu(rng.standard_normal((k, k))) + 3 * np.eye(k)
+            d = rng.standard_normal(k)
+            d[0] = t[0, 0] + delta
+            b = u @ np.diag(d) @ np.linalg.inv(u)
+        try:
+            solve_sylvester(a, b, np.ones((n, k)))
+            refused = False
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            refused = "overlap" in str(exc)
+        assert refused == (not spectra_disjoint(a, b))
 
 
 class TestSpectraDisjoint:

@@ -620,6 +620,25 @@ class TestMDirect:
             )
 
 
+    def test_mis_sized_m_map_named(self):
+        plant, design = self._design()
+        link = StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=re.escape("m_map must have shape (2, 4), got (2, 3)")):
+            run_m_direct(
+                plant, design.abstract_model(), link, design.m_map[:, :3],
+                springmass.u_signal(), springmass.X0, springmass.XI0,
+            )
+
+    def test_mis_sized_u_named(self):
+        plant, design = self._design()
+        link = StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="u has dimension 3, expected the plant's 2 inputs"):
+            run_m_direct(
+                plant, design.abstract_model(), link, design.m_map,
+                SignalSpec.zero(3), springmass.X0, springmass.XI0,
+            )
+
+
 class TestMSwapped:
     @staticmethod
     def _prestabilized():
