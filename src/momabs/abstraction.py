@@ -14,10 +14,10 @@ import numpy as np
 
 from .linalg import (
     StateSpaceModel,
+    _lyapunov,
     as_matrix,
     eigenvalues,
     numerical_rank,
-    solve_lyapunov,
     solve_sylvester,
 )
 from .moments import transfer_at
@@ -142,7 +142,8 @@ def synth_certificate(
     lam = DEFAULT_LAMBDA_FRACTION * abs(spec.max_real_part)
     ctc = sys.c.T @ sys.c
     eps = 1e-6 * np.linalg.norm(ctc + np.eye(sys.n), 2)
-    w0 = solve_lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n))
+    # sigma(a_cl + lam I) = sigma(a_cl) + lam, so a_cl is eigensolved once
+    w0 = _lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n), spec.eigenvalues + lam)
     # smallest alpha with alpha w0 >= c^T c: top generalized eigenvalue of (ctc, w0)
     inv_chol = np.linalg.inv(np.linalg.cholesky(w0))
     gen_max = float(np.linalg.eigvalsh(inv_chol @ ctc @ inv_chol.T).max())
@@ -287,23 +288,27 @@ def _kernel_basis(c: np.ndarray) -> np.ndarray:
 
 def _greedy_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarray:
     """Pick ``count`` basis columns maximizing, at each step, the component
-    orthogonal to the span of [p | selected]; ties break on column index."""
+    orthogonal to the span of [p | selected]; ties break on column index.
+
+    One pivoted Gram-Schmidt pass: the basis is projected off im(p) once, and
+    each pick deflates the residuals by its normalized residual, a rank-1
+    update, so no pick refactors [p | selected]."""
     if count > basis.shape[1]:
         raise ValueError("ker(c) is too small to complement im(p)")
     if count == 0:
         return np.zeros((p.shape[0], 0))
+    q, _ = np.linalg.qr(p)
+    resid = basis - q @ (q.T @ basis)
     selected: list[int] = []
-    current = p
     for _ in range(count):
-        q, _ = np.linalg.qr(current)
-        resid = basis - q @ (q.T @ basis)
         scores = np.linalg.norm(resid, axis=0)
         scores[selected] = -1.0
         best = int(np.argmax(scores))
         if scores[best] <= 1e-10:
             raise ValueError("kernel basis cannot complete im(p) to R^n")
         selected.append(best)
-        current = np.hstack([current, basis[:, [best]]])
+        u = resid[:, best] / scores[best]
+        resid -= np.outer(u, u @ resid)
     return basis[:, selected]
 
 

@@ -117,7 +117,7 @@ def cmd_reduce(args) -> RunReport:
         scale = max(1.0, np.linalg.norm(full))
         report.add("direct moment residual", np.linalg.norm(full - red) / scale, args.tol)
         if sys_model.m == 1:
-            _interpolation_checks(report, sys_model, rom, di.s, args.tol)
+            _interpolation_checks(report, sys_model, rom, di, args.tol)
         else:
             report.add(
                 "tangential transfer match at sigma(s)",
@@ -130,7 +130,7 @@ def cmd_reduce(args) -> RunReport:
         scale = max(1.0, np.linalg.norm(full))
         report.add("swapped moment residual", np.linalg.norm(full - red) / scale, args.tol)
         if sys_model.p == 1:
-            _interpolation_checks(report, sys_model, rom, si.q, args.tol, tag="q")
+            _interpolation_checks(report, sys_model, rom, si, args.tol, tag="q")
         else:
             report.add(
                 "tangential transfer match at sigma(q)",
@@ -142,11 +142,12 @@ def cmd_reduce(args) -> RunReport:
     return report
 
 
-def _interpolation_checks(report, full, rom, s_mat, tol, tag="s"):
-    points = eigenvalues(s_mat).eigenvalues
+def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
+    """One transfer match per point of sigma(s) (sigma(q) for tag "q") with imag >= 0."""
+    points = eigenvalues(getattr(interp, tag)).eigenvalues
     points = points[points.imag >= 0]  # conjugate value is redundant for real systems
     for lam, tf_full, tf_rom in zip(
-        points, moments.transfer_at(full, points), moments.transfer_at(rom, points)
+        points, moments._plant_transfer_at(full, interp, points), moments.transfer_at(rom, points)
     ):
         rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)

@@ -20,14 +20,13 @@ Disjointness of sigma(a) from the shifts is read off the same inverses
 (:func:`_disjoint_gate`, also used by :func:`momabs.moments.transfer_eval`):
 dist(mu, sigma(a)) >= 1/||(a - mu I)^{-1}||_2 (Trefethen & Embree 2005, section 2),
 so the order-n side is eigensolved only when that bound cannot show a gap
-above DISJOINT_TOL.  :func:`eigenvalues` keeps no memo.
+above DISJOINT_TOL.  :func:`eigenvalues` keeps no memo; the moment memo,
+:func:`_memoized`, compares bit patterns with kept copies and hashes nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,21 +162,36 @@ def eigenvalues(m) -> SpectrumReport:
     )
 
 
-def _memoized(memo: OrderedDict, size: int, fn, *args) -> np.ndarray:
+def _memoized(memo: list, size: int, fn, *args) -> np.ndarray:
     """fn(*args) made read-only, or the value it gave for arrays of the same
-    shapes and bytes if that is among the last ``size`` kept in ``memo``."""
-    key = tuple((x.shape, hashlib.blake2b(np.ascontiguousarray(x)).digest()) for x in args)
+    shapes and bit patterns if that is among the last ``size`` kept in ``memo``.
+
+    ``memo`` holds (read-only copies of the arguments, value) pairs, most
+    recent last.  A lookup compares each argument with a kept copy through
+    an unsigned-integer view of its bits, so it copies nothing and tells
+    -0.0 from 0.0 (and one NaN payload from another)."""
     with _memo_lock:
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
+        for i, (kept, value) in enumerate(memo):
+            if all(map(_same_bits, kept, args)):
+                memo.append(memo.pop(i))
+                return value
     value = fn(*args)
     value.flags.writeable = False
+    kept = tuple(x.copy() for x in args)
+    for x in kept:
+        x.flags.writeable = False
     with _memo_lock:
-        memo[key] = value
-        while len(memo) > size:
-            memo.popitem(last=False)
+        memo.append((kept, value))
+        del memo[:-size]
     return value
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """True iff x and y have the same dtype, shape and bit pattern."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    bits = np.dtype(f"u{x.itemsize}")
+    return bool(np.array_equal(x.view(bits), y.view(bits)))
 
 
 def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
@@ -369,12 +383,17 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
+    return _lyapunov(a_cl, q, eigenvalues(a_cl).eigenvalues)
+
+
+def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray) -> np.ndarray:
+    """:func:`solve_lyapunov` for a square a_cl whose spectrum e the caller
+    already has, such as sigma(a + b k) + lam for a_cl = a + b k + lam I."""
     q = _square(q, "q")
     if q.shape != a_cl.shape:
         raise ValueError("q must match a_cl in shape")
     if np.linalg.norm(q - q.T) > 1e-10 * max(1.0, np.linalg.norm(q)):
         raise ValueError("q must be symmetric")
-    e = eigenvalues(a_cl).eigenvalues
     if e.real.max() >= 0:
         raise ValueError("a_cl is not Hurwitz")
     # sigma(a_cl^T) = sigma(a_cl) and sigma(-a_cl) = -sigma(a_cl)

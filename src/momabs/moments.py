@@ -4,11 +4,16 @@ A moment is the matrix C Pi (or Ups B), where Pi (Ups) solves a Sylvester
 equation coupling the system with interpolation data (S, L) pairs
 (respectively (Q, R)); equivalently, transfer-function values at the
 interpolation points.
+
+The last MOMENT_MEMO_SIZE moment solves are memoized by comparing their
+Sylvester data bit for bit with kept copies (:func:`momabs.linalg._memoized`).
+A tangential check takes the plant side behind its moment solve, whose gates
+certify each point clear of sigma(a), so the plant's G(mu) is one LU solve per
+point (:func:`_plant_transfer_at`), not a self-certifying :func:`transfer_eval`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,7 @@ from .linalg import (
     _disjoint_gate,
     _inverse_solve,
     _memoized,
+    _shift,
     _square,
     pbh_observable,
     pbh_reachable,
@@ -29,7 +35,7 @@ from .linalg import (
 
 TWO_SIDED_COND_MAX = 1e10
 MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
-_moments: OrderedDict = OrderedDict()  # Sylvester data (a, b, c) -> read-only solution
+_moments: list = []  # (read-only copies of the Sylvester data (a, b, c), read-only solution)
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,25 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
 def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:
     """Transfer values G(mu_j) stacked as (k, p, m), for points mu in the pair
     order of np.linalg.eig: each conjugate pair is solved once, at imag >= 0."""
+    return _at_upper_points(mu, lambda point: transfer_eval(sys, point))
+
+
+def _plant_transfer_at(sys: StateSpaceModel, interp, mu) -> np.ndarray:
+    """:func:`transfer_at` for the plant of a moment at ``interp`` (direct or
+    swapped), with mu the spectrum of its s (or q).
+
+    The moment solve runs first, a memo hit after ``rom_*``; its gates have
+    proved each point clear of sigma(a) with a - mu I inside the cond bound,
+    or refused.  So each value is -c (a - mu I)^{-1} b by one LU solve."""
+    (moment_direct if isinstance(interp, DirectInterpolant) else moment_swapped)(sys, interp)
+    return _at_upper_points(mu, lambda point: -(sys.c @ np.linalg.solve(_shift(sys.a, point), sys.b)))
+
+
+def _at_upper_points(mu, value) -> np.ndarray:
+    """value(mu_j) stacked for points mu in eig pair order, called only at
+    imag >= 0; each lower member takes its partner's conjugate."""
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    upper = [transfer_eval(sys, complex(point)) for point in mu[mu.imag >= 0]]
-    return _conjugate_fill(mu, np.array(upper))
+    return _conjugate_fill(mu, np.array([value(complex(point)) for point in mu[mu.imag >= 0]]))
 
 
 def tangential_mismatch_direct(
@@ -187,11 +209,12 @@ def tangential_mismatch_direct(
 
     At each eigenpair (lam, v) of s the moment pins the transfer value on
     the direction l v only; full-matrix equality at the points is a SISO
-    special case.
+    special case.  Refused as the moment of ``full`` at ``interp`` is.
     """
     vals, vecs = np.linalg.eig(interp.s)
     d = (interp.l @ vecs).T[:, :, None]  # direction l v per eigenpair
-    return _relative_mismatch(full, rom, vals, lambda g: g @ d)
+    tf_full = _plant_transfer_at(full, interp, vals)
+    return _relative_mismatch(tf_full, transfer_at(rom, vals), lambda g: g @ d)
 
 
 def tangential_mismatch_swapped(
@@ -201,13 +224,13 @@ def tangential_mismatch_swapped(
     (lam, w) of q the moment pins the transfer value along w^T r."""
     vals, vecs = np.linalg.eig(interp.q.T)
     d = (vecs.T @ interp.r)[:, None, :]  # direction w^T r per eigenpair
-    return _relative_mismatch(full, rom, vals, lambda g: d @ g)
+    tf_full = _plant_transfer_at(full, interp, vals)
+    return _relative_mismatch(tf_full, transfer_at(rom, vals), lambda g: d @ g)
 
 
-def _relative_mismatch(full: StateSpaceModel, rom: StateSpaceModel, vals, along) -> float:
+def _relative_mismatch(tf_full: np.ndarray, tf_rom: np.ndarray, along) -> float:
     """max_j ||along(G(mu_j) - Gr(mu_j))|| / max(1, ||along(G(mu_j))||), for
-    points mu in eig pair order and ``along`` projecting (k, p, m) stacks."""
-    tf_full = transfer_at(full, vals)
-    diff = np.linalg.norm(along(tf_full - transfer_at(rom, vals)), axis=(1, 2))
+    (k, p, m) stacks of transfer values and ``along`` projecting them."""
+    diff = np.linalg.norm(along(tf_full - tf_rom), axis=(1, 2))
     ref = np.linalg.norm(along(tf_full), axis=(1, 2))
     return float((diff / np.maximum(1.0, ref)).max())

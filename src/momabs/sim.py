@@ -14,10 +14,12 @@ MAX_CHUNK_GROWTH so that T^L stays finite:
   chunks in one matrix product;
 * the zero-state response within a chunk is either one product of the
   chunks' stacked forcing with the block-Toeplitz matrix of the Markov
-  parameters c T^d G (when that costs fewer flops than the state sweep,
-  L r q < 2 n^2, and no more memory, L^2 r q <= N n), or the state sweep
-  (L - 1 matrix-matrix products over all chunks at once) read out by c;
-  a zero signal skips it;
+  parameters c T^d G, or the state sweep (L - 1 matrix-matrix products over
+  all chunks at once) read out by c; a zero signal skips it.  The Toeplitz
+  product runs in chunks short enough that its L^2 r q matrix is no larger
+  than the (N + 1) q readouts and N r forcing samples, and is taken when
+  there it costs fewer flops than the sweep, L r q < 2 n^2, and no more
+  memory, L^2 r q <= N n;
 * the chunk-boundary states come from T^L and the reach matrix
   [T^(L-1) G ... G], and the N mod L steps left over are plain steps.
 
@@ -209,11 +211,11 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         growth = np.linalg.norm(t_map, 1)
         if growth > 1.0:  # ||T^L||_1 <= ||T||_1^L <= MAX_CHUNK_GROWTH keeps T^L finite
             chunk = max(1, min(chunk, int(math.log(MAX_CHUNK_GROWTH) / math.log(growth))))
+        by_toeplitz, chunk, _ = _zero_state_plan(n, q, r, steps, chunk)
         t_chunk = np.linalg.matrix_power(t_map, chunk)
         count = steps // chunk
         rows = out[1 : 1 + count * chunk].reshape(count, chunk * q)
         ends = np.zeros((count, n))  # zero-state response at each chunk's end
-        by_toeplitz, _ = _zero_state_plan(n, q, r, steps, chunk)
         if by_toeplitz:
             per_chunk = forcing[: count * chunk].reshape(count, chunk * r)
             toeplitz, reach = _toeplitz_and_reach(t_map, g_map, c, chunk)
@@ -253,15 +255,21 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
     return out
 
 
-def _zero_state_plan(n: int, q: int, r: int, steps: int, chunk: int) -> tuple[bool, int]:
+def _zero_state_plan(n: int, q: int, r: int, steps: int, chunk: int) -> tuple[bool, int, int]:
     """Whether rk4_linear takes the zero-state response by the Toeplitz product
-    (r forcing samples per step, 0 unforced), and the float64s it allocates on
-    the grid: readouts, forcing, and the sweep's states or the Toeplitz matrix."""
-    # per step, the Toeplitz product costs L r q flops against the sweep's
-    # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
-    by_toeplitz = r > 0 and chunk * r * q < 2 * n * n and chunk * chunk * r * q <= steps * n
-    zero_state = chunk * chunk * r * q if by_toeplitz else steps * n if r else 0
-    return by_toeplitz, (steps + 1) * q + steps * r + zero_state
+    (r forcing samples per step, 0 unforced), the chunk length L it runs at,
+    and the float64s it allocates on the grid: readouts, forcing, and the
+    sweep's states or the Toeplitz matrix.  The sweep runs at ``chunk``; the
+    Toeplitz product at the longest L <= ``chunk`` whose L^2 r q matrix is no
+    larger than the readouts and forcing."""
+    grid = (steps + 1) * q + steps * r
+    if r:
+        short = min(chunk, max(1, math.isqrt(grid // (r * q))))
+        # per step, the Toeplitz product costs L r q flops against the sweep's
+        # 2 n^2, and its matrix L^2 r q floats against the sweep's N n
+        if short * r * q < 2 * n * n and short * short * r * q <= steps * n:
+            return True, short, grid + short * short * r * q
+    return False, chunk, grid + (steps * n if r else 0)
 
 
 def _finite_rows(x: np.ndarray) -> np.ndarray:
@@ -326,8 +334,9 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
     c = np.vstack(list(maps.values()))
     steps = int(round(spec.horizon / spec.step))
     r = 0 if b_aug is None or spec.signal.is_zero() else 3 * spec.signal.dim
-    # at rk4_linear's longest chunk; a shorter one allocates no more
-    _, floats = _zero_state_plan(a_aug.shape[0], c.shape[0], r, steps, math.isqrt(steps))
+    # at rk4_linear's longest chunk; a shorter one (where ||T||_1^L would
+    # pass MAX_CHUNK_GROWTH) allocates no more
+    _, _, floats = _zero_state_plan(a_aug.shape[0], c.shape[0], r, steps, math.isqrt(steps))
     if 8 * floats > MAX_TRAJECTORY_BYTES:
         raise ValueError(
             f"grid of {steps + 1} samples (horizon={spec.horizon:g}, step={spec.step:g}) needs "

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from momabs.linalg import StateSpaceModel, eigenvalues, spectra_disjoint
 @pytest.fixture
 def sylvester_calls(monkeypatch):
     """Empty the moment memo and record every Sylvester solve that moments makes."""
-    monkeypatch.setattr(moments, "_moments", OrderedDict())
+    monkeypatch.setattr(moments, "_moments", [])
     calls, real_solve = [], moments.solve_sylvester
 
     def spy(a, b, c):

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_stable_system, rotation_block
-from momabs import springmass
+from conftest import non_normal_stable_system, random_stable_system, rotation_block
+from momabs import abstraction, springmass
 from momabs.abstraction import (
     check_design,
     check_m_relation,
@@ -93,6 +93,18 @@ def embeddable_abstraction(rng, sys, blocks=1):
 def test_no_kronecker_system_in_src():
     # an n^2 x n^2 Kronecker matrix is a test-only reference; src solves in O(n^3)
     assert [path.name for path in SRC.glob("*.py") if "kron" in path.read_text()] == []
+
+
+def test_no_hashlib_in_src():
+    # the moment memo compares bit patterns; nothing in src hashes arrays
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported and "hashlib" not in imported
 
 
 @pytest.mark.parametrize(
@@ -429,6 +441,47 @@ class TestDesignAbstraction:
         # for this benchmark m b = 0 and c p = I
         assert np.abs(final.b).max() == 0.0
         assert np.abs(final.c - np.eye(2)).max() == 0.0
+
+
+def reference_greedy_complement(p, basis, count):
+    """The greedy pick with one QR of [p | selected] per pick: the columns of
+    basis with the largest component off that span, first index on ties."""
+    selected, current = [], p
+    for _ in range(count):
+        q, _ = np.linalg.qr(current)
+        scores = np.linalg.norm(basis - q @ (q.T @ basis), axis=0)
+        scores[selected] = -1.0
+        selected.append(int(np.argmax(scores)))
+        current = np.hstack([current, basis[:, [selected[-1]]]])
+    return basis[:, selected]
+
+
+class TestGreedyComplement:
+    """The one-pass Gram-Schmidt pick against the QR-per-pick reference."""
+
+    def assert_same_picks(self, p, c):
+        basis = abstraction._kernel_basis(c)
+        count = p.shape[0] - p.shape[1]
+        got = abstraction._greedy_complement(p, basis, count)
+        assert np.array_equal(got, reference_greedy_complement(p, basis, count))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_bases(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        k = int(rng.integers(1, n))
+        outputs = int(rng.integers(1, k + 1))  # ker(c) has n - outputs >= n - k columns
+        self.assert_same_picks(rng.standard_normal((n, k)), rng.standard_normal((outputs, n)))
+
+    def test_springmass(self):
+        self.assert_same_picks(springmass.embedding_p(), springmass.concrete().c)
+
+    def test_order_200_plant(self):
+        # the plant and embedding of test_acceptance's order-200 certificate and design
+        rng = np.random.default_rng(200)
+        plant = non_normal_stable_system(rng, n=200, m=2, p=2, cond=50.0)
+        p = solve_sylvester(plant.a, rotation_block(1.5), -(plant.b @ rng.standard_normal((2, 2))))
+        self.assert_same_picks(p, plant.c)
 
 
 class TestMRelation:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,37 @@ class TestMomentMemo:
         ups = moment_swapped(sys, si).upsilon
         with pytest.raises(ValueError, match="read-only"):
             ups[0, 0] = 0.0
+        [(kept, value)] = moments._moments
+        assert value is ups
+        assert all(not x.flags.writeable for x in kept)
+        assert not any(np.shares_memory(x, y) for x in kept for y in (si.q, sys.a))
+
+    def test_in_place_change_is_a_miss(self, sylvester_calls, rng):
+        # the memo compares with its own copies, not with the caller's arrays
+        sys = random_stable_system(rng, n=4, m=1, p=1)
+        di = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
+        first = moment_direct(sys, di).pi
+        sys.a[0, 0] -= 1.0
+        assert not np.array_equal(moment_direct(sys, di).pi, first)
+        assert len(sylvester_calls) == 2
+
+    def test_negative_zero_is_a_miss(self, sylvester_calls, rng):
+        sys = random_stable_system(rng, n=3, m=1, p=1)
+        for zero in (0.0, -0.0, 0.0):
+            moment_direct(sys, DirectInterpolant(s=np.array([[zero]]), l=np.ones((1, 1))))
+        assert len(sylvester_calls) == 2
+
+    def test_lookup_copies_nothing(self):
+        memo, big = [], np.random.default_rng(0).standard_normal((400, 400))
+        solved = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
+        tracemalloc.start()
+        try:
+            again = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again is solved
+        assert peak < big.nbytes / 4  # one bool array of the comparison, 1/8 of it
 
     def test_changed_plant_is_solved_again(self, sylvester_calls, rng):
         sys = random_stable_system(rng, n=4, m=1, p=1)
@@ -293,13 +326,57 @@ class TestTangentialMismatch:
             assert ref > 1e-6
             assert abs(got - ref) <= 1e-12 * max(1.0, ref)
 
-    def test_one_transfer_solve_per_conjugate_pair(self, transfer_calls, rng):
+    def test_one_transfer_solve_per_conjugate_pair(self, monkeypatch, transfer_calls, rng):
         sys = random_stable_system(rng, n=6, m=2, p=2)
         osc = block_diag_spectrum([1j, -1j, 3j, -3j])  # two-pair oscillator
         di = DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
         rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
+        solved = record_calls(monkeypatch, "solve")
         assert tangential_mismatch_direct(sys, rom, di) < 1e-8
-        for model in (sys, rom):
-            points = [point for called, point in transfer_calls if called is model]
-            assert len(points) == 2 and all(point.imag > 0 for point in points)
-        assert len(transfer_calls) == 4
+        # the plant: one LU solve of a - mu I per upper point, behind its memoized moment
+        assert [(shape, imag > 0) for shape, imag in solved] == [((6, 6), True)] * 2
+        # the ROM: one self-certifying transfer evaluation per upper point
+        assert [called for called, _ in transfer_calls] == [rom, rom]
+        assert all(point.imag > 0 for _, point in transfer_calls)
+
+    def test_plant_side_forms_no_inverse(self, monkeypatch, rng):
+        sys = random_stable_system(rng, n=6, m=2, p=2)
+        di = DirectInterpolant(s=block_diag_spectrum([1j, -1j, 3j, -3j]), l=rng.standard_normal((2, 4)))
+        si = SwappedInterpolant(q=block_diag_spectrum([2j, -2j]), r=rng.standard_normal((2, 2)))
+        rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
+        roms = rom_swapped(sys, si, rng.standard_normal((2, 2)))
+        inverted = record_calls(monkeypatch, "inv")
+        tangential_mismatch_direct(sys, rom, di)
+        tangential_mismatch_swapped(sys, roms, si)
+        assert [shape for shape, _ in inverted] == [(4, 4)] * 2 + [(2, 2)]
+
+    @pytest.mark.parametrize("side", ["direct", "swapped"])
+    def test_overlap_refused_as_the_moment_is(self, side):
+        # sigma(s) (sigma(q)) meets sigma(a) at +-2i; the ROM is any model
+        a = block_diag_spectrum([-1.0, 2j, -2j])
+        sys = StateSpaceModel(a=a, b=np.ones((3, 1)), c=np.ones((1, 3)))
+        rom = StateSpaceModel(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)))
+        if side == "direct":
+            check = lambda: tangential_mismatch_direct(
+                sys, rom, DirectInterpolant(s=rotation_block(2.0), l=np.ones((1, 2)))
+            )
+        else:
+            check = lambda: tangential_mismatch_swapped(
+                sys, rom, SwappedInterpolant(q=rotation_block(2.0), r=np.ones((2, 1)))
+            )
+        with pytest.raises(ValueError, match="^sigma\\(a\\) and sigma\\(b\\) overlap"):
+            check()
+
+
+def record_calls(monkeypatch, name):
+    """Record (shape, imag(mu)) for each later np.linalg.<name> call on a
+    complex shifted matrix a - mu I of a real a."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def spy(m, *args, **kwargs):
+        if np.iscomplexobj(m) and m.ndim == 2 and m.shape[0] == m.shape[1]:
+            calls.append((m.shape, -m[0, 0].imag))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls

@@ -168,10 +168,12 @@ class TestRk4Propagator:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
-    # 400 steps run in chunks of L = 20 with r = 9 forcing samples per step
-    # and q = 2 readouts: at n = 200 the Toeplitz product costs L r q = 360 <
-    # 2 n^2 flops per step and L^2 r q = 7 200 <= N n = 80 000 floats; at
-    # n = 5, L r q = 360 >= 2 n^2 = 50, so the state sweep runs.
+    # 400 steps with r = 9 forcing samples per step and q = 2 readouts: the
+    # Toeplitz product would run in chunks of L = isqrt((401 q + 400 r) // (r q))
+    # = 15, so that L^2 r q = 4 050 <= 4 402 readout and forcing floats; at
+    # n = 200 it costs L r q = 270 < 2 n^2 flops per step and L^2 r q <= N n =
+    # 80 000 floats; at n = 5, L r q = 270 >= 2 n^2 = 50, so the state sweep
+    # runs, in chunks of L = isqrt(N) = 20.
     @pytest.mark.parametrize("n, toeplitz", [(200, True), (5, False)])
     def test_branch_rule(self, monkeypatch, n, toeplitz):
         calls = []
@@ -405,30 +407,42 @@ class TestSpecValidation:
             step=0.01,
         )
 
-    # Both runs take N = 400 steps in chunks of L = 20 on n = 22 states.  One
-    # input and one output give q = 3 readouts (y, psi, err) and r = 3 forcing
-    # samples per step: the Toeplitz product runs (L r q = 180 < 2 n^2 = 968,
-    # L^2 r q = 3 600 <= N n = 8 800), so the run takes 401 q + 400 r + L^2 r q
-    # = 6 003 floats, 48 024 bytes, below the 70 576 of one N x n array.  Two
-    # of each give q = r = 6 and L^2 r q = 14 400 > N n: the state sweep runs
-    # and takes 401 q + 400 r + N n = 13 606 floats, 108 848 bytes, of which
-    # the sweep's N n alone puts it over 48 024.
+    # Both runs take N = 400 steps on n = 22 states.  One input and one
+    # output give q = 3 readouts (y, psi, err) and r = 3 forcing samples per
+    # step, 401 q + 400 r = 2 403 floats: the Toeplitz product runs in chunks
+    # of L = isqrt(2 403 // (r q)) = 16, not isqrt(N) = 20 (L r q = 144 <
+    # 2 n^2 = 968, L^2 r q = 2 304 <= N n = 8 800), so the run takes 2 403 +
+    # L^2 r q = 4 707 floats, 37 656 bytes, below the 70 576 of one N x n
+    # array.  Four of each give q = r = 12 and L = isqrt(9 612 // 144) = 8 with
+    # L r q = 1 152 >= 2 n^2: the state sweep runs and takes 9 612 + N n =
+    # 18 412 floats, 147 296 bytes.
     def test_trajectory_cap_counts_the_chosen_branch(self, monkeypatch, rng):
-        toeplitz, sweep = self._order_22_spec(rng, 1), self._order_22_spec(rng, 2)
-        calls = []
+        toeplitz, sweep = self._order_22_spec(rng, 1), self._order_22_spec(rng, 4)
+        chunks = []
         real = sim._toeplitz_and_reach
-        monkeypatch.setattr(sim, "_toeplitz_and_reach", lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 48_024)
+        monkeypatch.setattr(
+            sim, "_toeplitz_and_reach", lambda *args: chunks.append(args[-1]) or real(*args)
+        )
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 37_656)
         assert integrate(toeplitz).times.size == 401
-        assert len(calls) == 1
-        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 108848 bytes"):
+        assert chunks == [16]
+        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 147296 bytes"):
             integrate(sweep)
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 108_848)
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 147_296)
         assert integrate(sweep).times.size == 401
-        assert len(calls) == 1
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 48_023)
-        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 48024 bytes"):
+        assert chunks == [16]
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", 37_655)
+        with pytest.raises(ValueError, match=r"^grid of 401 samples .* needs 37656 bytes"):
             integrate(toeplitz)
+
+    def test_toeplitz_matrix_stays_near_the_readout_size(self):
+        # an order-200 hierarchical run on 700 001 samples, with 6 readouts and
+        # 6 forcing samples per step: planned, not run, to keep memory small
+        n, q, r, steps = 202, 6, 6, 700_000
+        grid = (steps + 1) * q + steps * r
+        by_toeplitz, chunk, floats = sim._zero_state_plan(n, q, r, steps, math.isqrt(steps))
+        assert by_toeplitz and chunk == math.isqrt(grid // (r * q)) < math.isqrt(steps)
+        assert floats <= 2 * grid
 
     @pytest.mark.parametrize(
         "readouts, message",
