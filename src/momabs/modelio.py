@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,6 +13,8 @@ from .linalg import StateSpaceModel
 
 ROLES = ("concrete", "abstract", "interpolant")
 CSV_BLOCK_ROWS = 1024
+_SLOT = 24  # widest %.17g text, as in -2.2250738585072014e-308; see %-24.17g
+_K_MAX = 256  # the 10**(16 - k) table covers |k| <= _K_MAX
 
 
 class ModelFileError(ValueError):
@@ -100,13 +103,122 @@ def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def write_csv(path, times: np.ndarray, columns: dict) -> None:
-    """CSV with a time column then named data columns, each value formatted
-    with ``%.17g``; the header names are a stable contract.
+@functools.cache
+def _format_tables():
+    """10**j as hi + lo doubles for j = 16 - k, k = _K_MAX down to -_K_MAX, and
+    the 4-digit ASCII groups as uint32, then again with trailing zeros NUL."""
+    hi, lo = [], []
+    for j in range(16 - _K_MAX, 17 + _K_MAX):
+        num, den = 10 ** max(j, 0), 10 ** max(-j, 0)
+        h_num, h_den = (num / den).as_integer_ratio()  # int / int rounds correctly
+        hi.append(h_num / h_den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    quads = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    quads = (quads % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(quads[:, ::-1] == 48, axis=1)[:, ::-1]
+    groups = np.concatenate([quads, quads * ~trailing])
+    tables = np.array(hi), np.array(lo), groups.view(np.uint32).ravel()
+    for table in tables:  # shared by every write
+        table.flags.writeable = False
+    return tables
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, one ``%`` operation per
-    block, and each block is written before the next is formatted, so memory
-    stays bounded by one block whatever the grid length.
+
+def _two_product(a, b):
+    """(p, e) with p = fl(ab) and p + e = ab exactly (Dekker 1971): each factor
+    is split into 26-bit halves, whose products are exact."""
+    p = a * b
+    ah, bh = [(c := 134217729.0 * v) - (c - v) for v in (a, b)]
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _round17(values: np.ndarray):
+    """(certified, k, d) with k = floor(log10|x|) and d = round(|x| 10**(16 - k));
+    the classes write_csv hands to ``%`` are not certified."""
+    hi_tab, lo_tab, _ = _format_tables()
+    mag = np.abs(values)
+    certified = (mag >= 1e-250) & (mag <= 1e250)
+    mag[~certified] = 1.0
+    k = np.floor(np.log10(mag)).astype(np.int16)
+    p, t = _two_product(mag, hi_tab.take(_K_MAX - k))
+    t += mag * lo_tab.take(_K_MAX - k)
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    certified &= (np.abs(t - r) < 0.5 - 1e-6) & (d > 10**16) & (d < 10**17)
+    return certified, k, d
+
+
+def _ascii17(d: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each d in (10**16, 10**17), trailing zeros NUL."""
+    group_tab = _format_tables()[2]
+    top = d // 10**8  # numpy divides by a scalar fast, but its % is slow
+    first, low = top // 10**8, d - top * 10**8
+    packed = np.empty((d.size, 5), np.uint32)
+    # a 4-digit group followed only by zeros is read with its trailing zeros NUL
+    for col, half, zeros_after in ((1, top - first * 10**8, low == 0), (3, low, True)):
+        q = half // 10**4
+        r = half - q * 10**4
+        packed[:, col] = group_tab[q + 10_000 * (zeros_after & (r == 0))]
+        packed[:, col + 1] = group_tab[r + 10_000 * zeros_after]
+    digits = packed.view(np.uint8)[:, 3:]
+    digits[:, 0] = first + 48
+    return digits
+
+
+def _layout(k: int):
+    """(text before the digits, digits before the point, text after them) of a
+    ``%.17g`` value with decimal exponent k."""
+    if -4 <= k < 0:
+        return b"0." + b"0" * (-k - 1), 0, b""
+    if 0 <= k < 17:
+        return b"", k + 1, b""
+    return b"", 1, b"e%+03d" % k
+
+
+def _format_values(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``%.17g`` of each value, NUL-padded, into the _SLOT-byte void
+    ``out``; certified values are sorted by exponent so that each exponent's
+    layout is written with slices."""
+    fast, k, d = _round17(values)
+    order = np.flatnonzero(fast)
+    order = order[np.argsort(k[order], kind="stable")]  # a radix sort
+    k = k[order]
+    digits = _ascii17(d[order])
+    text = np.zeros((order.size, _SLOT), np.uint8)
+    text[:, 0] = np.where(values[order] < 0, 45, 0)
+    starts = np.flatnonzero(np.diff(k, prepend=k[:1] - 1))
+    for start, stop in zip(starts, [*starts[1:], order.size]):
+        rows = slice(start, stop)
+        lead, head, tail = _layout(int(k[start]))
+        c = 1 + len(lead)
+        text[rows, 1:c] = np.frombuffer(lead, np.uint8)
+        text[rows, c : c + head] = digits[rows, :head] | 48  # keep integer zeros
+        if 0 < head < 17:
+            text[rows, c + head] = np.where(digits[rows, head] != 0, 46, 0)
+            c += 1
+        text[rows, c + head : c + 17] = digits[rows, head:]
+        text[rows, c + 17 : c + 17 + len(tail)] = np.frombuffer(tail, np.uint8)
+    out[order] = text.view(out.dtype)[:, 0]
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        padded = (b"%-24.17g" * rest.size) % tuple(values[rest].tolist())
+        out[rest] = np.frombuffer(padded.replace(b" ", b"\0"), out.dtype)
+
+
+def write_csv(path, times: np.ndarray, columns: dict) -> None:
+    """CSV with a time column then named data columns, each value written as
+    the bytes ``%.17g`` gives; the header names are a stable contract.
+
+    |x| in [1e-250, 1e250] gets its 17 digits from d = round(|x| 10**(16 - k)),
+    k = floor(log10|x|), as Dekker's double-double product of |x| with a table
+    entry hi + lo: its error, about 2**-104 10**17, is far inside a 1e-6 tie
+    margin, so d is exact.  ``%`` formats the rest: a fraction within 1e-6 of
+    1/2 (``%`` rounds exact ties half-even), d <= 10**16 or d >= 10**17 (log10
+    off by one, or d rounding to a power of ten), zeros, subnormals, inf, nan
+    and |x| outside that range.  Rows are formatted CSV_BLOCK_ROWS at a time
+    into NUL-padded slots that one ``bytes.translate`` per block deletes, and
+    each block is written before the next, so memory stays bounded by one
+    block whatever the grid length.
     """
     names, series = ["time"], [times]
     for name, arr in columns.items():
@@ -118,15 +230,19 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
         for i in range(arr.shape[0]):
             names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
             series.append(arr[i])
-    row = ",".join(["%.17g"] * len(series)) + "\n"
     block = np.empty((CSV_BLOCK_ROWS, len(series)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    slots = np.empty((CSV_BLOCK_ROWS, len(series)), [("text", f"V{_SLOT}"), ("sep", "S1")])
+    slots["sep"] = b","
+    slots["sep"][:, -1] = b"\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
         for start in range(0, times.size, CSV_BLOCK_ROWS):
             rows = block[: min(CSV_BLOCK_ROWS, times.size - start)]
             for j, values in enumerate(series):
                 rows[:, j] = values[start : start + len(rows)]
-            fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
+            text = slots[: len(rows)].ravel()
+            _format_values(rows.ravel(), text["text"])
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 _PALETTE = (
@@ -139,7 +255,8 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
     """Self-contained 900x600 SVG: one polyline per named channel plus a legend.
 
     Each polyline holds at most about 2000 points (every ``stride``-th
-    sample), formatted ``%.2f,%.2f`` with one ``%`` operation per polyline.
+    sample), formatted ``%.2f,%.2f``: the x coordinates once per file, then
+    each polyline's y coordinates with one ``%`` operation.
     """
     width, height = 900, 600
     margin = 60
@@ -187,11 +304,11 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
             f'font-family="sans-serif" font-size="12">{val:.3g}</text>'
         )
     stride = max(1, times.size // 2000)
-    xs = sx(times[::stride])
+    # the x coordinates are formatted once; each channel fills in its y
+    points = " ".join(["%.2f,%%.2f" % x for x in sx(times[::stride]).tolist()])
     for idx, (name, values) in enumerate(flat.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = np.column_stack([xs, sy(values[::stride])]).ravel().tolist()
-        pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(points)
+        pts = points % tuple(sy(values[::stride]).tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

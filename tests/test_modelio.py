@@ -1,8 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from momabs import modelio, springmass
 from momabs.modelio import (
@@ -238,6 +245,104 @@ class TestWriterByteIdentity:
         finally:
             tracemalloc.stop()
         assert peak <= 4_000_000
+
+
+def csv_bytes(tmp_path, values):
+    """write_csv's bytes and per_value_csv's, with values in both columns."""
+    path = tmp_path / "values.csv"
+    times, columns = values[::-1].copy(), {"v": values}
+    write_csv(path, times, columns)
+    return path.read_bytes(), per_value_csv(times, columns).encode("utf-8")
+
+
+def certified(values):
+    """Which values the vectorised formatter writes without ``%``."""
+    return modelio._round17(np.asarray(values, float))[0]
+
+
+class TestCsvFormatter:
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+        floats=st.lists(st.floats(width=64), max_size=40),
+    )
+    def test_matches_per_value_format(self, tmp_path, bits, floats):
+        # arbitrary bit patterns, and hypothesis floats: nan, +-inf, subnormals, +-0
+        values = np.concatenate([np.array(bits, np.uint64).view(np.float64), np.array(floats)])
+        got, want = csv_bytes(tmp_path, values)
+        assert got == want
+
+    def test_typical_values_take_the_fast_path(self):
+        # above about 1e13 a double has so few fraction bits that its 17th
+        # digit is often an exact tie, which falls back; below, ties are rare
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 12, 10_000)
+        assert certified(values).mean() > 0.999
+
+    def test_exact_ties_fall_back(self, tmp_path):
+        # 18 significant digits ending in 5: % rounds half-even, down then up
+        ties = np.array([1 + 2**-17, 1 + 3 * 2**-17])
+        assert [f"{v:.17g}" for v in ties] == ["1.0000076293945312", "1.0000228881835938"]
+        values = np.concatenate([ties, -ties])
+        assert not certified(values).any()
+        got, want = csv_bytes(tmp_path, values)
+        assert got == want
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = 10.0 ** np.arange(-30, 31)
+        values = np.concatenate(
+            [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        )
+        got, want = csv_bytes(tmp_path, np.concatenate([values, -values]))
+        assert got == want
+        # the double nearest 1e-28 lies just below it, so with k = -28 its
+        # d rounds up to exactly 10**16, which must fall back
+        assert Fraction(1e-28) * 10**44 < 10**16
+        assert round(Fraction(1e-28) * 10**44) == 10**16
+        assert not certified([1e-28]).any()
+
+    def test_zeros_and_smallest_subnormals_fall_back(self, tmp_path):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324])
+        assert not certified(values).any()
+        got, want = csv_bytes(tmp_path, values)
+        assert got == want
+        assert got.splitlines()[2] == b"4.9406564584124654e-324,-0"
+
+    def test_fast_range_edges(self, tmp_path):
+        inside = np.array([1.5e-250, 9.5e249, np.nextafter(1e250, 0.0) / 2])
+        outside = np.array([np.nextafter(1e-250, 0.0), np.nextafter(1e250, np.inf), 1e-300, 1e300])
+        assert certified(inside).all() and not certified(outside).any()
+        edges = np.array([1e-250, 1e250])
+        got, want = csv_bytes(tmp_path, np.concatenate([inside, outside, edges, -inside, -outside]))
+        assert got == want
+
+    def test_large_integers_and_three_digit_exponents(self, tmp_path):
+        integers = [1e16, 2.0**54, 99999999999999984.0, 1e17, 2.0**60, 3e18, 12345678901234568.0]
+        exponents = [1.5e100, -2.5e-100, 1.2345e200, 9.87e-200, 4.2e-5, 4.2e16, 4.2e17]
+        got, want = csv_bytes(tmp_path, np.array(integers + exponents))
+        assert got == want
+        text = got.decode()
+        for line in ("99999999999999984,", "1e+17,", "1.4999999999999999e+100,"):
+            assert "\n" + line in text
+
+    def test_non_finite_values_fall_back(self, tmp_path):
+        values = np.array([np.inf, -np.inf, np.nan, -np.nan])
+        assert not certified(values).any()
+        got, want = csv_bytes(tmp_path, values)
+        assert got == want
+
+    def test_import_builds_no_tables(self):
+        # the tables are built on the first write, so importing the CLI stays cheap
+        code = (
+            "import sys, momabs.cli\n"
+            "from momabs import modelio\n"
+            "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+            "assert modelio._format_tables.cache_info().currsize == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(modelio.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestSvg:
