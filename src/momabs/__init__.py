@@ -30,14 +30,15 @@ from .moments import (
 )
 from .abstraction import (
     AbstractionDesign,
-    MRelationReport,
     SimulationCertificate,
     StabilizedLink,
     check_m_relation,
     design_abstraction,
+    embedding_residuals,
     final_abstraction,
     gamma_gain,
     interface_eval,
+    m_relation_residuals,
     simulation_fn_derivative,
     simulation_fn_value,
     synth_certificate,

@@ -3,7 +3,9 @@
 Solves the embedding p f = a p + b l_hat, h = c p (h is the moment of the
 plant at (f, l_hat)) and builds simulation-function certificates with their
 interfaces, the geometric abstraction (projection / injection maps plus the
-link matrices that witness the M-relation), and the final reduced model.
+link matrices that witness the M-relation), and the final reduced model.  Each
+relation's residual norms come from one function, :func:`embedding_residuals`
+or :func:`m_relation_residuals`, which checks shapes; each caller scales them.
 """
 
 from __future__ import annotations
@@ -84,12 +86,33 @@ class StabilizedLink:
     k_hat: np.ndarray
 
 
-@dataclass(frozen=True)
-class MRelationReport:
-    accepted: bool
-    n_map: np.ndarray | None
-    gamma: np.ndarray | None
-    residuals: dict
+def _require_shapes(**fields) -> None:
+    """Raise a ValueError naming the first field (value, shape) not of its shape; None passes."""
+    for name, (value, shape) in fields.items():
+        if value is not None and np.shape(value) != shape:
+            raise ValueError(f"{name} must be {'x'.join(map(str, shape))}, got {np.shape(value)}")
+
+
+def embedding_residuals(sys: StateSpaceModel, p, f, l_hat, h=None) -> dict:
+    """Norms ||p f - a p - b l_hat||_F ("state") and, given h, ||h - c p||_F ("output")."""
+    n_hat = np.atleast_2d(p).shape[1]
+    _require_shapes(p=(p, (sys.n, n_hat)), f=(f, (n_hat, n_hat)),
+                    l_hat=(l_hat, (sys.m, n_hat)), h=(h, (sys.p, n_hat)))
+    res = {"state": np.linalg.norm(p @ f - sys.a @ p - sys.b @ l_hat)}
+    return res if h is None else {**res, "output": np.linalg.norm(h - sys.c @ p)}
+
+
+def m_relation_residuals(sys: StateSpaceModel, abstract: StateSpaceModel, m_map, n_map, gamma) -> dict:
+    """Norms ||m_map a - f m_map - g n_map||_F ("state"), ||g gamma - m_map b||_F
+    ("input") and ||c - h m_map||_F ("output"), with (f, g, h) = ``abstract``."""
+    f, g, h = abstract.a, abstract.b, abstract.c
+    _require_shapes(m_map=(m_map, (abstract.n, sys.n)), n_map=(n_map, (abstract.m, sys.n)),
+                    gamma=(gamma, (abstract.m, sys.m)), h=(h, (sys.p, abstract.n)))
+    return {
+        "state": np.linalg.norm(m_map @ sys.a - f @ m_map - g @ n_map),
+        "input": np.linalg.norm(g @ gamma - m_map @ sys.b),
+        "output": np.linalg.norm(sys.c - h @ m_map),
+    }
 
 
 def solve_embedding(
@@ -115,7 +138,7 @@ def solve_embedding(
         l_hat = np.linalg.solve(v.T, np.array(y)).T.real
     l_hat = as_matrix(l_hat, "l_hat")
     p = solve_sylvester(sys.a, f, -(sys.b @ l_hat))
-    if np.linalg.norm(sys.c @ p - h) > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
+    if embedding_residuals(sys, p, f, l_hat, h)["output"] > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
         raise ValueError("output constraint h = c p is violated; no certificate exists")
     return p, l_hat
 
@@ -141,7 +164,7 @@ def synth_certificate(
     p, l_hat = solve_embedding(sys, abstract, l_hat)
     lam = DEFAULT_LAMBDA_FRACTION * abs(spec.max_real_part)
     ctc = sys.c.T @ sys.c
-    eps = 1e-6 * np.linalg.norm(ctc + np.eye(sys.n), 2)
+    eps = 1e-6 * (np.linalg.norm(sys.c, 2) ** 2 + 1.0)  # 1e-6 ||c^T c + I||_2
     # sigma(a_cl + lam I) = sigma(a_cl) + lam, so a_cl is eigensolved once
     w0 = _lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n), spec.eigenvalues + lam)
     # smallest alpha with alpha w0 >= c^T c: top generalized eigenvalue of (ctc, w0)
@@ -164,8 +187,9 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
     inequality max(0, max eig(a_cl^T w + w a_cl + 2 lam w)), a_cl = a + b k,
     are divided by max(1, ||w||_2), since eigvalsh rounding grows as
     eps ||w||.  Given the abstraction's state matrix f, the embedding residual
-    ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).
+    ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).  Shapes must fit ``sys``.
     """
+    _require_shapes(k=(cert.k, (sys.m, sys.n)), w=(cert.w, (sys.n, sys.n)))
     a_cl = sys.a + sys.b @ cert.k
     w_scale = max(1.0, np.linalg.norm(cert.w, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows 2 lam w
@@ -178,7 +202,7 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
         "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
     }
     if f is not None:
-        resid = np.linalg.norm(cert.p @ f - sys.a @ cert.p - sys.b @ cert.l_hat)
+        resid = embedding_residuals(sys, cert.p, f, cert.l_hat)["state"]
         res["embedding residual"] = resid / max(1.0, np.linalg.norm(cert.p))
     return {name: float(value) for name, value in res.items()}
 
@@ -258,7 +282,7 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
     # a p = p f - b l_hat, solved per column for [f; l_hat]
     fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), a @ p, rcond=None)
     f, l_hat = fl[:n_hat], fl[n_hat:]
-    resid = np.linalg.norm(p @ f - b @ l_hat - a @ p)
+    resid = embedding_residuals(sys, p, f, l_hat)["state"]
     if resid > RESIDUAL_TOL * max(1.0, np.linalg.norm(a @ p)):
         raise ValueError(f"embedding residual {resid:.3e}: geometric condition fails numerically")
     h = c @ p
@@ -315,61 +339,35 @@ def _greedy_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarr
 def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
     """Verify every defining identity of a design to RESIDUAL_TOL relative to
     max(1, ||a||_F, ||l_hat||_F); returns the residual table."""
-    a, b, c = sys.a, sys.b, sys.c
-    n, n_hat = sys.n, design.order
+    emb = embedding_residuals(sys, design.p, design.f, design.l_hat, design.h)
+    rel = m_relation_residuals(sys, design.abstract_model(), design.m_map, design.n_map, design.gamma)
     res = {
-        "m_map p - I": np.linalg.norm(design.m_map @ design.p - np.eye(n_hat)),
-        "p m_map + d e - I": np.linalg.norm(
-            design.p @ design.m_map + design.d @ design.e - np.eye(n)
-        ),
-        "c d": np.linalg.norm(c @ design.d),
-        "a p - p f + b l_hat": np.linalg.norm(
-            a @ design.p - design.p @ design.f + b @ design.l_hat
-        ),
-        "h - c p": np.linalg.norm(design.h - c @ design.p),
-        "m_map a - f m_map - g n_map": np.linalg.norm(
-            design.m_map @ a - design.f @ design.m_map - design.g @ design.n_map
-        ),
-        "g gamma - m_map b": np.linalg.norm(design.g @ design.gamma - design.m_map @ b),
-        "c - h m_map": np.linalg.norm(c - design.h @ design.m_map),
+        "m_map p - I": np.linalg.norm(design.m_map @ design.p - np.eye(design.order)),
+        "p m_map + d e - I": np.linalg.norm(design.p @ design.m_map + design.d @ design.e - np.eye(sys.n)),
+        "c d": np.linalg.norm(sys.c @ design.d),
+        "a p - p f + b l_hat": emb["state"],
+        "h - c p": emb["output"],
+        "m_map a - f m_map - g n_map": rel["state"],
+        "g gamma - m_map b": rel["input"],
+        "c - h m_map": rel["output"],
     }
-    scale = max(1.0, np.linalg.norm(a), np.linalg.norm(design.l_hat))
+    scale = max(1.0, np.linalg.norm(sys.a), np.linalg.norm(design.l_hat))
     bad = {k: v for k, v in res.items() if v > RESIDUAL_TOL * scale}
     if bad:
         raise ValueError(f"design invariants violated: {bad}")
     return res
 
 
-def check_m_relation(
-    sys: StateSpaceModel, abstract: StateSpaceModel, m_map, tol: float = 1e-8
-) -> MRelationReport:
-    """Test whether ``abstract`` mirrors every motion of ``sys`` through m_map.
-
-    Attempts least-squares witnesses n_map, gamma for
-    g n_map = m_map a - f m_map and g gamma = m_map b, and checks c = h m_map.
-    Refutation is reported, not raised.
-    """
+def check_m_relation(sys: StateSpaceModel, abstract: StateSpaceModel, m_map) -> dict:
+    """:func:`m_relation_residuals` of ``abstract`` mirroring ``sys`` through
+    m_map, at the least-squares witnesses n_map and gamma; refutation is not raised."""
     m_map = as_matrix(m_map, "m_map")
-    if m_map.shape != (abstract.n, sys.n):
-        raise ValueError(f"m_map must be {abstract.n}x{sys.n}, got {m_map.shape}")
-    f, g, h = abstract.a, abstract.b, abstract.c
-    rhs_n = m_map @ sys.a - f @ m_map
-    n_map, *_ = np.linalg.lstsq(g, rhs_n, rcond=None)
-    gamma, *_ = np.linalg.lstsq(g, m_map @ sys.b, rcond=None)
-    residuals = {
-        "state": float(np.linalg.norm(g @ n_map - rhs_n)),
-        "input": float(np.linalg.norm(g @ gamma - m_map @ sys.b)),
-        "output": float(np.linalg.norm(sys.c - h @ m_map)),
-    }
-    accepted = all(v <= tol for v in residuals.values())
-    return MRelationReport(
-        accepted=accepted,
-        n_map=n_map if accepted else None,
-        gamma=gamma if accepted else None,
-        residuals=residuals,
-    )
+    _require_shapes(m_map=(m_map, (abstract.n, sys.n)))
+    n_map = np.linalg.lstsq(abstract.b, m_map @ sys.a - abstract.a @ m_map, rcond=None)[0]
+    gamma = np.linalg.lstsq(abstract.b, m_map @ sys.b, rcond=None)[0]
+    return m_relation_residuals(sys, abstract, m_map, n_map, gamma)
 
 
 def final_abstraction(design: AbstractionDesign, sys: StateSpaceModel) -> StateSpaceModel:
     """Reduced abstract model (f, m_map b, c p) driven directly by the plant input."""
-    return StateSpaceModel(a=design.f, b=design.m_map @ sys.b, c=sys.c @ design.p)
+    return StateSpaceModel(a=design.f, b=design.m_map @ sys.b, c=design.h)

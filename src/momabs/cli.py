@@ -274,14 +274,13 @@ def cmd_verify(args) -> RunReport:
             report.add_flag("excitability of (s, w0)", excitable(get("s"), get("w0")))
         elif check == "embedding":
             p, l_hat, f, h = (get(key) for key in ("p", "l_hat", "f", "h"))
-            r1 = np.linalg.norm(p @ f - sys_model.a @ p - sys_model.b @ l_hat)
-            r2 = np.linalg.norm(h - sys_model.c @ p)
-            report.add("embedding state residual", r1, args.tol)
-            report.add("embedding output residual", r2, args.tol)
+            residuals = abstraction.embedding_residuals(sys_model, p, f, l_hat, h)
+            for name, value in residuals.items():
+                report.add(f"embedding {name} residual", value, args.tol)
         elif check == "mrelation":
             abstract = StateSpaceModel(a=get("f"), b=get("g"), c=get("h"))
-            rep = abstraction.check_m_relation(sys_model, abstract, get("m"), tol=args.tol)
-            for name, value in rep.residuals.items():
+            residuals = abstraction.check_m_relation(sys_model, abstract, get("m"))
+            for name, value in residuals.items():
                 report.add(f"mrelation {name} residual", value, args.tol)
         elif check == "certificate":
             lam = _typed(artifact.get("lam"), float, "lam", args.artifact)
@@ -293,13 +292,13 @@ def cmd_verify(args) -> RunReport:
                 p=get("p"), l_hat=get("l_hat"), w=get("w"),
                 lam=lam, k=get("k"), r_hat=get("r_hat"),
             )
+            f = get("f") if "f" in artifact else None
+            try:  # before a + b k: it checks the shapes, and a huge lam overflows 2 lam w
+                residuals = abstraction.certificate_residuals(cert, sys_model, f)
+            except ValueError as exc:
+                raise ModelFileError(f"{args.artifact}: {exc}") from exc
             a_cl = sys_model.a + sys_model.b @ cert.k
             report.add_flag("certificate: a + b k Hurwitz", eigenvalues(a_cl).is_hurwitz())
-            f = get("f") if "f" in artifact else None
-            try:
-                residuals = abstraction.certificate_residuals(cert, sys_model, f)
-            except ValueError as exc:  # a finite lam so large that 2 lam w overflows
-                raise ModelFileError(f"{args.artifact}: {exc}") from exc
             for name, value in residuals.items():
                 report.add(f"certificate: {name}", value, args.tol)
     return report

@@ -1,27 +1,8 @@
-"""Dense real linear algebra for state-space problems.
+"""Dense real linear algebra for state-space problems, on plain numpy arrays.
 
-Spectra, rank tests, Sylvester/Lyapunov solvers, PBH and excitability
-tests, and pole placement, on plain numpy arrays.  The Sylvester solver
-works in the eigenbasis of the smaller side, at O(k n^3) for an order-n
-plant and an order-k interpolation side, and solves each conjugate pair of
-shifts once (:func:`_conjugate_fill` is that pair rule, shared with
-:func:`momabs.moments.transfer_at`); the Lyapunov solver runs the scaled
-matrix-sign iteration at O(n^3).  Both stay practical for n in the hundreds.  Neither forms the
-n^2 x n^2 Kronecker matrix: each bounds its condition number from above,
-refuses the system when the bound exceeds SYLVESTER_COND_MAX, and verifies
-its residual.  The gate is cheap first (:func:`_cond_gate`): it bounds
-each 2-norm by sqrt(||M||_1 ||M||_inf) of a matrix the solver forms anyway
-(a shifted inverse, or the Lyapunov H), and computes the exact bound from
-SVD 2-norms only when that cheap bound exceeds SYLVESTER_COND_MAX.  The
-exact bound then decides, and a refusal quotes it, so every decision is the
-exact bound's.
-
-Disjointness of sigma(a) from the shifts is read off the same inverses
-(:func:`_disjoint_gate`, also used by :func:`momabs.moments.transfer_eval`):
-dist(mu, sigma(a)) >= 1/||(a - mu I)^{-1}||_2 (Trefethen & Embree 2005, section 2),
-so the order-n side is eigensolved only when that bound cannot show a gap
-above DISJOINT_TOL.  :func:`eigenvalues` keeps no memo; the moment memo,
-:func:`_memoized`, compares bit patterns with kept copies and hashes nothing.
+:func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
+:func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate` and
+:func:`_disjoint_gate`), PBH and excitability tests, and :func:`place_poles`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +10,13 @@ from conftest import non_normal_stable_system, random_stable_system, rotation_bl
 from momabs import abstraction, springmass
 from momabs.abstraction import (
     check_design,
+    certificate_residuals,
     check_m_relation,
     design_abstraction,
     final_abstraction,
     gamma_gain,
     interface_eval,
+    m_relation_residuals,
     simulation_fn_derivative,
     simulation_fn_value,
     solve_embedding,
@@ -486,34 +490,123 @@ class TestGreedyComplement:
 
 class TestMRelation:
     def test_golden_springmass(self):
-        plant = springmass.concrete()
-        report = check_m_relation(plant, springmass.abstract(), springmass.m_map())
-        assert report.accepted
-        assert max(report.residuals.values()) < 1e-10
-        # recovered witnesses satisfy the defining equations
-        f, g = springmass.abstract().a, springmass.abstract().b
-        m = springmass.m_map()
-        assert np.abs(g @ report.n_map - (m @ plant.a - f @ m)).max() < 1e-10
-        assert np.abs(g @ report.gamma - m @ plant.b).max() < 1e-10
+        plant, abstract, m = springmass.concrete(), springmass.abstract(), springmass.m_map()
+        residuals = check_m_relation(plant, abstract, m)
+        # the least-squares witnesses satisfy g n = m a - f m and g gamma = m b
+        assert list(residuals) == ["state", "input", "output"]
+        assert max(residuals.values()) < 1e-10
+        # so do the published ones; g = [0 I] reads only rows 3-4 of n
+        published = m_relation_residuals(
+            plant, abstract, m, springmass.n_map_published(), springmass.gamma_map()
+        )
+        assert max(published.values()) < 1e-10
 
     def test_self_relation_identity(self, rng):
         sys = random_stable_system(rng, n=4, m=2, p=2)
-        report = check_m_relation(sys, sys, np.eye(4))
-        assert report.accepted
-        assert np.abs(report.n_map).max() < 1e-10
-        assert np.abs(report.gamma - np.eye(2)).max() < 1e-10
+        assert max(check_m_relation(sys, sys, np.eye(4)).values()) < 1e-10
+        # n = 0 and gamma = I witness it exactly
+        exact = m_relation_residuals(sys, sys, np.eye(4), np.zeros((2, 4)), np.eye(2))
+        assert exact == {"state": 0.0, "input": 0.0, "output": 0.0}
 
     def test_zero_map_refuted(self):
         plant = springmass.concrete()
-        report = check_m_relation(plant, springmass.abstract(), np.zeros((2, 4)))
-        assert not report.accepted
-        assert report.n_map is None and report.gamma is None
-        assert report.residuals["output"] > 1.0
+        residuals = check_m_relation(plant, springmass.abstract(), np.zeros((2, 4)))
+        assert residuals["output"] > 1.0
 
     def test_wrong_shape_rejected(self):
         plant = springmass.concrete()
         with pytest.raises(ValueError, match="m_map must be"):
             check_m_relation(plant, springmass.abstract(), np.zeros((3, 4)))
+
+
+def springmass_relation_fields():
+    """Keyword arguments of embedding_residuals and m_relation_residuals and of
+    a certificate, all well-shaped, for the spring-mass design."""
+    plant = springmass.concrete()
+    design = design_abstraction(plant, springmass.embedding_p())
+    embedding = {"p": design.p, "f": design.f, "l_hat": design.l_hat, "h": design.h}
+    relation = {"m_map": design.m_map, "n_map": design.n_map, "gamma": design.gamma}
+    return plant, design.abstract_model(), embedding, relation, springmass_certificate()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("p", np.zeros((3, 2))), ("p", np.zeros(4)), ("f", np.zeros((3, 3))),
+        ("f", np.zeros(2)), ("l_hat", np.zeros((1, 2))), ("h", np.zeros((1, 1))),
+        ("h", np.zeros((2, 3))),
+    ],
+)
+def test_embedding_residuals_name_a_misshaped_field(field, bad):
+    plant, _, embedding, _, _ = springmass_relation_fields()
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        abstraction.embedding_residuals(plant, **{**embedding, field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("m_map", np.zeros((3, 4))), ("m_map", np.zeros((2, 3))), ("n_map", np.zeros((4, 3))),
+        ("n_map", np.zeros((3, 4))), ("gamma", np.zeros((4, 1))), ("gamma", np.zeros((2, 2))),
+    ],
+)
+def test_m_relation_residuals_name_a_misshaped_field(field, bad):
+    plant, abstract, _, relation, _ = springmass_relation_fields()
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        m_relation_residuals(plant, abstract, **{**relation, field: bad})
+
+
+def test_m_relation_residuals_name_a_misshaped_h():
+    plant, abstract, _, relation, _ = springmass_relation_fields()
+    one_row = StateSpaceModel(a=abstract.a, b=abstract.b, c=abstract.c[:1])
+    with pytest.raises(ValueError, match=r"^h must be 2x2, got \(1, 2\)"):
+        m_relation_residuals(plant, one_row, **relation)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("k", np.zeros((2, 1))), ("k", np.zeros((4, 2))), ("w", np.eye(3)), ("p", np.zeros((3, 2)))],
+)
+def test_certificate_residuals_name_a_misshaped_field(field, bad):
+    plant, abstract, _, _, cert = springmass_relation_fields()
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        certificate_residuals(dataclasses.replace(cert, **{field: bad}), plant, abstract.a)
+
+
+RELATION_TERMS = {  # each residual as its set of terms, sign and order free
+    "embedding state": {"p @ f", "a @ p", "b @ l_hat"},
+    "embedding output": {"h", "c @ p"},
+    "M-relation state": {"m_map @ a", "f @ m_map", "g @ n_map"},
+    "M-relation input": {"g @ gamma", "m_map @ b"},
+    "M-relation output": {"c", "h @ m_map"},
+}
+
+
+def sum_terms(node) -> set:
+    """Terms of a sum or difference, unparsed without attribute owners (sys.a -> a)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return sum_terms(node.left) | sum_terms(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return sum_terms(node.operand)
+    return {re.sub(r"\b\w+\.", "", ast.unparse(node))}
+
+
+def test_each_relation_residual_formed_in_one_function():
+    found = {}
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                    terms = sum_terms(node)
+                    for relation, want in RELATION_TERMS.items():
+                        if terms == want:
+                            found.setdefault(relation, set()).add(f"{path.stem}.{func.name}")
+    assert found == {
+        relation: {f"abstraction.{relation.split()[0].lower().replace('-', '_')}_residuals"}
+        for relation in RELATION_TERMS
+    }
 
 
 class TestClosedLoopEmbeddingCollapse:

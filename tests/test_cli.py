@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, rotation_block
-from momabs import cli, sim, springmass
+from momabs import abstraction, cli, sim, springmass
 from momabs.abstraction import (
     RESIDUAL_TOL,
     StabilizedLink,
@@ -24,7 +24,7 @@ from momabs.abstraction import (
     synth_certificate,
 )
 from momabs.cli import main
-from momabs.linalg import StateSpaceModel, place_poles, solve_sylvester
+from momabs.linalg import StateSpaceModel, eigenvalues, place_poles, solve_sylvester
 from momabs.modelio import load_model, save_matrix, save_model
 from momabs.moments import DirectInterpolant, SwappedInterpolant, moment_swapped
 from momabs.signals import SignalSpec, Term
@@ -640,11 +640,157 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] pbh: (s, l) observable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "checks, field, bad, shown",
+        [
+            ("embedding", "h", [[0.0]], "h must be 2x2, got (1, 1)"),
+            ("embedding", "p", np.zeros((3, 2)), "p must be 4x2, got (3, 2)"),
+            ("embedding", "f", np.zeros((3, 3)), "f must be 2x2, got (3, 3)"),
+            ("embedding", "l_hat", np.zeros((1, 2)), "l_hat must be 2x2, got (1, 2)"),
+            ("mrelation", "h", [[1.0, 0.0]], "h must be 2x2, got (1, 2)"),
+            ("mrelation", "m", np.zeros((2, 3)), "m_map must be 2x4, got (2, 3)"),
+            ("certificate", "k", np.zeros((2, 1)), "k must be 2x4, got (2, 1)"),
+            ("certificate", "w", np.eye(3), "w must be 4x4, got (3, 3)"),
+            ("certificate", "p", np.zeros((3, 2)), "p must be 4x2, got (3, 2)"),
+            ("certificate", "f", np.zeros((2, 3)), "f must be 2x2, got (2, 3)"),
+            ("certificate", "l_hat", np.zeros((2, 1)), "l_hat must be 2x2, got (2, 1)"),
+        ],
+    )
+    def test_misshaped_field_exits_2(self, tmp_path, plant_file, capsys, checks, field, bad, shown):
+        # each relation's fields are checked against the plant, not broadcast into a verdict
+        if checks == "certificate":
+            artifact = certificate_fields(springmass_certificate(), springmass.abstract().a)
+        else:
+            artifact = json.loads(Path(self._artifact(tmp_path)).read_text())
+        path = write_json(tmp_path / "bad.json", {**artifact, field: np.asarray(bad).tolist()})
+        assert main(["verify", plant_file, "--artifact", path, "--checks", checks]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and shown in out.err
+
     def test_unknown_check_exits_2(self, tmp_path, plant_file, capsys):
         artifact = self._artifact(tmp_path)
         code = main(["verify", plant_file, "--artifact", artifact, "--checks", "bogus"])
         assert code == 2
         assert "unknown check" in capsys.readouterr().err
+
+
+DESIGN_CHECKS = (  # the residual table that check_design returns and `abstract` prints
+    "m_map p - I", "p m_map + d e - I", "c d", "a p - p f + b l_hat", "h - c p",
+    "m_map a - f m_map - g n_map", "g gamma - m_map b", "c - h m_map",
+)
+
+
+def reference_design_table(design, sys):
+    """check_design's table by the inline formulas it used before the relation
+    functions existed."""
+    a, b, c, norm = sys.a, sys.b, sys.c, np.linalg.norm
+    return {
+        "m_map p - I": norm(design.m_map @ design.p - np.eye(design.order)),
+        "p m_map + d e - I": norm(design.p @ design.m_map + design.d @ design.e - np.eye(sys.n)),
+        "c d": norm(c @ design.d),
+        "a p - p f + b l_hat": norm(a @ design.p - design.p @ design.f + b @ design.l_hat),
+        "h - c p": norm(design.h - c @ design.p),
+        "m_map a - f m_map - g n_map": norm(
+            design.m_map @ a - design.f @ design.m_map - design.g @ design.n_map
+        ),
+        "g gamma - m_map b": norm(design.g @ design.gamma - design.m_map @ b),
+        "c - h m_map": norm(c - design.h @ design.m_map),
+    }
+
+
+def reference_m_relation(sys, abstract, m_map):
+    f, g, h = abstract.a, abstract.b, abstract.c
+    rhs_n = m_map @ sys.a - f @ m_map
+    n_map = np.linalg.lstsq(g, rhs_n, rcond=None)[0]
+    gamma = np.linalg.lstsq(g, m_map @ sys.b, rcond=None)[0]
+    return {
+        "state": np.linalg.norm(g @ n_map - rhs_n),
+        "input": np.linalg.norm(g @ gamma - m_map @ sys.b),
+        "output": np.linalg.norm(sys.c - h @ m_map),
+    }
+
+
+def reference_certificate(cert, sys, f):
+    a_cl = sys.a + sys.b @ cert.k
+    w_scale = max(1.0, np.linalg.norm(cert.w, 2))
+    lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
+    resid = np.linalg.norm(cert.p @ f - sys.a @ cert.p - sys.b @ cert.l_hat)
+    return {
+        "c^T c domination gap": max(0.0, -np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()) / w_scale,
+        "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
+        "embedding residual": resid / max(1.0, np.linalg.norm(cert.p)),
+    }
+
+
+def relation_case(name):
+    """(plant, design, certificate, the certificate's f) of one case."""
+    if name == "random":
+        rng = np.random.default_rng(17)
+        plant = non_normal_stable_system(rng, n=12, m=2, p=2, cond=50.0)
+        f, l_hat = rotation_block(1.5), rng.standard_normal((2, 2))
+        p = solve_sylvester(plant.a, f, -(plant.b @ l_hat))
+        abstract = StateSpaceModel(a=f, b=rng.standard_normal((2, 2)), c=plant.c @ p)
+        cert = synth_certificate(plant, abstract, np.zeros((2, 12)), l_hat=l_hat)
+        return plant, design_abstraction(plant, p), cert, f
+    plant = springmass.concrete()
+    design = design_abstraction(plant, springmass.embedding_p())
+    cert, f = springmass_certificate(), springmass.abstract().a
+    if name == "perturbed":
+        rng = np.random.default_rng(5)
+        jitter = lambda x: x + 1e-10 * rng.standard_normal(x.shape)
+        design = dataclasses.replace(
+            design, **{field.name: jitter(getattr(design, field.name))
+                       for field in dataclasses.fields(design)}
+        )
+        cert = dataclasses.replace(
+            cert, **{key: jitter(getattr(cert, key)) for key in ("p", "l_hat", "w", "k")}
+        )
+    return plant, design, cert, f
+
+
+@pytest.mark.parametrize("case", ["springmass", "random", "perturbed"])
+def test_relation_values_equal_the_inline_formulas(tmp_path, case):
+    plant, design, cert, f = relation_case(case)
+    abstract = design.abstract_model()
+    table = reference_design_table(design, plant)
+    assert list(abstraction.check_design(design, plant).items()) == list(table.items())
+    m_relation = reference_m_relation(plant, abstract, design.m_map)
+    assert abstraction.check_m_relation(plant, abstract, design.m_map) == m_relation
+    certificate = reference_certificate(cert, plant, f)
+    assert certificate_residuals(cert, plant, f) == certificate
+    # design_abstraction's pre-check sums in another order, at the scale it decides on
+    pre = np.linalg.norm(design.p @ design.f - plant.b @ design.l_hat - plant.a @ design.p)
+    got = abstraction.embedding_residuals(plant, design.p, design.f, design.l_hat)["state"]
+    assert abs(got - pre) <= 1e-15 * max(1.0, np.linalg.norm(plant.a @ design.p))
+
+    save_model(tmp_path / "plant.json", plant)
+    fields = {key: getattr(design, key) for key in ("p", "l_hat", "f", "g", "h")}
+    fields["m"] = design.m_map
+    design_file = write_json(tmp_path / "design.json", {k: v.tolist() for k, v in fields.items()})
+    cert_file = write_json(tmp_path / "cert.json", certificate_fields(cert, f))
+    shown = {}
+    for artifact, checks in ((design_file, "embedding,mrelation"), (cert_file, "certificate")):
+        argv = ["verify", str(tmp_path / "plant.json"), "--artifact", artifact, "--checks", checks]
+        shown.update((c.name, c.value) for c in cli.cmd_verify(cli.build_parser().parse_args(argv)).checks)
+    a_cl = plant.a + plant.b @ cert.k
+    assert shown == {
+        "embedding state residual": np.linalg.norm(
+            design.p @ design.f - plant.a @ design.p - plant.b @ design.l_hat
+        ),
+        "embedding output residual": np.linalg.norm(design.h - plant.c @ design.p),
+        **{f"mrelation {name} residual": value for name, value in m_relation.items()},
+        "certificate: a + b k Hurwitz": float(eigenvalues(a_cl).is_hurwitz()),
+        **{f"certificate: {name}": value for name, value in certificate.items()},
+    }
+
+    save_matrix(tmp_path / "p.json", design.p, key="p")
+    argv = ["abstract", str(tmp_path / "plant.json"), "--p", str(tmp_path / "p.json")]
+    report = cli.cmd_abstract(cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "d")]))
+    redesign = design_abstraction(plant, design.p)
+    assert [(c.name, c.value) for c in report.checks] == [
+        (f"residual {name}", value) for name, value in reference_design_table(redesign, plant).items()
+    ]
+    assert [c.name for c in report.checks] == [f"residual {name}" for name in DESIGN_CHECKS]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -331,7 +331,8 @@ class TestLyapunov:
 
 @pytest.fixture
 def scipy_linalg():
-    return pytest.importorskip("scipy.linalg")
+    # any ImportError skips, so an installed but unimportable scipy skips too
+    return pytest.importorskip("scipy.linalg", exc_type=ImportError)
 
 
 class TestScipyCrossCheck:
