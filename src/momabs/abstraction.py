@@ -16,13 +16,16 @@ import numpy as np
 
 from .linalg import (
     StateSpaceModel,
+    _check_sylvester,
+    _from_eigenbasis,
     _lyapunov,
+    _require_shapes,
+    _shifted_solve,
     as_matrix,
     eigenvalues,
     numerical_rank,
     solve_sylvester,
 )
-from .moments import transfer_at
 
 RESIDUAL_TOL = 1e-9
 DEFAULT_LAMBDA_FRACTION = 0.9  # certified decay rate as a share of a + b k's margin
@@ -86,13 +89,6 @@ class StabilizedLink:
     k_hat: np.ndarray
 
 
-def _require_shapes(**fields) -> None:
-    """Raise a ValueError naming the first field (value, shape) not of its shape; None passes."""
-    for name, (value, shape) in fields.items():
-        if value is not None and np.shape(value) != shape:
-            raise ValueError(f"{name} must be {'x'.join(map(str, shape))}, got {np.shape(value)}")
-
-
 def embedding_residuals(sys: StateSpaceModel, p, f, l_hat, h=None) -> dict:
     """Norms ||p f - a p - b l_hat||_F ("state") and, given h, ||h - c p||_F ("output")."""
     n_hat = np.atleast_2d(p).shape[1]
@@ -121,23 +117,31 @@ def solve_embedding(
     """Solve p f = a p + b l_hat with h = c p: h is the moment of ``sys`` at (f, l_hat).
 
     At each eigenpair (mu, v) of f this says h v = G(mu) l_hat v, with
-    G(s) = c (s I - a)^{-1} b.  Without l_hat, each l_hat v is the minimum-norm
-    solution of G(mu) y = h v, refused unless h v is in the range of G(mu);
-    that is the joint minimum-norm (p, l_hat) when every G(mu) has full column
-    rank.  p is then the Sylvester solution, so f must be diagonalizable with
-    sigma(f) disjoint from sigma(a), and h = c p is verified.
+    G(s) = c (s I - a)^{-1} b.  Without l_hat, the gated shifted solves of
+    the Sylvester equation (:func:`momabs.linalg._shifted_solve`) give
+    X = (a - mu I)^{-1} b at each mu with imag >= 0, so G(mu) = -c X; each
+    l_hat v is the minimum-norm solution y of G(mu) y = h v, refused unless
+    h v is in the range of G(mu), and p v = -X y.  That is the joint
+    minimum-norm (p, l_hat) when every G(mu) has full column rank.  Either
+    way f must be diagonalizable with sigma(f) disjoint from sigma(a), and
+    h = c p is verified.
     """
     f, h = abstract.a, abstract.c
     if l_hat is None:
-        mu, v = np.linalg.eig(f)
+        mu, v, _, xs = _shifted_solve(sys.a, f, None, sys.b)
+        upper = mu.imag >= 0
         y = []
-        for point, g, hv in zip(mu, transfer_at(sys, mu), (h @ v).T):
+        for point, x, hv in zip(mu[upper], xs, (h @ v[:, upper]).T):
+            g = -(sys.c @ x)
             y.append(np.linalg.lstsq(g, hv, rcond=None)[0])
             if np.linalg.norm(g @ y[-1] - hv) > RESIDUAL_TOL * max(1.0, np.linalg.norm(hv)):
                 raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {point:g}")
-        l_hat = np.linalg.solve(v.T, np.array(y)).T.real
-    l_hat = as_matrix(l_hat, "l_hat")
-    p = solve_sylvester(sys.a, f, -(sys.b @ l_hat))
+        l_hat = _from_eigenbasis(mu, v, y)
+        p = _from_eigenbasis(mu, v, [-x @ yj for x, yj in zip(xs, y)])
+        _check_sylvester(sys.a, f, -(sys.b @ l_hat), p)
+    else:
+        l_hat = as_matrix(l_hat, "l_hat")
+        p = solve_sylvester(sys.a, f, -(sys.b @ l_hat))
     if embedding_residuals(sys, p, f, l_hat, h)["output"] > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
         raise ValueError("output constraint h = c p is violated; no certificate exists")
     return p, l_hat
@@ -190,6 +194,8 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
     ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).  Shapes must fit ``sys``.
     """
     _require_shapes(k=(cert.k, (sys.m, sys.n)), w=(cert.w, (sys.n, sys.n)))
+    if f is not None:  # n_hat from f, so a p with the wrong column count is blamed on p
+        _require_shapes(p=(cert.p, (sys.n, np.atleast_2d(f).shape[0])))
     a_cl = sys.a + sys.b @ cert.k
     w_scale = max(1.0, np.linalg.norm(cert.w, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows 2 lam w
@@ -259,6 +265,11 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
     [p, -b] [f; l_hat] = a p; the link matrices are n_map = [-l_hat m_map; e]
     and gamma = [I; 0].
     """
+    return _design_and_residuals(sys, p)[0]
+
+
+def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
+    """:func:`design_abstraction` and the :func:`check_design` table that verified it."""
     p = as_matrix(p, "p")
     a, b, c = sys.a, sys.b, sys.c
     n, m = sys.n, sys.m
@@ -292,8 +303,7 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
     design = AbstractionDesign(
         p=p, d=d, e=e, m_map=m_map, f=f, l_hat=l_hat, h=h, g=g, n_map=n_map, gamma=gamma
     )
-    check_design(design, sys)
-    return design
+    return design, check_design(design, sys)
 
 
 def _kernel_basis(c: np.ndarray) -> np.ndarray:

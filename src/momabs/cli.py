@@ -27,8 +27,8 @@ from .modelio import (
     ModelFileError,
     RunReport,
     load_json,
-    load_matrix,
     load_model,
+    matrix_field,
     model_from_dict,
     numeric_array,
     numeric_field,
@@ -111,32 +111,20 @@ def cmd_reduce(args) -> RunReport:
     else:
         rom = moments.rom_two_sided(sys_model, di, si)
 
-    if args.mode in ("direct", "two-sided"):
-        full = moments.moment_direct(sys_model, di).moment
-        red = moments.moment_direct(rom, di).moment
+    sides = [("direct", "s", sys_model.m, moments.moment_direct, moments.tangential_mismatch_direct),
+             ("swapped", "q", sys_model.p, moments.moment_swapped, moments.tangential_mismatch_swapped)]
+    for side, tag, channels, moment, mismatch in sides:
+        if args.mode not in (side, "two-sided"):
+            continue
+        interp = di if side == "direct" else si
+        full, red = moment(sys_model, interp).moment, moment(rom, interp).moment
         scale = max(1.0, np.linalg.norm(full))
-        report.add("direct moment residual", np.linalg.norm(full - red) / scale, args.tol)
-        if sys_model.m == 1:
-            _interpolation_checks(report, sys_model, rom, di, args.tol)
+        report.add(f"{side} moment residual", np.linalg.norm(full - red) / scale, args.tol)
+        if channels == 1:
+            _interpolation_checks(report, sys_model, rom, interp, args.tol, tag)
         else:
-            report.add(
-                "tangential transfer match at sigma(s)",
-                moments.tangential_mismatch_direct(sys_model, rom, di),
-                args.tol,
-            )
-    if args.mode in ("swapped", "two-sided"):
-        full = moments.moment_swapped(sys_model, si).moment
-        red = moments.moment_swapped(rom, si).moment
-        scale = max(1.0, np.linalg.norm(full))
-        report.add("swapped moment residual", np.linalg.norm(full - red) / scale, args.tol)
-        if sys_model.p == 1:
-            _interpolation_checks(report, sys_model, rom, si, args.tol, tag="q")
-        else:
-            report.add(
-                "tangential transfer match at sigma(q)",
-                moments.tangential_mismatch_swapped(sys_model, rom, si),
-                args.tol,
-            )
+            value = mismatch(sys_model, rom, interp)
+            report.add(f"tangential transfer match at sigma({tag})", value, args.tol)
     modelio.save_model(args.out, rom, role="abstract")
     report.outputs.append(args.out)
     return report
@@ -146,9 +134,9 @@ def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
     """One transfer match per point of sigma(s) (sigma(q) for tag "q") with imag >= 0."""
     points = eigenvalues(getattr(interp, tag)).eigenvalues
     points = points[points.imag >= 0]  # conjugate value is redundant for real systems
-    for lam, tf_full, tf_rom in zip(
-        points, moments._plant_transfer_at(full, interp, points), moments.transfer_at(rom, points)
-    ):
+    _, mu, _, tf = moments._moment(full, interp)  # the plant's G at eig's copy of the points
+    nearest = np.abs(points[:, None] - mu).argmin(axis=1)
+    for lam, tf_full, tf_rom in zip(points, tf[nearest], moments.transfer_at(rom, points)):
         rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)
 
@@ -156,9 +144,9 @@ def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
 def cmd_abstract(args) -> RunReport:
     report = RunReport(command="abstract")
     sys_model = load_model(args.model)
-    p = load_matrix(args.p_file, "p") if "p" in load_json(args.p_file) else load_matrix(args.p_file)
-    design = abstraction.design_abstraction(sys_model, p)
-    residuals = abstraction.check_design(design, sys_model)
+    data = load_json(args.p_file)
+    p = matrix_field(data, "p" if "p" in data else "matrix", args.p_file)
+    design, residuals = abstraction._design_and_residuals(sys_model, p)
     for name, value in residuals.items():
         report.add(f"residual {name}", value, args.tol)
     prefix = args.out
@@ -274,12 +262,12 @@ def cmd_verify(args) -> RunReport:
             report.add_flag("excitability of (s, w0)", excitable(get("s"), get("w0")))
         elif check == "embedding":
             p, l_hat, f, h = (get(key) for key in ("p", "l_hat", "f", "h"))
-            residuals = abstraction.embedding_residuals(sys_model, p, f, l_hat, h)
+            residuals = _in_file(args.artifact, abstraction.embedding_residuals, sys_model, p, f, l_hat, h)
             for name, value in residuals.items():
                 report.add(f"embedding {name} residual", value, args.tol)
         elif check == "mrelation":
-            abstract = StateSpaceModel(a=get("f"), b=get("g"), c=get("h"))
-            residuals = abstraction.check_m_relation(sys_model, abstract, get("m"))
+            abstract = _in_file(args.artifact, StateSpaceModel, get("f"), get("g"), get("h"))
+            residuals = _in_file(args.artifact, abstraction.check_m_relation, sys_model, abstract, get("m"))
             for name, value in residuals.items():
                 report.add(f"mrelation {name} residual", value, args.tol)
         elif check == "certificate":
@@ -293,15 +281,21 @@ def cmd_verify(args) -> RunReport:
                 lam=lam, k=get("k"), r_hat=get("r_hat"),
             )
             f = get("f") if "f" in artifact else None
-            try:  # before a + b k: it checks the shapes, and a huge lam overflows 2 lam w
-                residuals = abstraction.certificate_residuals(cert, sys_model, f)
-            except ValueError as exc:
-                raise ModelFileError(f"{args.artifact}: {exc}") from exc
+            # before a + b k: it checks the shapes, and a huge lam overflows 2 lam w
+            residuals = _in_file(args.artifact, abstraction.certificate_residuals, cert, sys_model, f)
             a_cl = sys_model.a + sys_model.b @ cert.k
             report.add_flag("certificate: a + b k Hurwitz", eigenvalues(a_cl).is_hurwitz())
             for name, value in residuals.items():
                 report.add(f"certificate: {name}", value, args.tol)
     return report
+
+
+def _in_file(path, fn, *args):
+    """fn(*args), with a ValueError it raises reported against the file at ``path``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
 
 
 def cmd_paper_example(args) -> RunReport:

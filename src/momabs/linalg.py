@@ -43,6 +43,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
+def _require_shapes(**fields) -> None:
+    """Raise a ValueError naming the first field (value, shape) not of its shape; None passes."""
+    for name, (value, shape) in fields.items():
+        if value is not None and np.shape(value) != tuple(shape):
+            what = f"a {shape[0]}-vector" if len(shape) == 1 else "x".join(map(str, shape))
+            raise ValueError(f"{name} must be {what}, got {np.shape(value)}")
+
+
 def _square(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
@@ -127,14 +135,7 @@ def eigenvalues(m) -> SpectrumReport:
         diff = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(diff, np.inf)
         all_simple = bool(diff.min() > SPECTRUM_TOL)
-    labels = []
-    for v in vals:
-        if v.real < -SPECTRUM_TOL:
-            labels.append("negative")
-        elif v.real > SPECTRUM_TOL:
-            labels.append("positive")
-        else:
-            labels.append("zero")
+    labels = ["negative" if x < -SPECTRUM_TOL else "positive" if x > SPECTRUM_TOL else "zero" for x in vals.real]
     return SpectrumReport(
         eigenvalues=vals,
         all_simple=all_simple,
@@ -143,9 +144,10 @@ def eigenvalues(m) -> SpectrumReport:
     )
 
 
-def _memoized(memo: list, size: int, fn, *args) -> np.ndarray:
-    """fn(*args) made read-only, or the value it gave for arrays of the same
-    shapes and bit patterns if that is among the last ``size`` kept in ``memo``.
+def _memoized(memo: list, size: int, fn, *args) -> tuple:
+    """fn(*args), a tuple of arrays made read-only, or the value it gave for
+    arrays of the same shapes and bit patterns if that is among the last
+    ``size`` kept in ``memo``.
 
     ``memo`` holds (read-only copies of the arguments, value) pairs, most
     recent last.  A lookup compares each argument with a kept copy through
@@ -157,9 +159,8 @@ def _memoized(memo: list, size: int, fn, *args) -> np.ndarray:
                 memo.append(memo.pop(i))
                 return value
     value = fn(*args)
-    value.flags.writeable = False
     kept = tuple(x.copy() for x in args)
-    for x in kept:
+    for x in (*value, *kept):
         x.flags.writeable = False
     with _memo_lock:
         memo.append((kept, value))
@@ -209,42 +210,31 @@ def _disjoint_gate(inv_norm: float, a: np.ndarray, b, refusal: str) -> None:
         raise ValueError(refusal)
 
 
-def solve_sylvester(a, b, c) -> np.ndarray:
+def solve_sylvester(a, b, c, *, extra=None):
     """Solve a X - X b = c by shifted solves in the eigenbasis of the smaller side.
 
-    Requires disjoint spectra sigma(a) and sigma(b) for uniqueness.  With
-    b = v diag(mu) v^{-1} (b the smaller side; a tie diagonalises b, and a
-    smaller a is handled through the transposed equation
-    b^T X^T - X^T a^T = -c^T), column j of X v solves
-    (a - mu_j I) y_j = (c v)_j, so the cost is O(k n^3) for an n x n a
-    and a k x k b.
+    With b = v diag(mu) v^{-1} (b the smaller side or tied; a smaller a is
+    solved through b^T X^T - X^T a^T = -c^T), column j of X v is
+    (a - mu_j I)^{-1} (c v)_j from the explicit inverse: O(k n^3) for an n x n
+    a and a k x k b.  A conjugate pair of shifts is solved once, at
+    imag(mu) >= 0 (:func:`_conjugate_fill`).  The system is refused by:
 
-    Each shift is solved through the explicit inverse of a - mu_j I.  As
-    dist(mu, sigma(a)) >= 1/||(a - mu I)^{-1}||_2 >= 1/n((a - mu I)^{-1}) with
-    n(M) = sqrt(||M||_1 ||M||_inf), max_j n((a - mu_j I)^{-1}) DISJOINT_TOL < 1
-    proves the spectra disjoint; otherwise, or when an inverse cannot be
-    formed, both spectra are computed and the system is refused as
-    overlapping iff :func:`spectra_disjoint` is false.
+    * disjointness: max_j n((a - mu_j I)^{-1}) DISJOINT_TOL < 1, with
+      n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2 >= 1/dist(mu, sigma(a)) for
+      M = (a - mu I)^{-1}, proves the spectra apart; otherwise, or when an
+      inverse cannot be formed, :func:`spectra_disjoint` decides;
+    * conditioning: cond(v)^2 max_j sigma_max(a - mu_j I) / min_j
+      sigma_min(a - mu_j I) bounds the condition number of the Kronecker
+      matrix, exactly for a normal b, and must not exceed SYLVESTER_COND_MAX.
+      The SVDs are taken, and this bound quoted, only when the cheap bound
+      cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1}) exceeds it.  A
+      defective b (a Jordan block) has cond(v) infinite or of order 1/eps;
+    * the residual: ||a X - X b - c||_F <= 1e-10 max(1, ||X||_F).
 
-    The Kronecker matrix K of the equation factors as
-    P blockdiag(a - mu_j I) P^{-1} with P = v^{-T} (x) I, so
-    cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)
-    bounds cond(K) from above, with equality for a normal smaller side.
-    After the disjointness test, the system is refused when this bound
-    exceeds SYLVESTER_COND_MAX.  The inverses also give the cheap bound
-    cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1}); only when it exceeds
-    SYLVESTER_COND_MAX are the SVDs of the shifted matrices taken, and the
-    exact bound above decides and is quoted in the refusal.  A
-    defective smaller side (a Jordan block, as for derivative moments) has
-    no eigenvector basis: cond(v) comes out infinite or of order 1/eps, so
-    such a system is refused although its solution is unique.  The residual
-    is verified against 1e-10 * max(1, ||X||_F).
-
-    The equation is real, so a complex pair (mu, conj(mu)) of the smaller
-    side has conjugate eigenvectors and conjugate shifted solutions: only
-    the member with imag(mu) >= 0 is factored and solved, and its partner
-    takes the conjugate (:func:`_conjugate_fill`).  As sigma(a - conj(mu) I)
-    = sigma(a - mu I), the bound is the same as over all shifts.
+    Given ``extra`` (rows of the shifted side: a, or b^T when a is smaller),
+    each inverse is applied to it too, and the result is (X, mu, v, e): the
+    eigenpairs of b (of a^T) in np.linalg.eig's pair order and e[j] =
+    (a - mu_j I)^{-1} extra at the j-th mu with imag >= 0.
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -252,47 +242,65 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
-    # the exact fallback always tests (a, b) as given, also for the transposed equation
-    overlap = lambda inv_norm: _disjoint_gate(
-        inv_norm, a, b, "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
-    )
-    x = _shifted_solve(a, b, c, overlap) if k <= n else _shifted_solve(b.T, a.T, -c.T, overlap).T
-    resid = np.linalg.norm(a @ x - x @ b - c)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(x)):
+    # the exact disjointness fallback always tests (a, b) as given
+    flip = k > n
+    mu, v, y, e = _shifted_solve(*((b.T, a.T, -c.T) if flip else (a, b, c)), extra, spectra=(a, b))
+    x = _from_eigenbasis(mu, v, y)
+    x = x.T if flip else x
+    _check_sylvester(a, b, c, x)
+    return x if extra is None else (x, mu, v, np.array(e))
+
+
+def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
+    """Refuse unless ||a x - x b - c||_F <= 1e-10 max(1, ||x||_F)."""
+    if (resid := np.linalg.norm(a @ x - x @ b - c)) > 1e-10 * max(1.0, np.linalg.norm(x)):
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
-    return x
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray, overlap) -> np.ndarray:
-    """a X - X b = c through the eigendecomposition of b, behind the
-    disjointness gate ``overlap(inv_norm)`` and then the cond gate."""
+def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None, spectra=None) -> tuple:
+    """(mu, v, y, e) over the eigenpairs (mu, v) of b: at the j-th mu with
+    imag >= 0, y[j] = (a - mu_j I)^{-1} (c v)_j and e[j] = (a - mu_j I)^{-1}
+    extra (None where c or extra is None).
+
+    The solves pass the disjointness gate on ``spectra`` ((a, b) unless given;
+    refused with the Sylvester overlap message) and then the cond gate."""
+    refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
+    overlap = lambda inv_norm: _disjoint_gate(inv_norm, *(spectra or (a, b)), refusal)
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
     shifts = mu[first]
     exact = lambda: _svd_bound(a, shifts, v)
+    columns = [None] * shifts.size if c is None else (c @ v[:, first]).T
     try:
-        solved = [_inverse_solve(a, m, r) for m, r in zip(shifts, (c @ v[:, first]).T)]
+        solved = [_inverse_solve(a, m, r, extra) for m, r in zip(shifts, columns)]
     except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
         overlap(np.inf)
         _cond_gate("Sylvester", np.inf, exact)
         raise
-    y, norms, inv_norms = zip(*solved)
+    y, e, norms, inv_norms = zip(*solved)
     overlap(max(inv_norms))
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
         cheap = np.linalg.cond(v) ** 2 * np.max(norms) * np.max(inv_norms)
     _cond_gate("Sylvester", cheap, exact)
+    return mu, v, y, e
+
+
+def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
+    """The real X with X v_j = y_j, given y_j where imag(mu_j) >= 0 (:func:`_conjugate_fill`)."""
     return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
 
 
-def _inverse_solve(a: np.ndarray, m, r: np.ndarray) -> tuple:
-    """(a - m I)^{-1} r, with the norm bounds of a - m I and of its inverse.
+def _inverse_solve(a: np.ndarray, m, r, extra=None) -> tuple:
+    """(a - m I)^{-1} r and (a - m I)^{-1} extra (None for a None operand),
+    with the norm bounds of a - m I and of its inverse.
 
     One call per shift, so only one shift's n x n matrices are alive at a time."""
     shifted = _shift(a, m)
     norm = _norm_bound(shifted)
     inv = np.linalg.inv(shifted)
-    return inv @ r, norm, _norm_bound(inv)
+    apply = lambda r: None if r is None else inv @ r
+    return apply(r), apply(extra), norm, _norm_bound(inv)
 
 
 def _shift(a: np.ndarray, m) -> np.ndarray:

@@ -94,8 +94,9 @@ def save_model(path, model: StateSpaceModel, name: str = "", role: str | None = 
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def load_matrix(path, key: str = "matrix") -> np.ndarray:
-    return _matrix_from(numeric_field(load_json(path), key, path), key, path)
+def matrix_field(data: dict, key: str, path) -> np.ndarray:
+    """``data[key]`` as a matrix; a ModelFileError names the file and field."""
+    return _matrix_from(numeric_field(data, key, path), key, path)
 
 
 def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:

@@ -6,10 +6,11 @@ equation coupling the system with interpolation data (S, L) pairs
 interpolation points.
 
 The last MOMENT_MEMO_SIZE moment solves are memoized by comparing their
-Sylvester data bit for bit with kept copies (:func:`momabs.linalg._memoized`).
-A tangential check takes the plant side behind its moment solve, whose gates
-certify each point clear of sigma(a), so the plant's G(mu) is one LU solve per
-point (:func:`_plant_transfer_at`), not a self-certifying :func:`transfer_eval`.
+Sylvester data and the plant's b and c bit for bit with kept copies
+(:func:`momabs.linalg._memoized`).  Next to Pi (Ups) the memo keeps the plant's
+G(mu) at the interpolation points: the solve's gated shifted inverses, applied
+to b (to c^T on the transposed side) as well, give it without another solve
+(:func:`_moment`), and the tangential checks read it from there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .linalg import (
     _disjoint_gate,
     _inverse_solve,
     _memoized,
-    _shift,
     _square,
     pbh_observable,
     pbh_reachable,
@@ -35,7 +35,7 @@ from .linalg import (
 
 TWO_SIDED_COND_MAX = 1e10
 MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
-_moments: list = []  # (read-only copies of the Sylvester data (a, b, c), read-only solution)
+_moments: list = []  # (read-only copies of the arguments of _solve_*, read-only (X, mu, v, G))
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,49 @@ class SwappedMomentSolution:
 
 def moment_direct(sys: StateSpaceModel, interp: DirectInterpolant) -> DirectMomentSolution:
     """Moment C Pi of ``sys`` at (s, l), with Pi solving Pi s = a Pi + b l."""
-    if interp.l.shape[0] != sys.m:
-        raise ValueError("interpolant output dimension does not match plant input")
-    # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
-    pi = _memoized(_moments, MOMENT_MEMO_SIZE, solve_sylvester, sys.a, interp.s, -(sys.b @ interp.l))
+    pi = _moment(sys, interp)[0]
     return DirectMomentSolution(pi=pi, moment=sys.c @ pi)
 
 
 def moment_swapped(sys: StateSpaceModel, interp: SwappedInterpolant) -> SwappedMomentSolution:
     """Moment Ups b of ``sys`` at (q, r), with Ups solving q Ups = Ups a + r c."""
-    if interp.r.shape[1] != sys.p:
-        raise ValueError("interpolant input dimension does not match plant output")
-    ups = _memoized(_moments, MOMENT_MEMO_SIZE, solve_sylvester, interp.q, sys.a, interp.r @ sys.c)
+    ups = _moment(sys, interp)[0]
     return SwappedMomentSolution(upsilon=ups, moment=ups @ sys.b)
+
+
+def _moment(sys: StateSpaceModel, interp) -> tuple:
+    """Memoized (X, mu, v, G) for the moment of ``sys`` at ``interp``: X is Pi
+    (Ups), (mu, v) are the eigenpairs of s (of q^T) in np.linalg.eig's pair
+    order, and G[j] = -c (a - mu_j I)^{-1} b is the plant's transfer value."""
+    if isinstance(interp, DirectInterpolant):
+        if interp.l.shape[0] != sys.m:
+            raise ValueError("interpolant output dimension does not match plant input")
+        # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
+        data = (_solve_direct, sys.a, interp.s, -(sys.b @ interp.l))
+    else:
+        if interp.r.shape[1] != sys.p:
+            raise ValueError("interpolant input dimension does not match plant output")
+        data = (_solve_swapped, interp.q, sys.a, interp.r @ sys.c)
+    return _memoized(_moments, MOMENT_MEMO_SIZE, *data, sys.b, sys.c)
+
+
+def _solve_direct(a, s, rhs, b, c) -> tuple:
+    """Pi and G at eig(s), from the inverses of a - mu I unless s is the larger side."""
+    if s.shape[0] > a.shape[0]:
+        mu, v = np.linalg.eig(s)
+        return solve_sylvester(a, s, rhs), mu, v, transfer_at(StateSpaceModel(a=a, b=b, c=c), mu)
+    pi, mu, v, x = solve_sylvester(a, s, rhs, extra=b)
+    return pi, mu, v, _conjugate_fill(mu, -(c @ x))
+
+
+def _solve_swapped(q, a, rhs, b, c) -> tuple:
+    """Ups and G at eig(q^T); when a is the larger side, solve_sylvester shifts
+    a^T, and G^T = -b^T (a^T - mu I)^{-1} c^T comes from its inverses."""
+    if q.shape[0] >= a.shape[0]:
+        mu, v = np.linalg.eig(q.T)
+        return solve_sylvester(q, a, rhs), mu, v, transfer_at(StateSpaceModel(a=a, b=b, c=c), mu)
+    ups, mu, v, y = solve_sylvester(q, a, rhs, extra=c.T)
+    return ups, mu, v, _conjugate_fill(mu, -(y.transpose(0, 2, 1) @ b))
 
 
 def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> StateSpaceModel:
@@ -161,16 +191,12 @@ def rom_two_sided(
 
 
 def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
-    """Complex transfer-function value G(s) = -c (a - s I)^{-1} b, refused
-    within DISJOINT_TOL of an eigenvalue of a.
-
-    As dist(s, sigma(a)) >= 1/||(a - s I)^{-1}||_2, an inverse with
-    sqrt(||.||_1 ||.||_inf) DISJOINT_TOL < 1 proves s clear of sigma(a); only
-    otherwise, or when the inverse cannot be formed, is a eigensolved to decide
-    (:func:`momabs.linalg._disjoint_gate`)."""
+    """Complex transfer-function value G(s) = -c (a - s I)^{-1} b from the
+    explicit inverse, refused within DISJOINT_TOL of an eigenvalue of a by the
+    inverse-norm test of :func:`momabs.linalg._disjoint_gate`."""
     refusal = f"evaluation point {s} is numerically an eigenvalue of a"
     try:
-        y, _, inv_norm = _inverse_solve(sys.a, complex(s), sys.b)
+        y, _, _, inv_norm = _inverse_solve(sys.a, complex(s), sys.b)
     except np.linalg.LinAlgError:  # singular in working precision: the spectrum decides
         _disjoint_gate(np.inf, sys.a, s, refusal)
         raise
@@ -181,25 +207,8 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
 def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:
     """Transfer values G(mu_j) stacked as (k, p, m), for points mu in the pair
     order of np.linalg.eig: each conjugate pair is solved once, at imag >= 0."""
-    return _at_upper_points(mu, lambda point: transfer_eval(sys, point))
-
-
-def _plant_transfer_at(sys: StateSpaceModel, interp, mu) -> np.ndarray:
-    """:func:`transfer_at` for the plant of a moment at ``interp`` (direct or
-    swapped), with mu the spectrum of its s (or q).
-
-    The moment solve runs first, a memo hit after ``rom_*``; its gates have
-    proved each point clear of sigma(a) with a - mu I inside the cond bound,
-    or refused.  So each value is -c (a - mu I)^{-1} b by one LU solve."""
-    (moment_direct if isinstance(interp, DirectInterpolant) else moment_swapped)(sys, interp)
-    return _at_upper_points(mu, lambda point: -(sys.c @ np.linalg.solve(_shift(sys.a, point), sys.b)))
-
-
-def _at_upper_points(mu, value) -> np.ndarray:
-    """value(mu_j) stacked for points mu in eig pair order, called only at
-    imag >= 0; each lower member takes its partner's conjugate."""
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    return _conjugate_fill(mu, np.array([value(complex(point)) for point in mu[mu.imag >= 0]]))
+    return _conjugate_fill(mu, np.array([transfer_eval(sys, complex(point)) for point in mu[mu.imag >= 0]]))
 
 
 def tangential_mismatch_direct(
@@ -209,12 +218,12 @@ def tangential_mismatch_direct(
 
     At each eigenpair (lam, v) of s the moment pins the transfer value on
     the direction l v only; full-matrix equality at the points is a SISO
-    special case.  Refused as the moment of ``full`` at ``interp`` is.
+    special case.  The plant's values come from its memoized moment, so the
+    check is refused as that moment is.
     """
-    vals, vecs = np.linalg.eig(interp.s)
-    d = (interp.l @ vecs).T[:, :, None]  # direction l v per eigenpair
-    tf_full = _plant_transfer_at(full, interp, vals)
-    return _relative_mismatch(tf_full, transfer_at(rom, vals), lambda g: g @ d)
+    _, mu, v, tf_full = _moment(full, interp)
+    d = (interp.l @ v).T[:, :, None]  # direction l v per eigenpair
+    return _relative_mismatch(tf_full, transfer_at(rom, mu), lambda g: g @ d)
 
 
 def tangential_mismatch_swapped(
@@ -222,10 +231,9 @@ def tangential_mismatch_swapped(
 ) -> float:
     """Dual of :func:`tangential_mismatch_direct`: at each left eigenpair
     (lam, w) of q the moment pins the transfer value along w^T r."""
-    vals, vecs = np.linalg.eig(interp.q.T)
-    d = (vecs.T @ interp.r)[:, None, :]  # direction w^T r per eigenpair
-    tf_full = _plant_transfer_at(full, interp, vals)
-    return _relative_mismatch(tf_full, transfer_at(rom, vals), lambda g: d @ g)
+    _, mu, w, tf_full = _moment(full, interp)
+    d = (w.T @ interp.r)[:, None, :]  # direction w^T r per eigenpair
+    return _relative_mismatch(tf_full, transfer_at(rom, mu), lambda g: d @ g)
 
 
 def _relative_mismatch(tf_full: np.ndarray, tf_rom: np.ndarray, along) -> float:

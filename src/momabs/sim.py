@@ -1,39 +1,11 @@
 """Fixed-step simulation of the interconnection topologies.
 
-All topologies reduce to a linear ODE z' = A z + B w(t) with an exogenous
-signal w, integrated by classic 4th-order Runge-Kutta on a uniform grid, fully
-deterministically.  For such an ODE one RK4 step is exactly the propagator
-z+ = T z + G F, with T the RK4 stability polynomial of hA (the degree-4 Taylor
-polynomial of exp(hA)) and F = (w(t), w(t + h/2), w(t + h)) the step's r
-forcing samples.  A run reads out only y = c z, q rows on the order-n stacked
-state, so the recurrence is evaluated at readout level in chunks of L =
-isqrt(N) of the N steps, shortened where ||T||_1^L would pass
-MAX_CHUNK_GROWTH so that T^L stays finite:
-
-* the free response of each chunk is (c T^j) z_start, j = 1..L, for all
-  chunks in one matrix product;
-* the zero-state response within a chunk is either one product of the
-  chunks' stacked forcing with the block-Toeplitz matrix of the Markov
-  parameters c T^d G, or the state sweep (L - 1 matrix-matrix products over
-  all chunks at once) read out by c; a zero signal skips it.  The Toeplitz
-  product runs in chunks short enough that its L^2 r q matrix is no larger
-  than the (N + 1) q readouts and N r forcing samples, and is taken when
-  there it costs fewer flops than the sweep, L r q < 2 n^2, and no more
-  memory, L^2 r q <= N n;
-* the chunk-boundary states come from T^L and the reach matrix
-  [T^(L-1) G ... G], and the N mod L steps left over are plain steps.
-
-That is O(sqrt(N)) Python iterations instead of N, computing the same
-readouts up to rounding, and no N x n state trajectory unless the sweep is
-chosen; integrate caps what the chosen branch allocates at
-MAX_TRAJECTORY_BYTES.  A non-finite boundary state or readout is replayed with
-plain state steps from the last finite boundary, so divergence is reported at
-the grid time of the first non-finite state, whether or not c sees it.
-
-TOPOLOGIES holds each interconnection's whole contract: field shapes, assembly
-and output error, which every run writes as ``outputs["err"]``.  A run reads
-out the topology's outputs and that err, and only the extra readouts its caller
-names: the run_* helpers name none, except run_m_direct's eps_s = xi - m x.
+Every topology reduces to a linear ODE z' = A z + B w(t) with an exogenous
+signal w, integrated deterministically by classic RK4 on a uniform grid at
+readout level (:func:`rk4_linear`).  TOPOLOGIES holds each interconnection's
+whole contract: field shapes, assembly and output error, which every run
+writes as ``outputs["err"]``.  The run_* helpers read out only that err and
+the topology's outputs, except run_m_direct's eps_s = xi - m x.
 """
 
 from __future__ import annotations
@@ -51,7 +23,7 @@ from .abstraction import (
     gamma_gain,
     simulation_fn_value,
 )
-from .linalg import StateSpaceModel, as_matrix, as_vector, eigenvalues, excitable
+from .linalg import StateSpaceModel, _require_shapes, as_matrix, as_vector, eigenvalues, excitable
 from .moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -111,13 +83,11 @@ class Topology:
     error: Callable
 
 
-def _fit(dims: dict, name: str, got: tuple, want: tuple) -> None:
-    """Bind each unbound dimension of ``want`` from ``got``, then refuse a mismatch."""
-    for dim, size in zip(want, got):
+def _fit(dims: dict, name: str, value, want: tuple) -> None:
+    """Bind each unbound dimension of ``want`` from the shape of ``value``, then refuse a mismatch."""
+    for dim, size in zip(want, np.shape(value)):
         dims.setdefault(dim, size)
-    expected = tuple(dims[dim] for dim in want)
-    if got != expected:
-        raise ValueError(f"{name} must have shape {expected}, got {got}")
+    _require_shapes(**{name: (value, [dims[dim] for dim in want])})
 
 
 @dataclass(frozen=True)
@@ -156,12 +126,12 @@ class InterconnectionSpec:
         for name, (n, m, p) in topo.models.items():
             model = self.models[name]
             for part, want in (("a", (n, n)), ("b", (n, m)), ("c", (p, n))):
-                _fit(dims, f"models.{name}.{part}", getattr(model, part).shape, want)
+                _fit(dims, f"models.{name}.{part}", getattr(model, part), want)
         links = {name: as_matrix(self.links[name], f"links.{name}") for name in topo.links}
         initial = {name: as_vector(self.initial[name], f"initial.{name}") for name in topo.initial}
         for group, values in (("links", links), ("initial", initial)):
             for name, value in values.items():
-                _fit(dims, f"{group}.{name}", value.shape, getattr(topo, group)[name])
+                _fit(dims, f"{group}.{name}", value, getattr(topo, group)[name])
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "initial", initial)
 
@@ -172,10 +142,18 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 
 
 def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.ndarray:
-    """RK4 on z' = a z + b w(t) as the chunked one-step propagator of the
-    module docstring; returns the readouts c z, shape (len(times), q), with
-    c = None the identity, raising ValueError at the first grid time whose
-    state is not finite."""
+    """RK4 on z' = a z + b w(t); returns the readouts c z, shape (len(times), q),
+    with c = None the identity, raising ValueError at the first grid time whose
+    state is not finite.
+
+    One RK4 step is exactly z+ = T z + G F, with T the degree-4 Taylor
+    polynomial of exp(h a) and F = (w(t), w(t + h/2), w(t + h)).  The N steps
+    run in chunks of L = isqrt(N), shorter where ||T||_1^L would pass
+    MAX_CHUNK_GROWTH: the free responses c T^j z_start of all chunks are one
+    product, the zero-state response is the Toeplitz product or the state
+    sweep that :func:`_zero_state_plan` picks, and the chunk-boundary states
+    come from T^L.  A non-finite boundary state or readout is replayed by
+    plain steps from the last finite boundary."""
     a = np.asarray(a, float)
     z0 = np.asarray(z0, float).reshape(-1)
     if not np.isfinite(z0).all():
@@ -304,9 +282,7 @@ def _on_state(label: str, blocks: dict, sizes: dict) -> np.ndarray:
     first = np.shape(next(iter(blocks.values()), ()))
     rows = first[0] if first else 0
     for name, block in blocks.items():
-        want, got = (rows, sizes[name]), np.shape(block)
-        if got != want:
-            raise ValueError(f"readout {label!r} block {name!r} must have shape {want}, got {got}")
+        _require_shapes(**{f"readout {label!r} block {name!r}": (block, (rows, sizes[name]))})
     return np.hstack([blocks.get(name, np.zeros((rows, dim))) for name, dim in sizes.items()])
 
 
@@ -580,7 +556,7 @@ def run_m_direct(
     sup of their gap is ``extras["parallel_gap_sup"]``.
     """
     m_map = as_matrix(m_map, "m_map")
-    _fit({"n_hat": abstract.n, "n": plant.n}, "m_map", m_map.shape, ("n_hat", "n"))
+    _fit({"n_hat": abstract.n, "n": plant.n}, "m_map", m_map, ("n_hat", "n"))
     if u.dim != plant.m:
         raise ValueError(f"u has dimension {u.dim}, expected the plant's {plant.m} inputs")
     spec = InterconnectionSpec(

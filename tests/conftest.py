@@ -11,12 +11,18 @@ def sylvester_calls(monkeypatch):
     monkeypatch.setattr(moments, "_moments", [])
     calls, real_solve = [], moments.solve_sylvester
 
-    def spy(a, b, c):
+    def spy(a, b, c, **kwargs):
         calls.append((a.shape, b.shape))
-        return real_solve(a, b, c)
+        return real_solve(a, b, c, **kwargs)
 
     monkeypatch.setattr(moments, "solve_sylvester", spy)
     return calls
+
+
+@pytest.fixture
+def scipy_linalg():
+    # any ImportError skips, so an installed but unimportable scipy skips too
+    return pytest.importorskip("scipy.linalg", exc_type=ImportError)
 
 
 @pytest.fixture

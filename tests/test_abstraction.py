@@ -229,14 +229,22 @@ class TestSolveEmbedding:
         with pytest.raises(ValueError, match=r"not in the range of G\(mu\) at mu = 0[+-]2j"):
             solve_embedding(sys, abstract)
 
-    def test_one_transfer_solve_per_conjugate_pair(self, transfer_calls, rng):
+    def test_one_transfer_solve_per_conjugate_pair(self, monkeypatch, transfer_calls, rng):
         sys = random_stable_system(rng, n=12, m=3, p=2)
         f = block_diag_spectrum([complex(-0.1 * k, sign * k) for k in range(1, 5) for sign in (1, -1)])
         abstract = StateSpaceModel(a=f, b=np.ones((8, 1)), c=rng.standard_normal((2, 8)))
+        inverted, real_inv = [], np.linalg.inv
+
+        def spy(m):
+            inverted.append(m.shape)
+            return real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
         p, l_hat = solve_embedding(sys, abstract)
         assert np.linalg.norm(sys.c @ p - abstract.c) < 1e-10 * np.linalg.norm(abstract.c)
-        assert len(transfer_calls) == 4
-        assert all(called is sys and point.imag > 0 for called, point in transfer_calls)
+        # one inverse of a - mu I per upper point gives both G(mu) and p v
+        assert inverted == [(12, 12)] * 4
+        assert transfer_calls == []
 
     def test_jordan_block_f_raises(self, rng):
         sys = random_stable_system(rng, n=4, m=2, p=2)
@@ -254,7 +262,7 @@ class TestSolveEmbedding:
         else:
             f = np.diag([point.real, point.real - 1.0])
         abstract = StateSpaceModel(a=f, b=np.ones((2, 1)), c=rng.standard_normal((2, 2)))
-        with pytest.raises(ValueError, match="eigenvalue of a"):
+        with pytest.raises(ValueError, match=r"^sigma\(a\) and sigma\(b\) overlap"):
             solve_embedding(sys, abstract)
 
 

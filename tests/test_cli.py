@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, rotation_block
-from momabs import abstraction, cli, sim, springmass
+from momabs import abstraction, cli, modelio, sim, springmass
 from momabs.abstraction import (
     RESIDUAL_TOL,
     StabilizedLink,
@@ -283,6 +283,28 @@ class TestAbstract:
         final = load_model(tmp_path / "design.final.json")
         assert np.abs(final.a - springmass.abstract().a).max() < 1e-8
         assert "result: OK" in capsys.readouterr().out
+
+    def test_checks_the_design_and_reads_p_once(self, monkeypatch, tmp_path, plant_file, capsys):
+        p_file = write_json(tmp_path / "p.json", {"p": springmass.embedding_p().tolist()})
+        checked, read = [], []
+
+        def spy(real, calls):
+            @functools.wraps(real)
+            def wrapper(*args):
+                calls.append(args[0])
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(abstraction, "check_design", spy(abstraction.check_design, checked))
+        monkeypatch.setattr(cli, "load_json", spy(cli.load_json, read))
+        monkeypatch.setattr(modelio, "load_json", spy(modelio.load_json, read))
+        assert main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")]) == 0
+        assert len(checked) == 1
+        assert [str(path) for path in read].count(p_file) == 1
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if "residual" in line] == [
+            f"[PASS] residual {name}" for name in DESIGN_CHECKS
+        ]
 
     def test_inadmissible_p_exits_2(self, tmp_path, plant_file, capsys):
         p_file = write_json(tmp_path / "p.json", {"p": np.ones((4, 2)).tolist()})
@@ -558,8 +580,8 @@ class TestSimulate:
         want = np.shape(value)
         want = (want[0] - 1, *want[1:])
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {group}.{name} must have shape (")
-        assert err.endswith(f"), got {want}\n")
+        assert err.startswith(f"error: {group}.{name} must be ")
+        assert err.endswith(f", got {want}\n")
         assert not (tmp_path / "r.csv").exists()
 
     def test_abstraction_output_must_match_plant_exits_2(self, tmp_path, capsys):
@@ -569,7 +591,7 @@ class TestSimulate:
         code = main(["simulate", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "r")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: models.abstract.c must have shape (2, 2), got (3, 2)\n"
+            "error: models.abstract.c must be 2x2, got (3, 2)\n"
         )
         assert not (tmp_path / "r.csv").exists()
 
@@ -654,6 +676,8 @@ class TestVerify:
             ("certificate", "p", np.zeros((3, 2)), "p must be 4x2, got (3, 2)"),
             ("certificate", "f", np.zeros((2, 3)), "f must be 2x2, got (2, 3)"),
             ("certificate", "l_hat", np.zeros((2, 1)), "l_hat must be 2x2, got (2, 1)"),
+            # n_hat comes from f, so a p with the wrong column count is blamed on p
+            ("certificate", "p", np.zeros((4, 3)), "p must be 4x2, got (4, 3)"),
         ],
     )
     def test_misshaped_field_exits_2(self, tmp_path, plant_file, capsys, checks, field, bad, shown):
@@ -665,7 +689,7 @@ class TestVerify:
         path = write_json(tmp_path / "bad.json", {**artifact, field: np.asarray(bad).tolist()})
         assert main(["verify", plant_file, "--artifact", path, "--checks", checks]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and shown in out.err
+        assert out.out == "" and out.err == f"error: {path}: {shown}\n"
 
     def test_unknown_check_exits_2(self, tmp_path, plant_file, capsys):
         artifact = self._artifact(tmp_path)

@@ -329,12 +329,6 @@ class TestLyapunov:
             solve_lyapunov(-np.eye(2), np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
-@pytest.fixture
-def scipy_linalg():
-    # any ImportError skips, so an installed but unimportable scipy skips too
-    return pytest.importorskip("scipy.linalg", exc_type=ImportError)
-
-
 class TestScipyCrossCheck:
     """The O(n^3) solvers against scipy's Bartels-Stewart solvers."""
 

@@ -17,8 +17,8 @@ from momabs.modelio import (
     ModelFileError,
     RunReport,
     load_json,
-    load_matrix,
     load_model,
+    matrix_field,
     save_matrix,
     save_model,
     write_csv,
@@ -68,13 +68,13 @@ class TestModelJson:
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "p.json"
         save_matrix(path, springmass.embedding_p(), key="p")
-        assert np.array_equal(load_matrix(path, "p"), springmass.embedding_p())
+        assert np.array_equal(matrix_field(load_json(path), "p", path), springmass.embedding_p())
 
     def test_matrix_missing_field(self, tmp_path):
         path = tmp_path / "p.json"
         save_matrix(path, np.eye(2), key="p")
         with pytest.raises(ModelFileError, match="missing field 'q'"):
-            load_matrix(path, "q")
+            matrix_field(load_json(path), "q", path)
 
 
 class TestCsv:

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_direct_interpolant, random_stable_system, random_swapped_interpolant, rotation_block
+from conftest import (
+    non_normal_stable_system,
+    random_direct_interpolant,
+    random_stable_system,
+    random_swapped_interpolant,
+    rotation_block,
+)
 from momabs import moments, springmass
 from momabs.linalg import StateSpaceModel, block_diag_spectrum
 from momabs.moments import (
@@ -77,8 +83,8 @@ class TestMomentMemo:
         with pytest.raises(ValueError, match="read-only"):
             ups[0, 0] = 0.0
         [(kept, value)] = moments._moments
-        assert value is ups
-        assert all(not x.flags.writeable for x in kept)
+        assert value[0] is ups
+        assert all(not x.flags.writeable for x in (*kept, *value))
         assert not any(np.shares_memory(x, y) for x in kept for y in (si.q, sys.a))
 
     def test_in_place_change_is_a_miss(self, sylvester_calls, rng):
@@ -98,10 +104,10 @@ class TestMomentMemo:
 
     def test_lookup_copies_nothing(self):
         memo, big = [], np.random.default_rng(0).standard_normal((400, 400))
-        solved = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
+        solved = moments._memoized(memo, 2, lambda x: (x.sum(axis=0),), big)
         tracemalloc.start()
         try:
-            again = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
+            again = moments._memoized(memo, 2, lambda x: (x.sum(axis=0),), big)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,6 +257,41 @@ class TestRomTwoSided:
             rom_two_sided(sys, di, si)
 
 
+class TestMemoizedTransfer:
+    """The plant's G(mu) kept next to the moment against an independent solve."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("side", ["direct", "swapped"])
+    def test_matches_scipy_solve(self, scipy_linalg, seed, side):
+        rng = np.random.default_rng(seed)
+        make = non_normal_stable_system if seed % 2 else random_stable_system
+        sys = make(rng, n=int(rng.integers(8, 40)), m=int(rng.integers(1, 4)), p=int(rng.integers(1, 4)))
+        gen = real_and_pair_generator(rng)
+        if side == "direct":
+            interp = DirectInterpolant(s=gen, l=rng.standard_normal((sys.m, 3)))
+            moment_direct(sys, interp)
+        else:
+            interp = SwappedInterpolant(q=gen, r=rng.standard_normal((3, sys.p)))
+            moment_swapped(sys, interp)
+        _, mu, _, tf = moments._moment(sys, interp)
+        for point, got in zip(mu, tf):
+            want = -(sys.c @ scipy_linalg.solve(sys.a - point * np.eye(sys.n), sys.b))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("side", ["direct", "swapped"])
+    def test_interpolant_larger_than_plant(self, side, rng):
+        # solve_sylvester then shifts the interpolant's side: G comes from transfer_at
+        sys = random_stable_system(rng, n=2, m=1, p=1)
+        gen = block_diag_spectrum([1j, -1j, 2j, -2j])
+        if side == "direct":
+            interp = DirectInterpolant(s=gen, l=rng.standard_normal((1, 4)))
+        else:
+            interp = SwappedInterpolant(q=gen, r=rng.standard_normal((4, 1)))
+        _, mu, _, tf = moments._moment(sys, interp)
+        for point, got in zip(mu, tf):
+            assert np.allclose(got, transfer_eval(sys, point), rtol=1e-13, atol=0)
+
+
 class TestTransferEval:
     def test_resolvent_identity_springmass(self):
         sys = springmass.concrete()
@@ -331,10 +372,11 @@ class TestTangentialMismatch:
         osc = block_diag_spectrum([1j, -1j, 3j, -3j])  # two-pair oscillator
         di = DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
         rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
-        solved = record_calls(monkeypatch, "solve")
+        solved, inverted = record_calls(monkeypatch, "solve"), record_calls(monkeypatch, "inv")
         assert tangential_mismatch_direct(sys, rom, di) < 1e-8
-        # the plant: one LU solve of a - mu I per upper point, behind its memoized moment
-        assert [(shape, imag > 0) for shape, imag in solved] == [((6, 6), True)] * 2
+        # the plant: its G(mu) was memoized with the moment, so no solve and no 6 x 6 inverse
+        assert solved == []
+        assert [(shape, imag > 0) for shape, imag in inverted] == [((4, 4), True)] * 2
         # the ROM: one self-certifying transfer evaluation per upper point
         assert [called for called, _ in transfer_calls] == [rom, rom]
         assert all(point.imag > 0 for _, point in transfer_calls)

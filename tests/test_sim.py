@@ -450,7 +450,7 @@ class TestSpecValidation:
             ({"y": {"x": [[1.0]]}}, "readout names ['y'] are outputs of the direct-generator"),
             ({"err": {"x": [[1.0]]}}, "readout names ['err'] are outputs of the direct-generator"),
             ({"xx": {"xi": [[1.0]]}}, "readout 'xx' names unknown state blocks ['xi']"),
-            ({"xx": {"x": [[1.0]], "w": [[1.0, 0.0]]}}, "readout 'xx' block 'w' must have shape (1, 1)"),
+            ({"xx": {"x": [[1.0]], "w": [[1.0, 0.0]]}}, "readout 'xx' block 'w' must be 1x1"),
         ],
         ids=["output-name", "err-name", "unknown-block", "block-shape"],
     )
@@ -637,7 +637,7 @@ class TestMDirect:
     def test_mis_sized_m_map_named(self):
         plant, design = self._design()
         link = StabilizedLink(n_map=design.n_map, gamma=design.gamma, k_hat=np.zeros((4, 2)))
-        with pytest.raises(ValueError, match=re.escape("m_map must have shape (2, 4), got (2, 3)")):
+        with pytest.raises(ValueError, match=re.escape("m_map must be 2x4, got (2, 3)")):
             run_m_direct(
                 plant, design.abstract_model(), link, design.m_map[:, :3],
                 springmass.u_signal(), springmass.X0, springmass.XI0,
