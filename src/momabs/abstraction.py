@@ -91,7 +91,9 @@ class StabilizedLink:
 
 def embedding_residuals(sys: StateSpaceModel, p, f, l_hat, h=None) -> dict:
     """Norms ||p f - a p - b l_hat||_F ("state") and, given h, ||h - c p||_F ("output")."""
-    n_hat = np.atleast_2d(p).shape[1]
+    # n_hat is the column count most fields share, f's on a tie: the odd one is named
+    cols = [np.atleast_2d(x).shape[-1] for x in (f, p, l_hat, h) if x is not None]
+    n_hat = max(cols, key=cols.count)
     _require_shapes(p=(p, (sys.n, n_hat)), f=(f, (n_hat, n_hat)),
                     l_hat=(l_hat, (sys.m, n_hat)), h=(h, (sys.p, n_hat)))
     res = {"state": np.linalg.norm(p @ f - sys.a @ p - sys.b @ l_hat)}
@@ -194,8 +196,8 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
     ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).  Shapes must fit ``sys``.
     """
     _require_shapes(k=(cert.k, (sys.m, sys.n)), w=(cert.w, (sys.n, sys.n)))
-    if f is not None:  # n_hat from f, so a p with the wrong column count is blamed on p
-        _require_shapes(p=(cert.p, (sys.n, np.atleast_2d(f).shape[0])))
+    if f is not None:  # shapes before values
+        embedding = embedding_residuals(sys, cert.p, f, cert.l_hat)["state"]
     a_cl = sys.a + sys.b @ cert.k
     w_scale = max(1.0, np.linalg.norm(cert.w, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge lam overflows 2 lam w
@@ -208,8 +210,7 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
         "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
     }
     if f is not None:
-        resid = embedding_residuals(sys, cert.p, f, cert.l_hat)["state"]
-        res["embedding residual"] = resid / max(1.0, np.linalg.norm(cert.p))
+        res["embedding residual"] = embedding / max(1.0, np.linalg.norm(cert.p))
     return {name: float(value) for name, value in res.items()}
 
 

@@ -107,7 +107,8 @@ def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:
 @functools.cache
 def _format_tables():
     """10**j as hi + lo doubles for j = 16 - k, k = _K_MAX down to -_K_MAX, and
-    the 4-digit ASCII groups as uint32, then again with trailing zeros NUL."""
+    the 4-digit ASCII groups as uint32, then again with trailing zeros NUL and
+    with leading zeros NUL, then ".ab" and a NUL for each two decimals ab."""
     hi, lo = [], []
     for j in range(16 - _K_MAX, 17 + _K_MAX):
         num, den = 10 ** max(j, 0), 10 ** max(-j, 0)
@@ -117,7 +118,10 @@ def _format_tables():
     quads = np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
     quads = (quads % 10 + 48).astype(np.uint8)
     trailing = np.logical_and.accumulate(quads[:, ::-1] == 48, axis=1)[:, ::-1]
-    groups = np.concatenate([quads, quads * ~trailing])
+    leading = np.logical_and.accumulate(quads == 48, axis=1)
+    dot = np.full((100, 1), 46, np.uint8)
+    decimals = np.hstack([dot, quads[:100, 2:], 0 * dot])
+    groups = np.concatenate([quads, quads * ~trailing, quads * ~leading, decimals])
     tables = np.array(hi), np.array(lo), groups.view(np.uint32).ravel()
     for table in tables:  # shared by every write
         table.flags.writeable = False
@@ -133,6 +137,14 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _round_half_even(p, t):
+    """(d, gap): d = p + rint(t) as int64, for an integer-valued double p, and
+    gap = 1/2 - |t - rint(t)|, 0 at a tie.  rint rounds a tie to even, so d
+    is p + t rounded as ``%`` rounds wherever p is even at a tie."""
+    r = np.rint(t)
+    return p.astype(np.int64) + r.astype(np.int64), 0.5 - np.abs(t - r)
+
+
 def _round17(values: np.ndarray):
     """(certified, k, d) with k = floor(log10|x|) and d = round(|x| 10**(16 - k));
     the classes write_csv hands to ``%`` are not certified."""
@@ -141,11 +153,13 @@ def _round17(values: np.ndarray):
     certified = (mag >= 1e-250) & (mag <= 1e250)
     mag[~certified] = 1.0
     k = np.floor(np.log10(mag)).astype(np.int16)
+    lo = lo_tab.take(_K_MAX - k)
     p, t = _two_product(mag, hi_tab.take(_K_MAX - k))
-    t += mag * lo_tab.take(_K_MAX - k)
-    r = np.rint(t)
-    d = p.astype(np.int64) + r.astype(np.int64)
-    certified &= (np.abs(t - r) < 0.5 - 1e-6) & (d > 10**16) & (d < 10**17)
+    t += mag * lo
+    d, gap = _round_half_even(p, t)
+    # p > 2**53 is even wherever d > 10**16; where 10**(16 - k) is a double
+    # (lo = 0), p + t is exact, so gap is too and a tie is certain
+    certified &= ((gap > 1e-6) | (lo == 0)) & (d > 10**16) & (d < 10**17)
     return certified, k, d
 
 
@@ -206,6 +220,26 @@ def _format_values(values: np.ndarray, out: np.ndarray) -> None:
         out[rest] = np.frombuffer(padded.replace(b" ", b"\0"), out.dtype)
 
 
+def _fixed2(values: np.ndarray):
+    """(text, certified): ``%.2f`` of each value in 8 NUL-padded bytes, the
+    last one NUL.  Values in [1, 9999.995) are certified: d = round(100 v)
+    comes from the exact p + e = 100 v, whose fraction (p - rint(p)) + e is a
+    double, and a tie n + 1/2 < 10**6 is a double, so e = 0 and rint(p) is
+    even there; larger values would round to 10**4.  The other slots hold
+    ``%.2f`` for the caller's ``%``, whose text has no fixed width."""
+    groups = _format_tables()[2]
+    certified = (values >= 1.0) & (values < 9999.995)
+    p, e = _two_product(np.where(certified, values, 1.0), 100.0)
+    d = _round_half_even(np.rint(p), (p - np.rint(p)) + e)[0]
+    q = d // 100
+    text = np.zeros(values.shape + (8,), np.uint8)
+    words = text.view(np.uint32)
+    words[..., 0] = groups[q + 20_000]  # leading zeros NUL
+    words[..., 1] = groups[d - 100 * q + 30_000]
+    text[~certified] = np.frombuffer(b"%.2f\0\0\0\0", np.uint8)
+    return text, certified
+
+
 def write_csv(path, times: np.ndarray, columns: dict) -> None:
     """CSV with a time column then named data columns, each value written as
     the bytes ``%.17g`` gives; the header names are a stable contract.
@@ -213,13 +247,14 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
     |x| in [1e-250, 1e250] gets its 17 digits from d = round(|x| 10**(16 - k)),
     k = floor(log10|x|), as Dekker's double-double product of |x| with a table
     entry hi + lo: its error, about 2**-104 10**17, is far inside a 1e-6 tie
-    margin, so d is exact.  ``%`` formats the rest: a fraction within 1e-6 of
-    1/2 (``%`` rounds exact ties half-even), d <= 10**16 or d >= 10**17 (log10
-    off by one, or d rounding to a power of ten), zeros, subnormals, inf, nan
-    and |x| outside that range.  Rows are formatted CSV_BLOCK_ROWS at a time
-    into NUL-padded slots that one ``bytes.translate`` per block deletes, and
-    each block is written before the next, so memory stays bounded by one
-    block whatever the grid length.
+    margin, so d is exact.  Where 10**(16 - k) is a double (-6 <= k <= 16),
+    lo = 0 and the product is exact, so an exact tie rounds half-even, as
+    ``%`` rounds it.  ``%`` formats the rest: elsewhere a fraction within 1e-6
+    of 1/2, d <= 10**16 or d >= 10**17 (log10 off by one, or d rounding to a
+    power of ten), zeros, subnormals, inf, nan and |x| outside that range.
+    Rows are formatted CSV_BLOCK_ROWS at a time into NUL-padded slots that one
+    ``bytes.translate`` per block deletes, and each block is written before
+    the next, so memory stays bounded by one block whatever the grid length.
     """
     names, series = ["time"], [times]
     for name, arr in columns.items():
@@ -256,8 +291,10 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
     """Self-contained 900x600 SVG: one polyline per named channel plus a legend.
 
     Each polyline holds at most about 2000 points (every ``stride``-th
-    sample), formatted ``%.2f,%.2f``: the x coordinates once per file, then
-    each polyline's y coordinates with one ``%`` operation.
+    sample), written as the bytes ``%.2f,%.2f`` gives: the x coordinates are
+    formatted once per file and every channel's y coordinates in one call of
+    the table-driven formatter, which certifies values in [1, 9999.995), so
+    every coordinate of a finite series; ``%`` formats the rest.
     """
     width, height = 900, 600
     margin = 60
@@ -274,6 +311,8 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
     ymax = max(float(v.max()) for v in flat.values())
     if ymax - ymin < 1e-30:
         ymax = ymin + 1.0
+        if ymax == ymin:  # above 2**53: a one-ulp range, stepping towards 0
+            ymin, ymax = sorted((ymin, float(np.nextafter(ymin, 0.0))))
     tmin, tmax = float(times[0]), float(times[-1])
 
     def sx(t):
@@ -305,13 +344,19 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
             f'font-family="sans-serif" font-size="12">{val:.3g}</text>'
         )
     stride = max(1, times.size // 2000)
-    # the x coordinates are formatted once; each channel fills in its y
-    points = " ".join(["%.2f,%%.2f" % x for x in sx(times[::stride]).tolist()])
-    for idx, (name, values) in enumerate(flat.items()):
+    xs = sx(times[::stride])
+    ys = sy(np.stack([values[::stride] for values in flat.values()]))
+    (x_text, x_ok), (y_text, y_ok) = _fixed2(xs), _fixed2(ys)
+    x_text[:, 7], y_text[..., 7] = 44, 32  # "x,y " per point
+    for idx, name in enumerate(flat):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = points % tuple(sy(values[::stride]).tolist())
+        pts = np.concatenate([x_text, y_text[idx]], axis=1).tobytes().translate(None, b"\0")
+        rest = ~np.column_stack([x_ok, y_ok[idx]])
+        if rest.any():
+            pts %= tuple(np.column_stack([xs, ys[idx]])[rest].tolist())
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+            f'<polyline points="{pts[:-1].decode()}" fill="none" stroke="{color}" '
+            'stroke-width="1.2"/>'
         )
         lx, ly = width - margin - 150, margin + 18 * (idx + 1)
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

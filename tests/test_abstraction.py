@@ -542,7 +542,7 @@ def springmass_relation_fields():
     [
         ("p", np.zeros((3, 2))), ("p", np.zeros(4)), ("f", np.zeros((3, 3))),
         ("f", np.zeros(2)), ("l_hat", np.zeros((1, 2))), ("h", np.zeros((1, 1))),
-        ("h", np.zeros((2, 3))),
+        ("h", np.zeros((2, 3))), ("p", np.zeros((4, 3))),
     ],
 )
 def test_embedding_residuals_name_a_misshaped_field(field, bad):

@@ -676,8 +676,10 @@ class TestVerify:
             ("certificate", "p", np.zeros((3, 2)), "p must be 4x2, got (3, 2)"),
             ("certificate", "f", np.zeros((2, 3)), "f must be 2x2, got (2, 3)"),
             ("certificate", "l_hat", np.zeros((2, 1)), "l_hat must be 2x2, got (2, 1)"),
-            # n_hat comes from f, so a p with the wrong column count is blamed on p
+            # n_hat is the column count most fields share, so a p with one column
+            # too many is blamed on p
             ("certificate", "p", np.zeros((4, 3)), "p must be 4x2, got (4, 3)"),
+            ("embedding", "p", np.zeros((4, 3)), "p must be 4x2, got (4, 3)"),
         ],
     )
     def test_misshaped_field_exits_2(self, tmp_path, plant_file, capsys, checks, field, bad, shown):

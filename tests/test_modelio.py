@@ -140,6 +140,8 @@ def per_value_svg_points(times, channels):
     ymax = max(float(v.max()) for v in channels)
     if ymax - ymin < 1e-30:
         ymax = ymin + 1.0
+        if ymax == ymin:  # above 2**53: a one-ulp range, stepping towards 0
+            ymin, ymax = sorted((ymin, float(np.nextafter(ymin, 0.0))))
     tmin, tmax = float(times[0]), float(times[-1])
     stride = max(1, times.size // 2000)
     return [
@@ -200,6 +202,35 @@ class TestWriterByteIdentity:
         columns = {"y": y, "s": rng.standard_normal(rows)}
         write_csv(path, times, columns)
         assert path.read_bytes() == per_value_csv(times, columns).encode("utf-8")
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(  # |v| <= 1e300 keeps ymax - ymin finite
+        channels=st.integers(2, 50).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n), min_size=1, max_size=3
+            )
+        )
+    )
+    def test_svg_random_finite_series(self, tmp_path, channels):
+        path = tmp_path / "random.svg"
+        values = [np.array(c) for c in channels]
+        times = np.linspace(0.0, 1.0, values[0].size)
+        write_svg(path, times, {f"c{i}": v for i, v in enumerate(values)})
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == per_value_svg_points(times, values)
+
+    # above 2**53, ymin + 1 == ymin, which once divided by a zero range
+    @pytest.mark.parametrize(
+        "level", [2.5, -(2.0**53), 2.0**53 + 2, 1e17, -1e300, 1.7976931348623157e308]
+    )
+    def test_svg_constant_series(self, tmp_path, level):
+        path = tmp_path / "flat.svg"
+        times, values = np.linspace(0.0, 1.0, 5), np.full(5, level)
+        write_svg(path, times, {"y": values})
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == per_value_svg_points(times, [values])
 
     # stride = samples // 2000 steps from 1 to 2 between 3999 and 4000 samples
     @pytest.mark.parametrize("samples", [2, 3999, 4000, 4001])
@@ -275,18 +306,33 @@ class TestCsvFormatter:
         assert got == want
 
     def test_typical_values_take_the_fast_path(self):
-        # above about 1e13 a double has so few fraction bits that its 17th
-        # digit is often an exact tie, which falls back; below, ties are rare
         rng = np.random.default_rng(3)
-        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 12, 10_000)
+        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 17, 10_000)
         assert certified(values).mean() > 0.999
 
-    def test_exact_ties_fall_back(self, tmp_path):
+    def test_decades_where_ties_are_common(self, tmp_path):
+        # above about 1e13 a double has so few fraction bits that its 17th
+        # digit is often an exact tie; 10**(16 - k) is a double there, so the
+        # tie is certain and rounds half-even without ``%``
+        rng = np.random.default_rng(12)
+        decades = [rng.uniform(10.0**k, 10.0 ** (k + 1), 20_000) for k in range(12, 16)]
+        values = np.concatenate(decades)
+        assert certified(values).all()
+        got, want = csv_bytes(tmp_path, values)
+        assert got == want
+
+    def test_exact_ties_round_half_even(self, tmp_path):
         # 18 significant digits ending in 5: % rounds half-even, down then up
         ties = np.array([1 + 2**-17, 1 + 3 * 2**-17])
         assert [f"{v:.17g}" for v in ties] == ["1.0000076293945312", "1.0000228881835938"]
+        # c / 2**(17 - k) in [10**k, 2 10**k) with c odd is a double and a tie
+        rng = np.random.default_rng(5)
+        for k in range(12, 16):
+            c = 2 * rng.integers(10**k * 2 ** (16 - k), 10**k * 2 ** (17 - k), 2000) + 1
+            ties = np.concatenate([ties, c / 2.0 ** (17 - k)])
+        assert all(f"{v:.18e}"[18] == "5" for v in ties[2:])
         values = np.concatenate([ties, -ties])
-        assert not certified(values).any()
+        assert certified(values).all()
         got, want = csv_bytes(tmp_path, values)
         assert got == want
 
@@ -345,7 +391,53 @@ class TestCsvFormatter:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def fixed2_bytes(values):
+    """(text, certified): _fixed2's space-separated text, ``%`` filling in the rest."""
+    text, ok = modelio._fixed2(values)
+    text[:, 7] = 32
+    return text.tobytes().translate(None, b"\0") % tuple(values[~ok].tolist()), ok
+
+
+class TestSvgFormatter:
+    @pytest.mark.parametrize("low, high", [(1.0, 10.0), (10.0, 1000.0), (1000.0, 1e4)])
+    def test_matches_percent_format(self, low, high):
+        values = np.random.default_rng(int(low)).uniform(low, high, 200_000)
+        got, ok = fixed2_bytes(values)
+        assert got == b"".join([b"%.2f " % v for v in values.tolist()])
+        assert ok.sum() == np.count_nonzero(values < 9999.995)
+
+    def test_ties_and_range_edges(self):
+        # 100 v = n + 1/2 exactly: % rounds half-even
+        ties = [60.125, 1.125, 1.375, 4095.625, 4095.875]
+        edges = [1.0, 9.995, 99.995, 9999.99, np.nextafter(9999.995, 0.0)]
+        fallback = [
+            0.0, -0.0, np.nan, np.inf, -np.inf, -60.125, -2.5, 0.5, np.nextafter(1.0, 0.0),
+            9999.995, 1e4, 12345.678, 5e-324, 1e300, -1e300,
+        ]
+        values = np.array(ties + edges + fallback)
+        got, ok = fixed2_bytes(values)
+        assert got == b"".join([b"%.2f " % v for v in values.tolist()])
+        assert got.startswith(b"60.12 1.12 1.38 4095.62 4095.88 ")
+        assert ok.tolist() == [True] * 10 + [False] * 15
+        assert len(got) > 600  # 1e300 has 301 integer digits
+
+
 class TestSvg:
+    def test_paper_example_series_needs_no_percent(self, tmp_path, monkeypatch):
+        formatted, fallback, fixed2 = [], [], modelio._fixed2
+
+        def spy(values):
+            text, ok = fixed2(values)
+            formatted.append(ok.size)
+            fallback.append(np.count_nonzero(~ok))
+            return text, ok
+
+        monkeypatch.setattr(modelio, "_fixed2", spy)
+        times = np.linspace(0.0, 10.0, 10_001)
+        y = np.sin(np.outer(times, np.arange(1.0, 8.0))) * np.logspace(-3, 3, 7)
+        write_svg(tmp_path / "plot.svg", times, {"y": y[:, :4], "e": y[:, 4:]})
+        assert sum(formatted) == 8 * 2001 and sum(fallback) == 0
+
     def test_self_contained_canvas(self, tmp_path):
         path = tmp_path / "plot.svg"
         times = np.linspace(0.0, 2.0, 500)
