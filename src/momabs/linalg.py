@@ -159,7 +159,7 @@ def _memoized(memo: list, size: int, fn, *args) -> tuple:
                 memo.append(memo.pop(i))
                 return value
     value = fn(*args)
-    kept = tuple(x.copy() for x in args)
+    kept = tuple(x.copy(order="K") for x in args)  # in the layout of x, so lookups compare like strides
     for x in (*value, *kept):
         x.flags.writeable = False
     with _memo_lock:
@@ -242,9 +242,8 @@ def solve_sylvester(a, b, c, *, extra=None):
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
-    # the exact disjointness fallback always tests (a, b) as given
     flip = k > n
-    mu, v, y, e = _shifted_solve(*((b.T, a.T, -c.T) if flip else (a, b, c)), extra, spectra=(a, b))
+    mu, v, y, e = _shifted_solve(*((b.T, a.T, -c.T) if flip else (a, b, c)), extra)
     x = _from_eigenbasis(mu, v, y)
     x = x.T if flip else x
     _check_sylvester(a, b, c, x)
@@ -257,15 +256,15 @@ def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray)
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None, spectra=None) -> tuple:
+def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None) -> tuple:
     """(mu, v, y, e) over the eigenpairs (mu, v) of b: at the j-th mu with
     imag >= 0, y[j] = (a - mu_j I)^{-1} (c v)_j and e[j] = (a - mu_j I)^{-1}
     extra (None where c or extra is None).
 
-    The solves pass the disjointness gate on ``spectra`` ((a, b) unless given;
-    refused with the Sylvester overlap message) and then the cond gate."""
+    The solves pass the disjointness gate on (a, b), refused with the
+    Sylvester overlap message, and then the cond gate."""
     refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
-    overlap = lambda inv_norm: _disjoint_gate(inv_norm, *(spectra or (a, b)), refusal)
+    overlap = lambda inv_norm: _disjoint_gate(inv_norm, a, b, refusal)
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0

@@ -314,12 +314,14 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
         if ymax == ymin:  # above 2**53: a one-ulp range, stepping towards 0
             ymin, ymax = sorted((ymin, float(np.nextafter(ymin, 0.0))))
     tmin, tmax = float(times[0]), float(times[-1])
+    # past a span of about 3.7e305, plot_h (ymax - ymin) overflows: scale exactly by 2**-10
+    k = 1.0 if np.isfinite(plot_h * (ymax - ymin)) else 2.0**-10
 
     def sx(t):
         return margin + plot_w * (t - tmin) / (tmax - tmin)
 
     def sy(v):
-        return height - margin - plot_h * (v - ymin) / (ymax - ymin)
+        return height - margin - plot_h * (k * v - k * ymin) / (k * ymax - k * ymin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

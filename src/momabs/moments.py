@@ -3,14 +3,15 @@
 A moment is the matrix C Pi (or Ups B), where Pi (Ups) solves a Sylvester
 equation coupling the system with interpolation data (S, L) pairs
 (respectively (Q, R)); equivalently, transfer-function values at the
-interpolation points.
+interpolation points.  Ups solving q Ups = Ups a + r c is Pi^T for the dual
+plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is G^T
+(Astolfi 2010), so every moment is solved and memoized as a direct one.
 
-The last MOMENT_MEMO_SIZE moment solves are memoized by comparing their
-Sylvester data and the plant's b and c bit for bit with kept copies
-(:func:`momabs.linalg._memoized`).  Next to Pi (Ups) the memo keeps the plant's
-G(mu) at the interpolation points: the solve's gated shifted inverses, applied
-to b (to c^T on the transposed side) as well, give it without another solve
-(:func:`_moment`), and the tangential checks read it from there.
+The last MOMENT_MEMO_SIZE solves are memoized by comparing (a, s, l, b, c)
+bit for bit with kept copies (:func:`momabs.linalg._memoized`), next to the
+plant's G(mu) at the interpolation points: the solve's gated shifted
+inverses, applied to b as well, give it without another solve, and the
+tangential checks read it from there.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .linalg import (
 
 TWO_SIDED_COND_MAX = 1e10
 MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
-_moments: list = []  # (read-only copies of the arguments of _solve_*, read-only (X, mu, v, G))
+_moments: list = []  # (read-only copies of the arguments of _solve, read-only (Pi, mu, v, G))
 
 
 @dataclass(frozen=True)
@@ -109,36 +110,28 @@ def moment_swapped(sys: StateSpaceModel, interp: SwappedInterpolant) -> SwappedM
 def _moment(sys: StateSpaceModel, interp) -> tuple:
     """Memoized (X, mu, v, G) for the moment of ``sys`` at ``interp``: X is Pi
     (Ups), (mu, v) are the eigenpairs of s (of q^T) in np.linalg.eig's pair
-    order, and G[j] = -c (a - mu_j I)^{-1} b is the plant's transfer value."""
+    order, and G[j] = -c (a - mu_j I)^{-1} b is the plant's transfer value.
+    For (q, r), Ups and G are transposed views of the dual plant's Pi and G."""
     if isinstance(interp, DirectInterpolant):
         if interp.l.shape[0] != sys.m:
             raise ValueError("interpolant output dimension does not match plant input")
-        # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
-        data = (_solve_direct, sys.a, interp.s, -(sys.b @ interp.l))
-    else:
-        if interp.r.shape[1] != sys.p:
-            raise ValueError("interpolant input dimension does not match plant output")
-        data = (_solve_swapped, interp.q, sys.a, interp.r @ sys.c)
-    return _memoized(_moments, MOMENT_MEMO_SIZE, *data, sys.b, sys.c)
+        return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b, sys.c)
+    if interp.r.shape[1] != sys.p:
+        raise ValueError("interpolant input dimension does not match plant output")
+    dual = (sys.a.T, interp.q.T, interp.r.T, sys.c.T, sys.b.T)
+    pi, mu, v, g = _memoized(_moments, MOMENT_MEMO_SIZE, _solve, *dual)
+    return pi.T, mu, v, g.transpose(0, 2, 1)
 
 
-def _solve_direct(a, s, rhs, b, c) -> tuple:
-    """Pi and G at eig(s), from the inverses of a - mu I unless s is the larger side."""
+def _solve(a, s, l, b, c) -> tuple:
+    """Pi solving Pi s = a Pi + b l, with G at eig(s) from the inverses of
+    a - mu I unless s is larger than the plant."""
+    rhs = -(b @ l)  # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
     if s.shape[0] > a.shape[0]:
         mu, v = np.linalg.eig(s)
         return solve_sylvester(a, s, rhs), mu, v, transfer_at(StateSpaceModel(a=a, b=b, c=c), mu)
     pi, mu, v, x = solve_sylvester(a, s, rhs, extra=b)
     return pi, mu, v, _conjugate_fill(mu, -(c @ x))
-
-
-def _solve_swapped(q, a, rhs, b, c) -> tuple:
-    """Ups and G at eig(q^T); when a is the larger side, solve_sylvester shifts
-    a^T, and G^T = -b^T (a^T - mu I)^{-1} c^T comes from its inverses."""
-    if q.shape[0] >= a.shape[0]:
-        mu, v = np.linalg.eig(q.T)
-        return solve_sylvester(q, a, rhs), mu, v, transfer_at(StateSpaceModel(a=a, b=b, c=c), mu)
-    ups, mu, v, y = solve_sylvester(q, a, rhs, extra=c.T)
-    return ups, mu, v, _conjugate_fill(mu, -(y.transpose(0, 2, 1) @ b))
 
 
 def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> StateSpaceModel:
@@ -222,23 +215,24 @@ def tangential_mismatch_direct(
     check is refused as that moment is.
     """
     _, mu, v, tf_full = _moment(full, interp)
-    d = (interp.l @ v).T[:, :, None]  # direction l v per eigenpair
-    return _relative_mismatch(tf_full, transfer_at(rom, mu), lambda g: g @ d)
+    return _tangential_mismatch(tf_full, transfer_at(rom, mu), v, interp.l)
 
 
 def tangential_mismatch_swapped(
     full: StateSpaceModel, rom: StateSpaceModel, interp: SwappedInterpolant
 ) -> float:
     """Dual of :func:`tangential_mismatch_direct`: at each left eigenpair
-    (lam, w) of q the moment pins the transfer value along w^T r."""
+    (lam, w) of q the moment pins the transfer value along w^T r: the direct
+    check of the dual plant and ROM (transfer values G^T, Gr^T) at l = r^T."""
     _, mu, w, tf_full = _moment(full, interp)
-    d = (w.T @ interp.r)[:, None, :]  # direction w^T r per eigenpair
-    return _relative_mismatch(tf_full, transfer_at(rom, mu), lambda g: d @ g)
+    dual = lambda g: g.transpose(0, 2, 1)
+    return _tangential_mismatch(dual(tf_full), dual(transfer_at(rom, mu)), w, interp.r.T)
 
 
-def _relative_mismatch(tf_full: np.ndarray, tf_rom: np.ndarray, along) -> float:
-    """max_j ||along(G(mu_j) - Gr(mu_j))|| / max(1, ||along(G(mu_j))||), for
-    (k, p, m) stacks of transfer values and ``along`` projecting them."""
-    diff = np.linalg.norm(along(tf_full - tf_rom), axis=(1, 2))
-    ref = np.linalg.norm(along(tf_full), axis=(1, 2))
+def _tangential_mismatch(tf_full: np.ndarray, tf_rom: np.ndarray, v: np.ndarray, l: np.ndarray) -> float:
+    """max_j ||(G(mu_j) - Gr(mu_j)) l v_j|| / max(1, ||G(mu_j) l v_j||), for
+    (k, p, m) stacks of transfer values at the eigenpairs (mu_j, v_j)."""
+    d = (l @ v).T[:, :, None]  # direction l v per eigenpair
+    diff = np.linalg.norm((tf_full - tf_rom) @ d, axis=(1, 2))
+    ref = np.linalg.norm(tf_full @ d, axis=(1, 2))
     return float((diff / np.maximum(1.0, ref)).max())

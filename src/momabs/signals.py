@@ -31,8 +31,8 @@ class Term:
             raise ValueError(f"unknown term kind {self.kind!r}")
         for name in PARAMETERS:
             v = getattr(self, name)
-            # a bound, not math.isfinite, so an int past the float range is refused too
-            if not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+            # a bound, not math.isfinite, refuses an int past the float range; true is no number
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
                 raise ValueError(f"term field {name!r} must be a finite number, got {v!r}")
         if self.kind == "expdecay" and self.rate <= 0:
             raise ValueError("expdecay rate must be positive")

@@ -412,11 +412,12 @@ class TestSimulate:
             ({"channels": [[{"kind": "sin", "amp": 1.0}]]}, "field(s): 'amp'"),
             ({"channels": [[{"kind": "sin", "amplitude": "abc"}]]}, "field 'amplitude'"),
             ({"channels": [[{"kind": "sin", "amplitude": 10**400}]]}, "field 'amplitude'"),
+            ({"channels": [[{"kind": "sin", "amplitude": True}]]}, "field 'amplitude'"),
             ({"channels": [[{"amplitude": 1.0}]]}, "field 'kind'"),
             ({"channels": {}}, "'channels' list"),
         ],
         ids=[
-            "unknown-term-key", "non-numeric-field", "huge-int-field", "missing-kind",
+            "unknown-term-key", "non-numeric-field", "huge-int-field", "bool-field", "missing-kind",
             "channels-not-list",
         ],
     )

@@ -143,10 +143,12 @@ def per_value_svg_points(times, channels):
         if ymax == ymin:  # above 2**53: a one-ulp range, stepping towards 0
             ymin, ymax = sorted((ymin, float(np.nextafter(ymin, 0.0))))
     tmin, tmax = float(times[0]), float(times[-1])
+    k = 1.0 if np.isfinite(480 * (ymax - ymin)) else 2.0**-10  # 480 (ymax - ymin) overflows
     stride = max(1, times.size // 2000)
     return [
         " ".join(
-            f"{60 + 780 * (t - tmin) / (tmax - tmin):.2f},{600 - 60 - 480 * (v - ymin) / (ymax - ymin):.2f}"
+            f"{60 + 780 * (t - tmin) / (tmax - tmin):.2f},"
+            f"{600 - 60 - 480 * (k * v - k * ymin) / (k * ymax - k * ymin):.2f}"
             for t, v in zip(times[::stride], values[::stride])
         )
         for values in channels
@@ -206,10 +208,12 @@ class TestWriterByteIdentity:
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(  # |v| <= 1e300 keeps ymax - ymin finite
+    @given(  # the full finite range, where ymax - ymin and 480 (ymax - ymin) can overflow
         channels=st.integers(2, 50).flatmap(
             lambda n: st.lists(
-                st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n), min_size=1, max_size=3
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=1,
+                max_size=3,
             )
         )
     )
@@ -221,16 +225,22 @@ class TestWriterByteIdentity:
         got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
         assert got == per_value_svg_points(times, values)
 
-    # above 2**53, ymin + 1 == ymin, which once divided by a zero range
+    # above 2**53, ymin + 1 == ymin, which once divided by a zero range; a
+    # range of 2e308 is not a double, which once gave nan coordinates
     @pytest.mark.parametrize(
-        "level", [2.5, -(2.0**53), 2.0**53 + 2, 1e17, -1e300, 1.7976931348623157e308]
+        "level",
+        [
+            2.5, -(2.0**53), 2.0**53 + 2, 1e17, -1e300, 1.7976931348623157e308,
+            pytest.param([-1e308, 0.0, 1e308], id="range-2e308"),
+        ],
     )
     def test_svg_constant_series(self, tmp_path, level):
         path = tmp_path / "flat.svg"
-        times, values = np.linspace(0.0, 1.0, 5), np.full(5, level)
+        times, values = np.linspace(0.0, 1.0, 5), np.resize(level, 5)
         write_svg(path, times, {"y": values})
         got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
         assert got == per_value_svg_points(times, [values])
+        assert "nan" not in path.read_text() and "inf" not in got[0]
 
     # stride = samples // 2000 steps from 1 to 2 between 3999 and 4000 samples
     @pytest.mark.parametrize("samples", [2, 3999, 4000, 4001])

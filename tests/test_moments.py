@@ -83,9 +83,21 @@ class TestMomentMemo:
         with pytest.raises(ValueError, match="read-only"):
             ups[0, 0] = 0.0
         [(kept, value)] = moments._moments
-        assert value[0] is ups
+        # Ups is a transposed view of the dual plant's Pi, not a copy
+        assert np.shares_memory(ups, value[0]) and np.array_equal(ups, value[0].T)
         assert all(not x.flags.writeable for x in (*kept, *value))
         assert not any(np.shares_memory(x, y) for x in kept for y in (si.q, sys.a))
+
+    def test_swapped_is_the_dual_direct_moment(self, sylvester_calls, rng):
+        # q Ups = Ups a + r c is the transpose of Pi q^T = a^T Pi + c^T r^T
+        sys = random_stable_system(rng, n=5, m=2, p=3)
+        si = SwappedInterpolant(q=real_and_pair_generator(rng), r=rng.standard_normal((3, 3)))
+        ups = moment_swapped(sys, si).upsilon
+        dual = StateSpaceModel(a=sys.a.T, b=sys.c.T, c=sys.b.T)
+        pi = moment_direct(dual, DirectInterpolant(s=si.q.T, l=si.r.T)).pi
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        assert np.array_equal(bits(ups), bits(pi.T))
+        assert len(sylvester_calls) == 1
 
     def test_in_place_change_is_a_miss(self, sylvester_calls, rng):
         # the memo compares with its own copies, not with the caller's arrays
@@ -290,6 +302,21 @@ class TestMemoizedTransfer:
         _, mu, _, tf = moments._moment(sys, interp)
         for point, got in zip(mu, tf):
             assert np.allclose(got, transfer_eval(sys, point), rtol=1e-13, atol=0)
+
+
+    @pytest.mark.parametrize("side", ["direct", "swapped"])
+    def test_interpolant_as_large_as_plant(self, side, sylvester_calls, transfer_calls, rng):
+        # a tie shifts the interpolant's eigenvalues: G comes from the gated inverses
+        sys = random_stable_system(rng, n=4, m=2, p=3)
+        gen = block_diag_spectrum([1j, -1j, 2j, -2j])
+        if side == "direct":
+            interp = DirectInterpolant(s=gen, l=rng.standard_normal((2, 4)))
+        else:
+            interp = SwappedInterpolant(q=gen, r=rng.standard_normal((4, 3)))
+        _, mu, _, tf = moments._moment(sys, interp)
+        assert transfer_calls == [] and len(sylvester_calls) == 1
+        for got, want in zip(tf, moments.transfer_at(sys, mu)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestTransferEval:

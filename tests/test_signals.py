@@ -37,6 +37,12 @@ class TestTerm:
         with pytest.raises(ValueError, match="finite"):
             Term("sin", amplitude=float("inf"))
 
+    @pytest.mark.parametrize("name", ["amplitude", "frequency", "phase", "rate"])
+    def test_bool_rejected(self, name):
+        data = {"channels": [[{"kind": "sin", name: True}]]}
+        with pytest.raises(ValueError, match=f"term field '{name}' must be a finite number, got True"):
+            SignalSpec.from_dict(data)
+
 
 class TestSignalSpec:
     def test_scalar_and_array_shapes(self):
