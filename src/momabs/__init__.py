@@ -37,9 +37,7 @@ from .abstraction import (
     embedding_residuals,
     final_abstraction,
     gamma_gain,
-    interface_eval,
     m_relation_residuals,
-    simulation_fn_derivative,
     simulation_fn_value,
     synth_certificate,
 )
@@ -49,10 +47,8 @@ from .sim import (
     InterconnectionSpec,
     Trajectory,
     integrate,
-    run_direct_generator,
     run_hierarchical,
     run_m_direct,
-    run_swapped_filter,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

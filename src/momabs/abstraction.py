@@ -220,12 +220,6 @@ def simulation_fn_value(cert: SimulationCertificate, xi, x) -> float:
     return float(np.sqrt(max(e @ cert.w @ e, 0.0)))
 
 
-def interface_eval(cert: SimulationCertificate, v, xi, x) -> np.ndarray:
-    """Concrete input u = r_hat v + l_hat xi + k (x - p xi)."""
-    v, xi, x = (np.asarray(z, float).reshape(-1) for z in (v, xi, x))
-    return cert.r_hat @ v + cert.l_hat @ xi + cert.k @ (x - cert.p @ xi)
-
-
 def gamma_gain(cert: SimulationCertificate, b, g) -> float:
     """Slope of the linear class-K gain: ||w^{1/2} (b r_hat - p g)||_2 / lam.
 
@@ -236,25 +230,6 @@ def gamma_gain(cert: SimulationCertificate, b, g) -> float:
     g = as_matrix(g, "g")
     mat = cert.w_sqrt() @ (b @ cert.r_hat - cert.p @ g)
     return float(np.linalg.norm(mat, 2) / cert.lam)
-
-
-def simulation_fn_derivative(
-    cert: SimulationCertificate,
-    sys: StateSpaceModel,
-    abstract: StateSpaceModel,
-    v,
-    xi,
-    x,
-) -> float:
-    """Directional derivative of V along the interconnected vector field."""
-    v, xi, x = (np.asarray(z, float).reshape(-1) for z in (v, xi, x))
-    e = cert.p @ xi - x
-    val = simulation_fn_value(cert, xi, x)
-    if val == 0.0:
-        raise ValueError("derivative is undefined at V = 0")
-    u = interface_eval(cert, v, xi, x)
-    e_dot = cert.p @ (abstract.a @ xi + abstract.b @ v) - (sys.a @ x + sys.b @ u)
-    return float(e @ cert.w @ e_dot / val)
 
 
 def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:

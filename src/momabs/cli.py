@@ -243,6 +243,8 @@ def cmd_verify(args) -> RunReport:
     sys_model = load_model(args.model)
     artifact = load_json(args.artifact)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ValueError(f"no checks named; known: {', '.join(CHECK_NAMES)}")
     for check in checks:
         if check not in CHECK_NAMES:
             raise ValueError(f"unknown check {check!r}; known: {', '.join(CHECK_NAMES)}")

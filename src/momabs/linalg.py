@@ -8,12 +8,12 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DISJOINT_TOL = 1e-8  # eigenvalues this close count as shared between two spectra
-SPECTRUM_TOL = 1e-8  # real parts within it are "zero"; eigenvalues closer are not simple
+SPECTRUM_TOL = 1e-8  # Hurwitz: real parts below -SPECTRUM_TOL; eigenvalues closer are not simple
 SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
 SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
@@ -111,22 +111,17 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     all_simple: bool
     max_real_part: float
-    classification: tuple[str, ...] = field(default=())
 
     def is_hurwitz(self) -> bool:
-        return all(c == "negative" for c in self.classification)
-
-    def on_imaginary_axis(self) -> bool:
-        return all(c == "zero" for c in self.classification)
+        return self.max_real_part < -SPECTRUM_TOL
 
 
 def eigenvalues(m) -> SpectrumReport:
-    """Spectrum of a square matrix with simplicity and sign classification.
+    """Spectrum of a square matrix with its simplicity and largest real part.
 
     ``all_simple`` is true iff the minimum pairwise eigenvalue distance
-    exceeds SPECTRUM_TOL; real parts within SPECTRUM_TOL of zero are
-    classified as "zero".  The eigenvalues are sorted by real then imaginary
-    part.
+    exceeds SPECTRUM_TOL; the matrix is Hurwitz iff every real part is below
+    -SPECTRUM_TOL.  The eigenvalues are sorted by real then imaginary part.
     """
     vals = _sorted_spectrum(_square(m, "matrix"))
     n = vals.size
@@ -135,12 +130,10 @@ def eigenvalues(m) -> SpectrumReport:
         diff = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(diff, np.inf)
         all_simple = bool(diff.min() > SPECTRUM_TOL)
-    labels = ["negative" if x < -SPECTRUM_TOL else "positive" if x > SPECTRUM_TOL else "zero" for x in vals.real]
     return SpectrumReport(
         eigenvalues=vals,
         all_simple=all_simple,
         max_real_part=float(vals.real.max()),
-        classification=tuple(labels),
     )
 
 

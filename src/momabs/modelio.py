@@ -23,13 +23,16 @@ class ModelFileError(ValueError):
 
 def load_json(path) -> dict:
     """Parse a model, spec or artifact file; its top level must be a JSON object."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # invalid UTF-8, or an integer past the digit limit
+        raise ModelFileError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFileError(f"{path}: JSON nested too deeply ({exc})") from exc
     if not isinstance(data, dict):
         raise ModelFileError(f"{path}: top level must be a JSON object, got {type(data).__name__}")
     return data

@@ -78,14 +78,6 @@ class SignalSpec:
         )
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
-    def is_decaying(self) -> bool:
-        """True iff every term vanishes or decays exponentially."""
-        return all(
-            term.kind in ("zero", "expdecay") or term.amplitude == 0.0
-            for ch in self.channels
-            for term in ch
-        )
-
     def is_zero(self) -> bool:
         return all(
             term.kind == "zero" or term.amplitude == 0.0

@@ -4,8 +4,10 @@ Every topology reduces to a linear ODE z' = A z + B w(t) with an exogenous
 signal w, integrated deterministically by classic RK4 on a uniform grid at
 readout level (:func:`rk4_linear`).  TOPOLOGIES holds each interconnection's
 whole contract: field shapes, assembly and output error, which every run
-writes as ``outputs["err"]``.  The run_* helpers read out only that err and
-the topology's outputs, except run_m_direct's eps_s = xi - m x.
+writes as ``outputs["err"]``; :func:`integrate` runs any spec, as ``momabs
+simulate`` does.  The paper example's two runs, run_hierarchical and
+run_m_direct, read out only that err and the topology's outputs, except
+run_m_direct's eps_s = xi - m x.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .abstraction import (
     gamma_gain,
     simulation_fn_value,
 )
-from .linalg import StateSpaceModel, _require_shapes, as_matrix, as_vector, eigenvalues, excitable
+from .linalg import StateSpaceModel, _require_shapes, as_matrix, as_vector, eigenvalues
 from .moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -292,8 +294,9 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
     and each of ``readouts`` (name -> {state block: matrix}, summed over the
     blocks) in ``Trajectory.readouts``.  A moment-based error
     (direct-generator, swapped-filter) raises ValueError where its Sylvester
-    equation is ill-posed, and takes a moment already solved (as
-    run_swapped_filter does for its link) from the moments memo."""
+    equation is ill-posed, and takes a moment already solved (such as the
+    moment_swapped whose moment is a swapped filter's upsilon_b) from the
+    moments memo."""
     topo = TOPOLOGIES[spec.topology]
     a_aug, b_aug, z0, sizes, outputs = topo.assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
@@ -434,62 +437,6 @@ def error_stats(times: np.ndarray, out_err: np.ndarray, extras: dict | None = No
         decay_rate=fit_decay_rate(times, out_err),
         extras=extras or {},
     )
-
-
-def run_direct_generator(
-    plant: StateSpaceModel,
-    interp: DirectInterpolant,
-    w0,
-    x0,
-    horizon: float = DEFAULT_HORIZON,
-    step: float = DEFAULT_STEP,
-) -> tuple[Trajectory, ErrorTrace]:
-    """Drive the plant by the signal generator w' = s w, u = l w and compare
-    the plant output against the steady-state prediction C Pi w."""
-    spec = InterconnectionSpec(
-        topology="direct-generator",
-        models={"plant": plant},
-        links={"s": interp.s, "l": interp.l},
-        initial={"w": w0, "x": x0},
-        signal=SignalSpec.zero(1),
-        horizon=horizon,
-        step=step,
-    )
-    traj = integrate(spec)
-    gen_spec = eigenvalues(interp.s)
-    extras = {
-        "plant_hurwitz": eigenvalues(plant.a).is_hurwitz(),
-        "generator_neutral_simple": gen_spec.on_imaginary_axis() and gen_spec.all_simple,
-        "excitable": excitable(interp.s, w0),
-    }
-    norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    return traj, error_stats(traj.times, norms, extras=extras)
-
-
-def run_swapped_filter(
-    plant: StateSpaceModel,
-    interp: SwappedInterpolant,
-    u: SignalSpec,
-    horizon: float = DEFAULT_HORIZON,
-    step: float = DEFAULT_STEP,
-) -> tuple[Trajectory, ErrorTrace]:
-    """Filter the plant output through w' = q w + r y from rest, tracking the
-    limiting error model zeta' = q zeta + Ups b u in parallel."""
-    if not u.is_decaying():
-        raise ValueError("input signal must decay exponentially")
-    sol = moment_swapped(plant, interp)
-    spec = InterconnectionSpec(
-        topology="swapped-filter",
-        models={"plant": plant},
-        links={"q": interp.q, "r": interp.r, "upsilon_b": sol.moment},
-        initial={},
-        signal=u,
-        horizon=horizon,
-        step=step,
-    )
-    traj = integrate(spec)
-    norms = np.linalg.norm(traj.outputs["err"], axis=1)
-    return traj, error_stats(traj.times, norms)
 
 
 def run_hierarchical(

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from momabs import moments
+from momabs.abstraction import simulation_fn_value
 from momabs.linalg import StateSpaceModel, eigenvalues, spectra_disjoint
+from momabs.signals import SignalSpec
+from momabs.sim import TOPOLOGIES, InterconnectionSpec, error_stats, integrate
 
 
 @pytest.fixture
@@ -97,3 +100,53 @@ def random_swapped_interpolant(rng, sys, freq=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def direct_generator_spec(plant, interp, w0, x0, **grid):
+    """The plant driven by the signal generator w' = s w, u = l w."""
+    return InterconnectionSpec(
+        topology="direct-generator", models={"plant": plant},
+        links={"s": interp.s, "l": interp.l}, initial={"w": w0, "x": x0},
+        signal=SignalSpec.zero(1), **grid,
+    )
+
+
+def swapped_filter_spec(plant, interp, u, **grid):
+    """The plant output filtered by w' = q w + r y from rest, next to the
+    limiting error model zeta' = q zeta + Ups b u (upsilon_b the swapped moment)."""
+    upsilon_b = moments.moment_swapped(plant, interp).moment
+    return InterconnectionSpec(
+        topology="swapped-filter", models={"plant": plant},
+        links={"q": interp.q, "r": interp.r, "upsilon_b": upsilon_b},
+        initial={}, signal=u, **grid,
+    )
+
+
+def run_spec(spec):
+    """integrate(spec) and the error_stats of its err norms."""
+    traj = integrate(spec)
+    return traj, error_stats(traj.times, np.linalg.norm(traj.outputs["err"], axis=1))
+
+
+def hierarchical_field(plant, abstract, cert):
+    """(v, xi, x) -> (xi', x') from the hierarchical topology's assembled system."""
+    spec = InterconnectionSpec(
+        topology="hierarchical", models={"plant": plant, "abstract": abstract},
+        links={"p": cert.p, "l_hat": cert.l_hat, "k": cert.k, "r_hat": cert.r_hat},
+        initial={"x": np.zeros(plant.n), "xi": np.zeros(abstract.n)},
+        signal=SignalSpec.zero(abstract.m),
+    )
+    a_aug, b_aug, _, sizes, _ = TOPOLOGIES["hierarchical"].assemble(spec)
+
+    def field(v, xi, x):
+        z_dot = a_aug @ np.concatenate([xi, x]) + b_aug @ v
+        return z_dot[: sizes["xi"]], z_dot[sizes["xi"] :]
+
+    return field
+
+
+def simulation_fn_rate(cert, field, v, xi, x):
+    """dV/dt = e^T w e' / V along ``field``, with e = p xi - x."""
+    xi_dot, x_dot = field(v, xi, x)
+    e = cert.p @ xi - x
+    return float(e @ cert.w @ (cert.p @ xi_dot - x_dot) / simulation_fn_value(cert, xi, x))

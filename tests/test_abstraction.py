@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import non_normal_stable_system, random_stable_system, rotation_block
+from conftest import (
+    hierarchical_field,
+    non_normal_stable_system,
+    random_stable_system,
+    rotation_block,
+    simulation_fn_rate,
+)
 from momabs import abstraction, springmass
 from momabs.abstraction import (
     check_design,
@@ -15,9 +21,7 @@ from momabs.abstraction import (
     design_abstraction,
     final_abstraction,
     gamma_gain,
-    interface_eval,
     m_relation_residuals,
-    simulation_fn_derivative,
     simulation_fn_value,
     solve_embedding,
     synth_certificate,
@@ -325,51 +329,51 @@ class TestSimulationFunction:
         cert = springmass_certificate()
         plant = springmass.concrete()
         abstract = springmass.abstract()
+        field = hierarchical_field(plant, abstract, cert)
         v = np.zeros(4)
         for _ in range(50):
             xi = rng.standard_normal(2)
             x = rng.standard_normal(4)
             if simulation_fn_value(cert, xi, x) < 1e-9:
                 continue
-            dv = simulation_fn_derivative(cert, plant, abstract, v, xi, x)
+            dv = simulation_fn_rate(cert, field, v, xi, x)
             assert dv < 0
-
-    def test_derivative_undefined_at_zero(self):
-        cert = springmass_certificate()
-        xi = np.array([1.0, 2.0])
-        with pytest.raises(ValueError, match="undefined"):
-            simulation_fn_derivative(
-                cert, springmass.concrete(), springmass.abstract(), np.zeros(4), xi, cert.p @ xi
-            )
 
     def test_decay_rate_exceeds_lambda(self, rng):
         cert = springmass_certificate()
         plant = springmass.concrete()
         abstract = springmass.abstract()
+        field = hierarchical_field(plant, abstract, cert)
         for _ in range(20):
             xi = rng.standard_normal(2)
             x = rng.standard_normal(4)
             val = simulation_fn_value(cert, xi, x)
             if val < 1e-9:
                 continue
-            dv = simulation_fn_derivative(cert, plant, abstract, np.zeros(4), xi, x)
+            dv = simulation_fn_rate(cert, field, np.zeros(4), xi, x)
             assert dv <= -cert.lam * val + 1e-8 * val
 
 
 class TestInterface:
+    """The x-rows of the assembled hierarchical system are a x + b u at the
+    interface u = r_hat v + l_hat xi + k (x - p xi)."""
+
     def test_matches_feedback_plus_feedforward_form(self, rng):
         cert = springmass_certificate()
+        plant = springmass.concrete()
+        field = hierarchical_field(plant, springmass.abstract(), cert)
         for _ in range(20):
             v = rng.standard_normal(4)
             xi = rng.standard_normal(2)
             x = rng.standard_normal(4)
-            u = interface_eval(cert, v, xi, x)
-            u_alt = cert.k @ x + cert.r_hat @ v + (cert.l_hat - cert.k @ cert.p) @ xi
-            assert np.abs(u - u_alt).max() < 1e-10
+            _, x_dot = field(v, xi, x)
+            u = cert.r_hat @ v + cert.l_hat @ xi + cert.k @ (x - cert.p @ xi)
+            assert np.abs(x_dot - (plant.a @ x + plant.b @ u)).max() < 1e-10
 
     def test_zero_everything_gives_zero(self):
         cert = springmass_certificate()
-        assert np.abs(interface_eval(cert, np.zeros(4), np.zeros(2), np.zeros(4))).max() == 0.0
+        field = hierarchical_field(springmass.concrete(), springmass.abstract(), cert)
+        assert np.abs(field(np.zeros(4), np.zeros(2), np.zeros(4))[1]).max() == 0.0
 
 
 class TestGammaGain:

@@ -10,18 +10,22 @@ import numpy as np
 import pytest
 
 from conftest import (
+    direct_generator_spec,
+    hierarchical_field,
     non_normal_stable_system,
     random_direct_interpolant,
     random_stable_system,
     random_swapped_interpolant,
     rotation_block,
+    run_spec,
+    simulation_fn_rate,
+    swapped_filter_spec,
 )
 from momabs import springmass
 from momabs.abstraction import (
     StabilizedLink,
     design_abstraction,
     gamma_gain,
-    simulation_fn_derivative,
     simulation_fn_value,
     synth_certificate,
 )
@@ -38,12 +42,7 @@ from momabs.moments import (
     transfer_eval,
 )
 from momabs.signals import SignalSpec, Term
-from momabs.sim import (
-    run_direct_generator,
-    run_hierarchical,
-    run_m_direct,
-    run_swapped_filter,
-)
+from momabs.sim import run_hierarchical, run_m_direct
 
 
 def verdict(label: str, ok: bool, detail: str) -> None:
@@ -168,13 +167,13 @@ def test_05_limiting_behaviour_random(rng):
         n = int(rng.integers(3, 7))
         sys = random_stable_system(rng, n=n, m=1, p=1, margin=2.0)
         di = random_direct_interpolant(rng, sys, freq=1.0 + rng.random())
-        _, err_d = run_direct_generator(
+        _, err_d = run_spec(direct_generator_spec(
             sys, di, [1.0, 0.0], rng.standard_normal(n), horizon=10.0, step=2e-3
-        )
+        ))
         worst_direct = max(worst_direct, err_d.sup_norm)
         si = random_swapped_interpolant(rng, sys, freq=2.5 + rng.random())
         u = SignalSpec(((Term("expdecay", amplitude=2.0, rate=1.0),),))
-        _, err_s = run_swapped_filter(sys, si, u, horizon=10.0, step=2e-3)
+        _, err_s = run_spec(swapped_filter_spec(sys, si, u, horizon=10.0, step=2e-3))
         worst_swapped = max(worst_swapped, float(np.max(err_s.out_err)))
     elapsed = time.perf_counter() - start
     ok = worst_direct <= 1e-4 and worst_swapped <= 1e-5 and elapsed < 60.0
@@ -267,6 +266,7 @@ def test_09_consistent_link_mirrors_exactly(plant, design, rng):
 
 def test_10_simulation_function_decrease(plant, abstract, cert, rng):
     gain = gamma_gain(cert, plant.b, abstract.b)
+    field = hierarchical_field(plant, abstract, cert)
     violations, samples = 0, 0
     while samples < 1000:
         xi = 5.0 * rng.standard_normal(2)
@@ -279,7 +279,7 @@ def test_10_simulation_function_decrease(plant, abstract, cert, rng):
         norm_v = np.linalg.norm(v)
         if norm_v > 0 and gain * norm_v >= 0.9 * val:
             v *= 0.9 * val / (gain * norm_v)
-        dv = simulation_fn_derivative(cert, plant, abstract, v, xi, x)
+        dv = simulation_fn_rate(cert, field, v, xi, x)
         samples += 1
         if dv >= 0.0:
             violations += 1

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import non_normal_stable_system, rotation_block
+from conftest import (
+    direct_generator_spec,
+    non_normal_stable_system,
+    rotation_block,
+    run_spec,
+    swapped_filter_spec,
+)
 from momabs import abstraction, cli, modelio, sim, springmass
 from momabs.abstraction import (
     RESIDUAL_TOL,
@@ -66,8 +73,9 @@ def certificate_fields(cert, f):
 @functools.lru_cache(maxsize=None)
 def topology_runs():
     """Per topology, and for run_m_direct as "m-direct": a simulate spec (JSON
-    data) on the spring-mass example and the result of the matching sim.run_*
-    call, both on the same grid."""
+    data) on the spring-mass example and the in-process run of the same
+    interconnection (the sim.run_* call where there is one), both on the same
+    grid."""
     plant, abstract = springmass.concrete(), springmass.abstract()
     cert = springmass_certificate()
     k = cert.k
@@ -79,16 +87,17 @@ def topology_runs():
     si = SwappedInterpolant(q=rotation_block(5.0), r=np.eye(2))
     x0, xi0, v, u = springmass.X0, springmass.XI0, springmass.v_signal(), springmass.u_signal()
     grid = (1.0, 0.01)
-    cases = {  # topology, models, links, initial, signal, run_* result
+    cases = {  # topology, models, links, initial, signal, in-process result
         "direct-generator": (
             "direct-generator", {"plant": plant}, {"s": di.s, "l": di.l}, {"w": xi0, "x": x0},
             None,
-            sim.run_direct_generator(plant, di, xi0, x0, *grid),
+            run_spec(direct_generator_spec(plant, di, xi0, x0, horizon=grid[0], step=grid[1])),
         ),
         "swapped-filter": (
             "swapped-filter", {"plant": plant},
             {"q": si.q, "r": si.r, "upsilon_b": moment_swapped(plant, si).moment},
-            {}, decaying(2), sim.run_swapped_filter(plant, si, decaying(2), *grid),
+            {}, decaying(2),
+            run_spec(swapped_filter_spec(plant, si, decaying(2), horizon=grid[0], step=grid[1])),
         ),
         "hierarchical": (
             "hierarchical", {"plant": plant, "abstract": abstract},
@@ -531,7 +540,7 @@ class TestSimulate:
         n_s = design.n_map + design.gamma @ cert.k
         aux = StateSpaceModel(a=plant.a + plant.b @ cert.k, b=plant.b, c=-n_s)
         interp = SwappedInterpolant(q=design.f, r=design.g)
-        _, err = sim.run_swapped_filter(aux, interp, decaying(2), 1.0, 0.01)
+        _, err = run_spec(swapped_filter_spec(aux, interp, decaying(2), horizon=1.0, step=0.01))
         spec = {
             "topology": "swapped-filter",
             "models": {"plant": model_dict(aux)},
@@ -699,6 +708,38 @@ class TestVerify:
         code = main(["verify", plant_file, "--artifact", artifact, "--checks", "bogus"])
         assert code == 2
         assert "unknown check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_no_check_named_exits_2(self, tmp_path, plant_file, capsys, checks):
+        artifact = self._artifact(tmp_path)
+        code = main(["verify", plant_file, "--artifact", artifact, "--checks", checks])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: no checks named; known: {', '.join(cli.CHECK_NAMES)}\n"
+
+    @pytest.mark.parametrize(
+        "content, shown",
+        [
+            (b'{"a": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "JSON nested too deeply"),
+            (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            pytest.param(
+                b'{"a": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+                ),
+            ),
+        ],
+        ids=["nested-too-deep", "invalid-utf8", "int-past-digit-limit"],
+    )
+    def test_unparsable_model_file_exits_2(self, tmp_path, capsys, content, shown):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code = main(["verify", str(path), "--artifact", str(path), "--checks", "spectra"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and shown in err
+        assert "Traceback" not in err
 
 
 DESIGN_CHECKS = (  # the residual table that check_design returns and `abstract` prints

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import non_normal_stable_system, random_stable_system, rotation_block
 from momabs import abstraction, linalg, moments, springmass
 from momabs.linalg import (
+    SPECTRUM_TOL,
     StateSpaceModel,
     block_diag_spectrum,
     eigenvalues,
@@ -60,7 +61,13 @@ class TestEigenvalues:
         expected = [3.1623j, -3.1623j, 1.5811j, -1.5811j]
         assert nearest_gap(rep.eigenvalues, expected) < 1e-3
         assert rep.all_simple
-        assert rep.on_imaginary_axis()
+        assert np.abs(rep.eigenvalues.real).max() <= SPECTRUM_TOL
+
+    def test_hurwitz_means_real_parts_below_tolerance(self):
+        # a real part within SPECTRUM_TOL of zero does not count as negative
+        assert eigenvalues(np.diag([-1.0, -2 * SPECTRUM_TOL])).is_hurwitz()
+        assert not eigenvalues(np.diag([-1.0, -0.5 * SPECTRUM_TOL])).is_hurwitz()
+        assert not eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]])).is_hurwitz()
 
     def test_identity_not_simple(self):
         rep = eigenvalues(np.eye(3))

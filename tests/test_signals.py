@@ -64,18 +64,12 @@ class TestSignalSpec:
     def test_zero_factory(self):
         spec = SignalSpec.zero(3)
         assert spec.dim == 3
-        assert spec.is_zero() and spec.is_decaying()
+        assert spec.is_zero()
         assert np.abs(spec.eval(np.linspace(0, 1, 4))).max() == 0.0
-
-    def test_decaying_classification(self):
-        decaying = SignalSpec(((Term("expdecay", amplitude=1.0, rate=0.5), Term("zero")),))
-        persistent = SignalSpec(((Term("cos", amplitude=1.0, frequency=2.0),),))
-        assert decaying.is_decaying() and not decaying.is_zero()
-        assert not persistent.is_decaying()
 
     def test_zero_amplitude_counts_as_decaying(self):
         spec = SignalSpec(((Term("sin", amplitude=0.0, frequency=5.0),),))
-        assert spec.is_decaying() and spec.is_zero()
+        assert spec.is_zero()
 
     def test_sup_norm(self):
         spec = SignalSpec(

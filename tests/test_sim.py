@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stable_system, rotation_block
+from conftest import (
+    direct_generator_spec,
+    random_stable_system,
+    rotation_block,
+    run_spec,
+    swapped_filter_spec,
+)
 from momabs import sim, springmass
 from momabs.abstraction import SimulationCertificate, StabilizedLink, synth_certificate
 from momabs.linalg import StateSpaceModel, place_poles
@@ -20,10 +26,8 @@ from momabs.sim import (
     fit_decay_rate,
     integrate,
     rk4_linear,
-    run_direct_generator,
     run_hierarchical,
     run_m_direct,
-    run_swapped_filter,
     time_grid,
 )
 
@@ -479,7 +483,7 @@ class TestDirectGenerator:
         interp = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
         sol = moment_direct(plant, interp)
         w0 = np.array([1.0, 0.0])
-        traj, err = run_direct_generator(plant, interp, w0, sol.pi @ w0, horizon=5.0, step=1e-3)
+        traj, err = run_spec(direct_generator_spec(plant, interp, w0, sol.pi @ w0, horizon=5.0, step=1e-3))
         # starting on x = Pi w the output equals C Pi w for all time
         assert np.abs(err.out_err).max() < 1e-6
         assert traj.readouts == {}
@@ -487,21 +491,18 @@ class TestDirectGenerator:
     def test_transient_decays_to_manifold(self, rng):
         plant = random_stable_system(rng, n=4, m=1, p=1, margin=2.0)
         interp = DirectInterpolant(s=rotation_block(1.5), l=rng.standard_normal((1, 2)))
-        traj, err = run_direct_generator(
+        traj, err = run_spec(direct_generator_spec(
             plant, interp, [1.0, 0.0], rng.standard_normal(4), horizon=10.0, step=2e-3
-        )
+        ))
         assert err.sup_norm < 1e-4
-        assert err.extras["plant_hurwitz"]
-        assert err.extras["generator_neutral_simple"]
-        assert err.extras["excitable"]
 
     def test_springmass_limiting_outputs(self):
         plant = springmass.concrete()
         interp = DirectInterpolant(s=springmass.abstract().a, l=springmass.l_hat())
-        traj, err = run_direct_generator(
+        traj, err = run_spec(direct_generator_spec(
             plant, interp, springmass.XI0, springmass.embedding_p() @ springmass.XI0,
             horizon=3.0, step=1e-3,
-        )
+        ))
         assert np.abs(err.out_err).max() < 1e-6
 
 
@@ -510,22 +511,15 @@ class TestSwappedFilter:
         plant = random_stable_system(rng, n=4, m=1, p=1, margin=1.5)
         interp = SwappedInterpolant(q=rotation_block(2.5), r=rng.standard_normal((2, 1)))
         u = expdecay_signal(1, amplitude=2.0, rate=1.0)
-        traj, err = run_swapped_filter(plant, interp, u, horizon=8.0, step=2e-3)
+        traj, err = run_spec(swapped_filter_spec(plant, interp, u, horizon=8.0, step=2e-3))
         assert err.sup_norm < 1e-5
         assert traj.readouts == {}
-
-    def test_persistent_input_rejected(self, rng):
-        plant = random_stable_system(rng, n=3, m=1, p=1)
-        interp = SwappedInterpolant(q=rotation_block(1.0), r=np.ones((2, 1)))
-        u = SignalSpec(((Term("sin", amplitude=1.0, frequency=1.0),),))
-        with pytest.raises(ValueError, match="decay"):
-            run_swapped_filter(plant, interp, u)
 
     def test_wrong_input_dim_rejected(self, rng):
         plant = random_stable_system(rng, n=3, m=2, p=1)
         interp = SwappedInterpolant(q=rotation_block(1.0), r=np.ones((2, 1)))
         with pytest.raises(ValueError, match="dimension"):
-            run_swapped_filter(plant, interp, expdecay_signal(1))
+            integrate(swapped_filter_spec(plant, interp, expdecay_signal(1)))
 
 
 def springmass_certificate():
@@ -667,10 +661,10 @@ class TestMSwapped:
 
     def test_prestabilized_springmass(self):
         design, plant_aux = self._prestabilized()
-        traj, err = run_swapped_filter(
+        traj, err = run_spec(swapped_filter_spec(
             plant_aux, SwappedInterpolant(q=design.f, r=design.g),
             expdecay_signal(2, amplitude=3.0, rate=0.8), horizon=8.0, step=2e-3,
-        )
+        ))
         assert err.sup_norm < 1e-5
 
     def test_swapped_moment_map_is_m_map(self):
@@ -682,24 +676,25 @@ class TestMSwapped:
 
 
 class TestMomentSolvedOnce:
-    """A run's err reuses the moment its run_* helper solved, via the moments memo."""
+    """A run's err reuses a moment already solved, such as a swapped filter's
+    upsilon_b, via the moments memo."""
 
     def test_direct_generator(self, sylvester_calls, rng):
         plant = random_stable_system(rng, n=4, m=1, p=1)
         interp = DirectInterpolant(s=rotation_block(1.5), l=rng.standard_normal((1, 2)))
-        run_direct_generator(plant, interp, [1.0, 0.0], np.zeros(4), horizon=0.5, step=1e-2)
+        integrate(direct_generator_spec(plant, interp, [1.0, 0.0], np.zeros(4), horizon=0.5, step=1e-2))
         assert len(sylvester_calls) == 1
 
     def test_swapped_filter(self, sylvester_calls, rng):
         plant = random_stable_system(rng, n=4, m=1, p=1)
         interp = SwappedInterpolant(q=rotation_block(2.5), r=rng.standard_normal((2, 1)))
-        run_swapped_filter(plant, interp, expdecay_signal(1), horizon=0.5, step=1e-2)
+        integrate(swapped_filter_spec(plant, interp, expdecay_signal(1), horizon=0.5, step=1e-2))
         assert len(sylvester_calls) == 1
 
     def test_m_swapped(self, sylvester_calls):
         design, plant_aux = TestMSwapped._prestabilized()
         interp = SwappedInterpolant(q=design.f, r=design.g)
-        run_swapped_filter(plant_aux, interp, expdecay_signal(2), 0.5, 1e-2)
+        integrate(swapped_filter_spec(plant_aux, interp, expdecay_signal(2), horizon=0.5, step=1e-2))
         assert len(sylvester_calls) == 1
 
     def test_bare_integrate_after_moment(self, sylvester_calls, rng):
@@ -758,6 +753,6 @@ class TestSteadyStateError:
         interp = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
         sol = moment_direct(plant, interp)
         w0 = np.array([1.0, 0.0])
-        traj, _ = run_direct_generator(plant, interp, w0, sol.pi @ w0, horizon=2.0, step=1e-3)
+        traj = integrate(direct_generator_spec(plant, interp, w0, sol.pi @ w0, horizon=2.0, step=1e-3))
         predicted = np.stack([_matrix_exp(interp.s, t) @ w0 for t in traj.times]) @ sol.moment.T
         assert np.abs(traj.outputs["y"] - predicted).max() < 1e-6
