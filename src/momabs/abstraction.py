@@ -24,6 +24,7 @@ from .linalg import (
     as_matrix,
     eigenvalues,
     numerical_rank,
+    rank_tol,
     solve_sylvester,
 )
 
@@ -285,8 +286,7 @@ def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
 def _kernel_basis(c: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(c) with a deterministic sign convention."""
     _, svals, vt = np.linalg.svd(c)
-    rank = int(np.sum(svals > max(c.shape) * svals[0] * 1e-12)) if svals.size else 0
-    basis = vt[rank:].T
+    basis = vt[np.sum(svals > rank_tol(c, svals)) :].T
     if basis.shape[1] == 0:
         raise ValueError("c has trivial kernel; no injection candidates")
     for j in range(basis.shape[1]):

@@ -132,11 +132,10 @@ def cmd_reduce(args) -> RunReport:
 
 def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
     """One transfer match per point of sigma(s) (sigma(q) for tag "q") with imag >= 0."""
-    points = eigenvalues(getattr(interp, tag)).eigenvalues
-    points = points[points.imag >= 0]  # conjugate value is redundant for real systems
-    _, mu, _, tf = moments._moment(full, interp)  # the plant's G at eig's copy of the points
-    nearest = np.abs(points[:, None] - mu).argmin(axis=1)
-    for lam, tf_full, tf_rom in zip(points, tf[nearest], moments.transfer_at(rom, points)):
+    _, mu, _, tf = moments._moment(full, interp)  # the points and the plant's G there
+    first = np.flatnonzero(mu.imag >= 0)  # conjugate value is redundant for real systems
+    first = first[np.lexsort((mu[first].imag, mu[first].real))]  # as eigenvalues() sorts
+    for lam, tf_full, tf_rom in zip(mu[first], tf[first], moments.transfer_at(rom, mu[first])):
         rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)
 
@@ -230,7 +229,12 @@ def _write_run(prefix, traj: sim.Trajectory, title: str) -> list:
     and those plus the error norm to prefix.svg; returns both paths."""
     csv_path, svg_path = f"{prefix}.csv", f"{prefix}.svg"
     write_csv(csv_path, traj.times, traj.outputs)
-    err_norm = np.linalg.norm(traj.outputs["err"], axis=1)
+    err = traj.outputs["err"]
+    with np.errstate(over="ignore"):  # a finite row whose squares overflow is scaled by 2^-e
+        err_norm = np.linalg.norm(err, axis=1)
+        big = np.isinf(err_norm) & np.isfinite(err).all(axis=1)
+        e = np.frexp(np.abs(err[big]).max(axis=1))[1]
+        err_norm[big] = np.ldexp(np.linalg.norm(np.ldexp(err[big], -e[:, None]), axis=1), e)
     write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": err_norm}, title=title)
     return [csv_path, svg_path]
 

@@ -2,7 +2,9 @@
 
 :func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
 :func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate` and
-:func:`_disjoint_gate`), PBH and excitability tests, and :func:`place_poles`.
+:func:`_disjoint_gate`), :func:`place_poles`, and the PBH rank test
+(:func:`pbh_observable`), the one rule for observability, reachability
+(:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
 """
 
 from __future__ import annotations
@@ -303,9 +305,11 @@ def _shift(a: np.ndarray, m) -> np.ndarray:
 
 
 def _norm_bound(m: np.ndarray) -> float:
-    """sqrt(||m||_1 ||m||_inf), an upper bound on ||m||_2 (Golub & Van Loan, 2.3)."""
-    mag = np.abs(m)
-    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+    """sqrt(||m||_1 ||m||_inf), an upper bound on ||m||_2 (Golub & Van Loan, 2.3);
+    inf where it passes the double range, so the exact bound decides."""
+    with np.errstate(over="ignore"):
+        mag = np.abs(m)
+        return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
 def _svd_bound(a: np.ndarray, shifts: np.ndarray, v: np.ndarray) -> float:
@@ -408,20 +412,20 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray) -> np.ndarray:
 
 
 def pbh_observable(s, l) -> bool:
-    """PBH observability of (s, l): rank [lam I - s; l] = n at each eigenvalue."""
+    """PBH observability of (s, l) (Hautus 1969): rank [s - lam I; l] = n at each
+    eigenvalue lam of s.  A conjugate pair is tested once, at imag(lam) >= 0:
+    the matrix at conj(lam) is the conjugate of the one at lam, of equal rank."""
     s = _square(s, "s")
     l = as_matrix(l, "l")
     n = s.shape[0]
     if l.shape[1] != n:
         raise ValueError(f"l has {l.shape[1]} cols, expected {n}")
-    for lam in eigenvalues(s).eigenvalues:
-        if numerical_rank(np.vstack([lam * np.eye(n) - s, l.astype(complex)])) < n:
-            return False
-    return True
+    lams = eigenvalues(s).eigenvalues
+    return all(numerical_rank(np.vstack([_shift(s, lam), l])) == n for lam in lams[lams.imag >= 0])
 
 
 def pbh_reachable(q, r) -> bool:
-    """PBH reachability of (q, r), dual of :func:`pbh_observable`."""
+    """PBH reachability (controllability) of (q, r), dual of :func:`pbh_observable`."""
     q = _square(q, "q")
     r = as_matrix(r, "r")
     if r.shape[0] != q.shape[0]:
@@ -430,22 +434,12 @@ def pbh_reachable(q, r) -> bool:
 
 
 def excitable(s, w0) -> bool:
-    """True iff the Krylov matrix [w0, s w0, ..., s^(n-1) w0] has full rank."""
+    """True iff w0 excites every mode of s: (s, w0) is reachable by :func:`pbh_reachable`."""
     s = _square(s, "s")
     w = as_vector(w0, "w0")
     if w.size != s.shape[0]:
         raise ValueError(f"w0 has size {w.size}, expected {s.shape[0]}")
-    return controllable(s, w[:, None])
-
-
-def controllable(a, b) -> bool:
-    a = _square(a, "a")
-    b = as_matrix(b, "b")
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    return numerical_rank(np.hstack(blocks)) == n
+    return pbh_reachable(s, w[:, None])
 
 
 def block_diag_spectrum(poles) -> np.ndarray:
@@ -482,6 +476,7 @@ def block_diag_spectrum(poles) -> np.ndarray:
 def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     """State-feedback gain K with sigma(a + b K) = sigma(target).
 
+    Refuses an (a, b) that :func:`pbh_reachable` finds not controllable.
     Draws a random gain Kbar, solves a X - X target = -b Kbar, and sets
     K = Kbar X^{-1}; retries with a fresh Kbar, up to PLACE_RETRIES draws, if
     X is near singular.
@@ -492,7 +487,7 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     n, m = b.shape
     if a.shape[0] != n or target.shape[0] != n:
         raise ValueError("a, b, target dimensions are inconsistent")
-    if not controllable(a, b):
+    if not pbh_reachable(a, b):
         raise ValueError("(a, b) is not controllable")
     want = eigenvalues(target).eigenvalues
     if not _apart(eigenvalues(a).eigenvalues, want):  # spectra_disjoint(a, target)

@@ -176,17 +176,18 @@ def rk4_linear(a, b, signal: SignalSpec, z0, times: np.ndarray, c=None) -> np.nd
         k4 = a @ (z + h * k3) + f1
         return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    t_map = step(np.eye(n), 0.0, 0.0, 0.0)
     if forced:
-        b = np.asarray(b, float)
-        zb = np.zeros_like(b)
-        g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
         w_grid = signal.eval(times)
         forcing = np.hstack([w_grid[:-1], signal.eval(times[:-1] + 0.5 * h), w_grid[1:]])
         del w_grid
     out = np.empty((times.size, q))
     out[0] = c @ z0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # T and G may overflow for a huge h a
+        t_map = step(np.eye(n), 0.0, 0.0, 0.0)
+        if forced:
+            b = np.asarray(b, float)
+            zb = np.zeros_like(b)
+            g_map = np.hstack([step(zb, b, 0.0, 0.0), step(zb, 0.0, b, 0.0), step(zb, 0.0, 0.0, b)])
         chunk = math.isqrt(steps)
         growth = np.linalg.norm(t_map, 1)
         if growth > 1.0:  # ||T^L||_1 <= ||T||_1^L <= MAX_CHUNK_GROWTH keeps T^L finite

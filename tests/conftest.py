@@ -29,6 +29,11 @@ def scipy_linalg():
 
 
 @pytest.fixture
+def scipy_signal():
+    return pytest.importorskip("scipy.signal", exc_type=ImportError)
+
+
+@pytest.fixture
 def transfer_calls(monkeypatch):
     """Record the system and point of every transfer_eval that moments makes."""
     calls, real_eval = [], moments.transfer_eval

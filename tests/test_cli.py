@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,19 @@ class TestReduce:
         rows = re.findall(r"^\[PASS\] (.*): value=", capsys.readouterr().out, re.M)
         assert rows == ["direct moment residual", "tangential transfer match at sigma(s)"]
 
+    def test_huge_plant_reduces_without_warning(self, tmp_path, capsys):
+        # sqrt(||M||_1 ||M||_inf) of a - mu I passes the double range; the exact bound decides
+        plant = springmass.concrete()
+        model = write_json(tmp_path / "sys.json", {**model_dict(plant), "a": (plant.a * 1e200).tolist()})
+        data = {"s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist()}
+        interp = write_json(tmp_path / "interp.json", {**data, "g": np.eye(2).tolist()})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["reduce", model, "--interp", interp, "--out", str(tmp_path / "rom.json")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
     def test_malformed_json_exits_2(self, tmp_path, plant_file, capsys):
         bad = tmp_path / "interp.json"
         bad.write_text('{"s": [[0, 1],\n')
@@ -390,6 +404,33 @@ class TestSimulate:
         assert code == 0
         rows = (tmp_path / "run.csv").read_text().strip().splitlines()
         assert len(rows) == 102  # header + 101 samples
+
+    def test_overflowing_propagator_exits_2_with_one_error_line(self, tmp_path, capsys):
+        spec = json.loads(Path(hierarchical_spec(tmp_path)).read_text())
+        plant = spec["models"]["plant"]
+        plant["a"] = (np.array(plant["a"]) * 1e150).tolist()
+        path = write_json(tmp_path / "huge.json", spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", path, "--out", str(tmp_path / "r"), "--step", "0.01"])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: state diverged at t=0.01\n"
+
+    def test_huge_finite_error_plots_finite(self, tmp_path, capsys):
+        # the squares of the err rows pass the double range, the rows themselves do not
+        spec = json.loads(Path(hierarchical_spec(tmp_path)).read_text())
+        spec["initial"]["x"] = [1e300, 0.0, 0.0, 0.0]
+        spec["signal"] = SignalSpec.zero(len(spec["signal"]["channels"])).to_dict()
+        path = write_json(tmp_path / "huge.json", spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", path, "--out", str(tmp_path / "r"), "--step", "0.01"])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        svg = (tmp_path / "r.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
 
     def test_zero_horizon_exits_2(self, tmp_path, capsys):
         spec = hierarchical_spec(tmp_path)

@@ -633,6 +633,32 @@ class TestConjugateFill:
             linalg._conjugate_fill(mu, np.ones((np.sum(mu.imag >= 0), 1)))
 
 
+def block_pair(seed, n_max):
+    """(a, b, reachable): a random pair of order n <= n_max with one or two
+    inputs, in a random basis, whose block-diagonal form mixes real
+    eigenvalues and conjugate pairs with distinct real parts.  Each block's
+    rows of b are zero with probability 1/4, which leaves its modes
+    unreachable; as the modes are apart, the pair is reachable iff no block is."""
+    r = np.random.default_rng(seed)
+    n = int(r.integers(1, n_max + 1))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(2 if n - sum(sizes) >= 2 and r.random() < 0.5 else 1)
+    d = np.zeros((n, n))
+    b = r.standard_normal((n, int(r.integers(1, 3))))
+    reachable, i = True, 0
+    for size, k in zip(sizes, r.permutation(len(sizes))):
+        re, im = -1.0 - k - 0.2 * r.random(), r.uniform(0.5, 3.0)
+        d[i : i + size, i : i + size] = [[re, im], [-im, re]] if size == 2 else re
+        if r.random() < 0.25:
+            b[i : i + size] = 0.0
+            reachable = False
+        i += size
+    while np.linalg.cond(t := r.standard_normal((n, n)) + 3 * np.eye(n)) > 100:
+        pass
+    return t @ d @ np.linalg.inv(t), t @ b, reachable
+
+
 class TestPBH:
     def test_golden_observable(self):
         assert pbh_observable(springmass.abstract().a, springmass.l_hat())
@@ -661,6 +687,31 @@ class TestPBH:
         l = r.standard_normal((2, 3))
         assert pbh_observable(s, l) == pbh_reachable(s.T, l.T)
 
+    def test_block_pairs_are_reachable_and_not(self):
+        assert {block_pair(seed, 6)[2] for seed in range(40)} == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_krylov_rank_on_small_pairs(self, seed):
+        # rank [b, a b, ..., a^(n-1) b] = n, reliable at these small orders
+        a, b, reachable = block_pair(seed, 6)
+        n = a.shape[0]
+        krylov = np.hstack([np.linalg.matrix_power(a, j) @ b for j in range(n)])
+        assert pbh_reachable(a, b) == (linalg.numerical_rank(krylov) == n) == reachable
+        assert pbh_observable(a.T, b.T) == reachable
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_pbh_at_every_eigenvalue(self, seed):
+        # the rank test at both members of each conjugate pair
+        a, b, reachable = block_pair(seed, 12)
+        n = a.shape[0]
+        every = all(
+            linalg.numerical_rank(np.hstack([lam * np.eye(n) - a, b])) == n
+            for lam in np.linalg.eigvals(a)
+        )
+        assert pbh_reachable(a, b) == every == reachable
+
 
 class TestExcitable:
     def test_golden_initial_condition(self):
@@ -682,6 +733,14 @@ class TestExcitable:
         if np.linalg.cond(t) > 1e3:
             return
         assert excitable(s, w0) == excitable(t @ s @ np.linalg.inv(t), t @ w0)
+
+    def test_generic_w0_on_order_16_oscillator(self):
+        # the Krylov matrix of this pair is numerically rank deficient
+        s = block_diag_spectrum([sign * 1j * f for f in range(1, 9) for sign in (1, -1)])
+        assert excitable(s, np.random.default_rng(0).standard_normal(16))
+
+
+ORDER_20_POLES = [-1 - 0.1 * j + sign * (0.5 + 0.2 * j) * 1j for j in range(10) for sign in (1, -1)]
 
 
 class TestPlacePoles:
@@ -713,6 +772,22 @@ class TestPlacePoles:
         b = np.array([[1.0], [0.0]])
         with pytest.raises(ValueError, match="controllable"):
             place_poles(a, b, -np.eye(2))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_controllable_order_20_plants_placed(self, seed):
+        # the Krylov matrix of each of these plants is numerically rank deficient
+        plant = non_normal_stable_system(np.random.default_rng(seed), n=20, m=2, p=2, cond=10.0)
+        k = place_poles(plant.a, plant.b, block_diag_spectrum(ORDER_20_POLES))
+        assert nearest_gap(eigenvalues(plant.a + plant.b @ k).eigenvalues, ORDER_20_POLES) < 1e-6
+
+    # scipy warns that its YT iteration, which only improves the closed-loop
+    # eigenvector conditioning, stopped short of its tolerance
+    @pytest.mark.filterwarnings("ignore:Convergence was not reached:UserWarning")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scipy_places_the_order_20_plants(self, scipy_signal, seed):
+        plant = non_normal_stable_system(np.random.default_rng(seed), n=20, m=2, p=2, cond=10.0)
+        k = -scipy_signal.place_poles(plant.a, plant.b, ORDER_20_POLES).gain_matrix
+        assert nearest_gap(eigenvalues(plant.a + plant.b @ k).eigenvalues, ORDER_20_POLES) < 1e-6
 
     def test_target_overlapping_plant_rejected(self):
         with pytest.raises(ValueError, match="intersects"):
