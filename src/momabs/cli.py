@@ -229,13 +229,7 @@ def _write_run(prefix, traj: sim.Trajectory, title: str) -> list:
     and those plus the error norm to prefix.svg; returns both paths."""
     csv_path, svg_path = f"{prefix}.csv", f"{prefix}.svg"
     write_csv(csv_path, traj.times, traj.outputs)
-    err = traj.outputs["err"]
-    with np.errstate(over="ignore"):  # a finite row whose squares overflow is scaled by 2^-e
-        err_norm = np.linalg.norm(err, axis=1)
-        big = np.isinf(err_norm) & np.isfinite(err).all(axis=1)
-        e = np.frexp(np.abs(err[big]).max(axis=1))[1]
-        err_norm[big] = np.ldexp(np.linalg.norm(np.ldexp(err[big], -e[:, None]), axis=1), e)
-    write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": err_norm}, title=title)
+    write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": sim.row_norms(traj.outputs["err"])}, title=title)
     return [csv_path, svg_path]
 
 

@@ -2,7 +2,9 @@
 
 :func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
 :func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate` and
-:func:`_disjoint_gate`), :func:`place_poles`, and the PBH rank test
+:func:`_disjoint_gate`; the Sylvester solver forms no inverse of a shifted
+matrix: an LU solve per shift, and one Cholesky factorization that proves
+sigma_min of it, :func:`_certify`), :func:`place_poles`, and the PBH rank test
 (:func:`pbh_observable`), the one rule for observability, reachability
 (:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
 """
@@ -125,18 +127,13 @@ def eigenvalues(m) -> SpectrumReport:
     exceeds SPECTRUM_TOL; the matrix is Hurwitz iff every real part is below
     -SPECTRUM_TOL.  The eigenvalues are sorted by real then imaginary part.
     """
-    vals = _sorted_spectrum(_square(m, "matrix"))
-    n = vals.size
-    all_simple = True
-    if n > 1:
-        diff = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(diff, np.inf)
-        all_simple = bool(diff.min() > SPECTRUM_TOL)
-    return SpectrumReport(
-        eigenvalues=vals,
-        all_simple=all_simple,
-        max_real_part=float(vals.real.max()),
-    )
+    try:
+        vals = np.linalg.eigvals(_square(m, "matrix"))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    apart = np.abs(vals[:, None] - vals) + np.diag(np.full(vals.size, np.inf))  # the pairs i != j
+    return SpectrumReport(vals, bool(apart.min() > SPECTRUM_TOL), float(vals.real.max()))
 
 
 def _memoized(memo: list, size: int, fn, *args) -> tuple:
@@ -171,15 +168,6 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return bool(np.array_equal(x.view(bits), y.view(bits)))
 
 
-def _sorted_spectrum(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a, sorted by real then imaginary part."""
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
-    return vals[np.lexsort((vals.imag, vals.real))]
-
-
 def spectra_disjoint(m1, m2) -> bool:
     """True iff every eigenvalue pair across the two spectra is > DISJOINT_TOL apart."""
     return _apart(eigenvalues(m1).eigenvalues, eigenvalues(m2).eigenvalues)
@@ -190,19 +178,20 @@ def _apart(e1: np.ndarray, e2: np.ndarray) -> bool:
     return bool(np.abs(e1[:, None] - e2[None, :]).min() > DISJOINT_TOL)
 
 
-def _disjoint_gate(inv_norm: float, a: np.ndarray, b, refusal: str) -> None:
+def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str, b=None) -> float:
     """Refuse with ``refusal`` unless sigma(a) is more than DISJOINT_TOL from
-    sigma(b), for a square b, or from the point b.
-
-    ``inv_norm`` bounds ||(a - mu I)^{-1}||_2 over those mu from above (inf
-    when an inverse could not be formed).  inv_norm DISJOINT_TOL < 1 proves
-    the gap without an eigensolve; otherwise the computed spectra decide, as
-    in :func:`spectra_disjoint`."""
-    if inv_norm * DISJOINT_TOL < 1:
-        return
-    points = eigenvalues(b).eigenvalues if np.ndim(b) == 2 else np.array([b])
+    the points ``shifts`` (for a square ``b``: from sigma(b), one shift per
+    conjugate pair of it).  Return t = max(tau, 2 DISJOINT_TOL) when
+    :func:`_certify` proves sigma_min(a - mu I) >= t at every shift, which
+    shows the gap without an eigensolve; otherwise the computed spectra
+    decide, as in :func:`spectra_disjoint`, and 0 is returned."""
+    tau = max(tau, 2 * DISJOINT_TOL)  # an inf or nan tau tries no proof
+    if np.isfinite(tau) and _certify(a, shifts, tau):
+        return tau
+    points = np.asarray(shifts) if b is None else eigenvalues(b).eigenvalues
     if not _apart(eigenvalues(a).eigenvalues, points):
         raise ValueError(refusal)
+    return 0.0
 
 
 def solve_sylvester(a, b, c, *, extra=None):
@@ -210,24 +199,24 @@ def solve_sylvester(a, b, c, *, extra=None):
 
     With b = v diag(mu) v^{-1} (b the smaller side or tied; a smaller a is
     solved through b^T X^T - X^T a^T = -c^T), column j of X v is
-    (a - mu_j I)^{-1} (c v)_j from the explicit inverse: O(k n^3) for an n x n
-    a and a k x k b.  A conjugate pair of shifts is solved once, at
-    imag(mu) >= 0 (:func:`_conjugate_fill`).  The system is refused by:
+    (a - mu_j I)^{-1} (c v)_j from one LU solve: O(k n^3) for an n x n a and
+    a k x k b.  A conjugate pair of shifts is solved once, at imag(mu) >= 0
+    (:func:`_conjugate_fill`).  The system is refused by:
 
-    * disjointness: max_j n((a - mu_j I)^{-1}) DISJOINT_TOL < 1, with
-      n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2 >= 1/dist(mu, sigma(a)) for
-      M = (a - mu I)^{-1}, proves the spectra apart; otherwise, or when an
-      inverse cannot be formed, :func:`spectra_disjoint` decides;
+    * disjointness: proving sigma_min(a - mu_j I) >= tau at every shift, tau =
+      max(2 DISJOINT_TOL, 2 cond(v)^2 max_j n(a - mu_j I) / SYLVESTER_COND_MAX)
+      with n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2 (:func:`_disjoint_gate`),
+      shows the spectra apart; otherwise :func:`spectra_disjoint` decides;
     * conditioning: cond(v)^2 max_j sigma_max(a - mu_j I) / min_j
       sigma_min(a - mu_j I) bounds the condition number of the Kronecker
       matrix, exactly for a normal b, and must not exceed SYLVESTER_COND_MAX.
-      The SVDs are taken, and this bound quoted, only when the cheap bound
-      cond(v)^2 max_j n(a - mu_j I) max_j n((a - mu_j I)^{-1}) exceeds it.  A
-      defective b (a Jordan block) has cond(v) infinite or of order 1/eps;
+      The SVDs are taken, and this bound quoted, only without that proof,
+      which bounds it by SYLVESTER_COND_MAX / 2.  A defective b (a Jordan
+      block) has cond(v) infinite or of order 1/eps;
     * the residual: ||a X - X b - c||_F <= 1e-10 max(1, ||X||_F).
 
     Given ``extra`` (rows of the shifted side: a, or b^T when a is smaller),
-    each inverse is applied to it too, and the result is (X, mu, v, e): the
+    each LU solve takes its columns too, and the result is (X, mu, v, e): the
     eigenpairs of b (of a^T) in np.linalg.eig's pair order and e[j] =
     (a - mu_j I)^{-1} extra at the j-th mu with imag >= 0.
     """
@@ -259,24 +248,25 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None) -> tuple:
     The solves pass the disjointness gate on (a, b), refused with the
     Sylvester overlap message, and then the cond gate."""
     refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
-    overlap = lambda inv_norm: _disjoint_gate(inv_norm, a, b, refusal)
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
     shifts = mu[first]
+    overlap = lambda tau: _disjoint_gate(tau, a, shifts, refusal, b)
     exact = lambda: _svd_bound(a, shifts, v)
     columns = [None] * shifts.size if c is None else (c @ v[:, first]).T
     try:
-        solved = [_inverse_solve(a, m, r, extra) for m, r in zip(shifts, columns)]
+        solved = [_lu_solve(a, m, r, extra) for m, r in zip(shifts, columns)]
     except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
         overlap(np.inf)
         _cond_gate("Sylvester", np.inf, exact)
         raise
-    y, e, norms, inv_norms = zip(*solved)
-    overlap(max(inv_norms))
-    with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf
-        cheap = np.linalg.cond(v) ** 2 * np.max(norms) * np.max(inv_norms)
-    _cond_gate("Sylvester", cheap, exact)
+    y, e, norms = zip(*solved)
+    with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf, so tau is not finite
+        scale = np.linalg.cond(v) ** 2 * max(norms)
+        tau = 2 * scale / SYLVESTER_COND_MAX
+    proven = overlap(tau)
+    _cond_gate("Sylvester", scale / proven if proven else np.inf, exact)
     return mu, v, y, e
 
 
@@ -285,16 +275,42 @@ def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
     return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
 
 
-def _inverse_solve(a: np.ndarray, m, r, extra=None) -> tuple:
-    """(a - m I)^{-1} r and (a - m I)^{-1} extra (None for a None operand),
-    with the norm bounds of a - m I and of its inverse.
+def _lu_solve(a: np.ndarray, m, r, extra=None) -> tuple:
+    """(a - m I)^{-1} r and (a - m I)^{-1} extra (None for a None operand) from
+    one LU solve of their columns side by side, with the norm bound of a - m I.
 
     One call per shift, so only one shift's n x n matrices are alive at a time."""
     shifted = _shift(a, m)
-    norm = _norm_bound(shifted)
-    inv = np.linalg.inv(shifted)
-    apply = lambda r: None if r is None else inv @ r
-    return apply(r), apply(extra), norm, _norm_bound(inv)
+    x = np.linalg.solve(shifted, np.column_stack([o for o in (r, extra) if o is not None]))
+    k = int(r is not None)  # the columns of x that solve for r
+    return (x[:, 0] if k else None), (None if extra is None else x[:, k:]), _norm_bound(shifted)
+
+
+def _certify(a: np.ndarray, shifts, tau: float) -> bool:
+    """True only if sigma_min(a - mu I) >= tau, so dist(mu, sigma(a)) >= tau
+    and ||(a - mu I)^{-1}||_2 <= 1/tau, is proven at every mu in ``shifts``.
+
+    G = (a - mu I)^H (a - mu I) = a^T a - Re mu (a + a^T) + |mu|^2 I +
+    i Im mu (a - a^T) is formed in O(n^2) from one real a^T a.  A Cholesky
+    factorization of G - (tau^2 + margin) I runs to completion only if
+    G >= tau^2 I (Rump 2006): margin = 4 gamma_{2n+8} (||a||_F + sqrt(n)
+    |mu|)^2 >= 4 gamma_{2n+8} tr G covers forming G and the Cholesky backward
+    error (Higham 2002, Thm 10.3, complex constants), and (n + 4)^2 times the
+    least normal double covers underflow.  A G past the double range fails."""
+    n = a.shape[0]
+    gamma = (2 * n + 8) * 2.0**-53 / (1 - (2 * n + 8) * 2.0**-53)
+    with np.errstate(all="ignore"):  # an overflowing G fails the proof below
+        ata, fro = a.T @ a, np.linalg.norm(a)
+        for m in shifts:  # a real mu gives a real G
+            g = ata - m.real * (a + a.T) + (1j * m.imag * (a - a.T) if m.imag else 0.0)
+            margin = 4 * gamma * (fro + np.sqrt(n) * abs(m)) ** 2 + (n + 4) ** 2 * np.finfo(float).tiny
+            g.flat[:: n + 1] += abs(m) ** 2 - tau**2 - margin
+            try:  # a NaN from an overflow can pass the factorization, but not this test
+                if not np.isfinite(margin + np.linalg.cholesky(g).trace()):
+                    return False
+            except np.linalg.LinAlgError:
+                return False
+    return True
 
 
 def _shift(a: np.ndarray, m) -> np.ndarray:
@@ -449,27 +465,23 @@ def block_diag_spectrum(poles) -> np.ndarray:
     rotation-scaling block [[re, im], [-im, re]].
     """
     remaining = list(poles)
-    blocks = []
+    out = np.zeros((len(remaining),) * 2)
+    i = 0
     while remaining:
         lam = complex(remaining.pop(0))
         if abs(lam.imag) < 1e-14:
-            blocks.append(np.array([[lam.real]]))
+            out[i, i] = lam.real
+            i += 1
             continue
         conj = np.conjugate(lam)
-        for i, other in enumerate(remaining):
+        for j, other in enumerate(remaining):
             if abs(complex(other) - conj) < 1e-9:
-                remaining.pop(i)
+                remaining.pop(j)
                 break
         else:
             raise ValueError(f"pole {lam} has no conjugate partner")
-        blocks.append(np.array([[lam.real, abs(lam.imag)], [-abs(lam.imag), lam.real]]))
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    i = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[i : i + k, i : i + k] = b
-        i += k
+        out[i : i + 2, i : i + 2] = [[lam.real, abs(lam.imag)], [-abs(lam.imag), lam.real]]
+        i += 2
     return out
 
 

@@ -9,9 +9,9 @@ plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is G^T
 
 The last MOMENT_MEMO_SIZE solves are memoized by comparing (a, s, l, b, c)
 bit for bit with kept copies (:func:`momabs.linalg._memoized`), next to the
-plant's G(mu) at the interpolation points: the solve's gated shifted
-inverses, applied to b as well, give it without another solve, and the
-tangential checks read it from there.
+plant's G(mu) at the interpolation points: the solve's gated shifted LU
+solves, which take the columns of b as well, give it without another solve,
+and the tangential checks read it from there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .linalg import (
     as_matrix,
     _conjugate_fill,
     _disjoint_gate,
-    _inverse_solve,
+    _lu_solve,
     _memoized,
     _square,
     pbh_observable,
@@ -124,7 +124,7 @@ def _moment(sys: StateSpaceModel, interp) -> tuple:
 
 
 def _solve(a, s, l, b, c) -> tuple:
-    """Pi solving Pi s = a Pi + b l, with G at eig(s) from the inverses of
+    """Pi solving Pi s = a Pi + b l, with G at eig(s) from the LU solves of
     a - mu I unless s is larger than the plant."""
     rhs = -(b @ l)  # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
     if s.shape[0] > a.shape[0]:
@@ -184,17 +184,14 @@ def rom_two_sided(
 
 
 def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
-    """Complex transfer-function value G(s) = -c (a - s I)^{-1} b from the
-    explicit inverse, refused within DISJOINT_TOL of an eigenvalue of a by the
-    inverse-norm test of :func:`momabs.linalg._disjoint_gate`."""
+    """Complex transfer-function value G(s) = -c (a - s I)^{-1} b from one LU
+    solve, refused within DISJOINT_TOL of an eigenvalue of a by
+    :func:`momabs.linalg._disjoint_gate`, also when the solve fails."""
     refusal = f"evaluation point {s} is numerically an eigenvalue of a"
     try:
-        y, _, _, inv_norm = _inverse_solve(sys.a, complex(s), sys.b)
-    except np.linalg.LinAlgError:  # singular in working precision: the spectrum decides
-        _disjoint_gate(np.inf, sys.a, s, refusal)
-        raise
-    _disjoint_gate(inv_norm, sys.a, s, refusal)
-    return -(sys.c @ y)
+        return -(sys.c @ _lu_solve(sys.a, complex(s), None, sys.b)[1])
+    finally:
+        _disjoint_gate(0.0, sys.a, [complex(s)], refusal)
 
 
 def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:

@@ -415,6 +415,18 @@ TOPOLOGIES = {
 }
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x; a finite row whose squares overflow is
+    scaled by an exact power of two 2^-e first (np.frexp, np.ldexp)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.isfinite(x[big]).all(axis=1)]
+        e = np.frexp(np.abs(x[big]).max(axis=1))[1]
+        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(x[big], -e[:, None]), axis=1), e)
+    return norms
+
+
 def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float | None:
     """Least-squares exponential decay rate of a norm trace, ignoring samples
     at or below DECAY_FLOOR."""
@@ -470,7 +482,7 @@ def run_hierarchical(
         step=step,
     )
     traj = integrate(spec)
-    norms = np.linalg.norm(traj.outputs["err"], axis=1)
+    norms = row_norms(traj.outputs["err"])
     gain = gamma_gain(cert, plant.b, abstract.b)
     bound = max(
         simulation_fn_value(cert, xi0, x0), gain * v.sup_norm(traj.times)
@@ -530,6 +542,6 @@ def run_m_direct(
     traj = replace(traj, outputs={"y": out["psi"], "psi": out["y"], "err": err})
     f_cl = abstract.a + abstract.b @ spec.links["k"]
     eps = rk4_linear(f_cl, None, None, eps0, traj.times)
-    gap = np.linalg.norm(traj.readouts["eps_s"] - eps, axis=1)
-    norms = np.linalg.norm(traj.outputs["err"], axis=1)
+    gap = row_norms(traj.readouts["eps_s"] - eps)
+    norms = row_norms(traj.outputs["err"])
     return traj, error_stats(traj.times, norms, extras={"parallel_gap_sup": float(gap.max())})

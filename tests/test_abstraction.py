@@ -163,11 +163,11 @@ def test_transfer_eval_called_only_in_transfer_at():
 
 def test_spectra_reached_only_through_the_disjoint_gate():
     # moment solves and transfer evaluations eigensolve the order-n plant only
-    # in linalg._disjoint_gate, the exact fallback of the inverse-norm bound
+    # in linalg._disjoint_gate, the exact fallback of the sigma_min certificate
     graph = {}
     for name, called in calls_by_function().items():
         graph.setdefault(name.split(".")[1], set()).update(called)
-    gate, eager = "_disjoint_gate", {"spectra_disjoint", "eigenvalues", "_sorted_spectrum", "eigvals"}
+    gate, eager = "_disjoint_gate", {"spectra_disjoint", "eigenvalues", "eigvals"}
     assert eager & reachable(graph, gate, stop="")
     for start in ("solve_sylvester", "_shifted_solve", "transfer_eval"):
         assert reachable(graph, start, stop=gate) & eager == set(), start
@@ -237,17 +237,16 @@ class TestSolveEmbedding:
         sys = random_stable_system(rng, n=12, m=3, p=2)
         f = block_diag_spectrum([complex(-0.1 * k, sign * k) for k in range(1, 5) for sign in (1, -1)])
         abstract = StateSpaceModel(a=f, b=np.ones((8, 1)), c=rng.standard_normal((2, 8)))
-        inverted, real_inv = [], np.linalg.inv
-
-        def spy(m):
-            inverted.append(m.shape)
-            return real_inv(m)
-
-        monkeypatch.setattr(np.linalg, "inv", spy)
+        shapes = {name: [] for name in ("inv", "solve", "cholesky")}
+        for name, seen in shapes.items():
+            real = getattr(np.linalg, name)
+            spy = lambda m, *args, real=real, seen=seen: seen.append(m.shape) or real(m, *args)
+            monkeypatch.setattr(np.linalg, name, spy)
         p, l_hat = solve_embedding(sys, abstract)
         assert np.linalg.norm(sys.c @ p - abstract.c) < 1e-10 * np.linalg.norm(abstract.c)
-        # one inverse of a - mu I per upper point gives both G(mu) and p v
-        assert inverted == [(12, 12)] * 4
+        # one LU solve of a - mu I per upper point gives both G(mu) and p v, one Cholesky certifies it
+        assert shapes["inv"] == []
+        assert shapes["solve"].count((12, 12)) == shapes["cholesky"].count((12, 12)) == 4
         assert transfer_calls == []
 
     def test_jordan_block_f_raises(self, rng):

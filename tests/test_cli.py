@@ -1077,6 +1077,21 @@ class TestPaperExample:
             want = f"error: --seed must be a non-negative integer, got {seed}\n"
             assert (code, err.getvalue()) == (2, want)
 
+    @pytest.mark.parametrize("horizon", ["100", "105"])
+    def test_unstable_grid_exits_1_with_finite_values(self, tmp_path, capsys, horizon):
+        # RK4 at step 2.5 diverges: by t = 100 the err rows reach about 1e154, by
+        # t = 105 about 1e162, so the squares of finite rows pass the double range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["paper-example", "--out", str(tmp_path), "--step", "2.5", "--horizon", horizon])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = (tmp_path / "report.txt").read_text()
+        values = re.findall(r"^\[(?:PASS|FAIL)\] .*: value=(\S+) threshold=", report, re.M)
+        assert len(values) == 14 and all(math.isfinite(float(v)) for v in values)
+        assert "result: FAILED" in report
+
     def test_deterministic_outputs(self, tmp_path, capsys):
         dirs = [tmp_path / "run1", tmp_path / "run2"]
         for d in dirs:

@@ -177,7 +177,7 @@ def outcome(fn, *args) -> str:
 
 
 class TestDisjointnessDecisions:
-    """The inverse-norm certificate decides as the eager eigenvalue test does."""
+    """The sigma_min certificate decides as the eager eigenvalue test does."""
 
     LAM = -3.0  # an eigenvalue of triangular_plant
     DELTAS = [0.0, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-5, 1e-3]  # distance of b's eigenvalue
@@ -189,9 +189,9 @@ class TestDisjointnessDecisions:
         a = triangular_plant(8, cond)
         b = np.diag([self.LAM + delta, 5.0])
         c = np.ones((8, 2))
-        if delta == 0.0:  # a - mu I is exactly singular: inv raises and the spectra decide
+        if delta == 0.0:  # a - mu I is exactly singular: the solve raises and the spectra decide
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.inv(a - self.LAM * np.eye(8))
+                np.linalg.solve(a - self.LAM * np.eye(8), c)
         if not spectra_disjoint(a, b):
             want = "overlap"
         else:
@@ -199,10 +199,21 @@ class TestDisjointnessDecisions:
             want = "ill conditioned" if ill else "ok"
         eigvals_spy.clear()
         assert outcome(solve_sylvester, a, b, c) == want
-        if delta <= linalg.DISJOINT_TOL:  # ||(a - mu I)^-1|| >= 1/delta: the bound cannot certify
+        self.assert_tier(eigvals_spy, a, self.LAM + delta, delta, cond)
+
+    @staticmethod
+    def assert_tier(eigvals_spy, a, mu, delta, cond):
+        """Which tier decides: the eigenvalue test runs where delta <= DISJOINT_TOL,
+        as no proof can show the gap, and where sigma_min(a - mu I) lies below
+        the proof's rounding floor sqrt(n u) ||a - mu I||_F; for delta >= 1e-5
+        and cond <= 1e2 well above that floor, the proof alone decides."""
+        if delta <= linalg.DISJOINT_TOL:
             assert (8, 8) in eigvals_spy
         if delta >= 1e-5 and cond <= 1e2:
-            assert (8, 8) not in eigvals_spy
+            floor = np.sqrt(8 * 2.0**-53) * np.linalg.norm(a - mu * np.eye(8))
+            smin = np.linalg.svd(a - mu * np.eye(8), compute_uv=False)[-1]
+            assert smin < floor or smin > 10 * floor  # a case of one tier
+            assert ((8, 8) in eigvals_spy) == (smin < floor)
 
     @pytest.mark.parametrize("cond", CONDS)
     @pytest.mark.parametrize("delta", DELTAS)
@@ -220,10 +231,7 @@ class TestDisjointnessDecisions:
             assert got.dtype == complex
             ref = sys.c @ np.linalg.solve(point * np.eye(8) - sys.a, sys.b)
             assert np.allclose(got, ref, rtol=1e-6, atol=0.0)
-        if delta <= linalg.DISJOINT_TOL:
-            assert (8, 8) in eigvals_spy
-        if delta >= 1e-5 and cond <= 1e2:
-            assert (8, 8) not in eigvals_spy
+        self.assert_tier(eigvals_spy, sys.a, point.real, delta, cond)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -250,6 +258,66 @@ class TestDisjointnessDecisions:
         except (ValueError, np.linalg.LinAlgError) as exc:
             refused = "overlap" in str(exc)
         assert refused == (not spectra_disjoint(a, b))
+
+
+class TestCertificate:
+    """linalg._certify proves sigma_min(a - mu I) >= tau by one Cholesky."""
+
+    @staticmethod
+    def draw(seed, n, scale, kind):
+        """(a, mu): a random n x n a with entries of order 10^scale and a real,
+        complex or near-eigenvalue shift mu (within 1e-9 10^scale of one)."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * 10.0**scale
+        if kind == "real":
+            return a, complex(rng.standard_normal() * 10.0**scale)
+        if kind == "complex":
+            return a, complex(*rng.standard_normal(2)) * 10.0**scale
+        lam = rng.choice(np.linalg.eigvals(a))
+        return a, complex(lam + 1e-9 * 10.0**scale * np.exp(2j * np.pi * rng.random()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 12),
+        scale=st.sampled_from([-150, 0, 150]),
+        kind=st.sampled_from(["real", "complex", "near"]),
+    )
+    def test_never_certifies_above_sigma_min(self, seed, n, scale, kind):
+        a, mu = self.draw(seed, n, scale, kind)
+        svals = np.linalg.svd(a - mu * np.eye(n), compute_uv=False)
+        slack = n * np.finfo(float).eps * svals[0]  # the SVD's own error
+        for factor in (0.5, 0.9, 0.999, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1.01, 2.0):
+            tau = factor * svals[-1]
+            if linalg._certify(a, [mu], tau):
+                assert tau <= svals[-1] + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), kind=st.sampled_from(["real", "complex"]))
+    def test_certifies_well_separated_shifts(self, seed, n, kind):
+        a, mu = self.draw(seed, n, 0, kind)
+        shifted = a - mu * np.eye(n)
+        smin = np.linalg.svd(shifted, compute_uv=False)[-1]
+        assume(smin >= 1e-4 * np.linalg.norm(shifted))
+        assert linalg._certify(a, [mu], 0.9 * smin)
+
+    def test_overflowing_gram_matrix_fails_silently(self):
+        a = springmass.concrete().a * 1e200
+        assert not linalg._certify(a, [1.0 + 1.0j], 1.0)
+        assert not linalg._certify(a, [0.5], 1.0)
+
+    def test_two_sided_rom_at_order_200_inverts_no_plant_matrix(self, monkeypatch):
+        rng = np.random.default_rng(200)
+        plant = non_normal_stable_system(rng, n=200, cond=30.0)
+        osc = np.kron(np.diag([1.0, 0.0]), rotation_block(1.0)) + np.kron(np.diag([0.0, 1.0]), rotation_block(3.0))
+        di = moments.DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
+        si = moments.SwappedInterpolant(q=osc + 4.0 * np.eye(4), r=rng.standard_normal((4, 2)))
+        monkeypatch.setattr(moments, "_moments", [])
+        inverted = record_shapes(monkeypatch, "inv")
+        factored = record_shapes(monkeypatch, "cholesky")
+        moments.rom_two_sided(plant, di, si)
+        assert (200, 200) not in inverted
+        assert factored.count((200, 200)) == 4  # two upper shifts on each side
 
 
 class TestSpectraDisjoint:
@@ -339,9 +407,16 @@ class TestLyapunov:
 class TestScipyCrossCheck:
     """The O(n^3) solvers against scipy's Bartels-Stewart solvers."""
 
-    @pytest.mark.parametrize("n", [1, 5, 40, 200])
-    @pytest.mark.parametrize("kind", ["oscillator", "random"])
-    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize(
+        "side, kind, n",
+        [
+            pytest.param(side, kind, n, id=f"{side}-{kind}-{n}")
+            for side in ("right", "left")
+            for kind in ("oscillator", "random")
+            for n in (1, 5, 40, 200)
+        ]
+        + [pytest.param("right", "oscillator", 512, id="right-oscillator-512")],
+    )
     def test_sylvester(self, scipy_linalg, n, kind, side):
         rng = np.random.default_rng(1000 * n + len(kind) + len(side))
         cond = float(np.exp(rng.uniform(*SIMILARITY_LOG_COND)))
@@ -434,12 +509,12 @@ class TestConditioningGate:
             solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
 
     def test_singular_shift_decided_by_svd_bound(self, monkeypatch, rng):
-        def singular(m):
+        def singular(m, rhs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         plant = random_stable_system(rng, n=5)
         args = (plant.a, rotation_block(2.0), np.ones((5, 2)))
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(np.linalg.LinAlgError):  # the SVD bound accepts: the failure stands
             solve_sylvester(*args)
         monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 0.0)
@@ -464,14 +539,15 @@ class TestConditioningGate:
         c = np.ones((a.shape[0], b.shape[0]))
         _, exact = per_shift_sylvester(a, b, c)
         assume(exact < 1e6)
-        cheap = cheap_sylvester_bound(a, b)
+        cheap, above_floor = cheap_sylvester_bound(a, b)
         assert cheap >= (1 - 1e-9) * exact
         # (threshold, whether the exact SVD bound must be computed)
         cases = [
             (exact * (1 - 1e-6), True),
             (exact * (1 + 1e-6), cheap > exact * (1 + 1e-6)),
-            (cheap * (1 + 1e-6), False),
         ]
+        if above_floor:  # tau = min_j sigma_min(a - mu_j I) / 4: proven
+            cases.append((4 * cheap, False))
         if cheap > 1.01 * exact:  # a threshold between the bounds: the SVD fallback accepts
             cases.append((np.sqrt(exact * cheap), True))
         for threshold, fallback in cases:
@@ -531,14 +607,19 @@ def norm_bound(m):
 
 
 def cheap_sylvester_bound(a, b):
-    """Reference cheap bound over every shift mu_j of the smaller side:
-    cond(v)^2 max_j norm_bound(a - mu_j I) max_j norm_bound((a - mu_j I)^-1)."""
+    """Reference over every shift mu_j of the smaller side: (the threshold
+    2 cond(v)^2 max_j norm_bound(a - mu_j I) / min_j sigma_min(a - mu_j I),
+    below which the tau of solve_sylvester exceeds some sigma_min(a - mu_j I),
+    so that no proof of it can succeed; whether every sigma_min(a - mu_j I) is
+    ten times above the proof's rounding floor sqrt(n u) ||a - mu_j I||_F)."""
     if b.shape[0] > a.shape[0]:
         return cheap_sylvester_bound(b.T, a.T)
     mu, v = np.linalg.eig(b)
     shifted = [a - m * np.eye(a.shape[0]) for m in mu]
-    norms = max(map(norm_bound, shifted)) * max(norm_bound(np.linalg.inv(m)) for m in shifted)
-    return np.linalg.cond(v) ** 2 * norms
+    smin = np.array([np.linalg.svd(m, compute_uv=False)[-1] for m in shifted])
+    floor = np.sqrt(a.shape[0] * 2.0**-53) * np.array([np.linalg.norm(m) for m in shifted])
+    cheap = 2 * np.linalg.cond(v) ** 2 * max(map(norm_bound, shifted)) / smin.min()
+    return cheap, bool(np.all(smin > 10 * floor))
 
 
 def mixed_small_side(kind):
@@ -555,7 +636,7 @@ def mixed_small_side(kind):
 
 
 class TestConjugatePairs:
-    """Each conjugate pair of shifts is factored and solved once."""
+    """Each conjugate pair of shifts is solved and certified once."""
 
     KINDS = ["real+pair", "repeated-pair", "random-5x5"]
 
@@ -596,14 +677,18 @@ class TestConjugatePairs:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_one_inverse_per_upper_half_plane_mu(self, monkeypatch, kind, side):
+        # in place of each inverse of a - mu I: one LU solve and one Cholesky
         a, b, c = self.system(kind, side)
         n = max(a.shape[0], b.shape[0])
         inverted = record_shapes(monkeypatch, "inv")
+        solved = record_shapes(monkeypatch, "solve")
+        factored = record_shapes(monkeypatch, "cholesky")
         decomposed = record_shapes(monkeypatch, "svd")
         solve_sylvester(a, b, c)
         e = np.linalg.eigvals(mixed_small_side(kind))
-        assert inverted.count((n, n)) == np.sum(e.imag >= 0) < e.size
-        assert (n, n) not in decomposed  # accepted on the cheap bound alone
+        assert solved.count((n, n)) == factored.count((n, n)) == np.sum(e.imag >= 0) < e.size
+        assert (n, n) not in inverted
+        assert (n, n) not in decomposed  # accepted on the certificate alone
 
 
 class TestConjugateFill:

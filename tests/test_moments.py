@@ -400,10 +400,12 @@ class TestTangentialMismatch:
         di = DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
         rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
         solved, inverted = record_calls(monkeypatch, "solve"), record_calls(monkeypatch, "inv")
+        factored = record_calls(monkeypatch, "cholesky")
         assert tangential_mismatch_direct(sys, rom, di) < 1e-8
-        # the plant: its G(mu) was memoized with the moment, so no solve and no 6 x 6 inverse
-        assert solved == []
-        assert [(shape, imag > 0) for shape, imag in inverted] == [((4, 4), True)] * 2
+        # the plant: its G(mu) was memoized with the moment, so no 6 x 6 solve or inverse
+        assert inverted == []
+        assert [(shape, imag > 0) for shape, imag in solved] == [((4, 4), True)] * 2
+        assert [shape for shape, _ in factored] == [(4, 4)] * 2
         # the ROM: one self-certifying transfer evaluation per upper point
         assert [called for called, _ in transfer_calls] == [rom, rom]
         assert all(point.imag > 0 for _, point in transfer_calls)
@@ -414,10 +416,11 @@ class TestTangentialMismatch:
         si = SwappedInterpolant(q=block_diag_spectrum([2j, -2j]), r=rng.standard_normal((2, 2)))
         rom = rom_direct(sys, di, rng.standard_normal((4, 2)))
         roms = rom_swapped(sys, si, rng.standard_normal((2, 2)))
-        inverted = record_calls(monkeypatch, "inv")
+        inverted, solved = record_calls(monkeypatch, "inv"), record_calls(monkeypatch, "solve")
         tangential_mismatch_direct(sys, rom, di)
         tangential_mismatch_swapped(sys, roms, si)
-        assert [shape for shape, _ in inverted] == [(4, 4)] * 2 + [(2, 2)]
+        assert inverted == []
+        assert [shape for shape, _ in solved] == [(4, 4)] * 2 + [(2, 2)]
 
     @pytest.mark.parametrize("side", ["direct", "swapped"])
     def test_overlap_refused_as_the_moment_is(self, side):
