@@ -131,7 +131,7 @@ def solve_embedding(
     """
     f, h = abstract.a, abstract.c
     if l_hat is None:
-        mu, v, _, xs = _shifted_solve(sys.a, f, None, sys.b)
+        mu, v, xs = _shifted_solve(sys.a, f, lambda w: [sys.b] * w.shape[1])
         upper = mu.imag >= 0
         y = []
         for point, x, hv in zip(mu[upper], xs, (h @ v[:, upper]).T):
@@ -287,8 +287,6 @@ def _kernel_basis(c: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(c) with a deterministic sign convention."""
     _, svals, vt = np.linalg.svd(c)
     basis = vt[np.sum(svals > rank_tol(c, svals)) :].T
-    if basis.shape[1] == 0:
-        raise ValueError("c has trivial kernel; no injection candidates")
     for j in range(basis.shape[1]):
         i = int(np.argmax(np.abs(basis[:, j])))
         if basis[i, j] < 0:

@@ -131,11 +131,11 @@ def cmd_reduce(args) -> RunReport:
 
 
 def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
-    """One transfer match per point of sigma(s) (sigma(q) for tag "q") with imag >= 0."""
-    _, mu, _, tf = moments._moment(full, interp)  # the points and the plant's G there
-    first = np.flatnonzero(mu.imag >= 0)  # conjugate value is redundant for real systems
-    first = first[np.lexsort((mu[first].imag, mu[first].real))]  # as eigenvalues() sorts
-    for lam, tf_full, tf_rom in zip(mu[first], tf[first], moments.transfer_at(rom, mu[first])):
+    """One transfer match per point of sigma(s) (sigma(q) for tag "q") with imag >= 0,
+    each side evaluated by transfer_at, independently of the moment solve."""
+    mu = eigenvalues(interp.s if tag == "s" else interp.q).eigenvalues
+    mu = mu[mu.imag >= 0]  # conjugate value is redundant for real systems
+    for lam, tf_full, tf_rom in zip(mu, moments.transfer_at(full, mu), moments.transfer_at(rom, mu)):
         rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)
 
@@ -186,6 +186,9 @@ def _typed(value, kind, name: str, path):
 
 def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
     data = load_json(path)
+    known = ("topology", "models", "links", "initial", "signal", "horizon", "step")
+    if unknown := sorted(set(data) - set(known)):
+        raise ModelFileError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
     models = {}
     for name, model in _typed(data.get("models"), dict, "models", path).items():
         field = f"models.{name}"

@@ -194,7 +194,7 @@ def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str, b=None) -> f
     return 0.0
 
 
-def solve_sylvester(a, b, c, *, extra=None):
+def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve a X - X b = c by shifted solves in the eigenbasis of the smaller side.
 
     With b = v diag(mu) v^{-1} (b the smaller side or tied; a smaller a is
@@ -214,11 +214,6 @@ def solve_sylvester(a, b, c, *, extra=None):
       which bounds it by SYLVESTER_COND_MAX / 2.  A defective b (a Jordan
       block) has cond(v) infinite or of order 1/eps;
     * the residual: ||a X - X b - c||_F <= 1e-10 max(1, ||X||_F).
-
-    Given ``extra`` (rows of the shifted side: a, or b^T when a is smaller),
-    each LU solve takes its columns too, and the result is (X, mu, v, e): the
-    eigenpairs of b (of a^T) in np.linalg.eig's pair order and e[j] =
-    (a - mu_j I)^{-1} extra at the j-th mu with imag >= 0.
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -227,11 +222,11 @@ def solve_sylvester(a, b, c, *, extra=None):
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
     flip = k > n
-    mu, v, y, e = _shifted_solve(*((b.T, a.T, -c.T) if flip else (a, b, c)), extra)
-    x = _from_eigenbasis(mu, v, y)
+    shifted, small, rhs = (b.T, a.T, -c.T) if flip else (a, b, c)
+    x = _from_eigenbasis(*_shifted_solve(shifted, small, lambda w: (rhs @ w).T))
     x = x.T if flip else x
     _check_sylvester(a, b, c, x)
-    return x if extra is None else (x, mu, v, np.array(e))
+    return x
 
 
 def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
@@ -240,10 +235,11 @@ def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray)
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None) -> tuple:
-    """(mu, v, y, e) over the eigenpairs (mu, v) of b: at the j-th mu with
-    imag >= 0, y[j] = (a - mu_j I)^{-1} (c v)_j and e[j] = (a - mu_j I)^{-1}
-    extra (None where c or extra is None).
+def _shifted_solve(a: np.ndarray, b: np.ndarray, blocks) -> tuple:
+    """(mu, v, y) over the eigenpairs (mu, v) of b: at the j-th mu with
+    imag >= 0, y[j] = (a - mu_j I)^{-1} r_j for the right-hand sides r =
+    blocks(w), w the eigenvectors there as columns (r_j = (c w)_j for the
+    Sylvester equation a X - X b = c).
 
     The solves pass the disjointness gate on (a, b), refused with the
     Sylvester overlap message, and then the cond gate."""
@@ -254,20 +250,19 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, c, extra=None) -> tuple:
     shifts = mu[first]
     overlap = lambda tau: _disjoint_gate(tau, a, shifts, refusal, b)
     exact = lambda: _svd_bound(a, shifts, v)
-    columns = [None] * shifts.size if c is None else (c @ v[:, first]).T
     try:
-        solved = [_lu_solve(a, m, r, extra) for m, r in zip(shifts, columns)]
+        solved = [_lu_solve(a, m, r) for m, r in zip(shifts, blocks(v[:, first]))]
     except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
         overlap(np.inf)
         _cond_gate("Sylvester", np.inf, exact)
         raise
-    y, e, norms = zip(*solved)
+    y, norms = zip(*solved)
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf, so tau is not finite
         scale = np.linalg.cond(v) ** 2 * max(norms)
         tau = 2 * scale / SYLVESTER_COND_MAX
     proven = overlap(tau)
     _cond_gate("Sylvester", scale / proven if proven else np.inf, exact)
-    return mu, v, y, e
+    return mu, v, y
 
 
 def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
@@ -275,15 +270,13 @@ def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
     return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
 
 
-def _lu_solve(a: np.ndarray, m, r, extra=None) -> tuple:
-    """(a - m I)^{-1} r and (a - m I)^{-1} extra (None for a None operand) from
-    one LU solve of their columns side by side, with the norm bound of a - m I.
+def _lu_solve(a: np.ndarray, m, r) -> tuple:
+    """(a - m I)^{-1} r, for a vector or block r, from one LU solve, with the
+    norm bound of a - m I.
 
     One call per shift, so only one shift's n x n matrices are alive at a time."""
     shifted = _shift(a, m)
-    x = np.linalg.solve(shifted, np.column_stack([o for o in (r, extra) if o is not None]))
-    k = int(r is not None)  # the columns of x that solve for r
-    return (x[:, 0] if k else None), (None if extra is None else x[:, k:]), _norm_bound(shifted)
+    return np.linalg.solve(shifted, r), _norm_bound(shifted)
 
 
 def _certify(a: np.ndarray, shifts, tau: float) -> bool:

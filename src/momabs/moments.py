@@ -7,11 +7,12 @@ interpolation points.  Ups solving q Ups = Ups a + r c is Pi^T for the dual
 plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is G^T
 (Astolfi 2010), so every moment is solved and memoized as a direct one.
 
-The last MOMENT_MEMO_SIZE solves are memoized by comparing (a, s, l, b, c)
-bit for bit with kept copies (:func:`momabs.linalg._memoized`), next to the
-plant's G(mu) at the interpolation points: the solve's gated shifted LU
-solves, which take the columns of b as well, give it without another solve,
-and the tangential checks read it from there.
+The last MOMENT_MEMO_SIZE solves are memoized by comparing (a, s, l, b)
+bit for bit with kept copies (:func:`momabs.linalg._memoized`); c does not
+enter Pi, so plants that differ only in c share one solve.  A moment is its
+own interpolation data: at an eigenpair (mu, v) of s, Pi v = -(a - mu I)^{-1}
+b l v, so C Pi v = G(mu) l v, and the tangential checks read the plant's
+side off the moment.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import (
 
 TWO_SIDED_COND_MAX = 1e10
 MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
-_moments: list = []  # (read-only copies of the arguments of _solve, read-only (Pi, mu, v, G))
+_moments: list = []  # (read-only copies of the arguments of _solve, read-only (Pi,))
 
 
 @dataclass(frozen=True)
@@ -97,41 +98,31 @@ class SwappedMomentSolution:
 
 def moment_direct(sys: StateSpaceModel, interp: DirectInterpolant) -> DirectMomentSolution:
     """Moment C Pi of ``sys`` at (s, l), with Pi solving Pi s = a Pi + b l."""
-    pi = _moment(sys, interp)[0]
+    pi = _moment(sys, interp)
     return DirectMomentSolution(pi=pi, moment=sys.c @ pi)
 
 
 def moment_swapped(sys: StateSpaceModel, interp: SwappedInterpolant) -> SwappedMomentSolution:
     """Moment Ups b of ``sys`` at (q, r), with Ups solving q Ups = Ups a + r c."""
-    ups = _moment(sys, interp)[0]
+    ups = _moment(sys, interp)
     return SwappedMomentSolution(upsilon=ups, moment=ups @ sys.b)
 
 
-def _moment(sys: StateSpaceModel, interp) -> tuple:
-    """Memoized (X, mu, v, G) for the moment of ``sys`` at ``interp``: X is Pi
-    (Ups), (mu, v) are the eigenpairs of s (of q^T) in np.linalg.eig's pair
-    order, and G[j] = -c (a - mu_j I)^{-1} b is the plant's transfer value.
-    For (q, r), Ups and G are transposed views of the dual plant's Pi and G."""
+def _moment(sys: StateSpaceModel, interp) -> np.ndarray:
+    """Memoized Pi of ``sys`` at (s, l), or at (q, r) Ups, the transposed
+    view of the dual plant's Pi."""
     if isinstance(interp, DirectInterpolant):
         if interp.l.shape[0] != sys.m:
             raise ValueError("interpolant output dimension does not match plant input")
-        return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b, sys.c)
+        return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b)[0]
     if interp.r.shape[1] != sys.p:
         raise ValueError("interpolant input dimension does not match plant output")
-    dual = (sys.a.T, interp.q.T, interp.r.T, sys.c.T, sys.b.T)
-    pi, mu, v, g = _memoized(_moments, MOMENT_MEMO_SIZE, _solve, *dual)
-    return pi.T, mu, v, g.transpose(0, 2, 1)
+    return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a.T, interp.q.T, interp.r.T, sys.c.T)[0].T
 
 
-def _solve(a, s, l, b, c) -> tuple:
-    """Pi solving Pi s = a Pi + b l, with G at eig(s) from the LU solves of
-    a - mu I unless s is larger than the plant."""
-    rhs = -(b @ l)  # Pi s = a Pi + b l  <=>  a Pi - Pi s = -(b l)
-    if s.shape[0] > a.shape[0]:
-        mu, v = np.linalg.eig(s)
-        return solve_sylvester(a, s, rhs), mu, v, transfer_at(StateSpaceModel(a=a, b=b, c=c), mu)
-    pi, mu, v, x = solve_sylvester(a, s, rhs, extra=b)
-    return pi, mu, v, _conjugate_fill(mu, -(c @ x))
+def _solve(a, s, l, b) -> tuple:
+    """(Pi,) with Pi solving Pi s = a Pi + b l, that is a Pi - Pi s = -(b l)."""
+    return (solve_sylvester(a, s, -(b @ l)),)
 
 
 def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> StateSpaceModel:
@@ -189,7 +180,7 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
     :func:`momabs.linalg._disjoint_gate`, also when the solve fails."""
     refusal = f"evaluation point {s} is numerically an eigenvalue of a"
     try:
-        return -(sys.c @ _lu_solve(sys.a, complex(s), None, sys.b)[1])
+        return -(sys.c @ _lu_solve(sys.a, complex(s), sys.b)[0])
     finally:
         _disjoint_gate(0.0, sys.a, [complex(s)], refusal)
 
@@ -207,29 +198,30 @@ def tangential_mismatch_direct(
     """Largest relative transfer mismatch along the interpolant directions.
 
     At each eigenpair (lam, v) of s the moment pins the transfer value on
-    the direction l v only; full-matrix equality at the points is a SISO
-    special case.  The plant's values come from its memoized moment, so the
-    check is refused as that moment is.
+    the direction l v only, C Pi v = G(lam) l v; full-matrix equality at the
+    points is a SISO special case.  The plant's side is read off its
+    memoized moment, so the check is refused as that moment is.
     """
-    _, mu, v, tf_full = _moment(full, interp)
-    return _tangential_mismatch(tf_full, transfer_at(rom, mu), v, interp.l)
+    pinned = moment_direct(full, interp).moment
+    mu, v = np.linalg.eig(interp.s)
+    return _tangential_mismatch(pinned @ v, transfer_at(rom, mu), v, interp.l)
 
 
 def tangential_mismatch_swapped(
     full: StateSpaceModel, rom: StateSpaceModel, interp: SwappedInterpolant
 ) -> float:
     """Dual of :func:`tangential_mismatch_direct`: at each left eigenpair
-    (lam, w) of q the moment pins the transfer value along w^T r: the direct
-    check of the dual plant and ROM (transfer values G^T, Gr^T) at l = r^T."""
-    _, mu, w, tf_full = _moment(full, interp)
-    dual = lambda g: g.transpose(0, 2, 1)
-    return _tangential_mismatch(dual(tf_full), dual(transfer_at(rom, mu)), w, interp.r.T)
+    (lam, w) of q the moment pins the transfer value along w^T r, w^T Ups b =
+    w^T r G(lam): the direct check of the dual plant and ROM (transfer values
+    G^T, Gr^T) at l = r^T."""
+    pinned = moment_swapped(full, interp).moment
+    mu, w = np.linalg.eig(interp.q.T)
+    return _tangential_mismatch(pinned.T @ w, transfer_at(rom, mu).transpose(0, 2, 1), w, interp.r.T)
 
 
-def _tangential_mismatch(tf_full: np.ndarray, tf_rom: np.ndarray, v: np.ndarray, l: np.ndarray) -> float:
-    """max_j ||(G(mu_j) - Gr(mu_j)) l v_j|| / max(1, ||G(mu_j) l v_j||), for
-    (k, p, m) stacks of transfer values at the eigenpairs (mu_j, v_j)."""
-    d = (l @ v).T[:, :, None]  # direction l v per eigenpair
-    diff = np.linalg.norm((tf_full - tf_rom) @ d, axis=(1, 2))
-    ref = np.linalg.norm(tf_full @ d, axis=(1, 2))
-    return float((diff / np.maximum(1.0, ref)).max())
+def _tangential_mismatch(pinned: np.ndarray, tf_rom: np.ndarray, v: np.ndarray, l: np.ndarray) -> float:
+    """max_j ||pinned_j - Gr(mu_j) l v_j|| / max(1, ||pinned_j||), for the
+    plant's pinned columns pinned_j = G(mu_j) l v_j and a (k, p, m) stack of
+    the ROM's transfer values at the eigenpairs (mu_j, v_j)."""
+    diff = np.linalg.norm(pinned - np.einsum("jpm,mj->pj", tf_rom, l @ v), axis=0)
+    return float((diff / np.maximum(1.0, np.linalg.norm(pinned, axis=0))).max())

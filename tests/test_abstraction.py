@@ -419,6 +419,15 @@ class TestDesignAbstraction:
         assert np.abs(sys.a - design.f + sys.b @ design.l_hat).max() < 1e-9
         assert max(check_design(design, sys).values()) < 1e-8
 
+    def test_trivial_output_kernel(self):
+        # c = I: a square p needs no injection; a narrower p cannot be complemented from ker(c)
+        sys = StateSpaceModel(a=[[0.0, 1.0], [-2.0, -3.0]], b=[[0.0], [1.0]], c=np.eye(2))
+        design = design_abstraction(sys, [[1.0, 1.0], [0.0, 2.0]])
+        assert design.d.shape == (2, 0) and design.e.shape == (0, 2)
+        assert max(check_design(design, sys).values()) < 1e-12
+        with pytest.raises(ValueError, match=r"^im\(p\) \+ ker\(c\) does not span the state space$"):
+            design_abstraction(sys, [[1.0], [0.0]])
+
     def test_link_closure(self, rng):
         plant = springmass.concrete()
         design = design_abstraction(plant, springmass.embedding_p())

@@ -329,6 +329,25 @@ class TestAbstract:
             f"[PASS] residual {name}" for name in DESIGN_CHECKS
         ]
 
+    @pytest.mark.parametrize(
+        "p, code, shown",
+        [
+            ([[1.0, 1.0], [0.0, 2.0]], 0, ""),
+            ([[1.0], [0.0]], 2, "im(p) + ker(c) does not span the state space"),
+        ],
+        ids=["square", "no-injection-fits"],
+    )
+    def test_plant_with_trivial_output_kernel(self, tmp_path, capsys, p, code, shown):
+        # c = I has ker(c) = {0}: a square p needs no injection, a narrower one cannot get one
+        plant = StateSpaceModel(a=[[0.0, 1.0], [-2.0, -3.0]], b=[[0.0], [1.0]], c=np.eye(2))
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        p_file = write_json(tmp_path / "p.json", {"p": p})
+        assert main(["abstract", model, "--p", p_file, "--out", str(tmp_path / "d")]) == code
+        captured = capsys.readouterr()
+        assert shown in captured.err and ("result: OK" in captured.out) == (code == 0)
+        if code == 0:
+            assert np.array(json.loads((tmp_path / "d.design.json").read_text())["d"]).size == 0
+
     def test_inadmissible_p_exits_2(self, tmp_path, plant_file, capsys):
         p_file = write_json(tmp_path / "p.json", {"p": np.ones((4, 2)).tolist()})
         code = main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")])
@@ -521,6 +540,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and shown in err
         assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unknown_top_level_field_exits_2(self, tmp_path, capsys):
+        # a misspelt horizon used to run 10 s at the default horizon with a zero signal
+        path = Path(hierarchical_spec(tmp_path))
+        spec = json.loads(path.read_text())
+        write_json(path, {**spec, "horizn": spec.pop("horizon"), "signals": spec.pop("signal")})
+        code = main(["simulate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown field(s) 'horizn', 'signals';"
+            " known: topology, models, links, initial, signal, horizon, step\n"
+        )
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ from conftest import (
     random_swapped_interpolant,
     rotation_block,
 )
-from momabs import moments, springmass
+from momabs import cli, moments, springmass
 from momabs.linalg import StateSpaceModel, block_diag_spectrum
+from momabs.modelio import RunReport
 from momabs.moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -98,6 +99,15 @@ class TestMomentMemo:
         bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
         assert np.array_equal(bits(ups), bits(pi.T))
         assert len(sylvester_calls) == 1
+
+    def test_plants_differing_only_in_c_share_one_solve(self, sylvester_calls, rng):
+        # c does not enter Pi s = a Pi + b l, so the memo is keyed on (a, s, l, b)
+        sys = random_stable_system(rng, n=4, m=1, p=2)
+        other = StateSpaceModel(a=sys.a, b=sys.b, c=rng.standard_normal((3, 4)))
+        di = DirectInterpolant(s=rotation_block(2.0), l=rng.standard_normal((1, 2)))
+        first, second = moment_direct(sys, di), moment_direct(other, di)
+        assert len(sylvester_calls) == 1 and len(moments._moments) == 1
+        assert second.pi is first.pi and np.array_equal(second.moment, other.c @ first.pi)
 
     def test_in_place_change_is_a_miss(self, sylvester_calls, rng):
         # the memo compares with its own copies, not with the caller's arrays
@@ -270,53 +280,53 @@ class TestRomTwoSided:
 
 
 class TestMemoizedTransfer:
-    """The plant's G(mu) kept next to the moment against an independent solve."""
+    """The transfer directions a memoized moment pins, against independent solves."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("side", ["direct", "swapped"])
     def test_matches_scipy_solve(self, scipy_linalg, seed, side):
+        # C Pi v_j = G(mu_j) l v_j at the eigenpairs of s; w_j^T Ups b = w_j^T r G(mu_j) at those of q^T
         rng = np.random.default_rng(seed)
         make = non_normal_stable_system if seed % 2 else random_stable_system
         sys = make(rng, n=int(rng.integers(8, 40)), m=int(rng.integers(1, 4)), p=int(rng.integers(1, 4)))
         gen = real_and_pair_generator(rng)
         if side == "direct":
             interp = DirectInterpolant(s=gen, l=rng.standard_normal((sys.m, 3)))
-            moment_direct(sys, interp)
+            mu, v = np.linalg.eig(gen)
+            pinned, dirs = (moment_direct(sys, interp).moment @ v).T, (interp.l @ v).T
         else:
             interp = SwappedInterpolant(q=gen, r=rng.standard_normal((3, sys.p)))
-            moment_swapped(sys, interp)
-        _, mu, _, tf = moments._moment(sys, interp)
-        for point, got in zip(mu, tf):
-            want = -(sys.c @ scipy_linalg.solve(sys.a - point * np.eye(sys.n), sys.b))
+            mu, w = np.linalg.eig(gen.T)
+            pinned, dirs = w.T @ moment_swapped(sys, interp).moment, w.T @ interp.r
+        for point, got, d in zip(mu, pinned, dirs):
+            g = -(sys.c @ scipy_linalg.solve(sys.a - point * np.eye(sys.n), sys.b))
+            want = g @ d if side == "direct" else d @ g
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("side", ["direct", "swapped"])
-    def test_interpolant_larger_than_plant(self, side, rng):
-        # solve_sylvester then shifts the interpolant's side: G comes from transfer_at
+    def test_interpolant_larger_than_plant(self, side, sylvester_calls, rng):
+        # solve_sylvester shifts the plant's side, and the moment still pins the transfer values
         sys = random_stable_system(rng, n=2, m=1, p=1)
+        rom = random_stable_system(rng, n=3, m=1, p=1)
         gen = block_diag_spectrum([1j, -1j, 2j, -2j])
         if side == "direct":
             interp = DirectInterpolant(s=gen, l=rng.standard_normal((1, 4)))
+            mismatch, reference = tangential_mismatch_direct, reference_mismatch_direct
         else:
             interp = SwappedInterpolant(q=gen, r=rng.standard_normal((4, 1)))
-        _, mu, _, tf = moments._moment(sys, interp)
-        for point, got in zip(mu, tf):
-            assert np.allclose(got, transfer_eval(sys, point), rtol=1e-13, atol=0)
-
-
-    @pytest.mark.parametrize("side", ["direct", "swapped"])
-    def test_interpolant_as_large_as_plant(self, side, sylvester_calls, transfer_calls, rng):
-        # a tie shifts the interpolant's eigenvalues: G comes from the gated inverses
-        sys = random_stable_system(rng, n=4, m=2, p=3)
-        gen = block_diag_spectrum([1j, -1j, 2j, -2j])
-        if side == "direct":
-            interp = DirectInterpolant(s=gen, l=rng.standard_normal((2, 4)))
-        else:
-            interp = SwappedInterpolant(q=gen, r=rng.standard_normal((4, 3)))
-        _, mu, _, tf = moments._moment(sys, interp)
-        assert transfer_calls == [] and len(sylvester_calls) == 1
-        for got, want in zip(tf, moments.transfer_at(sys, mu)):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            mismatch, reference = tangential_mismatch_swapped, reference_mismatch_swapped
+        got, ref = mismatch(sys, rom, interp), reference(sys, rom, interp)
+        assert ref > 1e-6 and abs(got - ref) <= 1e-12 * max(1.0, ref)
+        assert sylvester_calls == [((2, 2), (4, 4))]
+        # reduce's single-channel rows against G(lam) = c (lam I - a)^{-1} b by numpy's solve
+        report, tag = RunReport(command="reduce"), "s" if side == "direct" else "q"
+        cli._interpolation_checks(report, sys, rom, interp, 1e-8, tag)
+        names = [f"transfer match at sigma({tag}) point {lam:.4g}" for lam in (1j, 2j)]
+        assert [check.name for check in report.checks] == names
+        tf = lambda model, lam: model.c @ np.linalg.solve(lam * np.eye(model.n) - model.a, model.b)
+        for lam, check in zip((1j, 2j), report.checks):
+            want = np.linalg.norm(tf(sys, lam) - tf(rom, lam)) / max(1.0, np.linalg.norm(tf(sys, lam)))
+            assert abs(check.value - want) <= 1e-12 * want
 
 
 class TestTransferEval:
@@ -402,7 +412,7 @@ class TestTangentialMismatch:
         solved, inverted = record_calls(monkeypatch, "solve"), record_calls(monkeypatch, "inv")
         factored = record_calls(monkeypatch, "cholesky")
         assert tangential_mismatch_direct(sys, rom, di) < 1e-8
-        # the plant: its G(mu) was memoized with the moment, so no 6 x 6 solve or inverse
+        # the plant: its side is read off the memoized moment, so no 6 x 6 solve or inverse
         assert inverted == []
         assert [(shape, imag > 0) for shape, imag in solved] == [((4, 4), True)] * 2
         assert [shape for shape, _ in factored] == [(4, 4)] * 2
