@@ -3,9 +3,10 @@
 :func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
 :func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate` and
 :func:`_disjoint_gate`; the Sylvester solver forms no inverse of a shifted
-matrix: an LU solve per shift, and one Cholesky factorization that proves
-sigma_min of it, :func:`_certify`), :func:`place_poles`, and the PBH rank test
-(:func:`pbh_observable`), the one rule for observability, reachability
+matrix: an LU solve per shift, with sigma_min of it proven by Cholesky in
+:func:`_certify`, once for all shifts right of the numerical range of a
+dissipative matrix, else per shift), :func:`place_poles`, and the PBH rank
+test (:func:`pbh_observable`), the one rule for observability, reachability
 (:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
 """
 
@@ -182,9 +183,10 @@ def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str, b=None) -> f
     """Refuse with ``refusal`` unless sigma(a) is more than DISJOINT_TOL from
     the points ``shifts`` (for a square ``b``: from sigma(b), one shift per
     conjugate pair of it).  Return t = max(tau, 2 DISJOINT_TOL) when
-    :func:`_certify` proves sigma_min(a - mu I) >= t at every shift, which
-    shows the gap without an eigensolve; otherwise the computed spectra
-    decide, as in :func:`spectra_disjoint`, and 0 is returned."""
+    :func:`_certify` proves sigma_min(a - mu I) >= t at every shift (by one
+    real proof for a dissipative a, else one per shift), which shows the gap
+    without an eigensolve; otherwise the computed spectra decide, as in
+    :func:`spectra_disjoint`, and 0 is returned."""
     tau = max(tau, 2 * DISJOINT_TOL)  # an inf or nan tau tries no proof
     if np.isfinite(tau) and _certify(a, shifts, tau):
         return tau
@@ -199,25 +201,10 @@ def solve_sylvester(a, b, c) -> np.ndarray:
 
     With b = v diag(mu) v^{-1} (b the smaller side or tied; a smaller a is
     solved through b^T X^T - X^T a^T = -c^T), column j of X v is
-    (a - mu_j I)^{-1} (c v)_j from one LU solve: O(k n^3) for an n x n a and
-    a k x k b.  A conjugate pair of shifts is solved once, at imag(mu) >= 0
-    (:func:`_conjugate_fill`).  The system is refused by:
-
-    * disjointness: proving sigma_min(a - mu_j I) >= tau at every shift, tau =
-      max(2 DISJOINT_TOL, 2 cond(v)^2 max_j n(a - mu_j I) / SYLVESTER_COND_MAX)
-      with n(M) = sqrt(||M||_1 ||M||_inf) >= ||M||_2 (:func:`_disjoint_gate`),
-      shows the spectra apart; otherwise :func:`spectra_disjoint` decides;
-    * conditioning: cond(v)^2 max_j sigma_max(a - mu_j I) / min_j
-      sigma_min(a - mu_j I) bounds the condition number of the Kronecker
-      matrix, exactly for a normal b, and must not exceed SYLVESTER_COND_MAX.
-      The SVDs are taken, and this bound quoted, only without that proof,
-      which bounds it by SYLVESTER_COND_MAX / 2.  A defective b (a Jordan
-      block) has cond(v) infinite or of order 1/eps;
-    * the residual: ||a X - X b - c||_F <= 1e-10 max(1, ||X||_F).
-    """
-    a = _square(a, "a")
-    b = _square(b, "b")
-    c = as_matrix(c, "c")
+    (a - mu_j I)^{-1} (c v)_j from one LU solve per conjugate pair of shifts
+    (:func:`_conjugate_fill`): O(k n^3) for an n x n a and a k x k b.  Refused
+    by the gates of :func:`_shifted_solve` and :func:`_check_sylvester`."""
+    a, b, c = _square(a, "a"), _square(b, "b"), as_matrix(c, "c")
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
@@ -241,8 +228,11 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, blocks) -> tuple:
     blocks(w), w the eigenvectors there as columns (r_j = (c w)_j for the
     Sylvester equation a X - X b = c).
 
-    The solves pass the disjointness gate on (a, b), refused with the
-    Sylvester overlap message, and then the cond gate."""
+    The solves pass :func:`_disjoint_gate` on (a, b) at tau = 2 cond(v)^2
+    max_j n(a - mu_j I) / SYLVESTER_COND_MAX, n of :func:`_norm_bound`, then
+    :func:`_cond_gate` on :func:`_svd_bound`, which bounds the Kronecker cond
+    (exactly for a normal b; a defective b has cond(v) of order 1/eps or
+    more).  A proven tau bounds it by SYLVESTER_COND_MAX / 2, without SVDs."""
     refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
@@ -272,9 +262,7 @@ def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
 
 def _lu_solve(a: np.ndarray, m, r) -> tuple:
     """(a - m I)^{-1} r, for a vector or block r, from one LU solve, with the
-    norm bound of a - m I.
-
-    One call per shift, so only one shift's n x n matrices are alive at a time."""
+    norm bound of a - m I; a call per shift keeps one shift's matrices alive."""
     shifted = _shift(a, m)
     return np.linalg.solve(shifted, r), _norm_bound(shifted)
 
@@ -283,27 +271,47 @@ def _certify(a: np.ndarray, shifts, tau: float) -> bool:
     """True only if sigma_min(a - mu I) >= tau, so dist(mu, sigma(a)) >= tau
     and ||(a - mu I)^{-1}||_2 <= 1/tau, is proven at every mu in ``shifts``.
 
-    G = (a - mu I)^H (a - mu I) = a^T a - Re mu (a + a^T) + |mu|^2 I +
-    i Im mu (a - a^T) is formed in O(n^2) from one real a^T a.  A Cholesky
-    factorization of G - (tau^2 + margin) I runs to completion only if
-    G >= tau^2 I (Rump 2006): margin = 4 gamma_{2n+8} (||a||_F + sqrt(n)
-    |mu|)^2 >= 4 gamma_{2n+8} tr G covers forming G and the Cholesky backward
-    error (Higham 2002, Thm 10.3, complex constants), and (n + 4)^2 times the
-    least normal double covers underflow.  A G past the double range fails."""
+    First one real proof for all: sigma_min(a - mu I) >= Re mu - lambda_max(h),
+    h = (a + a^T)/2, as the numerical range of a lies in Re z <= lambda_max(h)
+    (Trefethen & Embree 2005, ch. 17); so :func:`_definite` of (rho - tau -
+    margin) I - h, rho = min Re mu, suffices, margin = 4 n gamma_{n+4} (max
+    |a_ij| + |rho| + tau) covering the roundings of a + a^T and of the diagonal
+    and the Cholesky error gamma_{n+1} tr.  Otherwise one proof per shift:
+    G = (a - mu I)^H (a - mu I) = a^T a - Re mu (a + a^T) + |mu|^2 I + i Im mu
+    (a - a^T), written from one a^T a, a + a^T and a - a^T, with margin =
+    4 gamma_{2n+8} (||a||_F + sqrt(n) |mu|)^2 >= 4 gamma_{2n+8} tr G (complex
+    constants) in G - (tau^2 + margin) I.  Both add (n + 4)^2 times the least
+    normal double for underflow; a matrix past the double range fails."""
     n = a.shape[0]
-    gamma = (2 * n + 8) * 2.0**-53 / (1 - (2 * n + 8) * 2.0**-53)
-    with np.errstate(all="ignore"):  # an overflowing G fails the proof below
-        ata, fro = a.T @ a, np.linalg.norm(a)
+    gamma = lambda k: k * 2.0**-53 / (1 - k * 2.0**-53)
+    underflow = (n + 4) ** 2 * np.finfo(float).tiny
+    rho = min(m.real for m in shifts)
+    with np.errstate(all="ignore"):  # an overflowing matrix fails the proofs below
+        sym = a + a.T
+        margin = 4 * n * gamma(n + 4) * (np.abs(a).max() + abs(rho) + tau) + underflow
+        if _definite(sym * -0.5, rho - tau - margin):
+            return True
+        ata, fro, skew = a.T @ a, np.linalg.norm(a), a - a.T
+        g = np.empty((n, n), complex)
         for m in shifts:  # a real mu gives a real G
-            g = ata - m.real * (a + a.T) + (1j * m.imag * (a - a.T) if m.imag else 0.0)
-            margin = 4 * gamma * (fro + np.sqrt(n) * abs(m)) ** 2 + (n + 4) ** 2 * np.finfo(float).tiny
-            g.flat[:: n + 1] += abs(m) ** 2 - tau**2 - margin
-            try:  # a NaN from an overflow can pass the factorization, but not this test
-                if not np.isfinite(margin + np.linalg.cholesky(g).trace()):
-                    return False
-            except np.linalg.LinAlgError:
+            if m.imag:
+                np.subtract(ata, np.multiply(sym, m.real, out=g.real), out=g.real)
+                np.multiply(skew, m.imag, out=g.imag)
+            margin = 4 * gamma(2 * n + 8) * (fro + np.sqrt(n) * abs(m)) ** 2 + underflow
+            if not _definite(g if m.imag else ata - m.real * sym, abs(m) ** 2 - tau**2 - margin):
                 return False
     return True
+
+
+def _definite(x: np.ndarray, shift: float) -> bool:
+    """True iff a Cholesky factorization of the Hermitian x + shift I, formed
+    in place, completes with a finite trace: then x + shift I >= -E, ||E||_2 <=
+    gamma_{n+1} tr(x + shift I) / (1 - gamma_{n+1}) (Higham 2002, Thm 10.3; Rump 2006)."""
+    x.flat[:: x.shape[0] + 1] += shift
+    try:  # a NaN from an overflow can pass the factorization, but not this test
+        return bool(np.isfinite(shift + np.linalg.cholesky(x).trace()))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _shift(a: np.ndarray, m) -> np.ndarray:
@@ -367,14 +375,11 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     converges to 2W.  The identity is carried along as well, giving H with
     a_cl^T H + H a_cl = -I, so 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
     condition number of the Kronecker matrix of the equation from above
-    (Hewer & Kenney 1988); the system is refused when this bound exceeds
+    (Hewer & Kenney 1988); the system is refused when this bound, tried
+    first with the norms of :func:`_norm_bound` (:func:`_cond_gate`), exceeds
     SYLVESTER_COND_MAX, or when the iteration does not converge within
-    SIGN_MAX_ITER steps.  The gate first tries the cheap bound
-    2 sqrt(n) sqrt(||a_cl||_1 ||a_cl||_inf) ||H||_1 (||H||_2 <= ||H||_1 for
-    the symmetric H) and takes the two SVD 2-norms only when that exceeds
-    SYLVESTER_COND_MAX; the 2-norm bound then decides and a refusal quotes
-    it.  The result is symmetrized, its residual verified against
-    1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
+    SIGN_MAX_ITER steps.  The result is symmetrized, its residual verified
+    against 1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
     return _lyapunov(a_cl, q, eigenvalues(a_cl).eigenvalues)
@@ -424,8 +429,7 @@ def pbh_observable(s, l) -> bool:
     """PBH observability of (s, l) (Hautus 1969): rank [s - lam I; l] = n at each
     eigenvalue lam of s.  A conjugate pair is tested once, at imag(lam) >= 0:
     the matrix at conj(lam) is the conjugate of the one at lam, of equal rank."""
-    s = _square(s, "s")
-    l = as_matrix(l, "l")
+    s, l = _square(s, "s"), as_matrix(l, "l")
     n = s.shape[0]
     if l.shape[1] != n:
         raise ValueError(f"l has {l.shape[1]} cols, expected {n}")
@@ -435,8 +439,7 @@ def pbh_observable(s, l) -> bool:
 
 def pbh_reachable(q, r) -> bool:
     """PBH reachability (controllability) of (q, r), dual of :func:`pbh_observable`."""
-    q = _square(q, "q")
-    r = as_matrix(r, "r")
+    q, r = _square(q, "q"), as_matrix(r, "r")
     if r.shape[0] != q.shape[0]:
         raise ValueError(f"r has {r.shape[0]} rows, expected {q.shape[0]}")
     return pbh_observable(q.T, r.T)
@@ -444,8 +447,7 @@ def pbh_reachable(q, r) -> bool:
 
 def excitable(s, w0) -> bool:
     """True iff w0 excites every mode of s: (s, w0) is reachable by :func:`pbh_reachable`."""
-    s = _square(s, "s")
-    w = as_vector(w0, "w0")
+    s, w = _square(s, "s"), as_vector(w0, "w0")
     if w.size != s.shape[0]:
         raise ValueError(f"w0 has size {w.size}, expected {s.shape[0]}")
     return pbh_reachable(s, w[:, None])
@@ -486,9 +488,7 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     K = Kbar X^{-1}; retries with a fresh Kbar, up to PLACE_RETRIES draws, if
     X is near singular.
     """
-    a = _square(a, "a")
-    b = as_matrix(b, "b")
-    target = _square(target, "target")
+    a, b, target = _square(a, "a"), as_matrix(b, "b"), _square(target, "target")
     n, m = b.shape
     if a.shape[0] != n or target.shape[0] != n:
         raise ValueError("a, b, target dimensions are inconsistent")

@@ -244,9 +244,10 @@ class TestSolveEmbedding:
             monkeypatch.setattr(np.linalg, name, spy)
         p, l_hat = solve_embedding(sys, abstract)
         assert np.linalg.norm(sys.c @ p - abstract.c) < 1e-10 * np.linalg.norm(abstract.c)
-        # one LU solve of a - mu I per upper point gives both G(mu) and p v, one Cholesky certifies it
+        # one LU solve of a - mu I per upper point gives both G(mu) and p v, one Cholesky
+        # certifies it, after the real one-shot proof fails: lambda_max((a + a^T)/2) is 0.43 here
         assert shapes["inv"] == []
-        assert shapes["solve"].count((12, 12)) == shapes["cholesky"].count((12, 12)) == 4
+        assert shapes["solve"].count((12, 12)) == shapes["cholesky"].count((12, 12)) - 1 == 4
         assert transfer_calls == []
 
     def test_jordan_block_f_raises(self, rng):

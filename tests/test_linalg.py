@@ -266,9 +266,17 @@ class TestCertificate:
     @staticmethod
     def draw(seed, n, scale, kind):
         """(a, mu): a random n x n a with entries of order 10^scale and a real,
-        complex or near-eigenvalue shift mu (within 1e-9 10^scale of one)."""
+        complex or near-eigenvalue shift mu (within 1e-9 10^scale of one), or
+        a dissipative a (skew minus SPD, half of them symmetric, so that the
+        numerical-range bound is tight at a real mu) and a mu on or right of
+        the imaginary axis."""
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n)) * 10.0**scale
+        if kind == "dissipative":
+            k, m = rng.standard_normal((2, n, n))
+            a = (rng.integers(2) * (k - k.T) - m @ m.T) * 10.0**scale
+            re, im = rng.integers(2, size=2) * rng.standard_normal(2)
+            return a, complex(abs(re), im) * 10.0**scale
         if kind == "real":
             return a, complex(rng.standard_normal() * 10.0**scale)
         if kind == "complex":
@@ -281,7 +289,7 @@ class TestCertificate:
         seed=st.integers(0, 10_000),
         n=st.integers(1, 12),
         scale=st.sampled_from([-150, 0, 150]),
-        kind=st.sampled_from(["real", "complex", "near"]),
+        kind=st.sampled_from(["real", "complex", "near", "dissipative"]),
     )
     def test_never_certifies_above_sigma_min(self, seed, n, scale, kind):
         a, mu = self.draw(seed, n, scale, kind)
@@ -291,6 +299,20 @@ class TestCertificate:
             tau = factor * svals[-1]
             if linalg._certify(a, [mu], tau):
                 assert tau <= svals[-1] + slack
+
+    @pytest.mark.parametrize("scale", [-500, 0, 500])
+    def test_never_certifies_above_an_exact_sigma_min(self, scale):
+        # a = -2^e v v^T (v integer, n >= 2) is exact, and sigma_min(a - mu I) = mu =
+        # Re mu - lambda_max((a + a^T)/2) at a real mu > 0: the numerical-range bound is tight,
+        # so only its margin stands between tau = mu (1 + excess) and a false proof.  With mu
+        # up to 2^60 below ||a||, the rounding of the proof often exceeds mu excess
+        rng = np.random.default_rng(scale + 1000)
+        for _ in range(2000):
+            e = scale + int(rng.integers(-3, 4))  # an odd e puts sqrt(2) in the factor
+            v = np.append(rng.integers(1, 4), rng.integers(-3, 4, rng.integers(1, 12)))
+            mu = rng.integers(1, 8) * 2.0 ** (e - int(rng.integers(0, 61)))
+            tau = mu * (1 + rng.integers(1, 64) * 2.0 ** -int(rng.integers(30, 53)))
+            assert not linalg._certify(-(2.0**e) * np.outer(v, v), [complex(mu)], tau)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), kind=st.sampled_from(["real", "complex"]))
@@ -305,19 +327,48 @@ class TestCertificate:
         a = springmass.concrete().a * 1e200
         assert not linalg._certify(a, [1.0 + 1.0j], 1.0)
         assert not linalg._certify(a, [0.5], 1.0)
+        # a + a^T overflows too: the one-shot proof fails without a warning
+        a = np.array([[-1.0, 1.0], [1.0, -1.0]]) * 1.5e308
+        assert not linalg._certify(a, [1.0j], 1.0)
+        assert not linalg._certify(-1.5e308 * np.eye(3), [1.0j, 0.5], 1.0)
 
-    def test_two_sided_rom_at_order_200_inverts_no_plant_matrix(self, monkeypatch):
+    def test_numerical_range_bound_within_tau_falls_through(self, monkeypatch):
+        # lambda_max((a + a^T)/2) = -eps lies within tau = 2 eps of rho = 0, so the
+        # one-shot proof fails; the per-shift proof shows sigma_min(a - mu I) ~ 2.5
+        eps = 0.01
+        a = np.kron(np.eye(2), rotation_block(3.0)) - eps * np.eye(4)
+        kinds, real = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: kinds.append(m.dtype.kind) or real(m))
+        assert linalg._certify(a, [0.5j], 2 * eps)
+        assert kinds == ["f", "c"]
+        kinds.clear()
+        assert linalg._certify(a, [0.5j], 0.5 * eps)  # now the one-shot proof holds
+        assert kinds == ["f"]
+
+    @staticmethod
+    def two_sided_rom_factorizations(monkeypatch, cond):
+        """dtype kinds of the 200 x 200 matrices factored by Cholesky in a
+        two-sided ROM of an order-200 plant with eigenbasis cond ``cond``."""
         rng = np.random.default_rng(200)
-        plant = non_normal_stable_system(rng, n=200, cond=30.0)
+        plant = non_normal_stable_system(rng, n=200, cond=cond)
         osc = np.kron(np.diag([1.0, 0.0]), rotation_block(1.0)) + np.kron(np.diag([0.0, 1.0]), rotation_block(3.0))
         di = moments.DirectInterpolant(s=osc, l=rng.standard_normal((2, 4)))
         si = moments.SwappedInterpolant(q=osc + 4.0 * np.eye(4), r=rng.standard_normal((4, 2)))
         monkeypatch.setattr(moments, "_moments", [])
         inverted = record_shapes(monkeypatch, "inv")
-        factored = record_shapes(monkeypatch, "cholesky")
+        kinds, real = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: kinds.append((m.shape, m.dtype.kind)) or real(m))
         moments.rom_two_sided(plant, di, si)
         assert (200, 200) not in inverted
-        assert factored.count((200, 200)) == 4  # two upper shifts on each side
+        return [kind for shape, kind in kinds if shape == (200, 200)]
+
+    def test_two_sided_rom_at_order_200_inverts_no_plant_matrix(self, monkeypatch):
+        # the non-normal plant is not dissipative enough: on each side the real
+        # one-shot attempt fails, then one complex Gram matrix per upper shift
+        assert self.two_sided_rom_factorizations(monkeypatch, 30.0) == ["f", "c", "c"] * 2
+
+    def test_two_sided_rom_of_normal_order_200_plant_factors_one_real_matrix_per_side(self, monkeypatch):
+        assert self.two_sided_rom_factorizations(monkeypatch, 1.0) == ["f"] * 2
 
 
 class TestSpectraDisjoint:
@@ -677,7 +728,8 @@ class TestConjugatePairs:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_one_inverse_per_upper_half_plane_mu(self, monkeypatch, kind, side):
-        # in place of each inverse of a - mu I: one LU solve and one Cholesky
+        # in place of each inverse of a - mu I: one LU solve and one Cholesky,
+        # after one failed real one-shot proof on this non-normal plant
         a, b, c = self.system(kind, side)
         n = max(a.shape[0], b.shape[0])
         inverted = record_shapes(monkeypatch, "inv")
@@ -686,7 +738,7 @@ class TestConjugatePairs:
         decomposed = record_shapes(monkeypatch, "svd")
         solve_sylvester(a, b, c)
         e = np.linalg.eigvals(mixed_small_side(kind))
-        assert solved.count((n, n)) == factored.count((n, n)) == np.sum(e.imag >= 0) < e.size
+        assert solved.count((n, n)) == factored.count((n, n)) - 1 == np.sum(e.imag >= 0) < e.size
         assert (n, n) not in inverted
         assert (n, n) not in decomposed  # accepted on the certificate alone
 
