@@ -47,10 +47,6 @@ class SimulationCertificate:
     k: np.ndarray
     r_hat: np.ndarray
 
-    def w_sqrt(self) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self.w)
-        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
 
 @dataclass(frozen=True)
 class AbstractionDesign:
@@ -174,9 +170,9 @@ def synth_certificate(
     eps = 1e-6 * (np.linalg.norm(sys.c, 2) ** 2 + 1.0)  # 1e-6 ||c^T c + I||_2
     # sigma(a_cl + lam I) = sigma(a_cl) + lam, so a_cl is eigensolved once
     w0 = _lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n), spec.eigenvalues + lam)
-    # smallest alpha with alpha w0 >= c^T c: top generalized eigenvalue of (ctc, w0)
-    inv_chol = np.linalg.inv(np.linalg.cholesky(w0))
-    gen_max = float(np.linalg.eigvalsh(inv_chol @ ctc @ inv_chol.T).max())
+    # smallest alpha with alpha w0 >= c^T c: lambda_max(z^T z), z = L^{-1} c^T for w0 = L L^T
+    z = np.linalg.solve(np.linalg.cholesky(w0), sys.c.T)
+    gen_max = float(np.linalg.eigvalsh(z.T @ z).max())
     w = max(1.0, gen_max) * w0
     r_hat = np.ones((sys.m, abstract.m))
     cert = SimulationCertificate(p=p, l_hat=l_hat, w=w, lam=lam, k=k, r_hat=r_hat)
@@ -190,10 +186,11 @@ def synth_certificate(
 def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=None) -> dict:
     """Relative residuals of the certificate's defining relations, 0 where one holds.
 
-    The c^T c domination gap max(0, -min eig(w - c^T c)) and the decay
-    inequality max(0, max eig(a_cl^T w + w a_cl + 2 lam w)), a_cl = a + b k,
-    are divided by max(1, ||w||_2), since eigvalsh rounding grows as
-    eps ||w||.  Given the abstraction's state matrix f, the embedding residual
+    The asymmetry ||w - w^T||_F (eigvalsh reads one triangle of w), the c^T c
+    domination gap max(0, -min eig(w - c^T c)) and the decay inequality
+    max(0, max eig(a_cl^T w + w a_cl + 2 lam w)), a_cl = a + b k, are divided
+    by max(1, ||w||_2), since eigvalsh rounding grows as eps ||w||.  Given
+    the abstraction's state matrix f, the embedding residual
     ||p f - a p - b l_hat||_F is divided by max(1, ||p||_F).  Shapes must fit ``sys``.
     """
     _require_shapes(k=(cert.k, (sys.m, sys.n)), w=(cert.w, (sys.n, sys.n)))
@@ -207,6 +204,7 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
         raise ValueError(f"decay-inequality matrix is not finite at lam = {cert.lam:g}")
     gap = np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()
     res = {
+        "w asymmetry": np.linalg.norm(cert.w - cert.w.T) / w_scale,
         "c^T c domination gap": max(0.0, -gap) / w_scale,
         "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
     }
@@ -222,15 +220,15 @@ def simulation_fn_value(cert: SimulationCertificate, xi, x) -> float:
 
 
 def gamma_gain(cert: SimulationCertificate, b, g) -> float:
-    """Slope of the linear class-K gain: ||w^{1/2} (b r_hat - p g)||_2 / lam.
+    """Slope of the linear class-K gain: ||w^{1/2} m||_2 / lam = sqrt(lambda_max(m^T w m)) / lam.
 
-    With gamma(r) = gain * r, the simulation function strictly decreases
-    whenever gamma(||v||) < V.
+    Here m = b r_hat - p g.  With gamma(r) = gain * r, the simulation function
+    strictly decreases whenever gamma(||v||) < V.
     """
     b = as_matrix(b, "b")
     g = as_matrix(g, "g")
-    mat = cert.w_sqrt() @ (b @ cert.r_hat - cert.p @ g)
-    return float(np.linalg.norm(mat, 2) / cert.lam)
+    mat = b @ cert.r_hat - cert.p @ g
+    return float(np.sqrt(max(np.linalg.eigvalsh(mat.T @ cert.w @ mat).max(), 0.0)) / cert.lam)
 
 
 def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:

@@ -1,13 +1,13 @@
 """Dense real linear algebra for state-space problems, on plain numpy arrays.
 
 :func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
-:func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate` and
-:func:`_disjoint_gate`; the Sylvester solver forms no inverse of a shifted
-matrix: an LU solve per shift, with sigma_min of it proven by Cholesky in
-:func:`_certify`, once for all shifts right of the numerical range of a
-dissipative matrix, else per shift), :func:`place_poles`, and the PBH rank
-test (:func:`pbh_observable`), the one rule for observability, reachability
-(:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
+:func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate`, cheap first
+from Frobenius norms, and :func:`_disjoint_gate`; the Sylvester solver forms no
+inverse of a shifted matrix: an LU solve per shift, with sigma_min of it
+proven by Cholesky in :func:`_certify`, once for all shifts right of the
+numerical range of a dissipative matrix, else per shift), :func:`place_poles`,
+and the PBH rank test (:func:`pbh_observable`), the one rule for observability,
+reachability (:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
 """
 
 from __future__ import annotations
@@ -179,19 +179,18 @@ def _apart(e1: np.ndarray, e2: np.ndarray) -> bool:
     return bool(np.abs(e1[:, None] - e2[None, :]).min() > DISJOINT_TOL)
 
 
-def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str, b=None) -> float:
+def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str) -> float:
     """Refuse with ``refusal`` unless sigma(a) is more than DISJOINT_TOL from
-    the points ``shifts`` (for a square ``b``: from sigma(b), one shift per
-    conjugate pair of it).  Return t = max(tau, 2 DISJOINT_TOL) when
+    the points ``shifts`` (one per conjugate pair suffices: a real a has a
+    conjugate-symmetric spectrum).  Return t = max(tau, 2 DISJOINT_TOL) when
     :func:`_certify` proves sigma_min(a - mu I) >= t at every shift (by one
     real proof for a dissipative a, else one per shift), which shows the gap
-    without an eigensolve; otherwise the computed spectra decide, as in
+    without an eigensolve; otherwise the computed spectrum of a decides, as in
     :func:`spectra_disjoint`, and 0 is returned."""
     tau = max(tau, 2 * DISJOINT_TOL)  # an inf or nan tau tries no proof
     if np.isfinite(tau) and _certify(a, shifts, tau):
         return tau
-    points = np.asarray(shifts) if b is None else eigenvalues(b).eigenvalues
-    if not _apart(eigenvalues(a).eigenvalues, points):
+    if not _apart(eigenvalues(a).eigenvalues, np.asarray(shifts)):
         raise ValueError(refusal)
     return 0.0
 
@@ -226,29 +225,29 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, blocks) -> tuple:
     """(mu, v, y) over the eigenpairs (mu, v) of b: at the j-th mu with
     imag >= 0, y[j] = (a - mu_j I)^{-1} r_j for the right-hand sides r =
     blocks(w), w the eigenvectors there as columns (r_j = (c w)_j for the
-    Sylvester equation a X - X b = c).
+    Sylvester equation a X - X b = c), from one LU solve.
 
-    The solves pass :func:`_disjoint_gate` on (a, b) at tau = 2 cond(v)^2
-    max_j n(a - mu_j I) / SYLVESTER_COND_MAX, n of :func:`_norm_bound`, then
-    :func:`_cond_gate` on :func:`_svd_bound`, which bounds the Kronecker cond
-    (exactly for a normal b; a defective b has cond(v) of order 1/eps or
-    more).  A proven tau bounds it by SYLVESTER_COND_MAX / 2, without SVDs."""
+    The solves pass :func:`_disjoint_gate` on a at tau = 2 scale /
+    SYLVESTER_COND_MAX, scale = cond(v)^2 (||a||_F + max_j |mu_j|), which
+    bounds cond(v)^2 max_j ||a - mu_j I||_2, then :func:`_cond_gate` on
+    :func:`_svd_bound`, which bounds the Kronecker cond (exactly for a normal
+    b; a defective b has cond(v) of order 1/eps or more).  A proven tau
+    bounds it by SYLVESTER_COND_MAX / 2, without SVDs."""
     refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
     # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
     mu, v = np.linalg.eig(b)
     first = mu.imag >= 0
     shifts = mu[first]
-    overlap = lambda tau: _disjoint_gate(tau, a, shifts, refusal, b)
+    overlap = lambda tau: _disjoint_gate(tau, a, shifts, refusal)
     exact = lambda: _svd_bound(a, shifts, v)
     try:
-        solved = [_lu_solve(a, m, r) for m, r in zip(shifts, blocks(v[:, first]))]
+        y = [np.linalg.solve(_shift(a, m), r) for m, r in zip(shifts, blocks(v[:, first]))]
     except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
         overlap(np.inf)
         _cond_gate("Sylvester", np.inf, exact)
         raise
-    y, norms = zip(*solved)
     with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf, so tau is not finite
-        scale = np.linalg.cond(v) ** 2 * max(norms)
+        scale = np.linalg.cond(v) ** 2 * (np.linalg.norm(a) + np.abs(shifts).max())
         tau = 2 * scale / SYLVESTER_COND_MAX
     proven = overlap(tau)
     _cond_gate("Sylvester", scale / proven if proven else np.inf, exact)
@@ -258,13 +257,6 @@ def _shifted_solve(a: np.ndarray, b: np.ndarray, blocks) -> tuple:
 def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
     """The real X with X v_j = y_j, given y_j where imag(mu_j) >= 0 (:func:`_conjugate_fill`)."""
     return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
-
-
-def _lu_solve(a: np.ndarray, m, r) -> tuple:
-    """(a - m I)^{-1} r, for a vector or block r, from one LU solve, with the
-    norm bound of a - m I; a call per shift keeps one shift's matrices alive."""
-    shifted = _shift(a, m)
-    return np.linalg.solve(shifted, r), _norm_bound(shifted)
 
 
 def _certify(a: np.ndarray, shifts, tau: float) -> bool:
@@ -321,14 +313,6 @@ def _shift(a: np.ndarray, m) -> np.ndarray:
     return shifted
 
 
-def _norm_bound(m: np.ndarray) -> float:
-    """sqrt(||m||_1 ||m||_inf), an upper bound on ||m||_2 (Golub & Van Loan, 2.3);
-    inf where it passes the double range, so the exact bound decides."""
-    with np.errstate(over="ignore"):
-        mag = np.abs(m)
-        return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
-
-
 def _svd_bound(a: np.ndarray, shifts: np.ndarray, v: np.ndarray) -> float:
     """cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)."""
     svals = np.array([np.linalg.svd(_shift(a, m), compute_uv=False)[[0, -1]] for m in shifts])
@@ -376,7 +360,7 @@ def solve_lyapunov(a_cl, q) -> np.ndarray:
     a_cl^T H + H a_cl = -I, so 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
     condition number of the Kronecker matrix of the equation from above
     (Hewer & Kenney 1988); the system is refused when this bound, tried
-    first with the norms of :func:`_norm_bound` (:func:`_cond_gate`), exceeds
+    first with Frobenius norms in place of 2-norms (:func:`_cond_gate`), exceeds
     SYLVESTER_COND_MAX, or when the iteration does not converge within
     SIGN_MAX_ITER steps.  The result is symmetrized, its residual verified
     against 1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
@@ -414,11 +398,9 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray) -> np.ndarray:
     else:
         raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
     w, h = 0.25 * (qs + qs.transpose(0, 2, 1))
-    _cond_gate(
-        "Lyapunov",
-        2 * np.sqrt(n) * _norm_bound(a_cl) * _norm_bound(h),
-        lambda: 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2),
-    )
+    with np.errstate(over="ignore"):  # a norm past the double range is inf: the exact tier decides
+        cheap = 2 * np.sqrt(n) * np.linalg.norm(a_cl) * np.linalg.norm(h)
+    _cond_gate("Lyapunov", cheap, lambda: 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2))
     resid = np.linalg.norm(a_cl.T @ w + w @ a_cl + q)
     if resid > 1e-10 * max(1.0, np.linalg.norm(w)):
         raise ValueError(f"Lyapunov residual {resid:.3e} exceeds tolerance")

@@ -26,8 +26,8 @@ from .linalg import (
     as_matrix,
     _conjugate_fill,
     _disjoint_gate,
-    _lu_solve,
     _memoized,
+    _shift,
     _square,
     pbh_observable,
     pbh_reachable,
@@ -157,9 +157,11 @@ def rom_two_sided(
 ) -> StateSpaceModel:
     """Single reduced model matching the moments at (s, l) and (q, r) jointly.
 
-    Uses g = (Ups Pi)^{-1} Ups b in the direct family; requires Ups Pi to
-    be well conditioned.
+    Uses g = (Ups Pi)^{-1} Ups b in the direct family; requires s and q of
+    one order, so that Ups Pi is square, and Ups Pi well conditioned.
     """
+    if di.s.shape != si.q.shape:
+        raise ValueError(f"s has order {di.s.shape[0]} and q order {si.q.shape[0]}; two-sided matching needs one")
     if not spectra_disjoint(di.s, si.q):
         raise ValueError("sigma(s) and sigma(q) must be disjoint")
     dsol = moment_direct(sys, di)
@@ -180,7 +182,7 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
     :func:`momabs.linalg._disjoint_gate`, also when the solve fails."""
     refusal = f"evaluation point {s} is numerically an eigenvalue of a"
     try:
-        return -(sys.c @ _lu_solve(sys.a, complex(s), sys.b)[0])
+        return -(sys.c @ np.linalg.solve(_shift(sys.a, complex(s)), sys.b))
     finally:
         _disjoint_gate(0.0, sys.a, [complex(s)], refusal)
 

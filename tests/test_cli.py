@@ -214,6 +214,18 @@ class TestReduce:
         assert "swapped moment residual" in text
         assert "result: OK" in text
 
+    def test_two_sided_orders_differ_exits_2(self, tmp_path, plant_file, capsys):
+        rng = np.random.default_rng(7)
+        interp = write_json(
+            tmp_path / "interp.json",
+            {"s": [[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [0.0, 0.0, 0.5]], "q": [[0.0, 3.0], [-3.0, 0.0]],
+             "l": rng.standard_normal((2, 3)).tolist(), "r": rng.standard_normal((2, 2)).tolist()},
+        )
+        out = tmp_path / "rom.json"
+        assert main(["reduce", plant_file, "--interp", interp, "--mode", "two-sided", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: s has order 3 and q order 2; two-sided matching needs one\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode, rows",
         [
@@ -247,7 +259,7 @@ class TestReduce:
         assert rows == ["direct moment residual", "tangential transfer match at sigma(s)"]
 
     def test_huge_plant_reduces_without_warning(self, tmp_path, capsys):
-        # sqrt(||M||_1 ||M||_inf) of a - mu I passes the double range; the exact bound decides
+        # ||a||_F in the cheap Sylvester bound passes the double range; the exact bound decides
         plant = springmass.concrete()
         model = write_json(tmp_path / "sys.json", {**model_dict(plant), "a": (plant.a * 1e200).tolist()})
         data = {"s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist()}
@@ -857,6 +869,7 @@ def reference_certificate(cert, sys, f):
     lmi = a_cl.T @ cert.w + cert.w @ a_cl + 2 * cert.lam * cert.w
     resid = np.linalg.norm(cert.p @ f - sys.a @ cert.p - sys.b @ cert.l_hat)
     return {
+        "w asymmetry": np.linalg.norm(cert.w - cert.w.T) / w_scale,
         "c^T c domination gap": max(0.0, -np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()) / w_scale,
         "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
         "embedding residual": resid / max(1.0, np.linalg.norm(cert.p)),
@@ -1025,6 +1038,20 @@ class TestVerifyCertificate:
         )
         assert code == 0
         assert shown == self._shown(residuals)
+
+    def test_asymmetric_w_fails(self, tmp_path, capsys):
+        # eigvalsh reads one triangle: with w[0, 3] raised by 1e3 the domination
+        # and decay rows still pass, yet e^T w e < 0 at e = (1, 0, 0, -1)
+        plant, cert = springmass.concrete(), springmass_certificate()
+        w = cert.w.copy()
+        w[0, 3] += 1e3
+        e = np.array([1.0, 0.0, 0.0, -1.0])
+        assert e @ w @ e < 0
+        artifact = certificate_fields(dataclasses.replace(cert, w=w), springmass.abstract().a)
+        code, shown, _ = self._verify(tmp_path, capsys, plant, artifact)
+        assert code == 1
+        assert shown["w asymmetry"] == pytest.approx(np.sqrt(2) * 1e3 / np.linalg.norm(w, 2), rel=1e-5)
+        assert all(shown[name] <= 1e-8 for name in ("c^T c domination gap", "decay inequality"))
 
     @pytest.mark.parametrize(
         "patch, shown",

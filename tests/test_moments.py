@@ -271,6 +271,14 @@ class TestRomTwoSided:
         assert tangential_mismatch_direct(sys, rom, di) < 1e-7
         assert tangential_mismatch_swapped(sys, rom, si) < 1e-7
 
+    def test_orders_of_s_and_q_differ(self, rng):
+        sys = random_stable_system(rng, n=6, m=1, p=1)
+        s = block_diag_spectrum([1.5j, -1.5j, 0.5])
+        di = DirectInterpolant(s=s, l=rng.standard_normal((1, 3)))
+        si = random_swapped_interpolant(rng, sys, freq=3.0)
+        with pytest.raises(ValueError, match=r"^s has order 3 and q order 2; two-sided matching needs one$"):
+            rom_two_sided(sys, di, si)
+
     def test_coinciding_interpolants_rejected(self, rng):
         sys = random_stable_system(rng, n=6, m=1, p=1)
         di = random_direct_interpolant(rng, sys, freq=2.0)
