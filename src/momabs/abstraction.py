@@ -17,12 +17,12 @@ import numpy as np
 from .linalg import (
     StateSpaceModel,
     _check_sylvester,
+    _eig,
     _from_eigenbasis,
     _lyapunov,
     _require_shapes,
     _shifted_solve,
     as_matrix,
-    eigenvalues,
     numerical_rank,
     rank_tol,
     solve_sylvester,
@@ -161,15 +161,15 @@ def synth_certificate(
     """
     k = as_matrix(k, "k")
     a_cl = sys.a + sys.b @ k
-    spec = eigenvalues(a_cl)
-    if spec.max_real_part >= 0:
+    e, v = _eig(np.linalg.eig, a_cl)
+    if e.real.max() >= 0:
         raise ValueError("k is not stabilizing")
     p, l_hat = solve_embedding(sys, abstract, l_hat)
-    lam = DEFAULT_LAMBDA_FRACTION * abs(spec.max_real_part)
+    lam = DEFAULT_LAMBDA_FRACTION * abs(float(e.real.max()))
     ctc = sys.c.T @ sys.c
     eps = 1e-6 * (np.linalg.norm(sys.c, 2) ** 2 + 1.0)  # 1e-6 ||c^T c + I||_2
-    # sigma(a_cl + lam I) = sigma(a_cl) + lam, so a_cl is eigensolved once
-    w0 = _lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n), spec.eigenvalues + lam)
+    # a_cl + lam I has the eigenvectors of a_cl and its eigenvalues + lam: one eigensolve
+    w0 = _lyapunov(a_cl + lam * np.eye(sys.n), ctc + eps * np.eye(sys.n), e + lam, v)
     # smallest alpha with alpha w0 >= c^T c: lambda_max(z^T z), z = L^{-1} c^T for w0 = L L^T
     z = np.linalg.solve(np.linalg.cholesky(w0), sys.c.T)
     gen_max = float(np.linalg.eigvalsh(z.T @ z).max())

@@ -5,8 +5,9 @@
 from Frobenius norms, and :func:`_disjoint_gate`; the Sylvester solver forms no
 inverse of a shifted matrix: an LU solve per shift, with sigma_min of it
 proven by Cholesky in :func:`_certify`, once for all shifts right of the
-numerical range of a dissipative matrix, else per shift), :func:`place_poles`,
-and the PBH rank test (:func:`pbh_observable`), the one rule for observability,
+numerical range of a dissipative matrix, else per shift; the Lyapunov solver
+works in the eigenbasis of a_cl, with the sign iteration only as fallback),
+:func:`place_poles`, and the PBH rank test (:func:`pbh_observable`), the one rule for observability,
 reachability (:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
 """
 
@@ -128,13 +129,18 @@ def eigenvalues(m) -> SpectrumReport:
     exceeds SPECTRUM_TOL; the matrix is Hurwitz iff every real part is below
     -SPECTRUM_TOL.  The eigenvalues are sorted by real then imaginary part.
     """
-    try:
-        vals = np.linalg.eigvals(_square(m, "matrix"))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
+    vals = _eig(np.linalg.eigvals, m)
     vals = vals[np.lexsort((vals.imag, vals.real))]
     apart = np.abs(vals[:, None] - vals) + np.diag(np.full(vals.size, np.inf))  # the pairs i != j
     return SpectrumReport(vals, bool(apart.min() > SPECTRUM_TOL), float(vals.real.max()))
+
+
+def _eig(solver, m):
+    """solver (np.linalg.eig or eigvals) of a square finite m; failing, a ValueError."""
+    try:
+        return solver(_square(m, "matrix"))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def _memoized(memo: list, size: int, fn, *args) -> tuple:
@@ -353,25 +359,23 @@ def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
 def solve_lyapunov(a_cl, q) -> np.ndarray:
     """Solve a_cl^T W + W a_cl = -q for Hurwitz a_cl and symmetric PSD q.
 
-    Uses the scaled Newton iteration for the matrix sign function (Roberts
-    1980): A <- (mu A + A^{-1}/mu)/2 with mu = sqrt(||A^{-1}||_F/||A||_F)
-    converges to sign(a_cl) = -I, while Q <- (mu Q + A^{-T} Q A^{-1}/mu)/2
-    converges to 2W.  The identity is carried along as well, giving H with
-    a_cl^T H + H a_cl = -I, so 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
-    condition number of the Kronecker matrix of the equation from above
-    (Hewer & Kenney 1988); the system is refused when this bound, tried
-    first with Frobenius norms in place of 2-norms (:func:`_cond_gate`), exceeds
-    SYLVESTER_COND_MAX, or when the iteration does not converge within
-    SIGN_MAX_ITER steps.  The result is symmetrized, its residual verified
-    against 1e-10 * max(1, ||W||_F); it is positive definite whenever q is.
+    One eigendecomposition a_cl = v diag(e) v^{-1} gives W = Re(v^{-H} Y
+    v^{-1}), Y_ij = -(v^H q v)_ij / (conj(e_i) + e_j).  The Kronecker matrix
+    of the equation has the eigenvalues e_i + e_j and the eigenvector basis
+    v^{-T} (x) v^{-T}, so 2 ||a_cl||_F (||v||_F ||v^{-1}||_F)^2 / min_ij |e_i
+    + e_j| bounds its condition number from above.  When that bound exceeds
+    SYLVESTER_COND_MAX (a defective a_cl gives inf), or W misses the
+    residual check, :func:`_sign_lyapunov` decides.  W is symmetrized, its
+    residual verified against 1e-10 * max(1, ||W||_F); it is positive
+    definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
-    return _lyapunov(a_cl, q, eigenvalues(a_cl).eigenvalues)
+    return _lyapunov(a_cl, q, *_eig(np.linalg.eig, a_cl))
 
 
-def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray) -> np.ndarray:
-    """:func:`solve_lyapunov` for a square a_cl whose spectrum e the caller
-    already has, such as sigma(a + b k) + lam for a_cl = a + b k + lam I."""
+def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`solve_lyapunov` for a square a_cl whose eigenpairs (e, v) the
+    caller already has, such as (sigma(a + b k) + lam, v) for a_cl = a + b k + lam I."""
     q = _square(q, "q")
     if q.shape != a_cl.shape:
         raise ValueError("q must match a_cl in shape")
@@ -380,29 +384,55 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray) -> np.ndarray:
     if e.real.max() >= 0:
         raise ValueError("a_cl is not Hurwitz")
     # sigma(a_cl^T) = sigma(a_cl) and sigma(-a_cl) = -sigma(a_cl)
-    if np.abs(e[:, None] + e).min() <= DISJOINT_TOL:
+    if (gap := np.abs(e[:, None] + e).min()) <= DISJOINT_TOL:
         raise ValueError(
             "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
         )
+    with np.errstate(all="ignore"):  # a defective a_cl gives a (near) singular v: an inf or nan bound
+        try:
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            v_inv = np.full_like(v, np.inf)
+        bound = 2 * np.linalg.norm(a_cl) * (np.linalg.norm(v) * np.linalg.norm(v_inv)) ** 2 / gap
+    if bound <= SYLVESTER_COND_MAX:
+        y = (v.conj().T @ q @ v) / -(e.conj()[:, None] + e)
+        w = (v_inv.conj().T @ y @ v_inv).real
+        w = 0.5 * (w + w.T)
+        if np.linalg.norm(a_cl.T @ w + w @ a_cl + q) <= 1e-10 * max(1.0, np.linalg.norm(w)):
+            return w
+    return _sign_lyapunov(a_cl, q)
+
+
+def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The fallback of :func:`solve_lyapunov`: the scaled Newton sign
+    iteration (Roberts 1980).  A <- (mu A + A^{-1}/mu)/2, mu =
+    sqrt(||A^{-1}||_F/||A||_F), converges to sign(a_cl) = -I, and Q <- (mu Q +
+    A^{-T} Q A^{-1}/mu)/2 to 2W; carried along, the identity gives H with
+    a_cl^T H + H a_cl = -I, and 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
+    Kronecker cond (Hewer & Kenney 1988).  Refused when that bound, tried first
+    with Frobenius norms (:func:`_cond_gate`), exceeds SYLVESTER_COND_MAX, when
+    SIGN_MAX_ITER steps do not converge (as after a norm overflows), or when W
+    misses the residual check."""
     n = a_cl.shape[0]
     eye = np.eye(n)
     a, qs = a_cl, np.stack([q, eye])
-    for _ in range(SIGN_MAX_ITER):
-        a_inv = np.linalg.inv(a)
-        mu = np.sqrt(np.linalg.norm(a_inv) / np.linalg.norm(a))
-        last = np.linalg.norm(a + eye) <= SIGN_TOL * np.sqrt(n)
-        a = 0.5 * (mu * a + a_inv / mu)
-        qs = 0.5 * (mu * qs + a_inv.T @ qs @ a_inv / mu)
-        if last:
-            break
-    else:
-        raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
+    with np.errstate(all="ignore"):  # an overflowing norm gives a nan iterate, which never converges
+        for _ in range(SIGN_MAX_ITER):
+            a_inv = np.linalg.inv(a)
+            mu = np.sqrt(np.linalg.norm(a_inv) / np.linalg.norm(a))
+            last = np.linalg.norm(a + eye) <= SIGN_TOL * np.sqrt(n)
+            a = 0.5 * (mu * a + a_inv / mu)
+            qs = 0.5 * (mu * qs + a_inv.T @ qs @ a_inv / mu)
+            if last:
+                break
+        else:
+            raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
     w, h = 0.25 * (qs + qs.transpose(0, 2, 1))
     with np.errstate(over="ignore"):  # a norm past the double range is inf: the exact tier decides
         cheap = 2 * np.sqrt(n) * np.linalg.norm(a_cl) * np.linalg.norm(h)
     _cond_gate("Lyapunov", cheap, lambda: 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2))
     resid = np.linalg.norm(a_cl.T @ w + w @ a_cl + q)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(w)):
+    if not resid <= 1e-10 * max(1.0, np.linalg.norm(w)):  # a nan W is refused
         raise ValueError(f"Lyapunov residual {resid:.3e} exceeds tolerance")
     return w
 

@@ -487,12 +487,7 @@ def run_hierarchical(
     bound = max(
         simulation_fn_value(cert, xi0, x0), gain * v.sup_norm(traj.times)
     )
-    extras = {
-        "bound": bound,
-        "sup_e_y": float(norms.max()),
-        "gamma_gain": gain,
-        "lambda": cert.lam,
-    }
+    extras = {"bound": bound, "sup_e_y": float(norms.max())}
     return traj, error_stats(traj.times, norms, extras=extras)
 
 

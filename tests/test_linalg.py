@@ -139,12 +139,18 @@ class TestNoPlantEigensolve:
             a=rotation_block(1.5), b=rng.standard_normal((2, 2)), c=rng.standard_normal((2, 2))
         )
         k = -1e-6 * plant.b.T  # a + b k differs from a, so its spectra are told apart
-        solved, real = [], np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: solved.append(m.copy()) or real(m))
+        solved = {"eig": [], "eigvals": []}
+        for name, got in solved.items():
+            real = getattr(np.linalg, name)
+            spy = lambda m, got=got, real=real: got.append(m.copy()) or real(m)
+            monkeypatch.setattr(np.linalg, name, spy)
         abstraction.synth_certificate(plant, abstract, k)
-        assert not any(np.array_equal(m, plant.a) for m in solved)
-        # the stability margin of a + b k; the shifted Lyapunov matrix reuses it
-        assert [m.shape for m in solved].count((50, 50)) == 1
+        assert not any(np.array_equal(m, plant.a) for m in solved["eig"] + solved["eigvals"])
+        # one eigendecomposition of a + b k gives the stability margin and the
+        # eigenbasis of the shifted Lyapunov matrix
+        assert [m.shape for m in solved["eigvals"]].count((50, 50)) == 0
+        order_n = [m for m in solved["eig"] if m.shape == (50, 50)]
+        assert len(order_n) == 1 and np.array_equal(order_n[0], plant.a + plant.b @ k)
 
 
 def triangular_plant(n, cond, seed=0):
@@ -455,6 +461,64 @@ class TestLyapunov:
             solve_lyapunov(-np.eye(2), np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
+def sign_iteration_reference(a_cl, q):
+    """(W, H) from the scaled Newton sign iteration, step for step as
+    linalg's fallback runs it, without its gates."""
+    n = a_cl.shape[0]
+    eye = np.eye(n)
+    a, qs = a_cl, np.stack([q, eye])
+    for _ in range(linalg.SIGN_MAX_ITER):
+        a_inv = np.linalg.inv(a)
+        mu = np.sqrt(np.linalg.norm(a_inv) / np.linalg.norm(a))
+        last = np.linalg.norm(a + eye) <= linalg.SIGN_TOL * np.sqrt(n)
+        a = 0.5 * (mu * a + a_inv / mu)
+        qs = 0.5 * (mu * qs + a_inv.T @ qs @ a_inv / mu)
+        if last:
+            return 0.25 * (qs + qs.transpose(0, 2, 1))
+    raise AssertionError("no convergence")
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """Record every call of the sign-iteration fallback."""
+    calls, real = [], linalg._sign_lyapunov
+    monkeypatch.setattr(linalg, "_sign_lyapunov", lambda a_cl, q: calls.append(a_cl) or real(a_cl, q))
+    return calls
+
+
+class TestLyapunovEigenbasis:
+    """The eigenbasis solve, and the sign iteration as its fallback."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_sign_iteration(self, sign_calls, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        plant = non_normal_stable_system(rng, n=n, cond=float(np.exp(rng.uniform(0.0, np.log(100.0)))))
+        q = plant.c.T @ plant.c + 1e-3 * np.eye(n)
+        w = solve_lyapunov(plant.a, q)
+        assert sign_calls == []
+        assert np.linalg.cond(np.linalg.eig(plant.a).eigenvectors) <= 100
+        assert rel_diff(w, linalg._sign_lyapunov(plant.a, q)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_jordan_block_falls_back_to_the_sign_iteration(self, sign_calls, n):
+        a_cl = -0.5 * np.eye(n) + np.eye(n, k=1)
+        q = np.eye(n) + np.ones((n, n))
+        w = solve_lyapunov(a_cl, q)
+        assert len(sign_calls) == 1
+        assert np.array_equal(w, sign_iteration_reference(a_cl, q)[0])
+        assert np.linalg.norm(a_cl.T @ w + w @ a_cl + q) <= 1e-10 * np.linalg.norm(w)
+
+    def test_jordan_block_refusal_quotes_the_sign_iteration_bound(self, monkeypatch):
+        a_cl = -0.5 * np.eye(3) + np.eye(3, k=1)
+        h = sign_iteration_reference(a_cl, np.eye(3))[1]
+        monkeypatch.setattr(linalg, "SYLVESTER_COND_MAX", 1.0)
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+            solve_lyapunov(a_cl, np.eye(3))
+        exact = 2 * np.sqrt(3) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2)
+        assert reported_bound(excinfo) == float(f"{exact:.12g}")
+
+
 class TestScipyCrossCheck:
     """The O(n^3) solvers against scipy's Bartels-Stewart solvers."""
 
@@ -639,8 +703,35 @@ class TestConditioningGate:
 
     def test_sign_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "SIGN_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge"):  # defective: the sign iteration decides
+            solve_lyapunov(np.array([[-1e-3, 1.0], [0.0, -1e-3]]), np.eye(2))
+
+    def test_overflowing_sign_iteration_refused_without_warning(self):
+        # ||a_cl||_F overflows: the eigenbasis bound is inf and the sign iteration never converges
         with pytest.raises(ValueError, match="did not converge"):
-            solve_lyapunov(np.array([[-1e3, 1.0], [0.0, -1e-3]]), np.eye(2))
+            solve_lyapunov(np.diag([-1e155, -1.0]), np.eye(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 8),
+        log_cond=st.floats(0.0, 5.0),
+        kind=st.sampled_from(["similar", "random"]),
+    )
+    def test_lyapunov_eigenbasis_bound_dominates_kronecker_cond(self, seed, n, log_cond, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "similar":
+            a_cl = non_normal_stable_system(rng, n=n, cond=float(np.exp(log_cond))).a
+        else:
+            a_cl = random_stable_system(rng, n=n, margin=float(np.exp(-log_cond))).a
+        exact = np.linalg.cond(kron_lyapunov(a_cl))
+        assume(exact < 1e8)
+        # just below the Kronecker cond the eigenbasis tier must not accept; the
+        # fallback's bound is at least the Kronecker cond too, so it refuses
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SYLVESTER_COND_MAX", exact * (1 - 1e-9))
+            with pytest.raises(ValueError, match="ill conditioned"):
+                solve_lyapunov(a_cl, np.eye(n))
 
 
 def per_shift_sylvester(a, b, c):
