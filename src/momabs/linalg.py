@@ -388,7 +388,7 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(
             "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
         )
-    with np.errstate(all="ignore"):  # a defective a_cl gives a (near) singular v: an inf or nan bound
+    with np.errstate(all="ignore"):  # a defective a_cl gives a (near) singular v: a huge, inf or nan bound
         try:
             v_inv = np.linalg.inv(v)
         except np.linalg.LinAlgError:
