@@ -235,16 +235,17 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
     """Geometric abstraction from an injective p with im(a p) in im(p) + im(b)
     and im(p) + ker(c) = R^n.
 
-    The injection d is chosen greedily from an orthonormal ker(c) basis so
-    that [p d] is invertible; [m_map; e] is its inverse; (f, l_hat) solve
-    [p, -b] [f; l_hat] = a p; the link matrices are n_map = [-l_hat m_map; e]
-    and gamma = [I; 0].
+    The injection d is all of an orthonormal ker(c) basis when it has the
+    n - n_hat columns d needs (n_hat = rank c), else the greedy pick of that
+    many of them (:func:`_greedy_complement`); [m_map; e] = [p d]^{-1};
+    (f, l_hat) solve [p, -b] [f; l_hat] = a p; n_map = [-l_hat m_map; e], gamma = [I; 0].
     """
     return _design_and_residuals(sys, p)[0]
 
 
 def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
-    """:func:`design_abstraction` and the :func:`check_design` table that verified it."""
+    """:func:`design_abstraction` and the :func:`check_design` table that verified it.  A d that is
+    all of ker(c) takes no cond gate: the span test's rank n proved cond([p d]) < 1e12 / n."""
     p = as_matrix(p, "p")
     a, b, c = sys.a, sys.b, sys.c
     n, m = sys.n, sys.m
@@ -256,40 +257,36 @@ def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
     pb = np.hstack([p, b])
     if numerical_rank(np.hstack([pb, a @ p])) > numerical_rank(pb):
         raise ValueError("im(a p) is not contained in im(p) + im(b)")
-    kerc = _kernel_basis(c)
-    if numerical_rank(np.hstack([p, kerc])) < n:
-        raise ValueError("im(p) + ker(c) does not span the state space")
-    d = _greedy_complement(p, kerc, n - n_hat)
+    d = _kernel_basis(c)
     stacked = np.hstack([p, d])
-    if np.linalg.cond(stacked) > 1e12:
-        raise ValueError("[p d] is numerically singular; im(p) + im(d) != R^n")
-    inv = np.linalg.inv(stacked)
-    m_map, e = inv[:n_hat], inv[n_hat:]
+    if numerical_rank(stacked) < n:
+        raise ValueError("im(p) + ker(c) does not span the state space")
+    if d.shape[1] > n - n_hat:
+        d = _greedy_complement(p, d, n - n_hat)
+        stacked = np.hstack([p, d])
+        if np.linalg.cond(stacked) > 1e12:
+            raise ValueError("[p d] is numerically singular; im(p) + im(d) != R^n")
+    m_map, e = np.vsplit(np.linalg.inv(stacked), [n_hat])
     # a p = p f - b l_hat, solved per column for [f; l_hat]
     fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), a @ p, rcond=None)
     f, l_hat = fl[:n_hat], fl[n_hat:]
     resid = embedding_residuals(sys, p, f, l_hat)["state"]
     if resid > RESIDUAL_TOL * max(1.0, np.linalg.norm(a @ p)):
         raise ValueError(f"embedding residual {resid:.3e}: geometric condition fails numerically")
-    h = c @ p
     g = np.hstack([m_map @ b, m_map @ a @ d])
     n_map = np.vstack([-l_hat @ m_map, e])
     gamma = np.vstack([np.eye(m), np.zeros((n - n_hat, m))])
     design = AbstractionDesign(
-        p=p, d=d, e=e, m_map=m_map, f=f, l_hat=l_hat, h=h, g=g, n_map=n_map, gamma=gamma
+        p=p, d=d, e=e, m_map=m_map, f=f, l_hat=l_hat, h=c @ p, g=g, n_map=n_map, gamma=gamma
     )
     return design, check_design(design, sys)
 
 
 def _kernel_basis(c: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(c) with a deterministic sign convention."""
+    """Orthonormal basis of ker(c), each column's first largest-magnitude entry positive."""
     _, svals, vt = np.linalg.svd(c)
     basis = vt[np.sum(svals > rank_tol(c, svals)) :].T
-    for j in range(basis.shape[1]):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        if basis[i, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
+    return basis * np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])])
 
 
 def _greedy_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarray:

@@ -222,17 +222,18 @@ def _spec_from_file(path, step=None, horizon=None) -> sim.InterconnectionSpec:
 def cmd_simulate(args) -> RunReport:
     report = RunReport(command="simulate")
     spec = _spec_from_file(args.spec, args.step, args.horizon)
-    report.outputs += _write_run(args.out, sim.integrate(spec), spec.topology)
+    traj = sim.integrate(spec)
+    report.outputs += _write_run(args.out, traj, spec.topology, sim.row_norms(traj.outputs["err"]))
     report.add_flag("simulation finite", True)
     return report
 
 
-def _write_run(prefix, traj: sim.Trajectory, title: str) -> list:
+def _write_run(prefix, traj: sim.Trajectory, title: str, err_norm: np.ndarray) -> list:
     """Write a run's outputs, its topology's ``err`` among them, to prefix.csv,
-    and those plus the error norm to prefix.svg; returns both paths."""
+    and those plus ``err_norm``, the row norms of ``err``, to prefix.svg; returns both paths."""
     csv_path, svg_path = f"{prefix}.csv", f"{prefix}.svg"
     write_csv(csv_path, traj.times, traj.outputs)
-    write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": sim.row_norms(traj.outputs["err"])}, title=title)
+    write_svg(svg_path, traj.times, {**traj.outputs, "err_norm": err_norm}, title=title)
     return [csv_path, svg_path]
 
 
@@ -356,7 +357,7 @@ def cmd_paper_example(args) -> RunReport:
         0.8 * cert.lam,
         lower_is_pass=False,
     )
-    report.outputs += _write_run(out_dir / "hierarchical_free", traj, "hierarchical free")
+    report.outputs += _write_run(out_dir / "hierarchical_free", traj, "hierarchical free", err.out_err)
 
     traj, err = sim.run_hierarchical(
         plant, abstract, cert, springmass.v_signal(), x0, xi0, horizon, step
@@ -366,21 +367,21 @@ def cmd_paper_example(args) -> RunReport:
         err.extras["sup_e_y"],
         err.extras["bound"],
     )
-    report.outputs += _write_run(out_dir / "hierarchical_forced", traj, "hierarchical forced")
+    report.outputs += _write_run(out_dir / "hierarchical_forced", traj, "hierarchical forced", err.out_err)
 
     traj, err = sim.run_m_direct(
         plant, abstract, link, design.m_map, SignalSpec.zero(2), x0, xi0, horizon, step
     )
     report.add("link free: trailing output error", err.sup_norm, 1e-3)
     report.add("link free: parallel error-dynamics gap", err.extras["parallel_gap_sup"], 1e-6)
-    report.outputs += _write_run(out_dir / "link_free", traj, "link free")
+    report.outputs += _write_run(out_dir / "link_free", traj, "link free", err.out_err)
 
     traj, err = sim.run_m_direct(
         plant, abstract, link, design.m_map, springmass.u_signal(), x0, xi0, horizon, step
     )
     report.add("link forced: trailing output error", err.sup_norm, 1e-3)
     report.add("link forced: parallel error-dynamics gap", err.extras["parallel_gap_sup"], 1e-6)
-    report.outputs += _write_run(out_dir / "link_forced", traj, "link forced")
+    report.outputs += _write_run(out_dir / "link_forced", traj, "link forced", err.out_err)
 
     (out_dir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
     return report

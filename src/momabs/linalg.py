@@ -388,6 +388,8 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(
             "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
         )
+    if (top := np.abs(a_cl).max()) > 2.0**500:  # ||a_cl||_F would overflow; 2^-k (a_cl, q) has the same W
+        a_cl, q, e, gap = (x * 2.0 ** -int(np.frexp(top)[1]) for x in (a_cl, q, e, gap))
     with np.errstate(all="ignore"):  # a defective a_cl gives a (near) singular v: a huge, inf or nan bound
         try:
             v_inv = np.linalg.inv(v)

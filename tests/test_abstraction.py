@@ -509,6 +509,49 @@ class TestGreedyComplement:
         self.assert_same_picks(p, plant.c)
 
 
+class TestKernelComplement:
+    """d is all of ker(c), in its own column order, when n_hat = rank c;
+    for n_hat > rank c it is the greedy pick from ker(c)."""
+
+    def assert_kernel_taken_whole(self, plant, p, monkeypatch):
+        def no_greedy_pass(*args):
+            raise AssertionError("ker(c) is the only complement: no greedy pass")
+
+        monkeypatch.setattr(abstraction, "_greedy_complement", no_greedy_pass)
+        design = design_abstraction(plant, p)
+        assert np.array_equal(design.d, abstraction._kernel_basis(plant.c))
+        check_design(design, plant)
+
+    def test_springmass(self, monkeypatch):
+        self.assert_kernel_taken_whole(springmass.concrete(), springmass.embedding_p(), monkeypatch)
+
+    @pytest.mark.parametrize("n", [16, 36, 200])
+    def test_non_normal_plants(self, n, monkeypatch):
+        # the synthesis benchmark's designs: two outputs and a 2x2 oscillator f
+        rng = np.random.default_rng(n)
+        plant = non_normal_stable_system(rng, n=n, m=2, p=2, cond=10.0)
+        p = solve_sylvester(plant.a, rotation_block(1.5), -(plant.b @ rng.standard_normal((2, 2))))
+        self.assert_kernel_taken_whole(plant, p, monkeypatch)
+
+    @pytest.mark.parametrize("n_hat", [3, 4])
+    def test_larger_abstraction_keeps_the_greedy_pick(self, n_hat):
+        rng = np.random.default_rng(n_hat)
+        plant = non_normal_stable_system(rng, n=10, m=2, p=2, cond=10.0)
+        f = block_diag_spectrum({3: [1.5j, -1.5j, 0.0], 4: [1.5j, -1.5j, 3j, -3j]}[n_hat])
+        p = solve_sylvester(plant.a, f, -(plant.b @ rng.standard_normal((2, n_hat))))
+        design = design_abstraction(plant, p)
+        kerc = abstraction._kernel_basis(plant.c)
+        assert kerc.shape[1] > 10 - n_hat
+        assert np.array_equal(design.d, reference_greedy_complement(p, kerc, 10 - n_hat))
+        check_design(design, plant)
+
+    def test_numerically_singular_stack_refused(self):
+        # c = 0: ker(c) = R^3 spans with any p, but a p of norm 1e-13 leaves cond([p d]) near 1e13
+        plant = StateSpaceModel(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)), c=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"^\[p d\] is numerically singular; im\(p\) \+ im\(d\) != R\^n$"):
+            design_abstraction(plant, [[1e-13], [0.0], [0.0]])
+
+
 class TestMRelation:
     def test_golden_springmass(self):
         plant, abstract, m = springmass.concrete(), springmass.abstract(), springmass.m_map()

@@ -687,7 +687,7 @@ class TestConditioningGate:
     def test_lyapunov_decisions_follow_the_svd_bound(self, seed, n, log_cond):
         rng = np.random.default_rng(seed)
         a_cl = non_normal_stable_system(rng, n=n, cond=float(np.exp(log_cond))).a
-        h = solve_lyapunov(a_cl, np.eye(n))  # the H that the gate bounds
+        h = linalg._sign_lyapunov(a_cl, np.eye(n))  # the H that the gate bounds
         exact = 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2)
         cheap = 2 * np.sqrt(n) * np.linalg.norm(a_cl) * np.linalg.norm(h)
         assert cheap >= (1 - 1e-12) * exact
@@ -707,9 +707,27 @@ class TestConditioningGate:
             solve_lyapunov(np.array([[-1e-3, 1.0], [0.0, -1e-3]]), np.eye(2))
 
     def test_overflowing_sign_iteration_refused_without_warning(self):
-        # ||a_cl||_F overflows: the eigenbasis bound is inf and the sign iteration never converges
+        # a_cl is scaled by 2^-515, so the eigenbasis bound (about 1e155) is finite and
+        # refers the system to the sign iteration, whose ||A^{-1}||_F overflows: it never converges
         with pytest.raises(ValueError, match="did not converge"):
             solve_lyapunov(np.diag([-1e155, -1.0]), np.eye(2))
+
+    def test_huge_well_conditioned_a_cl_accepted(self):
+        # Kronecker cond 2, but ||a_cl||_F overflows unless a_cl is scaled first
+        a = np.array([-1e154, -2e154])
+        w = solve_lyapunov(np.diag(a), np.eye(2))
+        assert np.abs(np.diag(w) * 2.0 * np.abs(a) - 1.0).max() <= 1e-12
+        assert w[0, 1] == w[1, 0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_power_of_two_scaling_is_exact(self, n):
+        rng = np.random.default_rng(n)
+        a0 = rng.standard_normal((n, n))
+        a0 -= (np.linalg.eigvals(a0).real.max() + 1.0) * np.eye(n)
+        a0 /= 2.0 * np.abs(a0).max()  # max |a0| = 1/2: 2^600 a0 is scaled back to a0, and q to 2^-600 q
+        e, v = np.linalg.eig(a0)
+        big = linalg._lyapunov(2.0**600 * a0, np.eye(n), 2.0**600 * e, v)
+        assert np.array_equal(2.0**600 * big, linalg._lyapunov(a0, np.eye(n), e, v))
 
     @settings(max_examples=60, deadline=None)
     @given(
