@@ -18,10 +18,9 @@ from .linalg import (
     StateSpaceModel,
     _check_sylvester,
     _eig,
-    _from_eigenbasis,
     _lyapunov,
     _require_shapes,
-    _shifted_solve,
+    _schur_solve,
     as_matrix,
     numerical_rank,
     rank_tol,
@@ -115,28 +114,15 @@ def solve_embedding(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve p f = a p + b l_hat with h = c p: h is the moment of ``sys`` at (f, l_hat).
 
-    At each eigenpair (mu, v) of f this says h v = G(mu) l_hat v, with
-    G(s) = c (s I - a)^{-1} b.  Without l_hat, the gated shifted solves of
-    the Sylvester equation (:func:`momabs.linalg._shifted_solve`) give
-    X = (a - mu I)^{-1} b at each mu with imag >= 0, so G(mu) = -c X; each
-    l_hat v is the minimum-norm solution y of G(mu) y = h v, refused unless
-    h v is in the range of G(mu), and p v = -X y.  That is the joint
-    minimum-norm (p, l_hat) when every G(mu) has full column rank.  Either
-    way f must be diagonalizable with sigma(f) disjoint from sigma(a), and
-    h = c p is verified.
+    Without l_hat, the Sylvester recurrence in the real Schur form of f
+    (:func:`momabs.linalg._schur_solve`) fits l_hat block by block, each the
+    minimum-norm solution at its shift mu against G(mu) = c (mu I - a)^{-1} b,
+    refused unless in its range: the unique (p, l_hat) when every G(mu) has
+    full column rank.  f may be defective; h = c p is verified.
     """
     f, h = abstract.a, abstract.c
     if l_hat is None:
-        mu, v, xs = _shifted_solve(sys.a, f, lambda w: [sys.b] * w.shape[1])
-        upper = mu.imag >= 0
-        y = []
-        for point, x, hv in zip(mu[upper], xs, (h @ v[:, upper]).T):
-            g = -(sys.c @ x)
-            y.append(np.linalg.lstsq(g, hv, rcond=None)[0])
-            if np.linalg.norm(g @ y[-1] - hv) > RESIDUAL_TOL * max(1.0, np.linalg.norm(hv)):
-                raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {point:g}")
-        l_hat = _from_eigenbasis(mu, v, y)
-        p = _from_eigenbasis(mu, v, [-x @ yj for x, yj in zip(xs, y)])
+        p, l_hat = _schur_solve(sys.a, f, np.zeros((sys.n, f.shape[0])), (sys.b, sys.c, h, RESIDUAL_TOL))
         _check_sylvester(sys.a, f, -(sys.b @ l_hat), p)
     else:
         l_hat = as_matrix(l_hat, "l_hat")

@@ -1,14 +1,10 @@
 """Dense real linear algebra for state-space problems, on plain numpy arrays.
 
-:func:`eigenvalues`, :func:`spectra_disjoint`, :func:`solve_sylvester` and
-:func:`solve_lyapunov` (O(n^3) each, gated by :func:`_cond_gate`, cheap first
-from Frobenius norms, and :func:`_disjoint_gate`; the Sylvester solver forms no
-inverse of a shifted matrix: an LU solve per shift, with sigma_min of it
-proven by Cholesky in :func:`_certify`, once for all shifts right of the
-numerical range of a dissipative matrix, else per shift; the Lyapunov solver
-works in the eigenbasis of a_cl, with the sign iteration only as fallback),
-:func:`place_poles`, and the PBH rank test (:func:`pbh_observable`), the one rule for observability,
-reachability (:func:`pbh_reachable`), controllability and excitability (:func:`excitable`).
+Spectra, the O(n^3) Sylvester recurrence in the real Schur form of the
+smaller side (:func:`solve_sylvester`) and Lyapunov solver
+(:func:`solve_lyapunov`), each refusing what its Kronecker cond bound does
+not keep within SYLVESTER_COND_MAX, :func:`place_poles`, and the PBH rank
+test, the one rule for observability, reachability and excitability.
 """
 
 from __future__ import annotations
@@ -123,12 +119,9 @@ class SpectrumReport:
 
 
 def eigenvalues(m) -> SpectrumReport:
-    """Spectrum of a square matrix with its simplicity and largest real part.
-
-    ``all_simple`` is true iff the minimum pairwise eigenvalue distance
-    exceeds SPECTRUM_TOL; the matrix is Hurwitz iff every real part is below
-    -SPECTRUM_TOL.  The eigenvalues are sorted by real then imaginary part.
-    """
+    """Spectrum of a square matrix, sorted by real then imaginary part, with
+    ``all_simple`` iff every two eigenvalues are more than SPECTRUM_TOL apart,
+    and its largest real part."""
     vals = _eig(np.linalg.eigvals, m)
     vals = vals[np.lexsort((vals.imag, vals.real))]
     apart = np.abs(vals[:, None] - vals) + np.diag(np.full(vals.size, np.inf))  # the pairs i != j
@@ -145,13 +138,9 @@ def _eig(solver, m):
 
 def _memoized(memo: list, size: int, fn, *args) -> tuple:
     """fn(*args), a tuple of arrays made read-only, or the value it gave for
-    arrays of the same shapes and bit patterns if that is among the last
-    ``size`` kept in ``memo``.
-
-    ``memo`` holds (read-only copies of the arguments, value) pairs, most
-    recent last.  A lookup compares each argument with a kept copy through
-    an unsigned-integer view of its bits, so it copies nothing and tells
-    -0.0 from 0.0 (and one NaN payload from another)."""
+    arrays of the same shapes and bit patterns (:func:`_same_bits`, which
+    copies nothing and tells -0.0 from 0.0) among the last ``size`` kept in
+    ``memo``, a list of (read-only argument copies, value), most recent last."""
     with _memo_lock:
         for i, (kept, value) in enumerate(memo):
             if all(map(_same_bits, kept, args)):
@@ -187,12 +176,9 @@ def _apart(e1: np.ndarray, e2: np.ndarray) -> bool:
 
 def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str) -> float:
     """Refuse with ``refusal`` unless sigma(a) is more than DISJOINT_TOL from
-    the points ``shifts`` (one per conjugate pair suffices: a real a has a
-    conjugate-symmetric spectrum).  Return t = max(tau, 2 DISJOINT_TOL) when
-    :func:`_certify` proves sigma_min(a - mu I) >= t at every shift (by one
-    real proof for a dissipative a, else one per shift), which shows the gap
-    without an eigensolve; otherwise the computed spectrum of a decides, as in
-    :func:`spectra_disjoint`, and 0 is returned."""
+    ``shifts`` (one per conjugate pair).  Return t = max(tau, 2 DISJOINT_TOL)
+    if :func:`_certify` proves sigma_min(a - mu I) >= t at every shift, with no
+    eigensolve; else 0, after the computed spectrum of a has decided."""
     tau = max(tau, 2 * DISJOINT_TOL)  # an inf or nan tau tries no proof
     if np.isfinite(tau) and _certify(a, shifts, tau):
         return tau
@@ -202,20 +188,17 @@ def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str) -> float:
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve a X - X b = c by shifted solves in the eigenbasis of the smaller side.
-
-    With b = v diag(mu) v^{-1} (b the smaller side or tied; a smaller a is
-    solved through b^T X^T - X^T a^T = -c^T), column j of X v is
-    (a - mu_j I)^{-1} (c v)_j from one LU solve per conjugate pair of shifts
-    (:func:`_conjugate_fill`): O(k n^3) for an n x n a and a k x k b.  Refused
-    by the gates of :func:`_shifted_solve` and :func:`_check_sylvester`."""
+    """Solve a X - X b = c by :func:`_schur_solve` in the real Schur form of
+    the smaller side, b or tied (a smaller a through b^T X^T - X^T a^T =
+    -c^T): O(k n^3) for k <= n.  A defective side, such as a Jordan block, is
+    solved like any other.  Refused by the gates and :func:`_check_sylvester`."""
     a, b, c = _square(a, "a"), _square(b, "b"), as_matrix(c, "c")
     n, k = a.shape[0], b.shape[0]
     if c.shape != (n, k):
         raise ValueError(f"c must be {n}x{k}, got {c.shape}")
     flip = k > n
     shifted, small, rhs = (b.T, a.T, -c.T) if flip else (a, b, c)
-    x = _from_eigenbasis(*_shifted_solve(shifted, small, lambda w: (rhs @ w).T))
+    x = _schur_solve(shifted, small, rhs)[0]
     x = x.T if flip else x
     _check_sylvester(a, b, c, x)
     return x
@@ -227,59 +210,128 @@ def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray)
         raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray, blocks) -> tuple:
-    """(mu, v, y) over the eigenpairs (mu, v) of b: at the j-th mu with
-    imag >= 0, y[j] = (a - mu_j I)^{-1} r_j for the right-hand sides r =
-    blocks(w), w the eigenvectors there as columns (r_j = (c w)_j for the
-    Sylvester equation a X - X b = c), from one LU solve.
+def _real_schur(b: np.ndarray) -> tuple:
+    """(q, t, sizes): b = q t q^T, q orthogonal, t quasi upper triangular with
+    diagonal blocks of these sizes (1: a real eigenvalue, 2: a conjugate pair),
+    deflated from t's trailing part r one block at a time; a block r already
+    isolates is kept, so a block-diagonal b keeps q = I.  At the eigenvalue mu
+    of r nearest the real axis, the SVD null vector of r - x I spans a 1 x 1
+    block if sigma_min <= tol for a real x (the mean of the eigenvalues near
+    mu, which centres a defective cluster, else Re mu), else Re and Im of that
+    of r - mu I a 2 x 2 one; a complete QR of that basis deflates it."""
+    k, t, sizes = len(b), b.copy(), []
+    q, tol = np.eye(k), 8 * k * k * 2.0**-52 * np.abs(b).max()
+    while (i := sum(sizes)) < k:
+        r = t[i:, i:]
+        if not r[1:, 0].any():
+            sizes.append(1)
+            continue
+        with np.errstate(all="ignore"):  # kept only if sigma_min(r_2x2 - mean I) >= beta^2 / ||.||_F > tol
+            d, p, s = (r[0, 0] - r[1, 1]) / 2, r[0, 1], r[1, 0]
+            if not r[2:, :2].any() and -(d * d + p * s) > tol * np.sqrt(2 * d * d + p * p + s * s):
+                sizes.append(2)
+                continue
+        mus = np.linalg.eigvals(r)
+        mu = mus[np.argmin(np.abs(mus.imag))]
+        near = mus[np.abs(mus - mu) <= 10 * 2.0 ** (-52 / (k - i)) * (k - i) * np.abs(r).max()]
+        for x in (near.mean().real, mu.real):
+            sv, vh = np.linalg.svd(_shift(r, x))[1:]
+            if sv[-1] <= tol:
+                break
+        if sv[-1] <= tol or not mu.imag:
+            basis = vh[-1:].T
+        else:
+            v = np.linalg.svd(_shift(r, mu))[2][-1].conj()
+            basis = np.column_stack([v.real, v.imag])
+        u, size = np.linalg.qr(basis, mode="complete")[0], basis.shape[1]
+        t[i:, i:] = u.T @ r @ u
+        t[:i, i:] = t[:i, i:] @ u
+        q[:, i:] = q[:, i:] @ u
+        t[i + size :, i : i + size] = 0.0
+        sizes.append(size)
+    return q, t, sizes
 
-    The solves pass :func:`_disjoint_gate` on a at tau = 2 scale /
-    SYLVESTER_COND_MAX, scale = cond(v)^2 (||a||_F + max_j |mu_j|), which
-    bounds cond(v)^2 max_j ||a - mu_j I||_2, then :func:`_cond_gate` on
-    :func:`_svd_bound`, which bounds the Kronecker cond (exactly for a normal
-    b; a defective b has cond(v) of order 1/eps or more).  A proven tau
-    bounds it by SYLVESTER_COND_MAX / 2, without SVDs."""
+
+def _schur_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray, fit=None) -> tuple:
+    """(X, L): a X - X b = c, or with fit = (e, g, h, tol) a X - X b = c - e L
+    and g X = h.  In b = q t q^T (:func:`_real_schur`), Y = X q solves (a -
+    t_jj) Y_j = r_j = (c q)_j + sum_{i<j} Y_i t_ij one diagonal block at a time:
+    one real LU solve for a 1 x 1 block; for t_jj = w diag(mu, conj mu) w^{-1}
+    (:func:`_pair`) one complex one, (a - mu I) z = r_j w_1, Y_j = [z, conj z]
+    w^{-1}.  A fit also solves for e, so L_j w_1 is the least-squares l of
+    G(mu) l = (h q)_j w_1 - g (a - mu I)^{-1} r_j w_1, refused past tol.
+
+    The gates come first.  The Kronecker matrix M of a Y - Y t has ||M|| <= cw
+    max_j ||a - mu_j I||_2 + tau_s and ||M^{-1}|| <= d sum_{r<blocks} (d
+    tau_s)^r, d = cw / sigma, tau_s = ||t less its diagonal blocks||_2, cw =
+    max_j cond(w_j), sigma <= min_j sigma_min(a - mu_j I): exact for a normal
+    b.  :func:`_disjoint_gate` tries the sigma that keeps the bound at most
+    SYLVESTER_COND_MAX / 2 with ||a||_F + |mu| for ||a - mu I||_2; without
+    that proof, SVDs at each mu give the bound for :func:`_cond_gate`."""
+    q, t, sizes = _real_schur(b)
+    starts, strict = [sum(sizes[:j]) for j in range(len(sizes))], t.copy()
+    for i, s in zip(starts, sizes):
+        strict[i : i + s, i : i + s] = 0.0
+    with np.errstate(all="ignore"):  # an overflowing ||a||_F or cond(w) leaves the SVD tier to decide
+        blocks = [_pair(*t[i : i + 2, i : i + 2]) if s == 2 else (t[i, i], np.ones(1), np.ones(1), 1.0)
+                  for i, s in zip(starts, sizes)]
+        shifts, cw = [blk[0] for blk in blocks], max(blk[3] for blk in blocks)
+        tau_s = np.linalg.norm(strict, 2) if strict.any() else 0.0
+        nb = len(sizes) if tau_s else 1
+        norm = cw * (np.linalg.norm(a) + np.abs(shifts).max()) + tau_s
+        tau = cw * max(base := 2 * nb * norm / SYLVESTER_COND_MAX, (base * tau_s ** (nb - 1)) ** (1 / nb))
+
+    def bound(norm, sigma):
+        with np.errstate(all="ignore"):
+            return norm * (d := cw / np.float64(sigma)) * sum((d * tau_s) ** r for r in range(nb))
+
+    def exact():
+        sv = np.array([np.linalg.svd(_shift(a, m), compute_uv=False)[[0, -1]] for m in shifts]).T
+        return bound(cw * sv[0].max() + tau_s, sv[1].min())
+
     refusal = "sigma(a) and sigma(b) overlap: Sylvester equation has no unique solution"
-    # b is real: eig gives mu in pair order, with exactly conjugate eigenvectors
-    mu, v = np.linalg.eig(b)
-    first = mu.imag >= 0
-    shifts = mu[first]
-    overlap = lambda tau: _disjoint_gate(tau, a, shifts, refusal)
-    exact = lambda: _svd_bound(a, shifts, v)
-    try:
-        y = [np.linalg.solve(_shift(a, m), r) for m, r in zip(shifts, blocks(v[:, first]))]
-    except np.linalg.LinAlgError:  # singular in working precision: the exact tests decide
-        overlap(np.inf)
-        _cond_gate("Sylvester", np.inf, exact)
-        raise
-    with np.errstate(all="ignore"):  # a defective b gives cond(v) = inf, so tau is not finite
-        scale = np.linalg.cond(v) ** 2 * (np.linalg.norm(a) + np.abs(shifts).max())
-        tau = 2 * scale / SYLVESTER_COND_MAX
-    proven = overlap(tau)
-    _cond_gate("Sylvester", scale / proven if proven else np.inf, exact)
-    return mu, v, y
+    proven = _disjoint_gate(tau, a, shifts, refusal)
+    _cond_gate("Sylvester", bound(norm, proven) if proven else np.inf, exact)
+    (e, g, h, tol), cq = fit or (None,) * 4, c @ q
+    y, l = np.empty(c.shape), None if e is None else np.empty((e.shape[1], len(t)))
+    for i, s, (mu, w1, row, _) in zip(starts, sizes, blocks):  # [z, conj z] w^{-1} = 2 Re(z row) for a pair
+        cols = slice(i, i + s)
+        r = cq[:, cols] @ w1 + y[:, :i] @ (t[:i, cols] @ w1)
+        if e is None:
+            z = np.linalg.solve(_shift(a, mu), r)
+        else:
+            x = np.linalg.solve(_shift(a, mu), np.column_stack([e, r]))
+            gm, want = -(g @ x[:, :-1]), h @ q[:, cols] @ w1 - g @ x[:, -1]
+            lj = np.linalg.lstsq(gm, want, rcond=None)[0]
+            if np.linalg.norm(gm @ lj - want) > tol * max(1.0, np.linalg.norm(want)):
+                raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {complex(mu):g}")
+            z = x[:, -1] - x[:, :-1] @ lj
+            l[:, cols] = s * np.outer(lj, row).real
+        y[:, cols] = s * np.outer(z, row).real
+    return y @ q.T, None if l is None else l @ q.T
 
 
-def _from_eigenbasis(mu: np.ndarray, v: np.ndarray, y) -> np.ndarray:
-    """The real X with X v_j = y_j, given y_j where imag(mu_j) >= 0 (:func:`_conjugate_fill`)."""
-    return np.linalg.solve(v.T, _conjugate_fill(mu, np.array(y))).T.real
+def _pair(row1: np.ndarray, row2: np.ndarray) -> tuple:
+    """(mu, w_1, first row of w^{-1}, cond(w)) for a real 2 x 2 block [row1; row2]
+    = w diag(mu, conj mu) w^{-1}, imag mu > 0, w = [w_1, conj w_1], w_1 = (q, mu -
+    p) for row1 = (p, q); cond(w)^2 is the ratio of ||w_1||^2 +- |w_1^T w_1|."""
+    (p, q), (r, s) = row1, row2
+    mu = complex((p + s) / 2, abs((p - s) * (p - s) / 4 + q * r) ** 0.5)
+    v1, det = mu - p, -2j * q * (mu - p).imag
+    z = abs(q * q + v1 * v1) / (q * q + abs(v1) ** 2)
+    return mu, np.array([q, v1]), np.array([v1.conjugate() / det, -q / det]), ((1 + z) / (1 - z)) ** 0.5
 
 
 def _certify(a: np.ndarray, shifts, tau: float) -> bool:
-    """True only if sigma_min(a - mu I) >= tau, so dist(mu, sigma(a)) >= tau
-    and ||(a - mu I)^{-1}||_2 <= 1/tau, is proven at every mu in ``shifts``.
+    """True only if sigma_min(a - mu I) >= tau is proven at every mu in ``shifts``.
 
-    First one real proof for all: sigma_min(a - mu I) >= Re mu - lambda_max(h),
-    h = (a + a^T)/2, as the numerical range of a lies in Re z <= lambda_max(h)
-    (Trefethen & Embree 2005, ch. 17); so :func:`_definite` of (rho - tau -
-    margin) I - h, rho = min Re mu, suffices, margin = 4 n gamma_{n+4} (max
-    |a_ij| + |rho| + tau) covering the roundings of a + a^T and of the diagonal
-    and the Cholesky error gamma_{n+1} tr.  Otherwise one proof per shift:
-    G = (a - mu I)^H (a - mu I) = a^T a - Re mu (a + a^T) + |mu|^2 I + i Im mu
-    (a - a^T), written from one a^T a, a + a^T and a - a^T, with margin =
-    4 gamma_{2n+8} (||a||_F + sqrt(n) |mu|)^2 >= 4 gamma_{2n+8} tr G (complex
-    constants) in G - (tau^2 + margin) I.  Both add (n + 4)^2 times the least
-    normal double for underflow; a matrix past the double range fails."""
+    First one real proof for all, as sigma_min(a - mu I) >= Re mu -
+    lambda_max((a + a^T)/2) (numerical range; Trefethen & Embree 2005, ch. 17):
+    :func:`_definite` of (min Re mu - tau - margin) I - (a + a^T)/2.  Else one
+    per shift, of G - (tau^2 + margin) I with G = (a - mu I)^H (a - mu I)
+    written from one a^T a, a + a^T and a - a^T.  The margins cover the
+    roundings of forming and factoring (constants gamma_k, plus (n + 4)^2
+    times the least normal double); a matrix past the double range fails."""
     n = a.shape[0]
     gamma = lambda k: k * 2.0**-53 / (1 - k * 2.0**-53)
     underflow = (n + 4) ** 2 * np.finfo(float).tiny
@@ -319,34 +371,17 @@ def _shift(a: np.ndarray, m) -> np.ndarray:
     return shifted
 
 
-def _svd_bound(a: np.ndarray, shifts: np.ndarray, v: np.ndarray) -> float:
-    """cond(v)^2 max_j sigma_max(a - mu_j I) / min_j sigma_min(a - mu_j I)."""
-    svals = np.array([np.linalg.svd(_shift(a, m), compute_uv=False)[[0, -1]] for m in shifts])
-    with np.errstate(all="ignore"):
-        return np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
-
-
 def _cond_gate(system: str, cheap: float, exact) -> None:
-    """Refuse unless the condition bound is at most SYLVESTER_COND_MAX.
-
-    ``cheap`` is an upper bound on ``exact()``: when it passes, the system is
-    accepted without calling ``exact``; otherwise ``exact()`` decides, and a
-    refusal quotes it."""
-    if cheap <= SYLVESTER_COND_MAX:
-        return
-    bound = exact()
-    if not bound <= SYLVESTER_COND_MAX:
-        raise ValueError(
-            f"{system} system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})"
-        )
+    """Refuse unless the cond bound is at most SYLVESTER_COND_MAX: ``cheap``,
+    an upper bound on ``exact()``, accepts alone; else ``exact()`` decides, and a refusal quotes it."""
+    if cheap > SYLVESTER_COND_MAX and not (bound := exact()) <= SYLVESTER_COND_MAX:
+        raise ValueError(f"{system} system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})")
 
 
 def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Values at all points of mu from ``values``, one per point with imag >= 0.
-
-    mu must be in the pair order np.linalg.eig gives a real matrix: each point
-    with imag < 0 directly follows its exact conjugate and takes the conjugate
-    value.  Any other order, such as a sorted spectrum's, is refused."""
+    """Values at all points of mu from ``values``, one per point with imag >= 0, for mu
+    in np.linalg.eig's pair order (each point with imag < 0 right after its exact
+    conjugate, whose value it conjugates); any other order is refused."""
     first = mu.imag >= 0
     second = np.flatnonzero(~first)
     if second.size and (second[0] == 0 or np.any(mu[second] != mu[second - 1].conj())):
@@ -359,14 +394,11 @@ def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
 def solve_lyapunov(a_cl, q) -> np.ndarray:
     """Solve a_cl^T W + W a_cl = -q for Hurwitz a_cl and symmetric PSD q.
 
-    One eigendecomposition a_cl = v diag(e) v^{-1} gives W = Re(v^{-H} Y
-    v^{-1}), Y_ij = -(v^H q v)_ij / (conj(e_i) + e_j).  The Kronecker matrix
-    of the equation has the eigenvalues e_i + e_j and the eigenvector basis
-    v^{-T} (x) v^{-T}, so 2 ||a_cl||_F (||v||_F ||v^{-1}||_F)^2 / min_ij |e_i
-    + e_j| bounds its condition number from above.  When that bound exceeds
-    SYLVESTER_COND_MAX (a defective a_cl gives inf), or W misses the
-    residual check, :func:`_sign_lyapunov` decides.  W is symmetrized, its
-    residual verified against 1e-10 * max(1, ||W||_F); it is positive
+    In the eigenbasis a_cl = v diag(e) v^{-1}, W = Re(v^{-H} Y v^{-1}), Y_ij =
+    -(v^H q v)_ij / (conj(e_i) + e_j), accepted when the Kronecker cond bound
+    2 ||a_cl||_F (||v||_F ||v^{-1}||_F)^2 / min_ij |e_i + e_j| is at most
+    SYLVESTER_COND_MAX and W passes the residual check 1e-10 max(1, ||W||_F);
+    else :func:`_sign_lyapunov` decides.  W is symmetric, and positive
     definite whenever q is.
     """
     a_cl = _square(a_cl, "a_cl")
@@ -379,15 +411,13 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = _square(q, "q")
     if q.shape != a_cl.shape:
         raise ValueError("q must match a_cl in shape")
-    if np.linalg.norm(q - q.T) > 1e-10 * max(1.0, np.linalg.norm(q)):
+    unit = 2.0 ** -max(0, int(np.frexp(np.abs(q).max())[1]))  # q unit has no entry above 1: its norms stay finite
+    if np.linalg.norm(q * unit - (q * unit).T) > 1e-10 * max(unit, np.linalg.norm(q * unit)):
         raise ValueError("q must be symmetric")
     if e.real.max() >= 0:
         raise ValueError("a_cl is not Hurwitz")
-    # sigma(a_cl^T) = sigma(a_cl) and sigma(-a_cl) = -sigma(a_cl)
-    if (gap := np.abs(e[:, None] + e).min()) <= DISJOINT_TOL:
-        raise ValueError(
-            "sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution"
-        )
+    if (gap := np.abs(e[:, None] + e).min()) <= DISJOINT_TOL:  # sigma(a_cl^T) = -sigma(-a_cl) = sigma(a_cl)
+        raise ValueError("sigma(a_cl^T) and sigma(-a_cl) overlap: Lyapunov equation has no unique solution")
     if (top := np.abs(a_cl).max()) > 2.0**500:  # ||a_cl||_F would overflow; 2^-k (a_cl, q) has the same W
         a_cl, q, e, gap = (x * 2.0 ** -int(np.frexp(top)[1]) for x in (a_cl, q, e, gap))
     with np.errstate(all="ignore"):  # a defective a_cl gives a (near) singular v: a huge, inf or nan bound
@@ -402,21 +432,18 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = 0.5 * (w + w.T)
         if np.linalg.norm(a_cl.T @ w + w @ a_cl + q) <= 1e-10 * max(1.0, np.linalg.norm(w)):
             return w
-    return _sign_lyapunov(a_cl, q)
+    return _sign_lyapunov(a_cl, q, bound)
 
 
-def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray, bound: float = 0.0) -> np.ndarray:
     """The fallback of :func:`solve_lyapunov`: the scaled Newton sign
-    iteration (Roberts 1980).  A <- (mu A + A^{-1}/mu)/2, mu =
-    sqrt(||A^{-1}||_F/||A||_F), converges to sign(a_cl) = -I, and Q <- (mu Q +
-    A^{-T} Q A^{-1}/mu)/2 to 2W; carried along, the identity gives H with
-    a_cl^T H + H a_cl = -I, and 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the
-    Kronecker cond (Hewer & Kenney 1988).  Refused when that bound, tried first
-    with Frobenius norms (:func:`_cond_gate`), exceeds SYLVESTER_COND_MAX, when
-    SIGN_MAX_ITER steps do not converge (as after a norm overflows), or when W
-    misses the residual check."""
-    n = a_cl.shape[0]
-    eye = np.eye(n)
+    iteration (Roberts 1980), A <- (mu A + A^{-1}/mu)/2 -> -I with Q <- (mu Q
+    + A^{-T} Q A^{-1}/mu)/2 -> 2W and, from the identity, H with a_cl^T H + H
+    a_cl = -I; 2 sqrt(n) ||a_cl||_2 ||H||_2 bounds the Kronecker cond (Hewer &
+    Kenney 1988) for :func:`_cond_gate`.  Refused past that gate, on the
+    residual check, or after SIGN_MAX_ITER steps without convergence, then
+    quoting the caller's eigenbasis ``bound`` if that is above the gate."""
+    n, eye = len(a_cl), np.eye(len(a_cl))
     a, qs = a_cl, np.stack([q, eye])
     with np.errstate(all="ignore"):  # an overflowing norm gives a nan iterate, which never converges
         for _ in range(SIGN_MAX_ITER):
@@ -427,7 +454,8 @@ def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
             qs = 0.5 * (mu * qs + a_inv.T @ qs @ a_inv / mu)
             if last:
                 break
-        else:
+        else:  # a caller's cond bound above SYLVESTER_COND_MAX is the refusal
+            _cond_gate("Lyapunov", bound, lambda: bound)
             raise ValueError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
     w, h = 0.25 * (qs + qs.transpose(0, 2, 1))
     with np.errstate(over="ignore"):  # a norm past the double range is inf: the exact tier decides
@@ -440,9 +468,8 @@ def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def pbh_observable(s, l) -> bool:
-    """PBH observability of (s, l) (Hautus 1969): rank [s - lam I; l] = n at each
-    eigenvalue lam of s.  A conjugate pair is tested once, at imag(lam) >= 0:
-    the matrix at conj(lam) is the conjugate of the one at lam, of equal rank."""
+    """PBH observability of (s, l) (Hautus 1969): rank [s - lam I; l] = n at each eigenvalue
+    lam of s, once per conjugate pair (at imag lam >= 0; conj lam gives the conjugate matrix)."""
     s, l = _square(s, "s"), as_matrix(l, "l")
     n = s.shape[0]
     if l.shape[1] != n:
@@ -468,11 +495,8 @@ def excitable(s, w0) -> bool:
 
 
 def block_diag_spectrum(poles) -> np.ndarray:
-    """Real block-diagonal matrix realizing a self-conjugate pole list.
-
-    Complex poles must come in conjugate pairs; each pair maps to a 2x2
-    rotation-scaling block [[re, im], [-im, re]].
-    """
+    """Real block-diagonal matrix realizing a self-conjugate pole list: a real pole
+    as itself, a conjugate pair as the block [[re, |im|], [-|im|, re]]."""
     remaining = list(poles)
     out = np.zeros((len(remaining),) * 2)
     i = 0
@@ -495,13 +519,9 @@ def block_diag_spectrum(poles) -> np.ndarray:
 
 
 def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
-    """State-feedback gain K with sigma(a + b K) = sigma(target).
-
-    Refuses an (a, b) that :func:`pbh_reachable` finds not controllable.
-    Draws a random gain Kbar, solves a X - X target = -b Kbar, and sets
-    K = Kbar X^{-1}; retries with a fresh Kbar, up to PLACE_RETRIES draws, if
-    X is near singular.
-    """
+    """State-feedback gain K = Kbar X^{-1} with sigma(a + b K) = sigma(target),
+    for a random Kbar and a X - X target = -b Kbar, drawn up to PLACE_RETRIES
+    times while X is near singular; an (a, b) that is not controllable is refused."""
     a, b, target = _square(a, "a"), as_matrix(b, "b"), _square(target, "target")
     n, m = b.shape
     if a.shape[0] != n or target.shape[0] != n:

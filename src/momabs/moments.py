@@ -1,18 +1,12 @@
 """Moments of LTI systems and moment-matching reduced-order models.
 
-A moment is the matrix C Pi (or Ups B), where Pi (Ups) solves a Sylvester
-equation coupling the system with interpolation data (S, L) pairs
-(respectively (Q, R)); equivalently, transfer-function values at the
-interpolation points.  Ups solving q Ups = Ups a + r c is Pi^T for the dual
-plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is G^T
-(Astolfi 2010), so every moment is solved and memoized as a direct one.
-
-The last MOMENT_MEMO_SIZE solves are memoized by comparing (a, s, l, b)
-bit for bit with kept copies (:func:`momabs.linalg._memoized`); c does not
-enter Pi, so plants that differ only in c share one solve.  A moment is its
-own interpolation data: at an eigenpair (mu, v) of s, Pi v = -(a - mu I)^{-1}
-b l v, so C Pi v = G(mu) l v, and the tangential checks read the plant's
-side off the moment.
+A moment is C Pi, Pi s = a Pi + b l, or Ups b, q Ups = Ups a + r c: Ups is Pi^T
+of the dual plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is
+G^T (Astolfi 2010), so every moment is solved, and the last MOMENT_MEMO_SIZE
+memoized (:func:`momabs.linalg._memoized` on (a, s, l, b)), as a direct one.
+At an eigenpair (mu, v) of s, C Pi v = G(mu) l v, so the tangential checks
+read the plant's side off the moment; at a Jordan block of s the moment
+holds derivatives of G as well.
 """
 
 from __future__ import annotations

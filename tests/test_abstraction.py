@@ -163,13 +163,15 @@ def test_transfer_eval_called_only_in_transfer_at():
 
 def test_spectra_reached_only_through_the_disjoint_gate():
     # moment solves and transfer evaluations eigensolve the order-n plant only
-    # in linalg._disjoint_gate, the exact fallback of the sigma_min certificate
+    # in linalg._disjoint_gate, the exact fallback of the sigma_min certificate;
+    # linalg._real_schur eigensolves the smaller side only, k x k
     graph = {}
     for name, called in calls_by_function().items():
         graph.setdefault(name.split(".")[1], set()).update(called)
     gate, eager = "_disjoint_gate", {"spectra_disjoint", "eigenvalues", "eigvals"}
     assert eager & reachable(graph, gate, stop="")
-    for start in ("solve_sylvester", "_shifted_solve", "transfer_eval"):
+    assert "eigvals" in graph.pop("_real_schur")
+    for start in ("solve_sylvester", "_schur_solve", "transfer_eval"):
         assert reachable(graph, start, stop=gate) & eager == set(), start
     for start in ("solve_sylvester", "transfer_eval"):
         assert gate in reachable(graph, start, stop=gate), start
@@ -251,12 +253,32 @@ class TestSolveEmbedding:
         assert transfer_calls == []
 
     def test_jordan_block_f_raises(self, rng):
+        # a Jordan f is solved like any other, but this nilpotent part puts the
+        # Kronecker cond, and so the Schur-form bound, above the gate
         sys = random_stable_system(rng, n=4, m=2, p=2)
         abstract = StateSpaceModel(
-            a=np.array([[0.5, 1.0], [0.0, 0.5]]), b=np.ones((2, 1)), c=rng.standard_normal((2, 2))
+            a=np.array([[0.5, 1e8], [0.0, 0.5]]), b=np.ones((2, 1)), c=rng.standard_normal((2, 2))
         )
         with pytest.raises(ValueError, match="ill conditioned"):
             solve_embedding(sys, abstract)
+
+    @pytest.mark.parametrize("similar", [False, True])
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jordan_block_f_matches_kronecker_reference(self, seed, order, similar):
+        # m <= p: each block's G(mu) has full column rank, so l_hat is unique
+        rng = np.random.default_rng(seed)
+        sys = random_stable_system(rng, n=int(rng.integers(order + 1, 9)), m=1, p=int(rng.integers(1, 3)))
+        f = rng.uniform(0.2, 2.0) * np.eye(order) + np.eye(order, k=1)
+        if similar:
+            t = rng.standard_normal((order, order)) + 3 * np.eye(order)
+            f = t @ f @ np.linalg.inv(t)
+        h = sys.c @ solve_sylvester(sys.a, f, -(sys.b @ rng.standard_normal((1, order))))
+        abstract = StateSpaceModel(a=f, b=np.ones((order, 1)), c=h)
+        p, l_hat = solve_embedding(sys, abstract)
+        p_ref, l_ref = kron_embedding(sys, abstract)
+        assert np.linalg.norm(p - p_ref) <= 1e-9 * np.linalg.norm(p_ref)
+        assert np.linalg.norm(l_hat - l_ref) <= 1e-9 * np.linalg.norm(l_ref)
 
     def test_f_sharing_an_eigenvalue_with_a_raises(self, rng):
         sys = random_stable_system(rng, n=4, m=2, p=2)

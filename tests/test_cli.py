@@ -192,6 +192,14 @@ class TestReduce:
         # the reduced output map is the matched moment, c p = I here
         assert np.abs(rom.c - np.eye(2)).max() < 1e-9
 
+    def test_jordan_interpolant(self, tmp_path, plant_file, capsys):
+        # a defective s matches G(0) and G'(0) along l: solved, where an
+        # eigenbasis solve refused it as "cond bound inf"
+        data = {"s": [[0.0, 1.0], [0.0, 0.0]], "l": np.eye(2).tolist(), "g": np.eye(2).tolist()}
+        interp = write_json(tmp_path / "interp.json", data)
+        assert main(["reduce", plant_file, "--interp", interp, "--out", str(tmp_path / "rom.json")]) == 0
+        assert "result: OK" in capsys.readouterr().out
+
     def test_two_sided(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         a = np.diag([-1.0, -2.0, -3.0, -4.0]) + 0.1 * rng.standard_normal((4, 4))

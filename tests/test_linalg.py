@@ -482,7 +482,7 @@ def sign_iteration_reference(a_cl, q):
 def sign_calls(monkeypatch):
     """Record every call of the sign-iteration fallback."""
     calls, real = [], linalg._sign_lyapunov
-    monkeypatch.setattr(linalg, "_sign_lyapunov", lambda a_cl, q: calls.append(a_cl) or real(a_cl, q))
+    monkeypatch.setattr(linalg, "_sign_lyapunov", lambda a_cl, q, *bound: calls.append(a_cl) or real(a_cl, q, *bound))
     return calls
 
 
@@ -542,6 +542,14 @@ class TestScipyCrossCheck:
         x = solve_sylvester(a, b, c)
         assert rel_diff(x, scipy_linalg.solve_sylvester(a, -b, c)) <= 1e-9
 
+    @pytest.mark.parametrize("similar", [False, True])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_jordan_sylvester(self, scipy_linalg, side, similar):
+        rng = np.random.default_rng(len(side) + similar)
+        a, b = TestConditioningGate.jordan_system(rng, side, 0.5, similar, 1.0)
+        c = rng.standard_normal((a.shape[0], b.shape[0]))
+        assert rel_diff(solve_sylvester(a, b, c), scipy_linalg.solve_sylvester(a, -b, c)) <= 1e-9
+
     @pytest.mark.parametrize("n", [1, 5, 40, 200])
     def test_lyapunov(self, scipy_linalg, n):
         rng = np.random.default_rng(n)
@@ -572,18 +580,24 @@ class TestConditioningGate:
         with pytest.raises(ValueError, match="ill conditioned"):
             solve_lyapunov(np.array([[-1.0, 1e78], [0.0, -1.0]]), np.eye(2))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 8),
         k=st.integers(1, 4),
         skew=st.sampled_from([0.0, 30.0]),
         swap=st.booleans(),
+        jordan=st.booleans(),
     )
-    def test_sylvester_bound_dominates_kronecker_cond(self, seed, n, k, skew, swap):
+    def test_sylvester_bound_dominates_kronecker_cond(self, seed, n, k, skew, swap, jordan):
+        # the Schur-form bound of normal, skewed and non-normal sides, and of
+        # Jordan blocks in a random basis, never falls below the Kronecker cond
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((k, k)) + skew * np.triu(rng.standard_normal((k, k)), 1)
+        if jordan:
+            t = rng.standard_normal((k, k)) + 3 * np.eye(k)
+            b = t @ (rng.standard_normal() * np.eye(k) + (1 + skew) * np.eye(k, k=1)) @ np.linalg.inv(t)
         if swap:
             a, b = b, a
         assume(spectra_disjoint(a, b))
@@ -614,19 +628,41 @@ class TestConditioningGate:
             solve_lyapunov(a_cl, np.eye(n))
         assert reported_bound(excinfo) >= (1 - 1e-9) * np.linalg.cond(kron_lyapunov(a_cl))
 
+    @staticmethod
+    def jordan_system(rng, side, eig, similar, nilpotent):
+        """(a, b): a random order-5 stable plant and a 3 x 3 Jordan block at eig
+        with ``nilpotent`` on its superdiagonal, similarity-transformed if
+        ``similar``, on the given side."""
+        jordan = eig * np.eye(3) + nilpotent * np.eye(3, k=1)
+        if similar:
+            t = rng.standard_normal((3, 3)) + 3 * np.eye(3)
+            jordan = t @ jordan @ np.linalg.inv(t)
+        plant = random_stable_system(rng, n=5)
+        return (plant.a, jordan) if side == "right" else (jordan, plant.a)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("similar", [False, True])
     @pytest.mark.parametrize("eig", [0.0, 2.0])
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_defective_small_side_refused(self, rng, side, eig, similar):
-        jordan = eig * np.eye(3) + np.eye(3, k=1)
-        if similar:
-            t = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-            jordan = t @ jordan @ np.linalg.inv(t)
-        plant = random_stable_system(rng, n=5)
-        a, b = (plant.a, jordan) if side == "right" else (jordan, plant.a)
-        with pytest.raises(ValueError, match="ill conditioned"):
+        # a Jordan side is solved like any other, but one with a large nilpotent
+        # part makes the Kronecker cond, and so the Schur-form bound, exceed the gate
+        a, b = self.jordan_system(rng, side, eig, similar, 1e5)
+        exact = np.linalg.cond(kron_sylvester(a, b))
+        assert exact > 1e13
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
             solve_sylvester(a, b, np.ones((a.shape[0], b.shape[0])))
+        assert reported_bound(excinfo) >= exact
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("similar", [False, True])
+    @pytest.mark.parametrize("eig", [0.0, 2.0])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_defective_small_side_solved(self, rng, side, eig, similar):
+        a, b = self.jordan_system(rng, side, eig, similar, 1.0)
+        c = rng.standard_normal((a.shape[0], b.shape[0]))
+        ref = np.linalg.solve(kron_sylvester(a, b), c.reshape(-1, order="F")).reshape(c.shape, order="F")
+        assert rel_diff(solve_sylvester(a, b, c), ref) <= 1e-10
 
     def test_singular_shift_decided_by_svd_bound(self, monkeypatch, rng):
         def singular(m, rhs):
@@ -657,30 +693,31 @@ class TestConditioningGate:
             a, b = b, a
         assume(spectra_disjoint(a, b))
         c = np.ones((a.shape[0], b.shape[0]))
-        _, exact = per_shift_sylvester(a, b, c)
+        exact, cheap, above_floor = schur_bound(a, b)
         assume(exact < 1e6)
-        cheap, above_floor = cheap_sylvester_bound(a, b)
         assert cheap >= (1 - 1e-9) * exact
         # (threshold, whether the exact SVD bound must be computed)
         cases = [
             (exact * (1 - 1e-6), True),
             (exact * (1 + 1e-6), cheap > exact * (1 + 1e-6)),
         ]
-        if above_floor:  # tau = min_j sigma_min(a - mu_j I) / 4: proven
+        if above_floor:  # tau at most min_j sigma_min(a - mu_j I) / 4^(1/blocks): proven
             cases.append((4 * cheap, False))
         if cheap > 1.01 * exact:  # a threshold between the bounds: the SVD fallback accepts
             cases.append((np.sqrt(exact * cheap), True))
         for threshold, fallback in cases:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(linalg, "SYLVESTER_COND_MAX", threshold)
-                decomposed = record_shapes(mp, "svd")
+                exact_calls, gate = [], linalg._cond_gate
+                spy = lambda system, bound, svd: gate(system, bound, lambda: exact_calls.append(1) or svd())
+                mp.setattr(linalg, "_cond_gate", spy)
                 if exact > threshold:
                     with pytest.raises(ValueError, match="ill conditioned") as excinfo:
                         solve_sylvester(a, b, c)
                     assert abs(reported_bound(excinfo) - exact) <= 1e-9 * exact
                 else:
                     solve_sylvester(a, b, c)
-            assert ((max(n, k),) * 2 in decomposed) == fallback
+            assert bool(exact_calls) == fallback
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), log_cond=st.floats(0.0, 5.0))
@@ -702,15 +739,35 @@ class TestConditioningGate:
                     solve_lyapunov(a_cl, np.eye(n))
 
     def test_sign_iteration_cap(self, monkeypatch):
+        # defective: the eigenbasis bound is far above the gate, so the sign
+        # iteration decides; cut off after one step, it has not converged, and
+        # solve_lyapunov refuses quoting the eigenbasis bound
+        a_cl = np.array([[-1e-3, 1.0], [0.0, -1e-3]])
         monkeypatch.setattr(linalg, "SIGN_MAX_ITER", 1)
-        with pytest.raises(ValueError, match="did not converge"):  # defective: the sign iteration decides
-            solve_lyapunov(np.array([[-1e-3, 1.0], [0.0, -1e-3]]), np.eye(2))
+        with pytest.raises(ValueError, match="did not converge in 1 steps"):
+            linalg._sign_lyapunov(a_cl, np.eye(2))
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
+            solve_lyapunov(a_cl, np.eye(2))
+        assert reported_bound(excinfo) > linalg.SYLVESTER_COND_MAX
 
     def test_overflowing_sign_iteration_refused_without_warning(self):
-        # a_cl is scaled by 2^-515, so the eigenbasis bound (about 1e155) is finite and
-        # refers the system to the sign iteration, whose ||A^{-1}||_F overflows: it never converges
-        with pytest.raises(ValueError, match="did not converge"):
+        # a_cl is scaled by 2^-515, so the eigenbasis bound 2 ||a_cl||_F (||I||_F^2)^2 / 2
+        # = 4e155 is finite and refers the system to the sign iteration, whose
+        # ||A^{-1}||_F overflows: it never converges, and the refusal quotes that bound
+        with pytest.raises(ValueError, match="ill conditioned") as excinfo:
             solve_lyapunov(np.diag([-1e155, -1.0]), np.eye(2))
+        assert abs(reported_bound(excinfo) - 4e155) <= 1e-12 * 4e155
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_huge_q_solved_as_scaled(self, n):
+        # ||2^600 q||_F would overflow in q's symmetry test: q is tested scaled, and
+        # (a_cl, q) are scaled by one power of two before the solve
+        rng = np.random.default_rng(n)
+        a0 = rng.standard_normal((n, n))
+        a0 -= (np.linalg.eigvals(a0).real.max() + 1.0) * np.eye(n)
+        w = solve_lyapunov(2.0**600 * a0, 2.0**600 * np.eye(n))
+        assert rel_diff(w, solve_lyapunov(a0, np.eye(n))) <= 1e-12
 
     def test_huge_well_conditioned_a_cl_accepted(self):
         # Kronecker cond 2, but ||a_cl||_F overflows unless a_cl is scaled first
@@ -753,33 +810,55 @@ class TestConditioningGate:
 
 
 def per_shift_sylvester(a, b, c):
-    """Reference: one complex solve and one SVD per eigenvalue of the
-    smaller side, conjugate pairs included; returns (x, cond bound)."""
+    """Reference: X from one complex solve per eigenvalue of the smaller side,
+    conjugate pairs included, and the Schur-form cond bound of
+    :func:`schur_bound` from one SVD per shift; returns (x, cond bound)."""
     if b.shape[0] > a.shape[0]:
         x, bound = per_shift_sylvester(b.T, a.T, -c.T)
         return x.T, bound
     mu, v = np.linalg.eig(b)
     eye = np.eye(a.shape[0])
     y = np.column_stack([np.linalg.solve(a - m * eye, r) for m, r in zip(mu, (c @ v).T)])
-    svals = np.array([np.linalg.svd(a - m * eye, compute_uv=False)[[0, -1]] for m in mu])
-    bound = np.linalg.cond(v) ** 2 * svals[:, 0].max() / svals[:, 1].min()
-    return np.linalg.solve(v.T, y.T).T.real, bound
+    return np.linalg.solve(v.T, y.T).T.real, schur_bound(a, b)[0]
 
 
-def cheap_sylvester_bound(a, b):
-    """Reference over every shift mu_j of the smaller side: (the threshold
-    2 cond(v)^2 (||a||_F + max_j |mu_j|) / min_j sigma_min(a - mu_j I),
-    below which the tau of solve_sylvester exceeds some sigma_min(a - mu_j I),
-    so that no proof of it can succeed; whether every sigma_min(a - mu_j I) is
-    ten times above the proof's rounding floor sqrt(n u) ||a - mu_j I||_F)."""
+def schur_form(b):
+    """(t, shifts, cw, tau_s, blocks) of the real Schur form b = q t q^T that
+    linalg._real_schur gives: one shift per diagonal block (its eigenvalue with
+    imag >= 0), the largest cond of a block's eigenvector matrix, the 2-norm of
+    t without its diagonal blocks, and the number of blocks (1 when that norm is 0)."""
+    _, t, sizes = linalg._real_schur(b)
+    strict, shifts, cw, i = t.copy(), [], 1.0, 0
+    for size in sizes:
+        mu, w = np.linalg.eig(t[i : i + size, i : i + size])
+        shifts.append(mu[np.argmax(mu.imag)])
+        cw = max(cw, np.linalg.cond(w))
+        strict[i : i + size, i : i + size] = 0.0
+        i += size
+    tau_s = np.linalg.norm(strict, 2)
+    return t, np.array(shifts), cw, tau_s, len(sizes) if tau_s else 1
+
+
+def schur_bound(a, b):
+    """Reference over the smaller side's Schur form (:func:`schur_form`):
+    (the bound (cw max_j ||a - mu_j I||_2 + tau_s) d sum_{r < blocks} (d
+    tau_s)^r, d = cw / sigma with sigma = min_j sigma_min(a - mu_j I); the
+    threshold of SYLVESTER_COND_MAX below which the tau that solve_sylvester
+    tries exceeds sigma, so that no proof can succeed; whether every
+    sigma_min(a - mu_j I) is ten times above the proof's rounding floor
+    sqrt(n u) ||a - mu_j I||_F)."""
     if b.shape[0] > a.shape[0]:
-        return cheap_sylvester_bound(b.T, a.T)
-    mu, v = np.linalg.eig(b)
-    shifted = [a - m * np.eye(a.shape[0]) for m in mu]
-    smin = np.array([np.linalg.svd(m, compute_uv=False)[-1] for m in shifted])
+        return schur_bound(b.T, a.T)
+    _, shifts, cw, tau_s, blocks = schur_form(b)
+    shifted = [a - m * np.eye(a.shape[0]) for m in shifts]
+    svals = np.array([np.linalg.svd(m, compute_uv=False)[[0, -1]] for m in shifted])
+    d = cw / svals[:, 1].min()
+    bound = (cw * svals[:, 0].max() + tau_s) * d * sum((d * tau_s) ** r for r in range(blocks))
+    # tau = cw max(z, (z tau_s^(blocks-1))^(1/blocks)), z = 2 blocks norm / threshold, is sigma here
+    norm = cw * (np.linalg.norm(a) + np.abs(shifts).max()) + tau_s
+    cheap = 2 * blocks * norm * max(d, tau_s ** (blocks - 1) * d**blocks)
     floor = np.sqrt(a.shape[0] * 2.0**-53) * np.array([np.linalg.norm(m) for m in shifted])
-    cheap = 2 * np.linalg.cond(v) ** 2 * (np.linalg.norm(a) + np.abs(mu).max()) / smin.min()
-    return cheap, bool(np.all(smin > 10 * floor))
+    return bound, cheap, bool(np.all(svals[:, 1] > 10 * floor))
 
 
 def mixed_small_side(kind):
@@ -850,6 +929,18 @@ class TestConjugatePairs:
         assert solved.count((n, n)) == factored.count((n, n)) - 1 == np.sum(e.imag >= 0) < e.size
         assert (n, n) not in inverted
         assert (n, n) not in decomposed  # accepted on the certificate alone
+
+
+class TestRealShift:
+    def test_real_block_takes_one_real_lu(self, monkeypatch):
+        # the recurrence solves a 1 x 1 block of the Schur form in float64 and
+        # a 2 x 2 block in complex128, one LU solve each
+        a, b, c = TestConjugatePairs.system("real+pair", "right")
+        kinds, real = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, r: kinds.append((m.shape, m.dtype)) or real(m, r))
+        x = solve_sylvester(a, b, c)
+        assert sorted(str(dtype) for shape, dtype in kinds if shape == (9, 9)) == ["complex128", "float64"]
+        assert rel_diff(x, per_shift_sylvester(a, b, c)[0]) <= 1e-12
 
 
 class TestConjugateFill:

@@ -212,6 +212,27 @@ class TestRomDirect:
             assert np.abs(tf_full - tf_rom).max() < 1e-8
 
 
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jordan_interpolant_matches_two_derivatives(self, seed, mu):
+        # a size-3 Jordan s at mu with l = e_1^T: Pi's columns are (mu I - a)^{-j} b,
+        # so the moment, and with it the ROM, is [G(mu), G'(mu), G''(mu)/2]
+        rng = np.random.default_rng(seed)
+        sys = random_stable_system(rng, n=6, m=1, p=2)
+        interp = DirectInterpolant(s=mu * np.eye(3) + np.eye(3, k=1), l=np.eye(1, 3))
+        rom = rom_direct(sys, interp, rng.standard_normal((3, 1)))
+
+        def taylor(model):  # G(mu), G'(mu) and G''(mu)/2 = (-1)^j c (mu I - a)^{-j-1} b
+            x, out = model.b, []
+            for j in range(3):
+                x = np.linalg.solve(mu * np.eye(model.n) - model.a, x)
+                out.append((-1) ** j * model.c @ x)
+            return out
+
+        for full, red in zip(taylor(sys), taylor(rom)):
+            assert np.linalg.norm(red - full) <= 1e-8 * np.linalg.norm(full)
+
+
 class TestRomSwapped:
     def test_moment_invariance_random(self, rng):
         for _ in range(5):
