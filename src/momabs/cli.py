@@ -144,7 +144,7 @@ def cmd_abstract(args) -> RunReport:
     report = RunReport(command="abstract")
     sys_model = load_model(args.model)
     data = load_json(args.p_file)
-    p = matrix_field(data, "p" if "p" in data else "matrix", args.p_file)
+    p = matrix_field(data, "p", args.p_file)
     design, residuals = abstraction._design_and_residuals(sys_model, p)
     for name, value in residuals.items():
         report.add(f"residual {name}", value, args.tol)

@@ -9,7 +9,6 @@ test, the one rule for observability, reachability and excitability.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ SYLVESTER_COND_MAX = 1e12
 PLACE_RETRIES = 16
 SIGN_MAX_ITER = 100  # scaled Newton sign steps; about 10 suffice in practice
 SIGN_TOL = 1e-8  # ||A + I||_F / sqrt(n) after which one more step is taken
-
-_memo_lock = threading.Lock()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -61,9 +58,9 @@ def _square(a, name: str = "matrix") -> np.ndarray:
 
 
 def rank_tol(m: np.ndarray, svals: np.ndarray) -> float:
-    """Default numerical-rank tolerance: sigma_max * max(dim) * 1e-12."""
+    """Default numerical-rank tolerance: sigma_max * (max(dim) * 1e-12), finite for any finite sigma_max."""
     smax = svals[0] if svals.size else 0.0
-    return smax * max(m.shape) * 1e-12
+    return smax * (max(m.shape) * 1e-12)
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -124,7 +121,8 @@ def eigenvalues(m) -> SpectrumReport:
     and its largest real part."""
     vals = _eig(np.linalg.eigvals, m)
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    apart = np.abs(vals[:, None] - vals) + np.diag(np.full(vals.size, np.inf))  # the pairs i != j
+    with np.errstate(over="ignore"):  # an inf distance counts as apart
+        apart = np.abs(vals[:, None] - vals) + np.diag(np.full(vals.size, np.inf))  # the pairs i != j
     return SpectrumReport(vals, bool(apart.min() > SPECTRUM_TOL), float(vals.real.max()))
 
 
@@ -136,34 +134,6 @@ def _eig(solver, m):
         raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _memoized(memo: list, size: int, fn, *args) -> tuple:
-    """fn(*args), a tuple of arrays made read-only, or the value it gave for
-    arrays of the same shapes and bit patterns (:func:`_same_bits`, which
-    copies nothing and tells -0.0 from 0.0) among the last ``size`` kept in
-    ``memo``, a list of (read-only argument copies, value), most recent last."""
-    with _memo_lock:
-        for i, (kept, value) in enumerate(memo):
-            if all(map(_same_bits, kept, args)):
-                memo.append(memo.pop(i))
-                return value
-    value = fn(*args)
-    kept = tuple(x.copy(order="K") for x in args)  # in the layout of x, so lookups compare like strides
-    for x in (*value, *kept):
-        x.flags.writeable = False
-    with _memo_lock:
-        memo.append((kept, value))
-        del memo[:-size]
-    return value
-
-
-def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """True iff x and y have the same dtype, shape and bit pattern."""
-    if x.dtype != y.dtype or x.shape != y.shape:
-        return False
-    bits = np.dtype(f"u{x.itemsize}")
-    return bool(np.array_equal(x.view(bits), y.view(bits)))
-
-
 def spectra_disjoint(m1, m2) -> bool:
     """True iff every eigenvalue pair across the two spectra is > DISJOINT_TOL apart."""
     return _apart(eigenvalues(m1).eigenvalues, eigenvalues(m2).eigenvalues)
@@ -171,7 +141,8 @@ def spectra_disjoint(m1, m2) -> bool:
 
 def _apart(e1: np.ndarray, e2: np.ndarray) -> bool:
     """True iff every pair across the two eigenvalue lists is > DISJOINT_TOL apart."""
-    return bool(np.abs(e1[:, None] - e2[None, :]).min() > DISJOINT_TOL)
+    with np.errstate(over="ignore"):  # an inf distance counts as apart
+        return bool(np.abs(e1[:, None] - e2[None, :]).min() > DISJOINT_TOL)
 
 
 def _disjoint_gate(tau: float, a: np.ndarray, shifts, refusal: str) -> float:
@@ -376,19 +347,6 @@ def _cond_gate(system: str, cheap: float, exact) -> None:
     an upper bound on ``exact()``, accepts alone; else ``exact()`` decides, and a refusal quotes it."""
     if cheap > SYLVESTER_COND_MAX and not (bound := exact()) <= SYLVESTER_COND_MAX:
         raise ValueError(f"{system} system is ill conditioned (cond bound {bound:.12g} > {SYLVESTER_COND_MAX:g})")
-
-
-def _conjugate_fill(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Values at all points of mu from ``values``, one per point with imag >= 0, for mu
-    in np.linalg.eig's pair order (each point with imag < 0 right after its exact
-    conjugate, whose value it conjugates); any other order is refused."""
-    first = mu.imag >= 0
-    second = np.flatnonzero(~first)
-    if second.size and (second[0] == 0 or np.any(mu[second] != mu[second - 1].conj())):
-        raise ValueError("points are not in conjugate-pair order")
-    out = values[np.cumsum(first) - 1]
-    out[~first] = out[~first].conj()
-    return out
 
 
 def solve_lyapunov(a_cl, q) -> np.ndarray:

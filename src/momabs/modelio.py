@@ -102,7 +102,7 @@ def matrix_field(data: dict, key: str, path) -> np.ndarray:
     return _matrix_from(numeric_field(data, key, path), key, path)
 
 
-def save_matrix(path, matrix: np.ndarray, key: str = "matrix", **extra) -> None:
+def save_matrix(path, matrix: np.ndarray, key: str, **extra) -> None:
     data = {key: np.asarray(matrix).tolist(), **extra}
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 

@@ -2,15 +2,17 @@
 
 A moment is C Pi, Pi s = a Pi + b l, or Ups b, q Ups = Ups a + r c: Ups is Pi^T
 of the dual plant (a^T, c^T, b^T) at (q^T, r^T), whose transfer function is
-G^T (Astolfi 2010), so every moment is solved, and the last MOMENT_MEMO_SIZE
-memoized (:func:`momabs.linalg._memoized` on (a, s, l, b)), as a direct one.
-At an eigenpair (mu, v) of s, C Pi v = G(mu) l v, so the tangential checks
-read the plant's side off the moment; at a Jordan block of s the moment
-holds derivatives of G as well.
+G^T (Astolfi 2010), so every moment is solved as a direct one, and the last
+MOMENT_MEMO_SIZE kept by :func:`_memoized` on (a, s, l, b).  At an eigenpair
+(mu, v) of s, C Pi v = G(mu) l v, so the tangential checks read the plant's
+side off the moment, at the eigenpairs with imag mu >= 0: for real data the
+other member of a pair repeats the check conjugated.  At a Jordan block of s
+the moment holds derivatives of G as well.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,7 @@ import numpy as np
 from .linalg import (
     StateSpaceModel,
     as_matrix,
-    _conjugate_fill,
     _disjoint_gate,
-    _memoized,
     _shift,
     _square,
     pbh_observable,
@@ -31,7 +31,8 @@ from .linalg import (
 
 TWO_SIDED_COND_MAX = 1e10
 MOMENT_MEMO_SIZE = 2  # a direct and a swapped moment; a run reuses its own for its err
-_moments: list = []  # (read-only copies of the arguments of _solve, read-only (Pi,))
+_moments: list = []  # (read-only copies of the arguments of _solve, read-only Pi)
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -108,15 +109,43 @@ def _moment(sys: StateSpaceModel, interp) -> np.ndarray:
     if isinstance(interp, DirectInterpolant):
         if interp.l.shape[0] != sys.m:
             raise ValueError("interpolant output dimension does not match plant input")
-        return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b)[0]
+        return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b)
     if interp.r.shape[1] != sys.p:
         raise ValueError("interpolant input dimension does not match plant output")
-    return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a.T, interp.q.T, interp.r.T, sys.c.T)[0].T
+    return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a.T, interp.q.T, interp.r.T, sys.c.T).T
 
 
-def _solve(a, s, l, b) -> tuple:
-    """(Pi,) with Pi solving Pi s = a Pi + b l, that is a Pi - Pi s = -(b l)."""
-    return (solve_sylvester(a, s, -(b @ l)),)
+def _solve(a, s, l, b) -> np.ndarray:
+    """Pi solving Pi s = a Pi + b l, that is a Pi - Pi s = -(b l)."""
+    return solve_sylvester(a, s, -(b @ l))
+
+
+def _memoized(memo: list, size: int, fn, *args) -> np.ndarray:
+    """fn(*args), an array made read-only, or the one it gave for arrays of
+    the same shapes and bit patterns (:func:`_same_bits`, which copies
+    nothing and tells -0.0 from 0.0) among the last ``size`` kept in ``memo``,
+    a list of (read-only argument copies, value), most recent last."""
+    with _memo_lock:
+        for i, (kept, value) in enumerate(memo):
+            if all(map(_same_bits, kept, args)):
+                memo.append(memo.pop(i))
+                return value
+    value = fn(*args)
+    kept = tuple(x.copy(order="K") for x in args)  # in the layout of x, so lookups compare like strides
+    for x in (value, *kept):
+        x.flags.writeable = False
+    with _memo_lock:
+        memo.append((kept, value))
+        del memo[:-size]
+    return value
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """True iff x and y have the same dtype, shape and bit pattern."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    bits = np.dtype(f"u{x.itemsize}")
+    return bool(np.array_equal(x.view(bits), y.view(bits)))
 
 
 def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> StateSpaceModel:
@@ -182,10 +211,8 @@ def transfer_eval(sys: StateSpaceModel, s: complex) -> np.ndarray:
 
 
 def transfer_at(sys: StateSpaceModel, mu) -> np.ndarray:
-    """Transfer values G(mu_j) stacked as (k, p, m), for points mu in the pair
-    order of np.linalg.eig: each conjugate pair is solved once, at imag >= 0."""
-    mu = np.asarray(mu, dtype=complex).reshape(-1)
-    return _conjugate_fill(mu, np.array([transfer_eval(sys, complex(point)) for point in mu[mu.imag >= 0]]))
+    """Transfer values G(mu_j) stacked as (k, p, m), at the points mu in their order."""
+    return np.array([transfer_eval(sys, complex(point)) for point in np.asarray(mu, dtype=complex).reshape(-1)])
 
 
 def tangential_mismatch_direct(
@@ -198,9 +225,7 @@ def tangential_mismatch_direct(
     points is a SISO special case.  The plant's side is read off its
     memoized moment, so the check is refused as that moment is.
     """
-    pinned = moment_direct(full, interp).moment
-    mu, v = np.linalg.eig(interp.s)
-    return _tangential_mismatch(pinned @ v, transfer_at(rom, mu), v, interp.l)
+    return _tangential_mismatch(moment_direct(full, interp).moment, rom, interp.s, interp.l)
 
 
 def tangential_mismatch_swapped(
@@ -210,14 +235,18 @@ def tangential_mismatch_swapped(
     (lam, w) of q the moment pins the transfer value along w^T r, w^T Ups b =
     w^T r G(lam): the direct check of the dual plant and ROM (transfer values
     G^T, Gr^T) at l = r^T."""
-    pinned = moment_swapped(full, interp).moment
-    mu, w = np.linalg.eig(interp.q.T)
-    return _tangential_mismatch(pinned.T @ w, transfer_at(rom, mu).transpose(0, 2, 1), w, interp.r.T)
+    return _tangential_mismatch(moment_swapped(full, interp).moment.T, rom, interp.q.T, interp.r.T, dual=True)
 
 
-def _tangential_mismatch(pinned: np.ndarray, tf_rom: np.ndarray, v: np.ndarray, l: np.ndarray) -> float:
-    """max_j ||pinned_j - Gr(mu_j) l v_j|| / max(1, ||pinned_j||), for the
-    plant's pinned columns pinned_j = G(mu_j) l v_j and a (k, p, m) stack of
-    the ROM's transfer values at the eigenpairs (mu_j, v_j)."""
-    diff = np.linalg.norm(pinned - np.einsum("jpm,mj->pj", tf_rom, l @ v), axis=0)
+def _tangential_mismatch(
+    moment: np.ndarray, rom: StateSpaceModel, s: np.ndarray, l: np.ndarray, dual: bool = False
+) -> float:
+    """max_j ||pinned_j - Gr(mu_j) l v_j|| / max(1, ||pinned_j||) over the
+    eigenpairs (mu_j, v_j) of s with imag mu_j >= 0, for the plant's pinned
+    columns pinned_j = moment v_j = G(mu_j) l v_j and the ROM's transfer
+    values Gr, transposed for a ``dual`` check."""
+    mu, v = np.linalg.eig(s)
+    mu, v = mu[mu.imag >= 0], v[:, mu.imag >= 0]
+    tf_rom, pinned = transfer_at(rom, mu), moment @ v
+    diff = np.linalg.norm(pinned - np.einsum("jmp,mj->pj" if dual else "jpm,mj->pj", tf_rom, l @ v), axis=0)
     return float((diff / np.maximum(1.0, np.linalg.norm(pinned, axis=0))).max())

@@ -368,6 +368,11 @@ class TestAbstract:
         if code == 0:
             assert np.array(json.loads((tmp_path / "d.design.json").read_text())["d"]).size == 0
 
+    def test_p_file_without_p_exits_2(self, tmp_path, plant_file, capsys):
+        p_file = write_json(tmp_path / "p.json", {"matrix": springmass.embedding_p().tolist()})
+        assert main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")]) == 2
+        assert "missing field 'p'" in capsys.readouterr().err
+
     def test_inadmissible_p_exits_2(self, tmp_path, plant_file, capsys):
         p_file = write_json(tmp_path / "p.json", {"p": np.ones((4, 2)).tolist()})
         code = main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")])
@@ -749,6 +754,13 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "[PASS] embedding state residual" in text
         assert "[PASS] mrelation output residual" in text
+
+    def test_spectrum_spanning_the_double_range_passes(self, tmp_path, capsys):
+        plant = StateSpaceModel(a=np.diag([1e308, -1e308]), b=np.ones((2, 1)), c=np.ones((1, 2)))
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        artifact = write_json(tmp_path / "empty.json", {})
+        assert main(["verify", model, "--artifact", artifact, "--checks", "spectra"]) == 0
+        assert "[PASS] spectra: all eigenvalues simple" in capsys.readouterr().out
 
     def test_perturbed_embedding_fails(self, tmp_path, plant_file, capsys):
         artifact = self._artifact(tmp_path, perturb=1e-3)

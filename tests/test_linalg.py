@@ -79,6 +79,10 @@ class TestEigenvalues:
         rep = eigenvalues(comp)
         assert nearest_gap(rep.eigenvalues, [1j, -1j]) < 1e-12
 
+    def test_distance_past_the_double_range_counts_as_apart(self):
+        # 1e308 - (-1e308) overflows to inf, which warns nothing and is apart
+        assert eigenvalues(np.diag([1e308, -1e308])).all_simple
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
@@ -387,6 +391,9 @@ class TestSpectraDisjoint:
 
     def test_explicit_diagonals(self):
         assert spectra_disjoint(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+
+    def test_distance_past_the_double_range_counts_as_apart(self):
+        assert spectra_disjoint(np.array([[1e308]]), np.array([[-1e308]]))
 
 
 class TestSylvester:
@@ -943,33 +950,6 @@ class TestRealShift:
         assert rel_diff(x, per_shift_sylvester(a, b, c)[0]) <= 1e-12
 
 
-class TestConjugateFill:
-    """The one pair rule: a second member takes its partner's conjugate value."""
-
-    def test_fills_eig_order(self):
-        mu = np.linalg.eigvals(mixed_small_side("random-5x5"))
-        upper = mu[mu.imag >= 0]
-        filled = linalg._conjugate_fill(mu, (upper + 1.0)[:, None])
-        assert np.array_equal(filled[:, 0], mu + 1.0)
-
-    def test_refuses_sorted_order(self):
-        # a sorted spectrum lists the member with imag < 0 first
-        mu = eigenvalues(rotation_block(2.0)).eigenvalues
-        assert mu[0].imag < 0 < mu[1].imag
-        with pytest.raises(ValueError, match="conjugate-pair order"):
-            linalg._conjugate_fill(mu, np.ones((1, 1)))
-        with pytest.raises(ValueError, match="conjugate-pair order"):
-            moments.transfer_at(springmass.concrete(), mu)
-
-    @pytest.mark.parametrize(
-        "mu", [[1 + 2j, 1 - 2j, 1 - 2j], [1 + 2j, 3.0, 1 - 2j], [1 + 2j, 1 - 2.5j]]
-    )
-    def test_refuses_unpaired_second_member(self, mu):
-        mu = np.array(mu)
-        with pytest.raises(ValueError, match="conjugate-pair order"):
-            linalg._conjugate_fill(mu, np.ones((np.sum(mu.imag >= 0), 1)))
-
-
 def block_pair(seed, n_max):
     """(a, b, reachable): a random pair of order n <= n_max with one or two
     inputs, in a random basis, whose block-diagonal form mixes real
@@ -1070,6 +1050,12 @@ class TestExcitable:
         if np.linalg.cond(t) > 1e3:
             return
         assert excitable(s, w0) == excitable(t @ s @ np.linalg.inv(t), t @ w0)
+
+    def test_rank_tolerance_finite_near_the_double_limit(self):
+        # sigma_max is sqrt(2) 1e308 here: max(dim) * 1e-12 is formed first
+        svals = np.linalg.svd(np.array([[0.0, 1.0], [-1.0, 0.0], [1e308, 1e308]]), compute_uv=False)
+        assert linalg.rank_tol(np.zeros((3, 2)), svals) == svals[0] * (3 * 1e-12)
+        excitable(rotation_block(1.0), np.array([1e308, 1e308]))  # decides without a warning
 
     def test_generic_w0_on_order_16_oscillator(self):
         # the Krylov matrix of this pair is numerically rank deficient

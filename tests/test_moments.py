@@ -11,7 +11,7 @@ from conftest import (
     rotation_block,
 )
 from momabs import cli, moments, springmass
-from momabs.linalg import StateSpaceModel, block_diag_spectrum
+from momabs.linalg import StateSpaceModel, block_diag_spectrum, eigenvalues
 from momabs.modelio import RunReport
 from momabs.moments import (
     DirectInterpolant,
@@ -83,10 +83,10 @@ class TestMomentMemo:
         ups = moment_swapped(sys, si).upsilon
         with pytest.raises(ValueError, match="read-only"):
             ups[0, 0] = 0.0
-        [(kept, value)] = moments._moments
+        [(kept, pi)] = moments._moments
         # Ups is a transposed view of the dual plant's Pi, not a copy
-        assert np.shares_memory(ups, value[0]) and np.array_equal(ups, value[0].T)
-        assert all(not x.flags.writeable for x in (*kept, *value))
+        assert np.shares_memory(ups, pi) and np.array_equal(ups, pi.T)
+        assert all(not x.flags.writeable for x in (*kept, pi))
         assert not any(np.shares_memory(x, y) for x in kept for y in (si.q, sys.a))
 
     def test_swapped_is_the_dual_direct_moment(self, sylvester_calls, rng):
@@ -126,10 +126,10 @@ class TestMomentMemo:
 
     def test_lookup_copies_nothing(self):
         memo, big = [], np.random.default_rng(0).standard_normal((400, 400))
-        solved = moments._memoized(memo, 2, lambda x: (x.sum(axis=0),), big)
+        solved = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
         tracemalloc.start()
         try:
-            again = moments._memoized(memo, 2, lambda x: (x.sum(axis=0),), big)
+            again = moments._memoized(memo, 2, lambda x: x.sum(axis=0), big)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,6 +409,19 @@ def real_and_pair_generator(rng):
     d = block_diag_spectrum([rng.uniform(0.1, 1.0), complex(re, im), complex(re, -im)])
     t = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     return t @ d @ np.linalg.inv(t)
+
+
+class TestTransferAt:
+    def test_sorted_spectrum_matches_per_point_transfer_eval(self, rng):
+        # eigenvalues lists the member with imag < 0 of each pair first;
+        # transfer_at evaluates the points in the order given
+        sys = random_stable_system(rng, n=5, m=2, p=3)
+        mu = eigenvalues(block_diag_spectrum([0.5, 2j, -2j, 0.1 + 3j, 0.1 - 3j])).eigenvalues
+        assert mu[0].imag < 0 < mu[1].imag and mu[2].imag < 0 < mu[3].imag
+        values = moments.transfer_at(sys, mu)
+        assert values.shape == (5, 3, 2)
+        for point, value in zip(mu, values):
+            assert np.array_equal(value, transfer_eval(sys, complex(point)))
 
 
 class TestTangentialMismatch:
