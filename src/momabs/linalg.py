@@ -42,10 +42,19 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
-def _require_shapes(**fields) -> None:
-    """Raise a ValueError naming the first field (value, shape) not of its shape; None passes."""
+def _require_shapes(dims: dict | None = None, /, **fields) -> None:
+    """Raise a ValueError naming the first field (value, shape) not of its shape; None passes.
+    With ``dims``, a size given as a string names a dimension: the first field
+    that has the name binds it in ``dims``, and later fields are checked against it."""
     for name, (value, shape) in fields.items():
-        if value is not None and np.shape(value) != tuple(shape):
+        if value is None:
+            continue
+        if dims is not None:
+            for dim, size in zip(shape, np.shape(value)):
+                if isinstance(dim, str):
+                    dims.setdefault(dim, size)
+            shape = [dims.get(dim, dim) for dim in shape]
+        if np.shape(value) != tuple(shape):
             what = f"a {shape[0]}-vector" if len(shape) == 1 else "x".join(map(str, shape))
             raise ValueError(f"{name} must be {what}, got {np.shape(value)}")
 
@@ -83,11 +92,7 @@ class StateSpaceModel:
         a = _square(self.a, "a")
         b = as_matrix(self.b, "b")
         c = as_matrix(self.c, "c")
-        n = a.shape[0]
-        if b.shape[0] != n:
-            raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise ValueError(f"c has {c.shape[1]} cols, expected {n}")
+        _require_shapes(b=(b, (a.shape[0], b.shape[1])), c=(c, (c.shape[0], a.shape[0])))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -164,10 +169,8 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     -c^T): O(k n^3) for k <= n.  A defective side, such as a Jordan block, is
     solved like any other.  Refused by the gates and :func:`_check_sylvester`."""
     a, b, c = _square(a, "a"), _square(b, "b"), as_matrix(c, "c")
-    n, k = a.shape[0], b.shape[0]
-    if c.shape != (n, k):
-        raise ValueError(f"c must be {n}x{k}, got {c.shape}")
-    flip = k > n
+    _require_shapes(c=(c, (len(a), len(b))))
+    flip = len(b) > len(a)
     shifted, small, rhs = (b.T, a.T, -c.T) if flip else (a, b, c)
     x = _schur_solve(shifted, small, rhs)[0]
     x = x.T if flip else x
@@ -367,8 +370,7 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     """:func:`solve_lyapunov` for a square a_cl whose eigenpairs (e, v) the
     caller already has, such as (sigma(a + b k) + lam, v) for a_cl = a + b k + lam I."""
     q = _square(q, "q")
-    if q.shape != a_cl.shape:
-        raise ValueError("q must match a_cl in shape")
+    _require_shapes(q=(q, a_cl.shape))
     unit = 2.0 ** -max(0, int(np.frexp(np.abs(q).max())[1]))  # q unit has no entry above 1: its norms stay finite
     if np.linalg.norm(q * unit - (q * unit).T) > 1e-10 * max(unit, np.linalg.norm(q * unit)):
         raise ValueError("q must be symmetric")
@@ -430,8 +432,7 @@ def pbh_observable(s, l) -> bool:
     lam of s, once per conjugate pair (at imag lam >= 0; conj lam gives the conjugate matrix)."""
     s, l = _square(s, "s"), as_matrix(l, "l")
     n = s.shape[0]
-    if l.shape[1] != n:
-        raise ValueError(f"l has {l.shape[1]} cols, expected {n}")
+    _require_shapes(l=(l, (len(l), n)))
     lams = eigenvalues(s).eigenvalues
     return all(numerical_rank(np.vstack([_shift(s, lam), l])) == n for lam in lams[lams.imag >= 0])
 
@@ -439,16 +440,14 @@ def pbh_observable(s, l) -> bool:
 def pbh_reachable(q, r) -> bool:
     """PBH reachability (controllability) of (q, r), dual of :func:`pbh_observable`."""
     q, r = _square(q, "q"), as_matrix(r, "r")
-    if r.shape[0] != q.shape[0]:
-        raise ValueError(f"r has {r.shape[0]} rows, expected {q.shape[0]}")
+    _require_shapes(r=(r, (len(q), r.shape[1])))
     return pbh_observable(q.T, r.T)
 
 
 def excitable(s, w0) -> bool:
     """True iff w0 excites every mode of s: (s, w0) is reachable by :func:`pbh_reachable`."""
     s, w = _square(s, "s"), as_vector(w0, "w0")
-    if w.size != s.shape[0]:
-        raise ValueError(f"w0 has size {w.size}, expected {s.shape[0]}")
+    _require_shapes(w0=(w, (len(s),)))
     return pbh_reachable(s, w[:, None])
 
 
@@ -481,9 +480,8 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     for a random Kbar and a X - X target = -b Kbar, drawn up to PLACE_RETRIES
     times while X is near singular; an (a, b) that is not controllable is refused."""
     a, b, target = _square(a, "a"), as_matrix(b, "b"), _square(target, "target")
-    n, m = b.shape
-    if a.shape[0] != n or target.shape[0] != n:
-        raise ValueError("a, b, target dimensions are inconsistent")
+    n, m = len(a), b.shape[1]
+    _require_shapes(b=(b, (n, m)), target=(target, (n, n)))
     if not pbh_reachable(a, b):
         raise ValueError("(a, b) is not controllable")
     want = eigenvalues(target).eigenvalues

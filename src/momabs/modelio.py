@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import StateSpaceModel
+from .linalg import StateSpaceModel, _require_shapes
 
 ROLES = ("concrete", "abstract", "interpolant")
 CSV_BLOCK_ROWS = 1024
@@ -85,9 +85,9 @@ def load_model(path) -> StateSpaceModel:
     return model_from_dict(data, path)
 
 
-def save_model(path, model: StateSpaceModel, name: str = "", role: str | None = None) -> None:
+def save_model(path, model: StateSpaceModel, role: str | None = None) -> None:
     data = {
-        "name": name or Path(path).stem,
+        "name": Path(path).stem,
         "a": model.a.tolist(),
         "b": model.b.tolist(),
         "c": model.c.tolist(),
@@ -264,8 +264,7 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
         arr = np.atleast_2d(np.asarray(arr, float))
         if arr.shape[0] == times.size:
             arr = arr.T
-        if arr.shape[1] != times.size:
-            raise ValueError(f"column {name!r} length does not match the time grid")
+        _require_shapes(**{f"column {name!r}": (arr, (len(arr), times.size))})
         for i in range(arr.shape[0]):
             names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
             series.append(arr[i])

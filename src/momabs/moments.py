@@ -21,6 +21,7 @@ from .linalg import (
     StateSpaceModel,
     as_matrix,
     _disjoint_gate,
+    _require_shapes,
     _shift,
     _square,
     pbh_observable,
@@ -45,8 +46,6 @@ class DirectInterpolant:
     def __post_init__(self):
         s = _square(self.s, "s")
         l = as_matrix(self.l, "l")
-        if l.shape[1] != s.shape[0]:
-            raise ValueError(f"l has {l.shape[1]} cols, expected {s.shape[0]}")
         if not pbh_observable(s, l):
             raise ValueError("(s, l) is not observable")
         object.__setattr__(self, "s", s)
@@ -67,8 +66,6 @@ class SwappedInterpolant:
     def __post_init__(self):
         q = _square(self.q, "q")
         r = as_matrix(self.r, "r")
-        if r.shape[0] != q.shape[0]:
-            raise ValueError(f"r has {r.shape[0]} rows, expected {q.shape[0]}")
         if not pbh_reachable(q, r):
             raise ValueError("(q, r) is not reachable")
         object.__setattr__(self, "q", q)
@@ -107,11 +104,9 @@ def _moment(sys: StateSpaceModel, interp) -> np.ndarray:
     """Memoized Pi of ``sys`` at (s, l), or at (q, r) Ups, the transposed
     view of the dual plant's Pi."""
     if isinstance(interp, DirectInterpolant):
-        if interp.l.shape[0] != sys.m:
-            raise ValueError("interpolant output dimension does not match plant input")
+        _require_shapes(l=(interp.l, (sys.m, interp.order)))
         return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a, interp.s, interp.l, sys.b)
-    if interp.r.shape[1] != sys.p:
-        raise ValueError("interpolant input dimension does not match plant output")
+    _require_shapes(r=(interp.r, (interp.order, sys.p)))
     return _memoized(_moments, MOMENT_MEMO_SIZE, _solve, sys.a.T, interp.q.T, interp.r.T, sys.c.T).T
 
 
@@ -154,8 +149,7 @@ def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> State
     Valid for any g with sigma(s) disjoint from sigma(s - g l).
     """
     g = as_matrix(g_free, "g_free")
-    if g.shape != (interp.order, sys.m):
-        raise ValueError(f"g_free must be {interp.order}x{sys.m}, got {g.shape}")
+    _require_shapes(g_free=(g, (interp.order, sys.m)))
     f = interp.s - g @ interp.l
     if not spectra_disjoint(interp.s, f):
         raise ValueError("sigma(s) intersects sigma(s - g l); moment matching fails")
@@ -166,8 +160,7 @@ def rom_direct(sys: StateSpaceModel, interp: DirectInterpolant, g_free) -> State
 def rom_swapped(sys: StateSpaceModel, interp: SwappedInterpolant, h_free) -> StateSpaceModel:
     """Reduced model (q - r h, Ups b, h) matching the moment of ``sys`` at (q, r)."""
     h = as_matrix(h_free, "h_free")
-    if h.shape != (sys.p, interp.order):
-        raise ValueError(f"h_free must be {sys.p}x{interp.order}, got {h.shape}")
+    _require_shapes(h_free=(h, (sys.p, interp.order)))
     f = interp.q - interp.r @ h
     if not spectra_disjoint(f, interp.q):
         raise ValueError("sigma(q - r h) intersects sigma(q); moment matching fails")

@@ -3,11 +3,10 @@
 Every topology reduces to a linear ODE z' = A z + B w(t) with an exogenous
 signal w, integrated deterministically by classic RK4 on a uniform grid at
 readout level (:func:`rk4_linear`).  TOPOLOGIES holds each interconnection's
-whole contract: field shapes, assembly and output error, which every run
-writes as ``outputs["err"]``; :func:`integrate` runs any spec, as ``momabs
-simulate`` does.  The paper example's two runs, run_hierarchical and
-run_m_direct, read out only that err and the topology's outputs, except
-run_m_direct's eps_s = xi - m x.
+fields and its one assembler, which also gives its output error, the last
+output ``err``; :func:`integrate` runs any spec, as ``momabs simulate`` does.
+The paper example's two runs, run_hierarchical and run_m_direct, read out
+only that err and the topology's outputs, except run_m_direct's eps_s = xi - m x.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ MAX_CHUNK_GROWTH = 1e300  # bound on ||T^L||_1 that fixes the chunk length L
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Readouts on the time grid: ``outputs`` (the topology's, then ``err``)
+    """Readouts on the time grid: ``outputs`` (the topology's, ``err`` last)
     are what a run writes; ``readouts`` are the extra ones its caller asked for."""
 
     times: np.ndarray
@@ -73,23 +72,14 @@ class Topology:
     The plant gives n, m, p and the abstraction n_hat, m_hat (and must share
     p); a free interpolant order k is bound by the first field that uses it.
     ``assemble(spec)`` gives (a_aug, b_aug, z0, state block sizes {name: dim}
-    in stacking order, outputs {name: {block: matrix}}), and ``error(spec)``
-    the output error as a {block: matrix} map on the stacked state, the plant
-    side minus its counterpart.
+    in stacking order, outputs {name: {block: matrix}}), the last output
+    ``err``, the plant side minus its counterpart.
     """
 
     models: dict
     links: dict
     initial: dict
     assemble: Callable
-    error: Callable
-
-
-def _fit(dims: dict, name: str, value, want: tuple) -> None:
-    """Bind each unbound dimension of ``want`` from the shape of ``value``, then refuse a mismatch."""
-    for dim, size in zip(want, np.shape(value)):
-        dims.setdefault(dim, size)
-    _require_shapes(**{name: (value, [dims[dim] for dim in want])})
 
 
 @dataclass(frozen=True)
@@ -125,15 +115,15 @@ class InterconnectionSpec:
             if missing:
                 raise ValueError(f"topology {self.topology!r} needs {', '.join(missing)}")
         dims = {}
-        for name, (n, m, p) in topo.models.items():
-            model = self.models[name]
-            for part, want in (("a", (n, n)), ("b", (n, m)), ("c", (p, n))):
-                _fit(dims, f"models.{name}.{part}", getattr(model, part), want)
+        _require_shapes(dims, **{
+            f"models.{name}.{part}": (getattr(self.models[name], part), want)
+            for name, (n, m, p) in topo.models.items()
+            for part, want in (("a", (n, n)), ("b", (n, m)), ("c", (p, n)))
+        })
         links = {name: as_matrix(self.links[name], f"links.{name}") for name in topo.links}
         initial = {name: as_vector(self.initial[name], f"initial.{name}") for name in topo.initial}
-        for group, values in (("links", links), ("initial", initial)):
-            for name, value in values.items():
-                _fit(dims, f"{group}.{name}", value, getattr(topo, group)[name])
+        _require_shapes(dims, **{f"links.{name}": (value, topo.links[name]) for name, value in links.items()},
+                        **{f"initial.{name}": (value, topo.initial[name]) for name, value in initial.items()})
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "initial", initial)
 
@@ -291,25 +281,24 @@ def _on_state(label: str, blocks: dict, sizes: dict) -> np.ndarray:
 
 def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajectory:
     """Assemble the coupled ODE for a topology and integrate it at readout
-    level: the topology's outputs, then its output error as ``outputs["err"]``,
-    and each of ``readouts`` (name -> {state block: matrix}, summed over the
-    blocks) in ``Trajectory.readouts``.  A moment-based error
-    (direct-generator, swapped-filter) raises ValueError where its Sylvester
+    level: the topology's outputs, its output error ``err`` last, and each of
+    ``readouts`` (name -> {state block: matrix}, summed over the blocks) in
+    ``Trajectory.readouts``.  A moment-based error (direct-generator,
+    swapped-filter) raises ValueError at assembly where its Sylvester
     equation is ill-posed, and takes a moment already solved (such as the
     moment_swapped whose moment is a swapped filter's upsilon_b) from the
     moments memo."""
-    topo = TOPOLOGIES[spec.topology]
-    a_aug, b_aug, z0, sizes, outputs = topo.assemble(spec)
+    a_aug, b_aug, z0, sizes, outputs = TOPOLOGIES[spec.topology].assemble(spec)
     if b_aug is not None and b_aug.shape[1] != spec.signal.dim:
         raise ValueError(
             f"signal dimension {spec.signal.dim} does not match the "
             f"{b_aug.shape[1]} inputs of the {spec.topology} interconnection"
         )
     readouts = readouts or {}
-    taken = [name for name in readouts if name in outputs or name == "err"]
+    taken = [name for name in readouts if name in outputs]
     if taken:
         raise ValueError(f"readout names {taken} are outputs of the {spec.topology} topology")
-    maps = {**outputs, "err": topo.error(spec), **readouts}
+    maps = {**outputs, **readouts}
     maps = {name: _on_state(name, blocks, sizes) for name, blocks in maps.items()}
     c = np.vstack(list(maps.values()))
     steps = int(round(spec.horizon / spec.step))
@@ -328,21 +317,25 @@ def integrate(spec: InterconnectionSpec, readouts: dict | None = None) -> Trajec
     values = dict(zip(maps, np.split(y, split, axis=1)))
     return Trajectory(
         times=times,
-        outputs={name: values.pop(name) for name in [*outputs, "err"]},
+        outputs={name: values.pop(name) for name in outputs},
         readouts=values,
     )
 
 
 def _assemble_direct_generator(spec):
+    """err = y - C Pi w: the plant output against its steady-state prediction."""
     plant = spec.models["plant"]
     s, l = spec.links["s"], spec.links["l"]
     n_hat, n = s.shape[0], plant.n
     a_aug = np.block([[s, np.zeros((n_hat, n))], [plant.b @ l, plant.a]])
     z0 = np.concatenate([spec.initial["w"], spec.initial["x"]])
-    return a_aug, None, z0, {"w": n_hat, "x": n}, {"theta": {"w": l}, "y": {"x": plant.c}}
+    moment = moment_direct(plant, DirectInterpolant(s=s, l=l)).moment
+    outputs = {"theta": {"w": l}, "y": {"x": plant.c}, "err": {"w": -moment, "x": plant.c}}
+    return a_aug, None, z0, {"w": n_hat, "x": n}, outputs
 
 
 def _assemble_swapped_filter(spec):
+    """err = w - (zeta - Ups x): the filter state against the limiting error model."""
     plant = spec.models["plant"]
     q, r, ub = spec.links["q"], spec.links["r"], spec.links["upsilon_b"]
     n, n_hat = plant.n, q.shape[0]
@@ -356,10 +349,13 @@ def _assemble_swapped_filter(spec):
     )
     b_aug = np.vstack([plant.b, np.zeros((n_hat, plant.m)), ub])
     z0 = np.zeros(n + 2 * n_hat)
-    return a_aug, b_aug, z0, {"x": n, "w": n_hat, "zeta": n_hat}, {"y": {"x": plant.c}}
+    upsilon, eye = moment_swapped(plant, SwappedInterpolant(q=q, r=r)).upsilon, np.eye(n_hat)
+    outputs = {"y": {"x": plant.c}, "err": {"x": upsilon, "w": eye, "zeta": -eye}}
+    return a_aug, b_aug, z0, {"x": n, "w": n_hat, "zeta": n_hat}, outputs
 
 
 def _assemble_hierarchical(spec):
+    """err = y - psi: the plant output against the abstraction's."""
     plant = spec.models["plant"]
     abstract = spec.models["abstract"]
     p, l_hat, k, r_hat = (spec.links[key] for key in ("p", "l_hat", "k", "r_hat"))
@@ -371,28 +367,8 @@ def _assemble_hierarchical(spec):
     )
     b_aug = np.vstack([abstract.b, plant.b @ r_hat])
     z0 = np.concatenate([spec.initial["xi"], spec.initial["x"]])
-    outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}}
+    outputs = {"y": {"x": plant.c}, "psi": {"xi": abstract.c}, "err": {"x": plant.c, "xi": -abstract.c}}
     return a_aug, b_aug, z0, {"xi": n_hat, "x": n}, outputs
-
-
-def _direct_generator_error(spec):
-    """y - C Pi w: the plant output against its steady-state prediction."""
-    interp = DirectInterpolant(s=spec.links["s"], l=spec.links["l"])
-    moment = moment_direct(spec.models["plant"], interp).moment
-    return {"w": -moment, "x": spec.models["plant"].c}
-
-
-def _swapped_filter_error(spec):
-    """w - (zeta - Ups x): the filter state against the limiting error model."""
-    interp = SwappedInterpolant(q=spec.links["q"], r=spec.links["r"])
-    upsilon = moment_swapped(spec.models["plant"], interp).upsilon
-    eye = np.eye(upsilon.shape[0])
-    return {"x": upsilon, "w": eye, "zeta": -eye}
-
-
-def _output_error(spec):
-    """y - psi: the plant output against the abstraction's."""
-    return {"x": spec.models["plant"].c, "xi": -spec.models["abstract"].c}
 
 
 PLANT = ("n", "m", "p")
@@ -401,16 +377,16 @@ ABSTRACT = ("n_hat", "m_hat", "p")
 TOPOLOGIES = {
     "direct-generator": Topology(
         {"plant": PLANT}, {"s": ("k", "k"), "l": ("m", "k")}, {"w": ("k",), "x": ("n",)},
-        _assemble_direct_generator, _direct_generator_error,
+        _assemble_direct_generator,
     ),
     "swapped-filter": Topology(
         {"plant": PLANT}, {"q": ("k", "k"), "r": ("k", "p"), "upsilon_b": ("k", "m")}, {},
-        _assemble_swapped_filter, _swapped_filter_error,
+        _assemble_swapped_filter,
     ),
     "hierarchical": Topology(
         {"plant": PLANT, "abstract": ABSTRACT},
         {"p": ("n", "n_hat"), "l_hat": ("m", "n_hat"), "k": ("m", "n"), "r_hat": ("m", "m_hat")},
-        {"x": ("n",), "xi": ("n_hat",)}, _assemble_hierarchical, _output_error,
+        {"x": ("n",), "xi": ("n_hat",)}, _assemble_hierarchical,
     ),
 }
 
@@ -511,7 +487,7 @@ def run_m_direct(
     sup of their gap is ``extras["parallel_gap_sup"]``.
     """
     m_map = as_matrix(m_map, "m_map")
-    _fit({"n_hat": abstract.n, "n": plant.n}, "m_map", m_map, ("n_hat", "n"))
+    _require_shapes(m_map=(m_map, (abstract.n, plant.n)))
     if u.dim != plant.m:
         raise ValueError(f"u has dimension {u.dim}, expected the plant's {plant.m} inputs")
     spec = InterconnectionSpec(

@@ -41,7 +41,7 @@ from momabs.signals import SignalSpec, Term
 @pytest.fixture
 def plant_file(tmp_path):
     path = tmp_path / "plant.json"
-    save_model(path, springmass.concrete(), name="plant", role="concrete")
+    save_model(path, springmass.concrete(), role="concrete")
     return str(path)
 
 
@@ -767,6 +767,22 @@ class TestVerify:
         code = main(["verify", plant_file, "--artifact", artifact, "--checks", "embedding"])
         assert code == 1
         assert "[FAIL] embedding state residual" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "checks, field, row",
+        [
+            ("embedding", "h", "embedding output residual"),
+            ("mrelation", "h", "mrelation output residual"),
+            ("mrelation", "m", "mrelation state residual"),
+        ],
+    )
+    def test_overflowing_residual_fails_without_a_warning(self, tmp_path, plant_file, capsys, checks, field, row):
+        # the suite's filterwarnings = error turns an overflow warning into a traceback
+        artifact = json.loads(Path(self._artifact(tmp_path)).read_text())
+        artifact[field][0][0] = 1e300
+        path = write_json(tmp_path / "huge.json", artifact)
+        assert main(["verify", plant_file, "--artifact", path, "--checks", checks]) == 1
+        assert f"[FAIL] {row}: value=inf " in capsys.readouterr().out
 
     def test_zero_l_fails_pbh(self, tmp_path, plant_file, capsys):
         artifact = write_json(

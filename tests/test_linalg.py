@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import non_normal_stable_system, random_stable_system, rotation_block
-from momabs import abstraction, linalg, moments, springmass
+from momabs import abstraction, linalg, moments, sim, springmass
 from momabs.linalg import (
     SPECTRUM_TOL,
     StateSpaceModel,
@@ -20,6 +20,7 @@ from momabs.linalg import (
     solve_sylvester,
     spectra_disjoint,
 )
+from momabs.signals import SignalSpec
 
 
 def nearest_gap(got, expected):
@@ -1132,3 +1133,139 @@ class TestStateSpaceModel:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             StateSpaceModel(a=np.eye(2), b=np.zeros((3, 1)), c=np.eye(2))
+
+
+class TestRequireShapes:
+    def test_a_name_binds_from_the_first_field_that_has_it(self):
+        dims = {}
+        linalg._require_shapes(dims, a=(np.zeros((2, 3)), ("n", "m")), b=(np.zeros(3), ("m",)))
+        assert dims == {"n": 2, "m": 3}
+        with pytest.raises(ValueError, match=r"^b must be a 3-vector, got \(4,\)$"):
+            linalg._require_shapes({}, a=(np.zeros((2, 3)), ("n", "m")), b=(np.zeros(4), ("m",)))
+
+    def test_a_name_binds_within_one_field(self):
+        with pytest.raises(ValueError, match=r"^s must be 3x3, got \(3, 2\)$"):
+            linalg._require_shapes({}, s=(np.zeros((3, 2)), ("k", "k")))
+
+    def test_the_refusal_names_the_first_mismatched_field(self):
+        fields = {"a": (np.zeros(2), (2,)), "b": (np.zeros((1, 2)), (2, 2)), "c": (np.zeros(3), (2,))}
+        with pytest.raises(ValueError, match=r"^b must be 2x2, got \(1, 2\)$"):
+            linalg._require_shapes(**fields)
+        with pytest.raises(ValueError, match=r"^b must be 2x2, got \(1, 2\)$"):
+            linalg._require_shapes({}, **fields)
+
+    def test_none_passes_and_binds_nothing(self):
+        linalg._require_shapes(a=(None, (2, 2)))
+        dims = {}
+        linalg._require_shapes(dims, a=(None, ("n", "n")), b=(np.zeros(3), ("n",)))
+        assert dims == {"n": 3}
+
+    def test_an_integer_size_binds_nothing(self):
+        dims = {}
+        linalg._require_shapes(dims, a=(np.zeros((2, 3)), (2, "m")))
+        assert dims == {"m": 3}
+
+
+def _siso_plant():
+    return StateSpaceModel(a=-np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 2)))
+
+
+def _interpolants():
+    direct = moments.DirectInterpolant(s=rotation_block(1.0), l=np.ones((1, 2)))
+    swapped = moments.SwappedInterpolant(q=rotation_block(2.0), r=np.ones((2, 1)))
+    return direct, swapped
+
+
+def _m_direct(m_map):
+    plant, abstract = springmass.concrete(), springmass.abstract()
+    sim.run_m_direct(plant, abstract, None, m_map, springmass.v_signal(), np.zeros(4), np.zeros(2))
+
+
+def _direct_generator_spec(l):
+    sim.InterconnectionSpec(
+        topology="direct-generator", models={"plant": _siso_plant()},
+        links={"s": rotation_block(1.0), "l": l}, initial={"w": [1.0, 0.0], "x": [0.0, 0.0]},
+        signal=SignalSpec.zero(1),
+    )
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        pytest.param(
+            lambda: StateSpaceModel(a=np.eye(3), b=np.ones((2, 1)), c=np.ones((1, 3))),
+            "b must be 3x1, got (2, 1)", id="StateSpaceModel-b",
+        ),
+        pytest.param(
+            lambda: StateSpaceModel(a=np.eye(3), b=np.ones((3, 1)), c=np.ones((1, 2))),
+            "c must be 1x3, got (1, 2)", id="StateSpaceModel-c",
+        ),
+        pytest.param(
+            lambda: solve_sylvester(np.eye(3), -np.eye(2), np.zeros((2, 2))),
+            "c must be 3x2, got (2, 2)", id="solve_sylvester-c",
+        ),
+        pytest.param(
+            lambda: solve_lyapunov(-np.eye(3), np.eye(2)),
+            "q must be 3x3, got (2, 2)", id="solve_lyapunov-q",
+        ),
+        pytest.param(
+            lambda: pbh_observable(np.eye(2), np.ones((1, 3))),
+            "l must be 1x2, got (1, 3)", id="pbh_observable-l",
+        ),
+        pytest.param(
+            lambda: pbh_reachable(np.eye(2), np.ones((3, 1))),
+            "r must be 2x1, got (3, 1)", id="pbh_reachable-r",
+        ),
+        pytest.param(
+            lambda: excitable(np.eye(2), [1.0, 0.0, 0.0]),
+            "w0 must be a 2-vector, got (3,)", id="excitable-w0",
+        ),
+        pytest.param(
+            lambda: place_poles(np.eye(3), np.ones((2, 1)), -np.eye(3)),
+            "b must be 3x1, got (2, 1)", id="place_poles-b",
+        ),
+        pytest.param(
+            lambda: place_poles(np.eye(2), np.ones((2, 1)), -np.eye(3)),
+            "target must be 2x2, got (3, 3)", id="place_poles-target",
+        ),
+        pytest.param(
+            lambda: moments.DirectInterpolant(s=rotation_block(1.0), l=np.ones((1, 3))),
+            "l must be 1x2, got (1, 3)", id="DirectInterpolant-l",
+        ),
+        pytest.param(
+            lambda: moments.SwappedInterpolant(q=rotation_block(1.0), r=np.ones((3, 1))),
+            "r must be 2x1, got (3, 1)", id="SwappedInterpolant-r",
+        ),
+        pytest.param(
+            lambda: moments.moment_direct(springmass.concrete(), _interpolants()[0]),
+            "l must be 2x2, got (1, 2)", id="moment_direct-l",
+        ),
+        pytest.param(
+            lambda: moments.moment_swapped(springmass.concrete(), _interpolants()[1]),
+            "r must be 2x2, got (2, 1)", id="moment_swapped-r",
+        ),
+        pytest.param(
+            lambda: moments.rom_direct(_siso_plant(), _interpolants()[0], np.ones((1, 1))),
+            "g_free must be 2x1, got (1, 1)", id="rom_direct-g_free",
+        ),
+        pytest.param(
+            lambda: moments.rom_swapped(_siso_plant(), _interpolants()[1], np.ones((2, 1))),
+            "h_free must be 1x2, got (2, 1)", id="rom_swapped-h_free",
+        ),
+        pytest.param(
+            lambda: abstraction.design_abstraction(springmass.concrete(), np.zeros((3, 2))),
+            "p must be 4x2, got (3, 2)", id="design_abstraction-p",
+        ),
+        pytest.param(
+            lambda: _m_direct(np.zeros((2, 3))),
+            "m_map must be 2x4, got (2, 3)", id="run_m_direct-m_map",
+        ),
+        pytest.param(
+            lambda: _direct_generator_spec(np.ones((1, 3))),
+            "links.l must be 1x2, got (1, 3)", id="InterconnectionSpec-links.l",
+        ),
+    ],
+)
+def test_misshaped_argument_names_its_field(call, shown):
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        call()

@@ -29,7 +29,7 @@ from momabs.modelio import (
 class TestModelJson:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "plant.json"
-        save_model(path, springmass.concrete(), name="plant", role="concrete")
+        save_model(path, springmass.concrete(), role="concrete")
         model = load_model(path)
         assert np.array_equal(model.a, springmass.concrete().a)
         assert np.array_equal(model.b, springmass.concrete().b)
@@ -95,7 +95,7 @@ class TestCsv:
         assert path.read_text().splitlines()[0] == "time,v"
 
     def test_length_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"^column 'y' must be 1x2, got \(1, 3\)$"):
             write_csv(tmp_path / "x.csv", np.array([0.0, 1.0]), {"y": np.zeros(3)})
 
     def test_byte_determinism(self, tmp_path):

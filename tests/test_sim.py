@@ -521,6 +521,16 @@ class TestSwappedFilter:
         with pytest.raises(ValueError, match="dimension"):
             integrate(swapped_filter_spec(plant, interp, expdecay_signal(1)))
 
+    def test_ill_posed_moment_refused_before_signal_dimension(self):
+        # the assembler solves the moment of err, so sigma(q) = sigma(a) = {-1}
+        # is refused before the 2-channel signal meets the 1-input plant
+        spec = InterconnectionSpec(
+            topology="swapped-filter", models={"plant": StateSpaceModel(a=[[-1.0]], b=[[1.0]], c=[[1.0]])},
+            links={"q": [[-1.0]], "r": [[1.0]], "upsilon_b": [[1.0]]}, initial={}, signal=SignalSpec.zero(2),
+        )
+        with pytest.raises(ValueError, match=r"^sigma\(a\) and sigma\(b\) overlap: "):
+            integrate(spec)
+
 
 def springmass_certificate():
     plant = springmass.concrete()
