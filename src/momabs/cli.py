@@ -8,6 +8,7 @@ self-contained SVG.
 from __future__ import annotations
 
 import argparse
+import functools
 import reprlib
 import sys
 from pathlib import Path
@@ -53,6 +54,7 @@ def main(argv=None) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="momabs")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -445,10 +445,11 @@ def pbh_reachable(q, r) -> bool:
 
 
 def excitable(s, w0) -> bool:
-    """True iff w0 excites every mode of s: (s, w0) is reachable by :func:`pbh_reachable`."""
+    """True iff w0 excites every mode of s: (s, w0) is reachable by :func:`pbh_reachable`,
+    tested at w0 times the exact power of two 2^-e that puts max |w0| in [1/2, 1)."""
     s, w = _square(s, "s"), as_vector(w0, "w0")
     _require_shapes(w0=(w, (len(s),)))
-    return pbh_reachable(s, w[:, None])
+    return pbh_reachable(s, np.ldexp(w, -np.frexp(np.abs(w).max())[1])[:, None])
 
 
 def block_diag_spectrum(poles) -> np.ndarray:

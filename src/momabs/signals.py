@@ -85,10 +85,6 @@ class SignalSpec:
             for term in ch
         )
 
-    def sup_norm(self, times: np.ndarray) -> float:
-        """Largest Euclidean norm over the sample grid."""
-        return float(np.linalg.norm(self.eval(times), axis=1).max())
-
     @staticmethod
     def zero(dim: int) -> "SignalSpec":
         return SignalSpec(tuple((Term("zero"),) for _ in range(dim)))

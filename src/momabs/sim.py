@@ -395,7 +395,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of x; a finite row whose squares overflow is
     scaled by an exact power of two 2^-e first (np.frexp, np.ldexp)."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
         big = np.flatnonzero(np.isinf(norms))
         big = big[np.isfinite(x[big]).all(axis=1)]
         e = np.frexp(np.abs(x[big]).max(axis=1))[1]
@@ -409,8 +409,9 @@ def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float | None:
     mask = norms > DECAY_FLOOR
     if mask.sum() < 2:
         return None
-    coeffs = np.polyfit(times[mask], np.log(norms[mask]), 1)
-    return float(-coeffs[0])
+    t, y = times[mask], np.log(norms[mask])
+    t = t - t.mean()
+    return float(-(t @ (y - y.mean())) / (t @ t))
 
 
 def error_stats(times: np.ndarray, out_err: np.ndarray, extras: dict | None = None) -> ErrorTrace:
@@ -459,10 +460,8 @@ def run_hierarchical(
     )
     traj = integrate(spec)
     norms = row_norms(traj.outputs["err"])
-    gain = gamma_gain(cert, plant.b, abstract.b)
-    bound = max(
-        simulation_fn_value(cert, xi0, x0), gain * v.sup_norm(traj.times)
-    )
+    sup_v = 0.0 if v.is_zero() else float(row_norms(v.eval(traj.times)).max())
+    bound = max(simulation_fn_value(cert, xi0, x0), gamma_gain(cert, plant.b, abstract.b) * sup_v)
     extras = {"bound": bound, "sup_e_y": float(norms.max())}
     return traj, error_stats(traj.times, norms, extras=extras)
 

@@ -2,10 +2,13 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -1004,6 +1007,29 @@ def test_bad_tol_exits_2_before_any_work(tmp_path, plant_file, capsys, command, 
     assert run_quietly(argv) == 0
 
 
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_failed_calls_leave_the_parser_as_built(self, tmp_path, plant_file, capsys):
+        interp = write_json(
+            tmp_path / "interp.json",
+            {"s": springmass.abstract().a.tolist(), "l": springmass.l_hat().tolist(), "g": np.eye(2).tolist()},
+        )
+        argv = ["reduce", plant_file, "--interp", interp, "--out", str(tmp_path / "rom.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mode", "bogus"])  # an argparse error
+        assert exc.value.code == 2
+        assert main([*argv, "--tol", "nan"]) == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "momabs.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (fresh.returncode, fresh.stdout) == (0, capsys.readouterr().out)
+
+
 class TestVerifyCertificate:
     """``verify --checks certificate`` and synth_certificate's own check
     apply one rule, abstraction.certificate_residuals."""
@@ -1186,6 +1212,28 @@ class TestPaperExample:
         values = re.findall(r"^\[(?:PASS|FAIL)\] .*: value=(\S+) threshold=", report, re.M)
         assert len(values) == 14 and all(math.isfinite(float(v)) for v in values)
         assert "result: FAILED" in report
+
+    def test_checks_match_the_benchmark_reference(self, tmp_path, capsys):
+        # the benchmark's recorded check values and its tolerances, read from bench/
+        path = Path(__file__).parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        recorded = json.loads(bench.PAPER_REFERENCE.read_text(encoding="utf-8"))
+        wrong = []
+        for seed in range(bench.PAPER_SEEDS):
+            assert main(["paper-example", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+            checks, reference = bench.parse_checks(capsys.readouterr().out), recorded[str(seed)]
+            assert checks.keys() == reference.keys()
+            for name, (passed, value, threshold) in checks.items():
+                ref_passed, ref_value, ref_threshold = reference[name]
+                if (
+                    passed != ref_passed
+                    or abs(value - ref_value) > bench.VALUE_RTOL * abs(ref_value) + bench.VALUE_ATOL
+                    or abs(threshold - ref_threshold) > bench.THRESHOLD_RTOL * abs(ref_threshold)
+                ):
+                    wrong.append((seed, name, (passed, value, threshold), reference[name]))
+        assert wrong == []
 
     def test_deterministic_outputs(self, tmp_path, capsys):
         dirs = [tmp_path / "run1", tmp_path / "run2"]

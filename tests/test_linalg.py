@@ -1056,7 +1056,12 @@ class TestExcitable:
         # sigma_max is sqrt(2) 1e308 here: max(dim) * 1e-12 is formed first
         svals = np.linalg.svd(np.array([[0.0, 1.0], [-1.0, 0.0], [1e308, 1e308]]), compute_uv=False)
         assert linalg.rank_tol(np.zeros((3, 2)), svals) == svals[0] * (3 * 1e-12)
-        excitable(rotation_block(1.0), np.array([1e308, 1e308]))  # decides without a warning
+        assert excitable(rotation_block(1.0), np.array([1e308, 1e308]))  # without a warning
+
+    @pytest.mark.parametrize("k", range(-1000, 1001, 50))
+    def test_decision_does_not_depend_on_the_scale_of_w0(self, k):
+        assert excitable(rotation_block(1.0), np.ldexp([1.0, 1.0], k))
+        assert not excitable(np.diag([-1.0, -2.0, -3.0]), np.ldexp([1.0, 0.0, 1.0], k))
 
     def test_generic_w0_on_order_16_oscillator(self):
         # the Krylov matrix of this pair is numerically rank deficient

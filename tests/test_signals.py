@@ -71,13 +71,6 @@ class TestSignalSpec:
         spec = SignalSpec(((Term("sin", amplitude=0.0, frequency=5.0),),))
         assert spec.is_zero()
 
-    def test_sup_norm(self):
-        spec = SignalSpec(
-            ((Term("sin", amplitude=3.0, frequency=1.0),), (Term("constant", amplitude=4.0),))
-        )
-        t = np.linspace(0, 2 * np.pi, 10001)
-        assert abs(spec.sup_norm(t) - 5.0) < 1e-5
-
     def test_round_trip_dict(self):
         spec = SignalSpec(
             (

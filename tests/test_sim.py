@@ -584,6 +584,36 @@ class TestHierarchical:
         assert err.terminal_norm < 1e-3
         assert err.decay_rate is not None and err.decay_rate > 0.8 * cert.lam
 
+    @staticmethod
+    def _unit_gain_pair():
+        """Plant x' = -x + u and abstraction xi' = -xi + v, both read out whole, with
+        the certificate p = w = I, lam = 1, k = 0, r_hat = 2 I: b r_hat - p g = I
+        gives a gamma gain of exactly 1."""
+        plant = StateSpaceModel(a=-np.eye(2), b=np.eye(2), c=np.eye(2))
+        abstract = StateSpaceModel(a=-np.eye(2), b=np.eye(2), c=np.eye(2))
+        zero, eye = np.zeros((2, 2)), np.eye(2)
+        cert = SimulationCertificate(p=eye, l_hat=zero, w=eye, lam=1.0, k=zero, r_hat=2 * eye)
+        return plant, abstract, cert
+
+    def test_bound_is_gain_times_sup_norm_of_v(self):
+        v = SignalSpec(((Term("sin", amplitude=3.0, frequency=1.0),), (Term("constant", amplitude=4.0),)))
+        _, err = run_hierarchical(*self._unit_gain_pair(), v, np.zeros(2), np.zeros(2), horizon=2.0, step=1e-3)
+        assert abs(err.extras["bound"] - 5.0) < 1e-5
+
+    def test_bound_of_a_huge_signal_is_finite(self):
+        # the squares of v's rows pass the double range; their norms do not
+        v = SignalSpec(((Term("constant", amplitude=1e200),),) * 2)
+        _, err = run_hierarchical(*self._unit_gain_pair(), v, np.zeros(2), np.zeros(2), horizon=0.1, step=1e-3)
+        assert err.extras["bound"] == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15, abs=0)
+
+    def test_zero_signal_is_never_sampled(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SignalSpec, "eval", lambda spec, t: calls.append(t))
+        x0 = np.array([1.0, 0.0])
+        _, err = run_hierarchical(*self._unit_gain_pair(), SignalSpec.zero(2), x0, np.zeros(2), 0.1, 1e-3)
+        assert calls == []
+        assert err.extras["bound"] == 1.0  # V(xi0, x0) = ||x0||
+
     def test_wrong_v_dim_rejected(self):
         plant = springmass.concrete()
         cert = springmass_certificate()
@@ -744,6 +774,17 @@ class TestErrorStats:
         norms = np.exp(-20.0 * times)  # hits the floor well before the horizon
         rate = fit_decay_rate(times, norms)
         assert abs(rate - 20.0) < 0.05 * 20.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rate", [0.3, 2.0, 5.0, 40.0])  # from 5.0 the tail falls below the floor
+    def test_matches_polyfit(self, seed, rate):
+        r = np.random.default_rng(seed)
+        times = time_grid(10.0, 1e-3)
+        norms = r.uniform(0.5, 2.0) * np.exp(-rate * times + 0.1 * r.standard_normal(times.size))
+        mask = norms > sim.DECAY_FLOOR
+        assert mask.all() == (rate < 5.0)
+        want = -np.polyfit(times[mask], np.log(norms[mask]), 1)[0]
+        assert fit_decay_rate(times, norms) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_all_below_floor_gives_none(self):
         times = time_grid(1.0, 1e-2)
