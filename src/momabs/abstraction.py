@@ -223,9 +223,10 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
     """Geometric abstraction from an injective p with im(a p) in im(p) + im(b)
     and im(p) + ker(c) = R^n.
 
-    The injection d is all of an orthonormal ker(c) basis when it has the
-    n - n_hat columns d needs (n_hat = rank c), else the greedy pick of that
-    many of them (:func:`_greedy_complement`); [m_map; e] = [p d]^{-1};
+    The injection d is all of an orthonormal ker(c) basis when it has the n - n_hat
+    columns d needs (n_hat = rank c), else the n - n_hat directions of ker(c) at the
+    largest principal angles to im(p) (:func:`_angle_complement`), whose largest cosine
+    to im(p) is the least of any such subspace of ker(c); [m_map; e] = [p d]^{-1};
     (f, l_hat) solve [p, -b] [f; l_hat] = a p; n_map = [-l_hat m_map; e], gamma = [I; 0].
     """
     return _design_and_residuals(sys, p)[0]
@@ -244,21 +245,21 @@ def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
     pb = np.hstack([p, b])
     if numerical_rank(np.hstack([pb, a @ p])) > numerical_rank(pb):
         raise ValueError("im(a p) is not contained in im(p) + im(b)")
-    d = _kernel_basis(c)
-    stacked = np.hstack([p, d])
-    if numerical_rank(stacked) < n:
+    kernel = _kernel_basis(c)
+    if numerical_rank(np.hstack([p, kernel])) < n:
         raise ValueError("im(p) + ker(c) does not span the state space")
-    if d.shape[1] > n - n_hat:
-        d = _greedy_complement(p, d, n - n_hat)
-        stacked = np.hstack([p, d])
-        if np.linalg.cond(stacked) > 1e12:
-            raise ValueError("[p d] is numerically singular; im(p) + im(d) != R^n")
+    d = kernel if kernel.shape[1] == n - n_hat else _angle_complement(p, kernel, n - n_hat)
+    stacked = np.hstack([p, d])
+    if d is not kernel and np.linalg.cond(stacked) > 1e12:
+        raise ValueError("[p d] is numerically singular; im(p) + im(d) != R^n")
     m_map, e = np.vsplit(np.linalg.inv(stacked), [n_hat])
     # a p = p f - b l_hat, solved per column for [f; l_hat]
     fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), a @ p, rcond=None)
     f, l_hat = fl[:n_hat], fl[n_hat:]
     resid = embedding_residuals(sys, p, f, l_hat)["state"]
-    if resid > RESIDUAL_TOL * max(1.0, np.linalg.norm(a @ p)):
+    with np.errstate(over="ignore"):  # a norm past the double range reads inf
+        tol = RESIDUAL_TOL * max(1.0, np.linalg.norm(a @ p))
+    if not resid <= tol < np.inf:  # an overflowing residual or scale is refused too
         raise ValueError(f"embedding residual {resid:.3e}: geometric condition fails numerically")
     g = np.hstack([m_map @ b, m_map @ a @ d])
     n_map = np.vstack([-l_hat @ m_map, e])
@@ -270,34 +271,21 @@ def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
 
 
 def _kernel_basis(c: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(c), each column's first largest-magnitude entry positive."""
+    """Orthonormal basis of ker(c), signs as :func:`_positive_lead` sets them."""
     _, svals, vt = np.linalg.svd(c)
-    basis = vt[np.sum(svals > rank_tol(c, svals)) :].T
+    return _positive_lead(vt[np.sum(svals > rank_tol(c, svals)) :].T)
+
+
+def _angle_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarray:
+    """basis U's last ``count`` columns, basis^T orth(p) = U S V^T with U square: the directions of
+    im(basis), orthonormal, at the largest principal angles to im(p) (Bjorck & Golub 1973)."""
+    u = np.linalg.svd(basis.T @ np.linalg.qr(p)[0])[0]
+    return _positive_lead(basis @ u[:, basis.shape[1] - count :])
+
+
+def _positive_lead(basis: np.ndarray) -> np.ndarray:
+    """``basis`` with each column's first largest-magnitude entry made positive."""
     return basis * np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])])
-
-
-def _greedy_complement(p: np.ndarray, basis: np.ndarray, count: int) -> np.ndarray:
-    """Pick ``count`` basis columns maximizing, at each step, the component
-    orthogonal to the span of [p | selected]; ties break on column index.
-
-    One pivoted Gram-Schmidt pass: the basis is projected off im(p) once, and
-    each pick deflates the residuals by its normalized residual, a rank-1
-    update, so no pick refactors [p | selected]."""
-    if count == 0:
-        return np.zeros((p.shape[0], 0))
-    q, _ = np.linalg.qr(p)
-    resid = basis - q @ (q.T @ basis)
-    selected: list[int] = []
-    for _ in range(count):
-        scores = np.linalg.norm(resid, axis=0)
-        scores[selected] = -1.0
-        best = int(np.argmax(scores))
-        if scores[best] <= 1e-10:
-            raise ValueError("kernel basis cannot complete im(p) to R^n")
-        selected.append(best)
-        u = resid[:, best] / scores[best]
-        resid -= np.outer(u, u @ resid)
-    return basis[:, selected]
 
 
 def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
@@ -315,8 +303,9 @@ def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
         "g gamma - m_map b": rel["input"],
         "c - h m_map": rel["output"],
     }
-    scale = max(1.0, np.linalg.norm(sys.a), np.linalg.norm(design.l_hat))
-    bad = {k: v for k, v in res.items() if v > RESIDUAL_TOL * scale}
+    with np.errstate(over="ignore"):  # a norm past the double range reads inf
+        tol = RESIDUAL_TOL * max(1.0, np.linalg.norm(sys.a), np.linalg.norm(design.l_hat))
+    bad = {k: v for k, v in res.items() if not v <= tol < np.inf}  # inf and NaN fail
     if bad:
         raise ValueError(f"design invariants violated: {bad}")
     return res

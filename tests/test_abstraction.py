@@ -30,6 +30,7 @@ from momabs.linalg import (
     StateSpaceModel,
     block_diag_spectrum,
     eigenvalues,
+    numerical_rank,
     pbh_observable,
     place_poles,
     solve_sylvester,
@@ -491,8 +492,9 @@ class TestDesignAbstraction:
 
 
 def reference_greedy_complement(p, basis, count):
-    """The greedy pick with one QR of [p | selected] per pick: the columns of
-    basis with the largest component off that span, first index on ties."""
+    """The greedy pick the principal-angle complement replaced: the columns of
+    basis with the largest component off span [p | selected], one QR per pick,
+    first index on ties."""
     selected, current = [], p
     for _ in range(count):
         q, _ = np.linalg.qr(current)
@@ -503,43 +505,85 @@ def reference_greedy_complement(p, basis, count):
     return basis[:, selected]
 
 
-class TestGreedyComplement:
-    """The one-pass Gram-Schmidt pick against the QR-per-pick reference."""
+def random_complement_case(seed):
+    """(p, c) of one seed: ker(c) has n - outputs >= n - k columns."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    k = int(rng.integers(1, n))
+    outputs = int(rng.integers(1, k + 1))
+    return rng.standard_normal((n, k)), rng.standard_normal((outputs, n))
 
-    def assert_same_picks(self, p, c):
-        basis = abstraction._kernel_basis(c)
-        count = p.shape[0] - p.shape[1]
-        got = abstraction._greedy_complement(p, basis, count)
-        assert np.array_equal(got, reference_greedy_complement(p, basis, count))
+
+def angle_complement(p, c):
+    """(q, kernel basis, d) with d the principal-angle complement of p in ker(c)."""
+    basis = abstraction._kernel_basis(c)
+    return np.linalg.qr(p)[0], basis, abstraction._angle_complement(p, basis, p.shape[0] - p.shape[1])
+
+
+def largest_cosine_bound(q, basis, n_hat):
+    """sigma_(n_hat - r + 1)(basis^T q), r = rank c, or 0 past the singular values:
+    the least largest cosine to im(q) of any (n - n_hat)-dimensional subspace of im(basis)."""
+    cosines = np.linalg.svd(basis.T @ q, compute_uv=False)
+    index = n_hat - (q.shape[0] - basis.shape[1])
+    return cosines[index] if index < cosines.size else 0.0
+
+
+class TestGreedyComplement:
+    """The principal-angle complement that replaced the greedy pick, on the
+    greedy pick's inputs and against it."""
+
+    def assert_complement_properties(self, p, c):
+        q, basis, d = angle_complement(p, c)
+        n, n_hat = p.shape
+        assert d.shape == (n, n - n_hat)
+        assert np.linalg.norm(c @ d) <= 1e-12 * max(1.0, np.linalg.norm(c))
+        assert np.abs(d.T @ d - np.eye(n - n_hat)).max() <= 1e-12
+        assert numerical_rank(np.hstack([p, d])) == n
+        # each column's first largest-magnitude entry is positive
+        assert np.all(d[np.argmax(np.abs(d), axis=0), np.arange(d.shape[1])] > 0)
+        largest = np.linalg.norm(q.T @ d, 2)
+        assert abs(largest - largest_cosine_bound(q, basis, n_hat)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_bases(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 13))
-        k = int(rng.integers(1, n))
-        outputs = int(rng.integers(1, k + 1))  # ker(c) has n - outputs >= n - k columns
-        self.assert_same_picks(rng.standard_normal((n, k)), rng.standard_normal((outputs, n)))
+        self.assert_complement_properties(*random_complement_case(seed))
 
     def test_springmass(self):
-        self.assert_same_picks(springmass.embedding_p(), springmass.concrete().c)
+        self.assert_complement_properties(springmass.embedding_p(), springmass.concrete().c)
 
     def test_order_200_plant(self):
         # the plant and embedding of test_acceptance's order-200 certificate and design
         rng = np.random.default_rng(200)
         plant = non_normal_stable_system(rng, n=200, m=2, p=2, cond=50.0)
         p = solve_sylvester(plant.a, rotation_block(1.5), -(plant.b @ rng.standard_normal((2, 2))))
-        self.assert_same_picks(p, plant.c)
+        self.assert_complement_properties(p, plant.c)
+
+    def test_cond_no_larger_than_the_greedy_pick(self):
+        # [q d] has singular values sqrt(1 +- cos): the least largest cosine gives the least cond
+        for seed in range(200):
+            p, c = random_complement_case(seed)
+            q, basis, d = angle_complement(p, c)
+            greedy = reference_greedy_complement(p, basis, d.shape[1])
+            cond = np.linalg.cond(np.hstack([q, d]))
+            assert cond <= np.linalg.cond(np.hstack([q, greedy])) * (1 + 1e-12), seed
+
+    def test_largest_cosine_matches_scipy(self, scipy_linalg):
+        for seed in range(30):
+            p, c = random_complement_case(seed)
+            q, basis, d = angle_complement(p, c)
+            smallest_angle = scipy_linalg.subspace_angles(q, d).min()
+            assert abs(np.cos(smallest_angle) - largest_cosine_bound(q, basis, p.shape[1])) <= 1e-13
 
 
 class TestKernelComplement:
     """d is all of ker(c), in its own column order, when n_hat = rank c;
-    for n_hat > rank c it is the greedy pick from ker(c)."""
+    for n_hat > rank c it is the principal-angle complement in ker(c)."""
 
     def assert_kernel_taken_whole(self, plant, p, monkeypatch):
-        def no_greedy_pass(*args):
-            raise AssertionError("ker(c) is the only complement: no greedy pass")
+        def no_angle_pass(*args):
+            raise AssertionError("ker(c) is the only complement: no principal-angle pass")
 
-        monkeypatch.setattr(abstraction, "_greedy_complement", no_greedy_pass)
+        monkeypatch.setattr(abstraction, "_angle_complement", no_angle_pass)
         design = design_abstraction(plant, p)
         assert np.array_equal(design.d, abstraction._kernel_basis(plant.c))
         check_design(design, plant)
@@ -556,22 +600,43 @@ class TestKernelComplement:
         self.assert_kernel_taken_whole(plant, p, monkeypatch)
 
     @pytest.mark.parametrize("n_hat", [3, 4])
-    def test_larger_abstraction_keeps_the_greedy_pick(self, n_hat):
+    def test_larger_abstraction_takes_the_principal_angles(self, n_hat):
         rng = np.random.default_rng(n_hat)
         plant = non_normal_stable_system(rng, n=10, m=2, p=2, cond=10.0)
         f = block_diag_spectrum({3: [1.5j, -1.5j, 0.0], 4: [1.5j, -1.5j, 3j, -3j]}[n_hat])
         p = solve_sylvester(plant.a, f, -(plant.b @ rng.standard_normal((2, n_hat))))
         design = design_abstraction(plant, p)
-        kerc = abstraction._kernel_basis(plant.c)
+        q, kerc, d = angle_complement(p, plant.c)
         assert kerc.shape[1] > 10 - n_hat
-        assert np.array_equal(design.d, reference_greedy_complement(p, kerc, 10 - n_hat))
+        assert np.array_equal(design.d, d)
+        assert abs(np.linalg.norm(q.T @ d, 2) - largest_cosine_bound(q, kerc, n_hat)) <= 1e-12
         check_design(design, plant)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_principal_angle_designs_check(self, n):
+        # n_hat = 8 > rank c = 2: an order-8 oscillator f on a two-output plant
+        plant = non_normal_stable_system(np.random.default_rng(3), n=n, m=2, p=2, cond=10.0)
+        f = block_diag_spectrum([1j, -1j, 2j, -2j, 3j, -3j, 4j, -4j])
+        p = solve_sylvester(plant.a, f, -(plant.b @ np.random.default_rng(n).standard_normal((2, 8))))
+        design = design_abstraction(plant, p)
+        assert design.d.shape == (n, n - 8)
+        assert max(check_design(design, plant).values()) <= 1e-9
 
     def test_numerically_singular_stack_refused(self):
         # c = 0: ker(c) = R^3 spans with any p, but a p of norm 1e-13 leaves cond([p d]) near 1e13
         plant = StateSpaceModel(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)), c=np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"^\[p d\] is numerically singular; im\(p\) \+ im\(d\) != R\^n$"):
             design_abstraction(plant, [[1e-13], [0.0], [0.0]])
+
+    def test_overflowing_scale_refused(self):
+        # ||a||_F overflows: an inf residual against an inf tolerance must not pass
+        plant = springmass.concrete()
+        design = design_abstraction(plant, springmass.embedding_p())
+        huge = StateSpaceModel(a=1e300 * plant.a, b=plant.b, c=plant.c)
+        with pytest.raises(ValueError, match="design invariants violated"):
+            check_design(design, huge)
+        with pytest.raises(ValueError, match="geometric condition fails numerically"):
+            design_abstraction(huge, np.vstack([np.eye(2), np.eye(2)]))
 
 
 class TestMRelation:

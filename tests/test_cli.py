@@ -382,6 +382,20 @@ class TestAbstract:
         assert code == 2
         assert "injective" in capsys.readouterr().err
 
+    def test_overflowing_residual_exits_2(self, tmp_path, capsys):
+        # a ~ 1e300: ||a p||_F and the embedding residual overflow, and no tolerance
+        # passes an inf; pytest's filterwarnings = error fails any overflow warning
+        rng = np.random.default_rng(0)
+        plant = StateSpaceModel(
+            a=1e300 * rng.standard_normal((6, 6)), b=rng.standard_normal((6, 2)), c=rng.standard_normal((2, 6))
+        )
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        p_file = write_json(tmp_path / "p.json", {"p": rng.standard_normal((6, 3)).tolist()})
+        assert main(["abstract", model, "--p", p_file, "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "embedding residual inf: geometric condition fails numerically" in err
+        assert "Traceback" not in err and not (tmp_path / "d.design.json").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_mutated_inputs_exit_code_with_reduce(self, data):
