@@ -19,6 +19,7 @@ from .linalg import (
     _check_sylvester,
     _eig,
     _lyapunov,
+    _norm,
     _require_shapes,
     _schur_solve,
     as_matrix,
@@ -92,9 +93,8 @@ def embedding_residuals(sys: StateSpaceModel, p, f, l_hat, h=None) -> dict:
     n_hat = max(cols, key=cols.count)
     _require_shapes(p=(p, (sys.n, n_hat)), f=(f, (n_hat, n_hat)),
                     l_hat=(l_hat, (sys.m, n_hat)), h=(h, (sys.p, n_hat)))
-    with np.errstate(over="ignore"):  # a norm past the double range reads inf
-        res = {"state": np.linalg.norm(p @ f - sys.a @ p - sys.b @ l_hat)}
-        return res if h is None else {**res, "output": np.linalg.norm(h - sys.c @ p)}
+    res = {"state": _norm(p @ f - sys.a @ p - sys.b @ l_hat)}
+    return res if h is None else {**res, "output": _norm(h - sys.c @ p)}
 
 
 def m_relation_residuals(sys: StateSpaceModel, abstract: StateSpaceModel, m_map, n_map, gamma) -> dict:
@@ -103,12 +103,11 @@ def m_relation_residuals(sys: StateSpaceModel, abstract: StateSpaceModel, m_map,
     f, g, h = abstract.a, abstract.b, abstract.c
     _require_shapes(m_map=(m_map, (abstract.n, sys.n)), n_map=(n_map, (abstract.m, sys.n)),
                     gamma=(gamma, (abstract.m, sys.m)), h=(h, (sys.p, abstract.n)))
-    with np.errstate(over="ignore"):  # a norm past the double range reads inf
-        return {
-            "state": np.linalg.norm(m_map @ sys.a - f @ m_map - g @ n_map),
-            "input": np.linalg.norm(g @ gamma - m_map @ sys.b),
-            "output": np.linalg.norm(sys.c - h @ m_map),
-        }
+    return {
+        "state": _norm(m_map @ sys.a - f @ m_map - g @ n_map),
+        "input": _norm(g @ gamma - m_map @ sys.b),
+        "output": _norm(sys.c - h @ m_map),
+    }
 
 
 def solve_embedding(
@@ -129,7 +128,7 @@ def solve_embedding(
     else:
         l_hat = as_matrix(l_hat, "l_hat")
         p = solve_sylvester(sys.a, f, -(sys.b @ l_hat))
-    if embedding_residuals(sys, p, f, l_hat, h)["output"] > RESIDUAL_TOL * max(1.0, np.linalg.norm(h)):
+    if not embedding_residuals(sys, p, f, l_hat, h)["output"] <= RESIDUAL_TOL * max(1.0, _norm(h)):
         raise ValueError("output constraint h = c p is violated; no certificate exists")
     return p, l_hat
 
@@ -192,12 +191,12 @@ def certificate_residuals(cert: SimulationCertificate, sys: StateSpaceModel, f=N
         raise ValueError(f"decay-inequality matrix is not finite at lam = {cert.lam:g}")
     gap = np.linalg.eigvalsh(cert.w - sys.c.T @ sys.c).min()
     res = {
-        "w asymmetry": np.linalg.norm(cert.w - cert.w.T) / w_scale,
+        "w asymmetry": _norm(cert.w - cert.w.T) / w_scale,
         "c^T c domination gap": max(0.0, -gap) / w_scale,
         "decay inequality": max(0.0, np.linalg.eigvalsh(lmi).max()) / w_scale,
     }
     if f is not None:
-        res["embedding residual"] = embedding / max(1.0, np.linalg.norm(cert.p))
+        res["embedding residual"] = embedding / max(1.0, _norm(cert.p))
     return {name: float(value) for name, value in res.items()}
 
 
@@ -233,34 +232,29 @@ def design_abstraction(sys: StateSpaceModel, p) -> AbstractionDesign:
 
 
 def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
-    """:func:`design_abstraction` and the :func:`check_design` table that verified it.  A d that is
-    all of ker(c) takes no cond gate: the span test's rank n proved cond([p d]) < 1e12 / n."""
+    """:func:`design_abstraction` and the :func:`check_design` table that verified it.  One gate
+    decides admissibility: [p d] must be square with numerical rank n, which refuses a p that is
+    not injective and an im(p) + ker(c) that does not span R^n, and proves cond([p d]) < 1e12 / n;
+    then the embedding residual, relative to ||a p||_F, decides im(a p) in im(p) + im(b)."""
     p = as_matrix(p, "p")
     a, b, c = sys.a, sys.b, sys.c
     n, m = sys.n, sys.m
     n_hat = p.shape[1]
     _require_shapes(p=(p, (n, n_hat)))
-    if numerical_rank(p) < n_hat:
-        raise ValueError("p is not injective (rank deficient)")
-    pb = np.hstack([p, b])
-    if numerical_rank(np.hstack([pb, a @ p])) > numerical_rank(pb):
-        raise ValueError("im(a p) is not contained in im(p) + im(b)")
     kernel = _kernel_basis(c)
-    if numerical_rank(np.hstack([p, kernel])) < n:
-        raise ValueError("im(p) + ker(c) does not span the state space")
-    d = kernel if kernel.shape[1] == n - n_hat else _angle_complement(p, kernel, n - n_hat)
+    d = kernel if kernel.shape[1] <= n - n_hat else _angle_complement(p, kernel, n - n_hat)
     stacked = np.hstack([p, d])
-    if d is not kernel and np.linalg.cond(stacked) > 1e12:
-        raise ValueError("[p d] is numerically singular; im(p) + im(d) != R^n")
+    if numerical_rank(stacked) < max(stacked.shape):  # square and of full rank
+        raise ValueError("[p d] is numerically singular: p is not injective, "
+                         "or im(p) + ker(c) does not span the state space")
     m_map, e = np.vsplit(np.linalg.inv(stacked), [n_hat])
     # a p = p f - b l_hat, solved per column for [f; l_hat]
     fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), a @ p, rcond=None)
     f, l_hat = fl[:n_hat], fl[n_hat:]
     resid = embedding_residuals(sys, p, f, l_hat)["state"]
-    with np.errstate(over="ignore"):  # a norm past the double range reads inf
-        tol = RESIDUAL_TOL * max(1.0, np.linalg.norm(a @ p))
-    if not resid <= tol < np.inf:  # an overflowing residual or scale is refused too
-        raise ValueError(f"embedding residual {resid:.3e}: geometric condition fails numerically")
+    if not resid <= RESIDUAL_TOL * max(1.0, _norm(a @ p)) < np.inf:  # an overflowing scale is refused too
+        raise ValueError(f"im(a p) is not contained in im(p) + im(b); "
+                         f"embedding residual {resid:.3e}: geometric condition fails numerically")
     g = np.hstack([m_map @ b, m_map @ a @ d])
     n_map = np.vstack([-l_hat @ m_map, e])
     gamma = np.vstack([np.eye(m), np.zeros((n - n_hat, m))])
@@ -294,17 +288,16 @@ def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
     emb = embedding_residuals(sys, design.p, design.f, design.l_hat, design.h)
     rel = m_relation_residuals(sys, design.abstract_model(), design.m_map, design.n_map, design.gamma)
     res = {
-        "m_map p - I": np.linalg.norm(design.m_map @ design.p - np.eye(design.order)),
-        "p m_map + d e - I": np.linalg.norm(design.p @ design.m_map + design.d @ design.e - np.eye(sys.n)),
-        "c d": np.linalg.norm(sys.c @ design.d),
+        "m_map p - I": _norm(design.m_map @ design.p - np.eye(design.order)),
+        "p m_map + d e - I": _norm(design.p @ design.m_map + design.d @ design.e - np.eye(sys.n)),
+        "c d": _norm(sys.c @ design.d),
         "a p - p f + b l_hat": emb["state"],
         "h - c p": emb["output"],
         "m_map a - f m_map - g n_map": rel["state"],
         "g gamma - m_map b": rel["input"],
         "c - h m_map": rel["output"],
     }
-    with np.errstate(over="ignore"):  # a norm past the double range reads inf
-        tol = RESIDUAL_TOL * max(1.0, np.linalg.norm(sys.a), np.linalg.norm(design.l_hat))
+    tol = RESIDUAL_TOL * max(1.0, _norm(sys.a), _norm(design.l_hat))
     bad = {k: v for k, v in res.items() if not v <= tol < np.inf}  # inf and NaN fail
     if bad:
         raise ValueError(f"design invariants violated: {bad}")

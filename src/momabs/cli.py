@@ -18,6 +18,7 @@ import numpy as np
 from . import abstraction, modelio, moments, sim, springmass
 from .linalg import (
     StateSpaceModel,
+    _norm,
     eigenvalues,
     excitable,
     pbh_observable,
@@ -120,8 +121,7 @@ def cmd_reduce(args) -> RunReport:
             continue
         interp = di if side == "direct" else si
         full, red = moment(sys_model, interp).moment, moment(rom, interp).moment
-        scale = max(1.0, np.linalg.norm(full))
-        report.add(f"{side} moment residual", np.linalg.norm(full - red) / scale, args.tol)
+        report.add(f"{side} moment residual", _norm(full - red) / max(1.0, _norm(full)), args.tol)
         if channels == 1:
             _interpolation_checks(report, sys_model, rom, interp, args.tol, tag)
         else:
@@ -138,7 +138,7 @@ def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
     mu = eigenvalues(interp.s if tag == "s" else interp.q).eigenvalues
     mu = mu[mu.imag >= 0]  # conjugate value is redundant for real systems
     for lam, tf_full, tf_rom in zip(mu, moments.transfer_at(full, mu), moments.transfer_at(rom, mu)):
-        rel = np.linalg.norm(tf_full - tf_rom) / max(1.0, np.linalg.norm(tf_full))
+        rel = _norm(tf_full - tf_rom) / max(1.0, _norm(tf_full))
         report.add(f"transfer match at sigma({tag}) point {lam:.4g}", rel, tol)
 
 
@@ -225,7 +225,7 @@ def cmd_simulate(args) -> RunReport:
     report = RunReport(command="simulate")
     spec = _spec_from_file(args.spec, args.step, args.horizon)
     traj = sim.integrate(spec)
-    report.outputs += _write_run(args.out, traj, spec.topology, sim.row_norms(traj.outputs["err"]))
+    report.outputs += _write_run(args.out, traj, spec.topology, _norm(traj.outputs["err"], axis=1))
     report.add_flag("simulation finite", True)
     return report
 

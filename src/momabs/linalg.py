@@ -77,6 +77,28 @@ def numerical_rank(m: np.ndarray) -> int:
     return int(np.sum(s > rank_tol(m, s)))
 
 
+def _norm(x: np.ndarray, axis: int | None = None):
+    """Euclidean norm of x (Frobenius), of each row (axis=1, a real x) or of
+    each column (axis=0).  Only a norm that overflowed is retaken, of the
+    entries times the exact power of two 2^-e, e = frexp(max |entry|), and
+    scaled back, so it is inf only past the double range; a NaN propagates."""
+    def plain(y):
+        return np.sqrt(np.einsum("ij,ij->i", y, y)) if axis == 1 else np.linalg.norm(y, axis=axis)
+
+    def retaken(y):  # exact: scaling by a power of two commutes with rounding (Higham 2002, sec. 2.1)
+        e = np.frexp(np.abs(y).max(axis=axis, keepdims=True))[1]
+        norm = plain(y * np.ldexp(1.0, -e))
+        return np.ldexp(norm, e.reshape(np.shape(norm)))
+
+    with np.errstate(over="ignore"):
+        norms = plain(x)
+        if axis is None:
+            return retaken(x) if norms == np.inf else norms
+        if (big := np.isinf(norms)).any():
+            norms[big] = retaken(np.compress(big, x, axis=1 - axis))
+    return norms
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """LTI model dx = a x + b u, y = c x.
@@ -178,10 +200,10 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     return x
 
 
-def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> None:
-    """Refuse unless ||a x - x b - c||_F <= 1e-10 max(1, ||x||_F)."""
-    if (resid := np.linalg.norm(a @ x - x @ b - c)) > 1e-10 * max(1.0, np.linalg.norm(x)):
-        raise ValueError(f"Sylvester residual {resid:.3e} exceeds tolerance")
+def _check_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, system: str = "Sylvester") -> None:
+    """Refuse unless ||a x - x b - c||_F <= 1e-10 max(1, ||x||_F); a nan fails."""
+    if not (resid := _norm(a @ x - x @ b - c)) <= 1e-10 * max(1.0, _norm(x)):
+        raise ValueError(f"{system} residual {resid:.3e} exceeds tolerance")
 
 
 def _real_schur(b: np.ndarray) -> tuple:
@@ -228,20 +250,11 @@ def _real_schur(b: np.ndarray) -> tuple:
 
 def _schur_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray, fit=None) -> tuple:
     """(X, L): a X - X b = c, or with fit = (e, g, h, tol) a X - X b = c - e L
-    and g X = h.  In b = q t q^T (:func:`_real_schur`), Y = X q solves (a -
-    t_jj) Y_j = r_j = (c q)_j + sum_{i<j} Y_i t_ij one diagonal block at a time:
-    one real LU solve for a 1 x 1 block; for t_jj = w diag(mu, conj mu) w^{-1}
-    (:func:`_pair`) one complex one, (a - mu I) z = r_j w_1, Y_j = [z, conj z]
-    w^{-1}.  A fit also solves for e, so L_j w_1 is the least-squares l of
-    G(mu) l = (h q)_j w_1 - g (a - mu I)^{-1} r_j w_1, refused past tol.
-
-    The gates come first.  The Kronecker matrix M of a Y - Y t has ||M|| <= cw
-    max_j ||a - mu_j I||_2 + tau_s and ||M^{-1}|| <= d sum_{r<blocks} (d
-    tau_s)^r, d = cw / sigma, tau_s = ||t less its diagonal blocks||_2, cw =
-    max_j cond(w_j), sigma <= min_j sigma_min(a - mu_j I): exact for a normal
-    b.  :func:`_disjoint_gate` tries the sigma that keeps the bound at most
-    SYLVESTER_COND_MAX / 2 with ||a||_F + |mu| for ||a - mu I||_2; without
-    that proof, SVDs at each mu give the bound for :func:`_cond_gate`."""
+    and g X = h.  Y = X q solves (a - t_jj) Y_j = r_j = (c q)_j + sum_{i<j} Y_i
+    t_ij block by block in b = q t q^T (:func:`_real_schur`, :func:`_pair`); a
+    fit's L_j w_1 is the least-squares l of G(mu) l = (h q)_j w_1 - g (a - mu
+    I)^{-1} r_j w_1, refused past tol.  The gates, whose bound and tiers the
+    README's ``momabs.linalg`` entry states, run before any solve."""
     q, t, sizes = _real_schur(b)
     starts, strict = [sum(sizes[:j]) for j in range(len(sizes))], t.copy()
     for i, s in zip(starts, sizes):
@@ -277,7 +290,7 @@ def _schur_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray, fit=None) -> tuple
             x = np.linalg.solve(_shift(a, mu), np.column_stack([e, r]))
             gm, want = -(g @ x[:, :-1]), h @ q[:, cols] @ w1 - g @ x[:, -1]
             lj = np.linalg.lstsq(gm, want, rcond=None)[0]
-            if np.linalg.norm(gm @ lj - want) > tol * max(1.0, np.linalg.norm(want)):
+            if not _norm(gm @ lj - want) <= tol * max(1.0, _norm(want)):
                 raise ValueError(f"no embedding: h v is not in the range of G(mu) at mu = {complex(mu):g}")
             z = x[:, -1] - x[:, :-1] @ lj
             l[:, cols] = s * np.outer(lj, row).real
@@ -371,8 +384,7 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     caller already has, such as (sigma(a + b k) + lam, v) for a_cl = a + b k + lam I."""
     q = _square(q, "q")
     _require_shapes(q=(q, a_cl.shape))
-    unit = 2.0 ** -max(0, int(np.frexp(np.abs(q).max())[1]))  # q unit has no entry above 1: its norms stay finite
-    if np.linalg.norm(q * unit - (q * unit).T) > 1e-10 * max(unit, np.linalg.norm(q * unit)):
+    if not _norm(q - q.T) <= 1e-10 * max(1.0, _norm(q)):
         raise ValueError("q must be symmetric")
     if e.real.max() >= 0:
         raise ValueError("a_cl is not Hurwitz")
@@ -390,7 +402,7 @@ def _lyapunov(a_cl: np.ndarray, q, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         y = (v.conj().T @ q @ v) / -(e.conj()[:, None] + e)
         w = (v_inv.conj().T @ y @ v_inv).real
         w = 0.5 * (w + w.T)
-        if np.linalg.norm(a_cl.T @ w + w @ a_cl + q) <= 1e-10 * max(1.0, np.linalg.norm(w)):
+        if _norm(a_cl.T @ w + w @ a_cl + q) <= 1e-10 * max(1.0, _norm(w)):
             return w
     return _sign_lyapunov(a_cl, q, bound)
 
@@ -421,9 +433,7 @@ def _sign_lyapunov(a_cl: np.ndarray, q: np.ndarray, bound: float = 0.0) -> np.nd
     with np.errstate(over="ignore"):  # a norm past the double range is inf: the exact tier decides
         cheap = 2 * np.sqrt(n) * np.linalg.norm(a_cl) * np.linalg.norm(h)
     _cond_gate("Lyapunov", cheap, lambda: 2 * np.sqrt(n) * np.linalg.norm(a_cl, 2) * np.linalg.norm(h, 2))
-    resid = np.linalg.norm(a_cl.T @ w + w @ a_cl + q)
-    if not resid <= 1e-10 * max(1.0, np.linalg.norm(w)):  # a nan W is refused
-        raise ValueError(f"Lyapunov residual {resid:.3e} exceeds tolerance")
+    _check_sylvester(a_cl.T, -a_cl, -q, w, "Lyapunov")  # a_cl^T W - W (-a_cl) = -q
     return w
 
 
@@ -485,11 +495,8 @@ def place_poles(a, b, target, seed: int = 0) -> np.ndarray:
     _require_shapes(b=(b, (n, m)), target=(target, (n, n)))
     if not pbh_reachable(a, b):
         raise ValueError("(a, b) is not controllable")
-    want = eigenvalues(target).eigenvalues
-    if not _apart(eigenvalues(a).eigenvalues, want):  # spectra_disjoint(a, target)
-        raise ValueError("target spectrum intersects sigma(a)")
     rng = np.random.default_rng(seed)
-    want = np.sort_complex(want)
+    want = np.sort_complex(eigenvalues(target).eigenvalues)
     for _ in range(PLACE_RETRIES):
         kbar = rng.standard_normal((m, n))
         x = solve_sylvester(a, target, -b @ kbar)

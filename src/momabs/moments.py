@@ -21,6 +21,7 @@ from .linalg import (
     StateSpaceModel,
     as_matrix,
     _disjoint_gate,
+    _norm,
     _require_shapes,
     _shift,
     _square,
@@ -241,5 +242,5 @@ def _tangential_mismatch(
     mu, v = np.linalg.eig(s)
     mu, v = mu[mu.imag >= 0], v[:, mu.imag >= 0]
     tf_rom, pinned = transfer_at(rom, mu), moment @ v
-    diff = np.linalg.norm(pinned - np.einsum("jmp,mj->pj" if dual else "jpm,mj->pj", tf_rom, l @ v), axis=0)
-    return float((diff / np.maximum(1.0, np.linalg.norm(pinned, axis=0))).max())
+    diff = _norm(pinned - np.einsum("jmp,mj->pj" if dual else "jpm,mj->pj", tf_rom, l @ v), axis=0)
+    return float((diff / np.maximum(1.0, _norm(pinned, axis=0))).max())

@@ -24,7 +24,7 @@ from .abstraction import (
     gamma_gain,
     simulation_fn_value,
 )
-from .linalg import StateSpaceModel, _require_shapes, as_matrix, as_vector, eigenvalues
+from .linalg import StateSpaceModel, _norm, _require_shapes, as_matrix, as_vector, eigenvalues
 from .moments import (
     DirectInterpolant,
     SwappedInterpolant,
@@ -391,18 +391,6 @@ TOPOLOGIES = {
 }
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of x; a finite row whose squares overflow is
-    scaled by an exact power of two 2^-e first (np.frexp, np.ldexp)."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        big = np.flatnonzero(np.isinf(norms))
-        big = big[np.isfinite(x[big]).all(axis=1)]
-        e = np.frexp(np.abs(x[big]).max(axis=1))[1]
-        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(x[big], -e[:, None]), axis=1), e)
-    return norms
-
-
 def fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float | None:
     """Least-squares exponential decay rate of a norm trace, ignoring samples
     at or below DECAY_FLOOR."""
@@ -459,8 +447,8 @@ def run_hierarchical(
         step=step,
     )
     traj = integrate(spec)
-    norms = row_norms(traj.outputs["err"])
-    sup_v = 0.0 if v.is_zero() else float(row_norms(v.eval(traj.times)).max())
+    norms = _norm(traj.outputs["err"], axis=1)
+    sup_v = 0.0 if v.is_zero() else float(_norm(v.eval(traj.times), axis=1).max())
     bound = max(simulation_fn_value(cert, xi0, x0), gamma_gain(cert, plant.b, abstract.b) * sup_v)
     extras = {"bound": bound, "sup_e_y": float(norms.max())}
     return traj, error_stats(traj.times, norms, extras=extras)
@@ -512,6 +500,6 @@ def run_m_direct(
     traj = replace(traj, outputs={"y": out["psi"], "psi": out["y"], "err": err})
     f_cl = abstract.a + abstract.b @ spec.links["k"]
     eps = rk4_linear(f_cl, None, None, eps0, traj.times)
-    gap = row_norms(traj.readouts["eps_s"] - eps)
-    norms = row_norms(traj.outputs["err"])
+    gap = _norm(traj.readouts["eps_s"] - eps, axis=1)
+    norms = _norm(traj.outputs["err"], axis=1)
     return traj, error_stats(traj.times, norms, extras={"parallel_gap_sup": float(gap.max())})

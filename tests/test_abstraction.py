@@ -191,6 +191,17 @@ class TestSolveEmbedding:
         assert np.abs(p - springmass.embedding_p()).max() < 1e-9
         assert np.abs(l_hat - springmass.l_hat()).max() < 1e-7
 
+    @pytest.mark.parametrize("k", [0, 500, 1000])
+    def test_l_hat_free_scales_exactly_with_h(self, k):
+        plant, abstract = springmass.concrete(), springmass.abstract()
+        scaled = StateSpaceModel(a=abstract.a, b=abstract.b, c=2.0**k * abstract.c)
+        (p, l_hat), (p0, l0) = solve_embedding(plant, scaled), solve_embedding(plant, abstract)
+        if k < 1000:
+            assert np.array_equal(p, 2.0**k * p0) and np.array_equal(l_hat, 2.0**k * l0)
+        else:  # np.linalg.lstsq (LAPACK gelsd) rescales a right side above about 1e292 by a non-power of two
+            for got, ref in ((p, p0), (l_hat, l0)):
+                assert np.abs(got / 2.0**k - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_output_constraint_violation_raises(self, rng):
         sys = random_stable_system(rng, n=4, m=1, p=1)
         abstract = StateSpaceModel(
@@ -449,7 +460,8 @@ class TestDesignAbstraction:
         design = design_abstraction(sys, [[1.0, 1.0], [0.0, 2.0]])
         assert design.d.shape == (2, 0) and design.e.shape == (0, 2)
         assert max(check_design(design, sys).values()) < 1e-12
-        with pytest.raises(ValueError, match=r"^im\(p\) \+ ker\(c\) does not span the state space$"):
+        with pytest.raises(ValueError, match=r"^\[p d\] is numerically singular: p is not injective, "
+                           r"or im\(p\) \+ ker\(c\) does not span the state space$"):
             design_abstraction(sys, [[1.0], [0.0]])
 
     def test_link_closure(self, rng):
@@ -478,6 +490,15 @@ class TestDesignAbstraction:
         p = np.array([[1.0], [1.0], [0.0]])
         with pytest.raises(ValueError, match="im"):
             design_abstraction(sys, p)
+
+    @pytest.mark.parametrize("k", [0, 20, 33, 37, 40, 60, 200])
+    def test_invariance_refused_at_any_scale_of_a(self, k):
+        # 5 columns of [p b a p] in R^6 cannot meet im(a p) in im(p) + im(b), at any scale 2^k >= 1 of a
+        rng = np.random.default_rng(0)
+        a, b, c = rng.standard_normal((6, 6)), rng.standard_normal((6, 2)), rng.standard_normal((2, 6))
+        sys = StateSpaceModel(a=2.0**k * a, b=b, c=c)
+        with pytest.raises(ValueError, match=r"^im\(a p\) is not contained in im\(p\) \+ im\(b\); embedding residual"):
+            design_abstraction(sys, rng.standard_normal((6, 3)))
 
     def test_final_abstraction_matrices(self):
         plant = springmass.concrete()
@@ -625,18 +646,25 @@ class TestKernelComplement:
     def test_numerically_singular_stack_refused(self):
         # c = 0: ker(c) = R^3 spans with any p, but a p of norm 1e-13 leaves cond([p d]) near 1e13
         plant = StateSpaceModel(a=np.diag([-1.0, -2.0, -3.0]), b=np.ones((3, 1)), c=np.zeros((1, 3)))
-        with pytest.raises(ValueError, match=r"^\[p d\] is numerically singular; im\(p\) \+ im\(d\) != R\^n$"):
+        with pytest.raises(ValueError, match=r"^\[p d\] is numerically singular: p is not injective, "
+                           r"or im\(p\) \+ ker\(c\) does not span the state space$"):
             design_abstraction(plant, [[1e-13], [0.0], [0.0]])
 
     def test_overflowing_scale_refused(self):
-        # ||a||_F overflows: an inf residual against an inf tolerance must not pass
-        plant = springmass.concrete()
-        design = design_abstraction(plant, springmass.embedding_p())
-        huge = StateSpaceModel(a=1e300 * plant.a, b=plant.b, c=plant.c)
+        # ||a||_F = 3e308 and ||a p||_F = 2.6e308 pass the double range: no residual passes an inf tolerance
+        b, c, p = np.eye(4)[:, 3:], np.eye(4)[:3], np.eye(4)[:, :3]
+        design = design_abstraction(StateSpaceModel(a=np.eye(4), b=b, c=c), p)
+        huge = StateSpaceModel(a=1.5e308 * np.eye(4), b=b, c=c)
         with pytest.raises(ValueError, match="design invariants violated"):
             check_design(design, huge)
         with pytest.raises(ValueError, match="geometric condition fails numerically"):
-            design_abstraction(huge, np.vstack([np.eye(2), np.eye(2)]))
+            design_abstraction(huge, p)
+
+    def test_huge_finite_scale_accepted(self):
+        # ||1e300 a||_F is finite: the design is accepted, as at scale 1
+        plant, p = springmass.concrete(), np.vstack([np.eye(2), np.eye(2)])
+        huge = StateSpaceModel(a=1e300 * plant.a, b=plant.b, c=plant.c)
+        np.testing.assert_allclose(design_abstraction(huge, p).f / 1e300, design_abstraction(plant, p).f, atol=1e-12)
 
 
 class TestMRelation:

@@ -282,6 +282,20 @@ class TestReduce:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
 
+    def test_rows_identical_past_the_squares_range(self, tmp_path, capsys):
+        # b = 2^530 [1, 1]^T: the moment's and transfer values' squares overflow, the rows do not
+        data = {"s": [[0.0, 1.0], [-1.0, 0.0]], "l": [[1.0, 0.0]], "g": [[1.0], [0.0]]}
+        interp = write_json(tmp_path / "interp.json", data)
+        rows = []
+        for scale in (2.0**30, 2.0**530):
+            plant = StateSpaceModel(a=np.diag([-1.0, -2.0]), b=scale * np.ones((2, 1)), c=np.ones((1, 2)))
+            model = write_json(tmp_path / "sys.json", model_dict(plant))
+            assert main(["reduce", model, "--interp", interp, "--out", str(tmp_path / "rom.json")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and "result: OK" in captured.out
+            rows.append([line for line in captured.out.splitlines() if line.startswith("[")])
+        assert rows[0] == rows[1] and len(rows[0]) == 2
+
     def test_malformed_json_exits_2(self, tmp_path, plant_file, capsys):
         bad = tmp_path / "interp.json"
         bad.write_text('{"s": [[0, 1],\n')
@@ -393,7 +407,7 @@ class TestAbstract:
         p_file = write_json(tmp_path / "p.json", {"p": rng.standard_normal((6, 3)).tolist()})
         assert main(["abstract", model, "--p", p_file, "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
-        assert "embedding residual inf: geometric condition fails numerically" in err
+        assert "embedding residual 2.272e+300: geometric condition fails numerically" in err
         assert "Traceback" not in err and not (tmp_path / "d.design.json").exists()
 
     @settings(max_examples=40, deadline=None)
@@ -794,12 +808,14 @@ class TestVerify:
         ],
     )
     def test_overflowing_residual_fails_without_a_warning(self, tmp_path, plant_file, capsys, checks, field, row):
-        # the suite's filterwarnings = error turns an overflow warning into a traceback
+        # the suite's filterwarnings = error turns an overflow warning into a traceback;
+        # a norm whose squares overflow reads its true value
         artifact = json.loads(Path(self._artifact(tmp_path)).read_text())
         artifact[field][0][0] = 1e300
         path = write_json(tmp_path / "huge.json", artifact)
         assert main(["verify", plant_file, "--artifact", path, "--checks", checks]) == 1
-        assert f"[FAIL] {row}: value=inf " in capsys.readouterr().out
+        value = "1.19887e+285" if field == "m" else "1e+300"
+        assert f"[FAIL] {row}: value={value} " in capsys.readouterr().out
 
     def test_zero_l_fails_pbh(self, tmp_path, plant_file, capsys):
         artifact = write_json(

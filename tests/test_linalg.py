@@ -1119,7 +1119,8 @@ class TestPlacePoles:
         assert nearest_gap(eigenvalues(plant.a + plant.b @ k).eigenvalues, ORDER_20_POLES) < 1e-6
 
     def test_target_overlapping_plant_rejected(self):
-        with pytest.raises(ValueError, match="intersects"):
+        # the first Sylvester gate decides the overlap
+        with pytest.raises(ValueError, match=r"^sigma\(a\) and sigma\(b\) overlap"):
             place_poles(np.diag([-1.0, -2.0]), np.eye(2), np.diag([-1.0, -5.0]))
 
 
@@ -1274,3 +1275,61 @@ def _direct_generator_spec(l):
 def test_misshaped_argument_names_its_field(call, shown):
     with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
         call()
+
+
+class TestNorm:
+    """linalg._norm: the plain norm, retaken at an exact power of two only where it overflowed."""
+
+    def test_plain_norms_are_numpy_bit_for_bit(self, rng):
+        x = rng.standard_normal((7, 3))
+        assert linalg._norm(x) == np.linalg.norm(x)
+        assert np.array_equal(linalg._norm(x, axis=0), np.linalg.norm(x, axis=0))
+        assert np.array_equal(linalg._norm(x, axis=1), np.sqrt(np.einsum("ij,ij->i", x, x)))
+
+    def test_row_of_1e200_entries_is_finite(self):
+        x = np.array([[1e200, -1e200, 1e200], [3.0, 4.0, 0.0]])
+        np.testing.assert_allclose(linalg._norm(x, axis=1), [np.sqrt(3) * 1e200, 5.0], rtol=1e-15)
+        np.testing.assert_allclose(linalg._norm(x.T, axis=0), [np.sqrt(3) * 1e200, 5.0], rtol=1e-15)
+        np.testing.assert_allclose(linalg._norm(x), np.sqrt(3) * 1e200, rtol=1e-15)
+
+    def test_norm_past_the_double_range_reads_inf(self):
+        x = np.array([[1.5e308, 1.5e308], [1.0, 0.0]])
+        assert np.array_equal(linalg._norm(x, axis=1), [np.inf, 1.0])
+        assert np.array_equal(linalg._norm(x.T, axis=0), [np.inf, 1.0])
+        assert linalg._norm(x) == np.inf
+
+    def test_empty_arrays(self):
+        d = np.zeros((3, 0))
+        assert linalg._norm(np.ones((2, 3)) @ d) == 0.0
+        assert linalg._norm(d, axis=1).tolist() == [0.0] * 3
+        assert linalg._norm(d.T, axis=0).tolist() == [0.0] * 3
+        assert linalg._norm(d, axis=0).shape == (0,)
+
+    def test_nan_propagates(self):
+        x = np.array([[np.nan, 1e300, 1e300], [1e300, 1e300, 0.0]])
+        assert np.isnan(linalg._norm(x))
+        got = linalg._norm(x, axis=1)
+        assert np.isnan(got[0]) and got[1] == pytest.approx(np.sqrt(2) * 1e300, rel=1e-15)
+        assert np.isnan(linalg._norm(x, axis=0)[0])
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_retaken_norm_scales_exactly(self, rng, axis):
+        x = rng.standard_normal((4, 5))
+        if axis != 1:  # rows are norms of real data
+            x = x + 1j * rng.standard_normal((4, 5))
+        assert np.array_equal(linalg._norm(2.0**600 * x, axis=axis), 2.0**600 * linalg._norm(x, axis=axis))
+
+
+class TestRightSideScaling:
+    """A right side scaled by 2^k scales the solution exactly, with no overflow warning."""
+
+    @pytest.mark.parametrize("k", [0, 500, 1000])
+    def test_sylvester(self, k):
+        a, b = np.diag([-1.0, -2.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        c = np.array([[1.0, 2.0], [3.0, -1.0]])
+        assert np.array_equal(solve_sylvester(a, b, 2.0**k * c), 2.0**k * solve_sylvester(a, b, c))
+
+    @pytest.mark.parametrize("k", [0, 500, 1000])
+    def test_lyapunov(self, k):
+        a_cl, q = np.array([[-1.0, 3.0], [0.0, -2.0]]), np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(solve_lyapunov(a_cl, 2.0**k * q), 2.0**k * solve_lyapunov(a_cl, q))

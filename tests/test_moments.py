@@ -427,6 +427,16 @@ class TestTransferAt:
 class TestTangentialMismatch:
     """The vectorised mismatches against the per-eigenpair reference loops."""
 
+    def test_equal_at_b_scaled_past_the_squares_range(self):
+        # a ROM whose c is off by 1e-3: pinned columns of 2^530 overflow their squares
+        def mismatch(scale):
+            a, b = np.diag([-1.0, -2.0]), scale * np.ones((2, 1))
+            full = StateSpaceModel(a=a, b=b, c=np.ones((1, 2)))
+            rom = StateSpaceModel(a=a, b=b, c=np.full((1, 2), 1.0 + 1e-3))
+            return tangential_mismatch_direct(full, rom, DirectInterpolant(s=[[0.0, 1.0], [-1.0, 0.0]], l=[[1.0, 0.0]]))
+
+        assert mismatch(2.0**30) == mismatch(2.0**530) == pytest.approx(1e-3, rel=1e-12)
+
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_reference_loops(self, seed):
         rng = np.random.default_rng(seed)
