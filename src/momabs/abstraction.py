@@ -93,8 +93,9 @@ def embedding_residuals(sys: StateSpaceModel, p, f, l_hat, h=None) -> dict:
     n_hat = max(cols, key=cols.count)
     _require_shapes(p=(p, (sys.n, n_hat)), f=(f, (n_hat, n_hat)),
                     l_hat=(l_hat, (sys.m, n_hat)), h=(h, (sys.p, n_hat)))
-    res = {"state": _norm(p @ f - sys.a @ p - sys.b @ l_hat)}
-    return res if h is None else {**res, "output": _norm(h - sys.c @ p)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product reads inf or nan
+        res = {"state": p @ f - sys.a @ p - sys.b @ l_hat, "output": None if h is None else h - sys.c @ p}
+    return {name: _norm(value) for name, value in res.items() if value is not None}
 
 
 def m_relation_residuals(sys: StateSpaceModel, abstract: StateSpaceModel, m_map, n_map, gamma) -> dict:
@@ -103,11 +104,10 @@ def m_relation_residuals(sys: StateSpaceModel, abstract: StateSpaceModel, m_map,
     f, g, h = abstract.a, abstract.b, abstract.c
     _require_shapes(m_map=(m_map, (abstract.n, sys.n)), n_map=(n_map, (abstract.m, sys.n)),
                     gamma=(gamma, (abstract.m, sys.m)), h=(h, (sys.p, abstract.n)))
-    return {
-        "state": _norm(m_map @ sys.a - f @ m_map - g @ n_map),
-        "input": _norm(g @ gamma - m_map @ sys.b),
-        "output": _norm(sys.c - h @ m_map),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product reads inf or nan
+        res = {"state": m_map @ sys.a - f @ m_map - g @ n_map, "input": g @ gamma - m_map @ sys.b,
+               "output": sys.c - h @ m_map}
+    return {name: _norm(value) for name, value in res.items()}
 
 
 def solve_embedding(
@@ -248,11 +248,15 @@ def _design_and_residuals(sys: StateSpaceModel, p) -> tuple:
         raise ValueError("[p d] is numerically singular: p is not injective, "
                          "or im(p) + ker(c) does not span the state space")
     m_map, e = np.vsplit(np.linalg.inv(stacked), [n_hat])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap = a @ p
+    if not np.isfinite(ap).all():
+        raise ValueError("a p is not finite: a or p is past the double range")
     # a p = p f - b l_hat, solved per column for [f; l_hat]
-    fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), a @ p, rcond=None)
+    fl, *_ = np.linalg.lstsq(np.hstack([p, -b]), ap, rcond=None)
     f, l_hat = fl[:n_hat], fl[n_hat:]
     resid = embedding_residuals(sys, p, f, l_hat)["state"]
-    if not resid <= RESIDUAL_TOL * max(1.0, _norm(a @ p)) < np.inf:  # an overflowing scale is refused too
+    if not resid <= RESIDUAL_TOL * max(1.0, _norm(ap)) < np.inf:  # an overflowing scale is refused too
         raise ValueError(f"im(a p) is not contained in im(p) + im(b); "
                          f"embedding residual {resid:.3e}: geometric condition fails numerically")
     g = np.hstack([m_map @ b, m_map @ a @ d])

@@ -145,28 +145,13 @@ def _interpolation_checks(report, full, rom, interp, tol, tag="s"):
 def cmd_abstract(args) -> RunReport:
     report = RunReport(command="abstract")
     sys_model = load_model(args.model)
-    data = load_json(args.p_file)
-    p = matrix_field(data, "p", args.p_file)
+    p = matrix_field(load_json(args.p_file), "p", args.p_file)
     design, residuals = abstraction._design_and_residuals(sys_model, p)
     for name, value in residuals.items():
         report.add(f"residual {name}", value, args.tol)
-    prefix = args.out
-    design_path = f"{prefix}.design.json"
-    modelio.save_matrix(
-        design_path,
-        design.p,
-        key="p",
-        d=design.d.tolist(),
-        e=design.e.tolist(),
-        m=design.m_map.tolist(),
-        f=design.f.tolist(),
-        l_hat=design.l_hat.tolist(),
-        h=design.h.tolist(),
-        g=design.g.tolist(),
-        n=design.n_map.tolist(),
-        gamma=design.gamma.tolist(),
-    )
-    final_path = f"{prefix}.final.json"
+    design_path, final_path = f"{args.out}.design.json", f"{args.out}.final.json"
+    # the design's fields in their order, m_map and n_map under the keys m and n that verify reads
+    modelio.save_json(design_path, {key.removesuffix("_map"): value for key, value in vars(design).items()})
     modelio.save_model(final_path, abstraction.final_abstraction(design, sys_model), role="abstract")
     report.outputs += [design_path, final_path]
     return report

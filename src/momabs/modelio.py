@@ -85,26 +85,21 @@ def load_model(path) -> StateSpaceModel:
     return model_from_dict(data, path)
 
 
+def save_json(path, data: dict) -> None:
+    """Write ``data`` as JSON indented by 2 with a trailing newline, each array as ``tolist()`` gives it."""
+    Path(path).write_text(json.dumps(data, indent=2, default=np.ndarray.tolist) + "\n", encoding="utf-8")
+
+
 def save_model(path, model: StateSpaceModel, role: str | None = None) -> None:
-    data = {
-        "name": Path(path).stem,
-        "a": model.a.tolist(),
-        "b": model.b.tolist(),
-        "c": model.c.tolist(),
-    }
+    data = {"name": Path(path).stem, "a": model.a, "b": model.b, "c": model.c}
     if role is not None:
         data["role"] = role
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    save_json(path, data)
 
 
 def matrix_field(data: dict, key: str, path) -> np.ndarray:
     """``data[key]`` as a matrix; a ModelFileError names the file and field."""
     return _matrix_from(numeric_field(data, key, path), key, path)
-
-
-def save_matrix(path, matrix: np.ndarray, key: str, **extra) -> None:
-    data = {key: np.asarray(matrix).tolist(), **extra}
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 @functools.cache
@@ -243,6 +238,20 @@ def _fixed2(values: np.ndarray):
     return text, certified
 
 
+def _channels(times: np.ndarray, columns: dict) -> tuple[list, list]:
+    """(names, series): each named k x N or N x k array (N = times.size) split into its
+    k channels of length N, named name_1 ... name_k, or name alone for k = 1."""
+    names, series = [], []
+    for name, arr in columns.items():
+        arr = np.atleast_2d(np.asarray(arr, float))
+        if arr.shape[0] == times.size:
+            arr = arr.T
+        _require_shapes(**{f"column {name!r}": (arr, (len(arr), times.size))})
+        names += [name] if len(arr) == 1 else [f"{name}_{i + 1}" for i in range(len(arr))]
+        series += list(arr)
+    return names, series
+
+
 def write_csv(path, times: np.ndarray, columns: dict) -> None:
     """CSV with a time column then named data columns, each value written as
     the bytes ``%.17g`` gives; the header names are a stable contract.
@@ -259,15 +268,8 @@ def write_csv(path, times: np.ndarray, columns: dict) -> None:
     ``bytes.translate`` per block deletes, and each block is written before
     the next, so memory stays bounded by one block whatever the grid length.
     """
-    names, series = ["time"], [times]
-    for name, arr in columns.items():
-        arr = np.atleast_2d(np.asarray(arr, float))
-        if arr.shape[0] == times.size:
-            arr = arr.T
-        _require_shapes(**{f"column {name!r}": (arr, (len(arr), times.size))})
-        for i in range(arr.shape[0]):
-            names.append(name if arr.shape[0] == 1 else f"{name}_{i + 1}")
-            series.append(arr[i])
+    names, series = _channels(times, columns)
+    names, series = ["time", *names], [times, *series]
     block = np.empty((CSV_BLOCK_ROWS, len(series)))
     slots = np.empty((CSV_BLOCK_ROWS, len(series)), [("text", f"V{_SLOT}"), ("sep", "S1")])
     slots["sep"] = b","
@@ -290,7 +292,8 @@ _PALETTE = (
 
 
 def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
-    """Self-contained 900x600 SVG: one polyline per named channel plus a legend.
+    """Self-contained 900x600 SVG: one polyline per channel plus a legend, the
+    channels split and named as :func:`write_csv` splits and names its columns.
 
     Each polyline holds at most about 2000 points (every ``stride``-th
     sample), written as the bytes ``%.2f,%.2f`` gives: the x coordinates are
@@ -301,16 +304,9 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
     width, height = 900, 600
     margin = 60
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    flat = {}
-    for name, arr in series.items():
-        arr = np.asarray(arr, float)
-        if arr.ndim == 1:
-            flat[name] = arr
-        else:
-            for i in range(arr.shape[1]):
-                flat[f"{name}_{i + 1}"] = arr[:, i]
-    ymin = min(float(v.min()) for v in flat.values())
-    ymax = max(float(v.max()) for v in flat.values())
+    names, channels = _channels(times, series)
+    ymin = min(float(v.min()) for v in channels)
+    ymax = max(float(v.max()) for v in channels)
     if ymax - ymin < 1e-30:
         ymax = ymin + 1.0
         if ymax == ymin:  # above 2**53: a one-ulp range, stepping towards 0
@@ -349,10 +345,10 @@ def write_svg(path, times: np.ndarray, series: dict, title: str = "") -> None:
         )
     stride = max(1, times.size // 2000)
     xs = sx(times[::stride])
-    ys = sy(np.stack([values[::stride] for values in flat.values()]))
+    ys = sy(np.stack([values[::stride] for values in channels]))
     (x_text, x_ok), (y_text, y_ok) = _fixed2(xs), _fixed2(ys)
     x_text[:, 7], y_text[..., 7] = 44, 32  # "x,y " per point
-    for idx, name in enumerate(flat):
+    for idx, name in enumerate(names):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = np.concatenate([x_text, y_text[idx]], axis=1).tobytes().translate(None, b"\0")
         rest = ~np.column_stack([x_ok, y_ok[idx]])

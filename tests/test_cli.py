@@ -36,7 +36,7 @@ from momabs.abstraction import (
 )
 from momabs.cli import main
 from momabs.linalg import StateSpaceModel, eigenvalues, place_poles, solve_sylvester
-from momabs.modelio import load_model, save_matrix, save_model
+from momabs.modelio import load_model, save_json, save_model
 from momabs.moments import DirectInterpolant, SwappedInterpolant, moment_swapped
 from momabs.signals import SignalSpec, Term
 
@@ -409,6 +409,31 @@ class TestAbstract:
         err = capsys.readouterr().err
         assert "embedding residual 2.272e+300: geometric condition fails numerically" in err
         assert "Traceback" not in err and not (tmp_path / "d.design.json").exists()
+
+    def test_overflowing_a_p_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # a p = [2e308, -1e308] is past the double range; pytest's filterwarnings = error
+        # fails any overflow warning, as PYTHONWARNINGS=error would
+        plant = StateSpaceModel(a=1e308 * np.array([[1.0, 1.0], [0.0, -1.0]]), b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        p_file = write_json(tmp_path / "p.json", {"p": [[1.0], [1.0]]})
+        assert main(["abstract", model, "--p", p_file, "--out", str(tmp_path / "d")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a p is not finite: a or p is past the double range\n"
+        assert captured.out == "" and not (tmp_path / "d.design.json").exists()
+
+    def test_design_json_feeds_verify(self, tmp_path, plant_file, capsys):
+        p_file = write_json(tmp_path / "p.json", {"p": springmass.embedding_p().tolist()})
+        assert main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")]) == 0
+        design = tmp_path / "d.design.json"
+        assert list(json.loads(design.read_text())) == ["p", "d", "e", "m", "f", "l_hat", "h", "g", "n", "gamma"]
+        capsys.readouterr()
+        argv = ["verify", plant_file, "--artifact", str(design), "--checks", "embedding,mrelation"]
+        assert main(argv) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert [row.split(":")[0] for row in rows] == [
+            f"[PASS] {name} residual" for name in ("embedding state", "embedding output", "mrelation state",
+                                                   "mrelation input", "mrelation output")
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -817,6 +842,16 @@ class TestVerify:
         value = "1.19887e+285" if field == "m" else "1e+300"
         assert f"[FAIL] {row}: value={value} " in capsys.readouterr().out
 
+    def test_overflowing_product_fails_without_a_warning(self, tmp_path, capsys):
+        # a scaled by 2e307: a p overflows, so the state residual reads inf and fails;
+        # the suite's filterwarnings = error turns an overflow warning into a traceback
+        plant = springmass.concrete()
+        model = write_json(tmp_path / "sys.json", model_dict(StateSpaceModel(a=2e307 * plant.a, b=plant.b, c=plant.c)))
+        path = self._artifact(tmp_path)
+        assert main(["verify", model, "--artifact", path, "--checks", "embedding,mrelation"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] embedding state residual: value=inf " in captured.out and captured.err == ""
+
     def test_zero_l_fails_pbh(self, tmp_path, plant_file, capsys):
         artifact = write_json(
             tmp_path / "artifact.json",
@@ -1006,7 +1041,7 @@ def test_relation_values_equal_the_inline_formulas(tmp_path, case):
         **{f"certificate: {name}": value for name, value in certificate.items()},
     }
 
-    save_matrix(tmp_path / "p.json", design.p, key="p")
+    save_json(tmp_path / "p.json", {"p": design.p})
     argv = ["abstract", str(tmp_path / "plant.json"), "--p", str(tmp_path / "p.json")]
     report = cli.cmd_abstract(cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "d")]))
     redesign = design_abstraction(plant, design.p)

@@ -19,7 +19,7 @@ from momabs.modelio import (
     load_json,
     load_model,
     matrix_field,
-    save_matrix,
+    save_json,
     save_model,
     write_csv,
     write_svg,
@@ -67,12 +67,12 @@ class TestModelJson:
 
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "p.json"
-        save_matrix(path, springmass.embedding_p(), key="p")
+        save_json(path, {"p": springmass.embedding_p()})
         assert np.array_equal(matrix_field(load_json(path), "p", path), springmass.embedding_p())
 
     def test_matrix_missing_field(self, tmp_path):
         path = tmp_path / "p.json"
-        save_matrix(path, np.eye(2), key="p")
+        save_json(path, {"p": np.eye(2)})
         with pytest.raises(ModelFileError, match="missing field 'q'"):
             matrix_field(load_json(path), "q", path)
 
@@ -93,6 +93,13 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv(path, np.array([0.0, 1.0]), {"v": np.array([1.0, 2.0])})
         assert path.read_text().splitlines()[0] == "time,v"
+        # a one-column series, N x 1 or 1 x N, is one channel under the same name in both files
+        times = np.linspace(0.0, 1.0, 5)
+        for y in (np.sin(times)[:, None], np.sin(times)[None, :]):
+            write_csv(path, times, {"y": y})
+            write_svg(tmp_path / "out.svg", times, {"y": y})
+            assert path.read_text().splitlines()[0] == "time,y"
+            assert ">y</text>" in (tmp_path / "out.svg").read_text()
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"^column 'y' must be 1x2, got \(1, 3\)$"):
