@@ -302,9 +302,10 @@ def check_design(design: AbstractionDesign, sys: StateSpaceModel) -> dict:
         "c - h m_map": rel["output"],
     }
     tol = RESIDUAL_TOL * max(1.0, _norm(sys.a), _norm(design.l_hat))
-    bad = {k: v for k, v in res.items() if not v <= tol < np.inf}  # inf and NaN fail
-    if bad:
-        raise ValueError(f"design invariants violated: {bad}")
+    if bad := {k: v for k, v in res.items() if not v <= tol < np.inf}:  # inf and NaN fail
+        why = "" if tol < np.inf else ": the scale max(1, ||a||_F, ||l_hat||_F) is past the double range"
+        rows = ", ".join(f"{k} = {v:g}" for k, v in bad.items())
+        raise ValueError(f"design invariants violated: {rows} (tolerance {tol:g}{why})")
     return res
 
 

@@ -660,6 +660,18 @@ class TestKernelComplement:
         with pytest.raises(ValueError, match="geometric condition fails numerically"):
             design_abstraction(huge, p)
 
+    def test_refusal_lists_failing_rows_as_plain_numbers(self):
+        # g off by 1e-3 breaks two relation rows; the message names each with its value and the tolerance
+        plant = springmass.concrete()
+        design = design_abstraction(plant, springmass.embedding_p())
+        with pytest.raises(ValueError) as info:
+            check_design(dataclasses.replace(design, g=design.g + 1e-3), plant)
+        assert re.fullmatch(
+            r"design invariants violated: m_map a - f m_map - g n_map = 3\.04243, "
+            r"g gamma - m_map b = 0\.002 \(tolerance 2\.08087e-06\)",
+            str(info.value),
+        )
+
     def test_huge_finite_scale_accepted(self):
         # ||1e300 a||_F is finite: the design is accepted, as at scale 1
         plant, p = springmass.concrete(), np.vstack([np.eye(2), np.eye(2)])

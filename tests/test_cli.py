@@ -421,6 +421,21 @@ class TestAbstract:
         assert captured.err == "error: a p is not finite: a or p is past the double range\n"
         assert captured.out == "" and not (tmp_path / "d.design.json").exists()
 
+    def test_overflowing_design_scale_exits_2_naming_it(self, tmp_path, capsys):
+        # a p = [1, 0] is finite and every design residual reads 0, but ||a||_F = 2.1e308
+        # passes the double range, so check_design's tolerance is inf and refuses them all
+        plant = StateSpaceModel(a=[[1.0, 1.5e308], [0.0, -1.5e308]], b=[[0.0], [1.0]], c=[[1.0, 0.0]])
+        model = write_json(tmp_path / "sys.json", model_dict(plant))
+        p_file = write_json(tmp_path / "p.json", {"p": [[1.0], [0.0]]})
+        assert main(["abstract", model, "--p", p_file, "--out", str(tmp_path / "d")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: design invariants violated: m_map p - I = 0, ")
+        assert captured.err.endswith(
+            ", c - h m_map = 0 (tolerance inf: the scale max(1, ||a||_F, ||l_hat||_F) is past the double range)\n"
+        )
+        assert captured.err.count("\n") == 1 and "np.float64" not in captured.err
+        assert captured.out == "" and not (tmp_path / "d.design.json").exists()
+
     def test_design_json_feeds_verify(self, tmp_path, plant_file, capsys):
         p_file = write_json(tmp_path / "p.json", {"p": springmass.embedding_p().tolist()})
         assert main(["abstract", plant_file, "--p", p_file, "--out", str(tmp_path / "d")]) == 0
@@ -594,6 +609,7 @@ class TestSimulate:
             ({"models": [1]}, "field 'models' must be a JSON object, got [1]"),
             ({"links": [1]}, "field 'links' must be a JSON object, got [1]"),
             ({"initial": [1]}, "field 'initial' must be a JSON object, got [1]"),
+            ({"links": [1], "initial": [1]}, "field 'links' must be a JSON object, got [1]"),
             ({"models": {"plant": 3}}, "field 'models.plant' must be a JSON object, got 3"),
             ({"horizon": "abc"}, "field 'horizon' must be a number, got 'abc'"),
             ({"step": True}, "field 'step' must be a number, got True"),
@@ -608,8 +624,8 @@ class TestSimulate:
             ),
         ],
         ids=[
-            "models-list", "links-list", "initial-list", "model-int", "horizon-str",
-            "step-bool", "horizon-huge-int", "link-object", "initial-str", "link-str",
+            "models-list", "links-list", "initial-list", "links-and-initial-list", "model-int",
+            "horizon-str", "step-bool", "horizon-huge-int", "link-object", "initial-str", "link-str",
             "link-huge-int", "model-missing-c",
         ],
     )
@@ -1311,8 +1327,42 @@ class TestPaperExample:
             "link_free",
             "link_forced",
         ):
-            b1 = (dirs[0] / f"{name}.csv").read_bytes()
-            b2 = (dirs[1] / f"{name}.csv").read_bytes()
-            assert b1 == b2
+            for ext in ("csv", "svg"):
+                b1 = (dirs[0] / f"{name}.{ext}").read_bytes()
+                b2 = (dirs[1] / f"{name}.{ext}").read_bytes()
+                assert b1 == b2, f"{name}.{ext}"
         report = (dirs[0] / "report.txt").read_text()
         assert "[FAIL]" not in report and "result: OK" in report
+
+    def test_report_layout(self, tmp_path, capsys):
+        # the check rows in order, the n(1,1) note, the files in the order they were written
+        assert main(["paper-example", "--out", str(tmp_path), "--seed", "0"]) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[0] == "# paper-example"
+        assert [re.match(r"\[PASS\] (.*): value=", line)[1] for line in lines[1:15]] == [
+            "plant spectrum vs reference",
+            "embedding matrix vs reference",
+            "output map c p = I exactly",
+            "design m vs reference",
+            "design g vs reference",
+            "design gamma vs reference",
+            "design n rows 3-4 vs reference",
+            "hierarchical free: terminal output error",
+            "hierarchical free: fitted decay rate",
+            "hierarchical forced: sup error within guaranteed bound",
+            "link free: trailing output error",
+            "link free: parallel error-dynamics gap",
+            "link forced: trailing output error",
+            "link forced: parallel error-dynamics gap",
+        ]
+        assert lines[15] == (
+            "note: n entry (1,1): construction gives +1850, reference prints -1850; suspected sign typo, "
+            "rows 1-2 are unconstrained by the witness equations for this g"
+        )
+        assert lines[16:24] == [
+            f"wrote: {tmp_path / name}.{ext}"
+            for name in ("hierarchical_free", "hierarchical_forced", "link_free", "link_forced")
+            for ext in ("csv", "svg")
+        ]
+        assert lines[24:] == ["result: OK"]
+        assert capsys.readouterr().out.splitlines() == lines
